@@ -25,8 +25,8 @@ from .enumeration import (DEFAULT_BUDGET, enumerate_associative_products,
 from .equivalence import (search_dendriform_iso_fp, verify_dendriform_iso,
                           verify_operator_equiv)
 from .errors import (DendropError, InvalidDendriformError, InvalidOperatorError,
-                     KernelNotIdealError, SingularMatrixError)
-from .fields import prime_field, same_field
+                     KernelNotIdealError, SingularMatrixError, UsageError)
+from .fields import is_prime, prime_field, same_field
 from .linalg import Matrix
 from .operators import ALGEBRA, OOperator, validate_o_algebra, validate_o_module
 from .structures import (Algebra, Bimodule, BimoduleAlgebra, DendriformDi,
@@ -191,10 +191,21 @@ def _resolve_budget(args) -> int | None:
     if args.budget is not None:
         return args.budget
     env = os.environ.get("DENDROP_BUDGET")
-    return int(env) if env else None
+    if not env:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise UsageError(f"DENDROP_BUDGET={env!r} is not an integer") from None
 
 
 def _cmd_enumerate(args) -> int:
+    if args.dim < 1:
+        raise UsageError(f"--dim must be at least 1, got {args.dim}")
+    if args.workers < 1:
+        raise UsageError(f"--workers must be at least 1, got {args.workers}")
+    if not is_prime(args.prime):
+        raise UsageError(f"--prime {args.prime} is not prime")
     budget = _resolve_budget(args)
     field = prime_field(args.prime)
     if args.what == "assoc":
@@ -297,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", required=True, metavar="G_JSON")
     p.set_defaults(fn=_cmd_equiv)
 
-    p = sub.add_parser("enumerate", help="brute-force classification over a prime field")
+    p = sub.add_parser("enumerate", help="exhaustive classification over a prime field")
     p.add_argument("--what", required=True,
                    choices=["assoc", "rb0", "dendriform-di", "phi-image"])
     p.add_argument("--dim", type=int, required=True)

@@ -1,11 +1,21 @@
-"""Brute-force classification over prime fields in low dimension.
+"""Exhaustive classification over prime fields in low dimension.
 
 Candidate spaces are walked in lexicographic order of their flattened
 structure constants (mixed-radix odometer), filtered through the public
 validators with an early-stop scan.  Index ranges can be partitioned across
-worker processes; chunks are merged in range order, so parallel and serial
-runs produce identical lists.  Candidate counts above the configured budget
-raise instead of truncating.
+worker processes, capped at the CPU count and the number of candidates;
+chunks are merged in range order, so parallel and serial runs produce
+identical lists.  Candidate counts above the configured budget raise
+instead of truncating.
+
+Dendriform dialgebras are fibred over their associative star products
+``x * y = x < y + x > y``: the dialgebra axioms make the star associative
+(every dialgebra comes from the identity O-operator onto its star), so
+enumerating the associative stars first and then every ``prec`` with
+``succ = star - prec`` reaches every dialgebra.  The budget counts the
+candidates of each stage: ``p^(n^3)`` products for the star stage, then
+``#stars * p^(n^3)`` pairs for the fibre stage, instead of the
+``p^(2 n^3)`` pairs of the full square.
 
 The image experiment compares the dendriform dialgebras reachable from
 Rota-Baxter operators with the full enumeration.  This is a finite-field
@@ -15,11 +25,12 @@ such and neither confirm nor refute the original claim.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .constructions import canonical_operator_from_di, domain_dendriform_di
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, InvalidDendriformError
 from .fields import FieldSpec, prime_field
 from .linalg import Matrix, StructureTensor
 from .operators import (RotaBaxterOperator, rb_as_module_operator,
@@ -93,21 +104,34 @@ def _rb_chunk(args):
     return out
 
 
-def _dd_chunk(args):
-    p, n, start, stop = args
+def _fibre_chunk(args):
+    """Pairs (prec, star - prec) for fibre indices [start, stop) that are dialgebras.
+
+    Index ``i`` is star ``i // p^(n^3)`` with prec number ``i % p^(n^3)``; the
+    odometer keeps only the low ``n^3`` digits, so it wraps to the next fibre.
+    """
+    p, n, stars, start, stop = args
     field = prime_field(p)
     cube = n ** 3
+    size = p ** cube
     out = []
-    for flat in _digit_tuples(p, 2 * cube, start, stop):
-        d = DendriformDi(_tensor_from_flat(field, n, flat[:cube]),
-                         _tensor_from_flat(field, n, flat[cube:]))
+    for idx, prec in enumerate(_digit_tuples(p, cube, start, stop), start):
+        succ = tuple((s - a) % p for s, a in zip(stars[idx // size], prec))
+        d = DendriformDi(_tensor_from_flat(field, n, prec),
+                         _tensor_from_flat(field, n, succ))
         if validate_dendriform_di(d, max_violations=1, early_stop=True).passed:
-            out.append(flat)
+            out.append(prec + succ)
     return out
 
 
+def _worker_count(requested: int, total: int) -> int:
+    """Processes to start: at least one, at most the CPUs and the candidates."""
+    return max(1, min(requested, os.cpu_count() or 1, total))
+
+
 def _run_chunks(chunk_fn, fixed_args, total: int, workers: int):
-    if workers <= 1 or total == 0:
+    workers = _worker_count(workers, total)
+    if workers == 1:
         return chunk_fn(fixed_args + (0, total))
     bounds = [total * k // workers for k in range(workers + 1)]
     jobs = [fixed_args + (bounds[k], bounds[k + 1]) for k in range(workers)]
@@ -144,12 +168,18 @@ def enumerate_rb_operators(algebra: Algebra, weight, budget: int | None = None,
 
 def enumerate_dendriform_di(dim: int, p: int, budget: int | None = None,
                             workers: int = 1) -> list:
-    """All dendriform dialgebras on F_p^dim (pairs of tensors), lexicographic."""
-    total = p ** (2 * dim ** 3)
+    """All dendriform dialgebras on F_p^dim (pairs of tensors), lexicographic.
+
+    Scans each associative star product's fibre ``{(prec, star - prec)}``.
+    """
+    size = p ** (dim ** 3)
+    _check_budget(size, budget)
+    stars = _run_chunks(_assoc_chunk, (p, dim), size, workers)
+    total = len(stars) * size
     _check_budget(total, budget)
+    flats = sorted(_run_chunks(_fibre_chunk, (p, dim, stars), total, workers))
     field = prime_field(p)
     cube = dim ** 3
-    flats = _run_chunks(_dd_chunk, (p, dim), total, workers)
     return [DendriformDi(_tensor_from_flat(field, dim, flat[:cube]),
                          _tensor_from_flat(field, dim, flat[cube:]))
             for flat in flats]
@@ -206,7 +236,7 @@ def phi_image_experiment(dim: int, p: int, budget: int | None = None,
     for d in all_dd:
         try:
             canonical_operator_from_di(d)  # verifies the round trip internally
-        except Exception:  # noqa: BLE001 - recorded, surfaced by callers/tests
+        except InvalidDendriformError:
             failures.append(d)
     return PhiImageResult(
         dim=dim, p=p,

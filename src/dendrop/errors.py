@@ -71,6 +71,12 @@ class DimensionCapError(DendropError):
     """Dimension above the configured hard cap for exhaustive search."""
 
 
+# -- command line ------------------------------------------------------------
+
+class UsageError(DendropError):
+    """Command-line flag or environment value outside its allowed range."""
+
+
 # -- document format ---------------------------------------------------------
 
 class DocumentSyntaxError(DendropError):

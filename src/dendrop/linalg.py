@@ -16,28 +16,12 @@ from .fields import FieldSpec, same_field
 
 # -- vectors -----------------------------------------------------------------
 
-def zero_vector(field: FieldSpec, n: int) -> tuple:
-    return (field.zero,) * n
-
-
 def vec_add(field: FieldSpec, u: Sequence, v: Sequence) -> tuple:
     return tuple(field.add(a, b) for a, b in zip(u, v))
 
 
-def vec_sub(field: FieldSpec, u: Sequence, v: Sequence) -> tuple:
-    return tuple(field.sub(a, b) for a, b in zip(u, v))
-
-
-def vec_scale(field: FieldSpec, c, v: Sequence) -> tuple:
-    return tuple(field.mul(c, a) for a in v)
-
-
 def vec_is_zero(v: Sequence) -> bool:
     return all(a == 0 for a in v)
-
-
-def basis_vector(field: FieldSpec, n: int, i: int) -> tuple:
-    return tuple(field.one if j == i else field.zero for j in range(n))
 
 
 # -- matrices ----------------------------------------------------------------

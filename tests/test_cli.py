@@ -3,6 +3,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 import dendrop as dp
 from dendrop.cli import main
 from dendrop.documents import emit_document, parse_document
@@ -215,6 +217,30 @@ def test_enumerate_budget_flag_and_env(tmp_path, capsys, monkeypatch):
     # explicit flag wins over the environment
     assert main(["enumerate", "--what", "assoc", "--dim", "2", "--prime", "2",
                  "--budget", "1000", "-o", str(tmp_path / "z.json")]) == 0
+
+
+@pytest.mark.parametrize("flags", [
+    ["--dim", "1", "--prime", "2", "--workers", "0"],
+    ["--dim", "1", "--prime", "2", "--workers", "-3"],
+    ["--dim", "0", "--prime", "2"],
+    ["--dim", "1", "--prime", "4"],
+    ["--dim", "1", "--prime", "1"],
+])
+def test_enumerate_rejects_bad_flags(tmp_path, capsys, flags):
+    out = tmp_path / "x.json"
+    assert main(["enumerate", "--what", "assoc", *flags, "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+def test_enumerate_rejects_non_integer_budget_env(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("DENDROP_BUDGET", "abc")
+    out = tmp_path / "x.json"
+    assert main(["enumerate", "--what", "assoc", "--dim", "1", "--prime", "2",
+                 "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "DENDROP_BUDGET" in err
+    assert not out.exists()
 
 
 def test_enumerate_rb0_cli(tmp_path):

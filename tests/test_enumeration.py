@@ -5,6 +5,8 @@ import random
 import pytest
 
 import dendrop as dp
+import oracle_enumeration
+from dendrop.enumeration import _fibre_chunk, _worker_count
 from dendrop.errors import BudgetExceededError, FieldNotFiniteError
 from helpers import F2, F3, n2, zero_algebra
 
@@ -55,13 +57,29 @@ def test_budget_arithmetic():
     with pytest.raises(BudgetExceededError):
         dp.enumerate_associative_products(3, 3)
     with pytest.raises(BudgetExceededError):
-        dp.enumerate_dendriform_di(2, 3)  # 3^16 over the default cap
+        dp.enumerate_dendriform_di(3, 2)  # star stage: 2^27 over the default cap
+    with pytest.raises(BudgetExceededError):
+        # fibre stage: 121 associative stars times 3^8 = 793,881 candidates
+        dp.enumerate_dendriform_di(2, 3, budget=700_000)
     with pytest.raises(BudgetExceededError):
         dp.enumerate_associative_products(2, 2, budget=10)
 
 
 def test_budget_override_allows_more():
     assert len(dp.enumerate_associative_products(1, 2, budget=2)) == 2
+
+
+def test_worker_count_capped_by_cpus_and_candidates(monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    assert _worker_count(1, 100) == 1
+    assert _worker_count(3, 100) == 3
+    assert _worker_count(1000, 100) == 4
+    assert _worker_count(3, 2) == 2
+    assert _worker_count(3, 0) == 1
+    assert _worker_count(0, 100) == 1
+    assert _worker_count(-5, 100) == 1
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert _worker_count(8, 100) == 1
 
 
 # -- Rota-Baxter operators ---------------------------------------------------------------
@@ -122,9 +140,40 @@ def test_enumeration_contains_mod2_catalogue_reductions():
         assert dp.DendriformDi(reduced.prec, reduced.succ) in found, name
 
 
+def _flat(tensor_entries):
+    return tuple(c for plane in tensor_entries for row in plane for c in row)
+
+
+@pytest.mark.parametrize("dim,p", [(1, 2), (1, 3), (2, 2)])
+def test_dendriform_set_matches_independent_oracle(dim, p):
+    found = dp.enumerate_dendriform_di(dim, p)
+    pairs = [(d.prec.entries, d.succ.entries) for d in found]
+    assert set(pairs) == oracle_enumeration.dendriform_set(dim, p)
+    flats = [_flat(prec) + _flat(succ) for prec, succ in pairs]
+    assert all(a < b for a, b in zip(flats, flats[1:]))
+
+
+def test_fibre_of_an_f3_star_matches_oracle():
+    # Over F_2, and in dimension 1 where every product is associative, a fibre
+    # built as star + prec would enumerate the same set; F_3 in dimension 2 does not.
+    star = _flat(n2(F3).product.entries)
+    expect = []
+    for prec in oracle_enumeration.all_tensors(2, 3):
+        it = iter((s - a) % 3 for s, a in zip(star, _flat(prec)))
+        succ = tuple(tuple(tuple(next(it) for _ in range(2)) for _ in range(2))
+                     for _ in range(2))
+        if oracle_enumeration.is_dendriform(prec, succ, 3, 2):
+            expect.append(_flat(prec) + _flat(succ))
+    assert len(expect) > 2
+    assert _fibre_chunk((3, 2, [star], 0, 3 ** 8)) == expect
+
+
 def test_parallel_and_serial_enumerations_agree():
     assert dp.enumerate_dendriform_di(1, 3, workers=2) == \
         dp.enumerate_dendriform_di(1, 3)
+    # chunk boundaries fall inside a fibre of one star product
+    assert dp.enumerate_dendriform_di(2, 2, workers=2) == \
+        dp.enumerate_dendriform_di(2, 2)
     assert dp.enumerate_associative_products(2, 2, workers=3) == \
         dp.enumerate_associative_products(2, 2)
     assert dp.enumerate_rb_operators(n2(F3), 0, workers=2) == \
