@@ -21,14 +21,15 @@ from dataclasses import dataclass
 from .errors import (DimensionMismatchError, InvalidDendriformError,
                      InvalidOperatorError, KernelNotIdealError,
                      KindMismatchError)
-from .linalg import (Matrix, StructureTensor, column_space_basis, in_span,
-                     invert, kernel_basis, solve)
+from .linalg import (Matrix, StructureTensor, _combine, column_space_basis,
+                     in_span, invert, kernel_basis, solve)
 from .structures import (Algebra, Bimodule, BimoduleAlgebra, DendriformDi,
                          DendriformTri, DEFAULT_MAX_VIOLATIONS, _Collector,
-                         _combo_col, ValidationReport, star_product,
+                         ValidationReport, _action_matrices, _action_tables,
+                         _scan_homomorphisms, star_product,
                          validate_bimodule, validate_bimodule_algebra,
                          validate_dendriform_di, validate_dendriform_tri)
-from .operators import (ALGEBRA, MODULE, OOperator, validate_o_algebra,
+from .operators import (ALGEBRA, MODULE, OOperator, _induced, validate_o_algebra,
                         validate_o_module, validate_o_operator)
 
 
@@ -44,19 +45,10 @@ def _domain_products(op: OOperator):
     """Structure tensors of the induced products on the operator's source."""
     f = op.field
     m = op.domain.dim
-    left, right = op.domain.left, op.domain.right
-    acols = [op.matrix.col(i) for i in range(m)]
-    prec_rows, succ_rows = [], []
-    for i in range(m):
-        prow, srow = [], []
-        for j in range(m):
-            prow.append(_combo_col(f, acols[j], right, i))   # u r(alpha v)
-            srow.append(_combo_col(f, acols[i], left, j))    # l(alpha u) v
-        prec_rows.append(tuple(prow))
-        succ_rows.append(tuple(srow))
-    prec = StructureTensor(f, tuple(prec_rows))
-    succ = StructureTensor(f, tuple(succ_rows))
-    return prec, succ
+    rows = _induced(f, op.matrix, *_action_tables(op.domain))[:2]
+    return tuple(StructureTensor(f, tuple(tuple(row(i, j) for j in range(m))
+                                          for i in range(m)))
+                 for row in rows)
 
 
 def domain_dendriform_tri(op: OOperator) -> DendriformTri:
@@ -88,33 +80,15 @@ def check_operator_homomorphism(op: OOperator, dend,
                                 max_violations: int = DEFAULT_MAX_VIOLATIONS
                                 ) -> ValidationReport:
     """Check alpha(u star v) = alpha(u) * alpha(v) on all source basis pairs."""
+    if dend.dim != op.domain.dim:
+        raise DimensionMismatchError("the structure must live on the operator's source")
     col = _Collector("operator_homomorphism", max_violations, False)
-    star = star_product(dend).product
-    c = op.codomain.product
-    m = op.domain.dim
-    acols = [op.matrix.col(i) for i in range(m)]
-    for i in range(m):
-        for j in range(m):
-            lhs = op.matrix.matvec(star.row(i, j))
-            rhs = c.apply(acols[i], acols[j])
-            col.check("hom", (i, j), lhs, rhs)
+    _scan_homomorphisms(col, op.field, (("hom", op.matrix, star_product(dend).product.row,
+                                         op.codomain.product, True),))
     return col.report()
 
 
 # -- canonical operators (surjectivity witnesses) --------------------------------
-
-def _canonical_actions(prec: StructureTensor, succ: StructureTensor):
-    """Left action by succ, right action by prec: L(x)y = x > y, R(x)y = y < x."""
-    f = prec.field
-    n = prec.dim
-    left = tuple(Matrix(f, tuple(tuple(succ.entries[i][j][k] for j in range(n))
-                                 for k in range(n)))
-                 for i in range(n))
-    right = tuple(Matrix(f, tuple(tuple(prec.entries[j][i][k] for j in range(n))
-                                  for k in range(n)))
-                  for i in range(n))
-    return left, right
-
 
 def canonical_operator_from_tri(tri: DendriformTri):
     """Identity map as a weight-one operator from (V, dot, L_succ, R_prec) to (V, star).
@@ -127,7 +101,7 @@ def canonical_operator_from_tri(tri: DendriformTri):
         raise InvalidDendriformError(
             f"trialgebra axioms fail at {rep.first().indices}")
     alg = star_product(tri)
-    left, right = _canonical_actions(tri.prec, tri.succ)
+    left, right = _action_matrices(tri.field, tri.succ.entries, tri.prec.entries)
     structure = BimoduleAlgebra(Bimodule(alg, left, right), tri.dot)
     op = OOperator(structure, alg, Matrix.identity(tri.field, tri.dim), tri.field.one)
     _verify_canonical(structure, op, tri, validate_bimodule_algebra,
@@ -142,7 +116,7 @@ def canonical_operator_from_di(di: DendriformDi):
         raise InvalidDendriformError(
             f"dialgebra axioms fail at {rep.first().indices}")
     alg = star_product(di)
-    left, right = _canonical_actions(di.prec, di.succ)
+    left, right = _action_matrices(di.field, di.succ.entries, di.prec.entries)
     structure = Bimodule(alg, left, right)
     op = OOperator(structure, alg, Matrix.identity(di.field, di.dim), None)
     _verify_canonical(structure, op, di, validate_bimodule,
@@ -214,9 +188,9 @@ def _range_products(op: OOperator, ainv: Matrix, with_dot: bool):
         prow, srow, drow = [], [], []
         for j in range(n):
             # x < y = alpha(alpha^{-1}(x) r(y))
-            prow.append(op.matrix.matvec(_combo_mat(f, right, j, pre[i])))
+            prow.append(op.matrix.matvec(right[j].matvec(pre[i])))
             # x > y = alpha(l(x) alpha^{-1}(y))
-            srow.append(op.matrix.matvec(_combo_mat(f, left, i, pre[j])))
+            srow.append(op.matrix.matvec(left[i].matvec(pre[j])))
             if with_dot:
                 u = op.domain.product.apply(pre[i], pre[j])
                 drow.append(op.matrix.matvec(tuple(f.mul(op.weight, a) for a in u)))
@@ -228,11 +202,6 @@ def _range_products(op: OOperator, ainv: Matrix, with_dot: bool):
     succ = StructureTensor(f, tuple(succ_rows))
     dot = StructureTensor(f, tuple(dot_rows)) if with_dot else zero
     return DendriformTri(prec, succ, dot)
-
-
-def _combo_mat(f, mats, basis_index, v):
-    """Apply the action of codomain basis element e_{basis_index} to v."""
-    return mats[basis_index].matvec(v)
 
 
 @dataclass(frozen=True)
@@ -278,9 +247,9 @@ def range_dendriform_quotient(op: OOperator, section_rule: str = "first") -> Quo
         prow, srow, drow, trow = [], [], [], []
         for t in range(d):
             # w_s < w_t = alpha(u_s r(w_t)) with r(w) = sum_j w_j rho_j
-            z = _combo_action(f, right, basis[t], sections[s])
+            z = _combine(basis[t], [M.matvec(sections[s]) for M in right], f.p, f.zero)
             prow.append(image_coords(op.matrix.matvec(z)))
-            z = _combo_action(f, left, basis[s], sections[t])
+            z = _combine(basis[s], [M.matvec(sections[t]) for M in left], f.p, f.zero)
             srow.append(image_coords(op.matrix.matvec(z)))
             z = op.domain.product.apply(sections[s], sections[t])
             drow.append(image_coords(op.matrix.matvec(
@@ -295,20 +264,6 @@ def range_dendriform_quotient(op: OOperator, section_rule: str = "first") -> Quo
                         StructureTensor(f, tuple(dot_rows)))
     image_alg = Algebra(StructureTensor(f, tuple(star_rows)))
     return QuotientDendriform(tri, emb, image_alg)
-
-
-def _combo_action(f, mats, coeffs, v):
-    """(sum_j coeffs[j] mats[j]) applied to v."""
-    n = len(v)
-    out = [f.zero] * n
-    for c, M in zip(coeffs, mats):
-        if c == 0:
-            continue
-        w = M.matvec(v)
-        for r in range(n):
-            if w[r] != 0:
-                out[r] = f.add(out[r], f.mul(c, w[r]))
-    return tuple(out)
 
 
 def check_splitting(dend, alg: Algebra,

@@ -14,7 +14,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import (BadRationalError, DocumentSyntaxError, SchemaError)
+from .errors import (DocumentSyntaxError, FieldSpecError,
+                     SchemaError)
 from .fields import FieldSpec, PRIME, RATIONAL, RATIONALS, prime_field
 from .linalg import Matrix, StructureTensor
 from .structures import (Algebra, Bimodule, BimoduleAlgebra, DendriformDi,
@@ -40,14 +41,13 @@ class ResultSet:
     counts: tuple        # sorted (key, int) pairs
     items: tuple         # payload objects
     label: str | None = None
-    context: object | None = None
 
     @classmethod
-    def build(cls, what, params=None, counts=None, items=(), label=None, context=None):
+    def build(cls, what, params=None, counts=None, items=(), label=None):
         return cls(what,
                    tuple(sorted((params or {}).items())),
                    tuple(sorted((counts or {}).items())),
-                   tuple(items), label, context)
+                   tuple(items), label)
 
 
 # -- parsing helpers -----------------------------------------------------------------
@@ -246,11 +246,8 @@ def _parse_result_set(field, obj, where) -> ResultSet:
         raise SchemaError(f"{where}.label: must be a string")
     items = tuple(_parse_payload(field, item, f"{where}.items[{i}]")
                   for i, item in enumerate(_expect(obj, "items", list, where)))
-    context = obj.get("context")
-    if context is not None:
-        context = _parse_payload(field, context, f"{where}.context")
     return ResultSet(what, tuple(sorted(params.items())),
-                     tuple(sorted(counts.items())), items, label, context)
+                     tuple(sorted(counts.items())), items, label)
 
 
 _PARSERS = {
@@ -304,7 +301,7 @@ def parse_document(data) -> Document:
         p = _expect(fobj, "p", int, "document.field")
         try:
             field = prime_field(p)
-        except ValueError as e:
+        except FieldSpecError as e:
             raise SchemaError(f"document.field.p: {e}") from None
     else:
         raise SchemaError(f"document.field.kind: unknown field kind {kind!r}")
@@ -396,8 +393,6 @@ def _emit_payload(obj, field) -> dict:
                "items": [_emit_payload(item, field) for item in obj.items]}
         if obj.label is not None:
             out["label"] = obj.label
-        if obj.context is not None:
-            out["context"] = _emit_payload(obj.context, field)
         return out
     raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 

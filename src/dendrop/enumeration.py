@@ -3,8 +3,9 @@
 Candidate spaces are walked in lexicographic order of their flattened
 structure constants (mixed-radix odometer), filtered through the public
 validators with an early-stop scan.  Index ranges can be partitioned across
-worker processes, capped at the CPU count and the number of candidates;
-chunks are merged in range order, so parallel and serial runs produce
+worker processes, capped at the CPU count and the number of candidates,
+with one process pool per public call (the image experiment's stages share
+it); chunks are merged in range order, so parallel and serial runs produce
 identical lists.  Candidate counts above the configured budget raise
 instead of truncating.
 
@@ -129,15 +130,30 @@ def _worker_count(requested: int, total: int) -> int:
     return max(1, min(requested, os.cpu_count() or 1, total))
 
 
-def _run_chunks(chunk_fn, fixed_args, total: int, workers: int):
-    workers = _worker_count(workers, total)
-    if workers == 1:
-        return chunk_fn(fixed_args + (0, total))
-    bounds = [total * k // workers for k in range(workers + 1)]
-    jobs = [fixed_args + (bounds[k], bounds[k + 1]) for k in range(workers)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(chunk_fn, jobs))
-    return [flat for part in parts for flat in part]
+class _Chunks:
+    """Chunk runner of one public call: starts at most one process pool, when first needed."""
+
+    def __init__(self, workers: int):
+        self.workers = workers
+        self.pool = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self.pool is not None:
+            self.pool.shutdown()
+
+    def run(self, chunk_fn, fixed_args, total: int):
+        workers = _worker_count(self.workers, total)
+        if workers == 1:
+            return chunk_fn(fixed_args + (0, total))
+        if self.pool is None:
+            self.pool = ProcessPoolExecutor(max_workers=min(self.workers, os.cpu_count() or 1))
+        bounds = [total * k // workers for k in range(workers + 1)]
+        jobs = [fixed_args + (bounds[k], bounds[k + 1]) for k in range(workers)]
+        parts = list(self.pool.map(chunk_fn, jobs))
+        return [flat for part in parts for flat in part]
 
 
 # -- public enumerations ---------------------------------------------------------------
@@ -145,23 +161,33 @@ def _run_chunks(chunk_fn, fixed_args, total: int, workers: int):
 def enumerate_associative_products(dim: int, p: int, budget: int | None = None,
                                    workers: int = 1) -> list:
     """All associative structure tensors on F_p^dim, in lexicographic order."""
+    with _Chunks(workers) as chunks:
+        return _associative_products(dim, p, budget, chunks)
+
+
+def _associative_products(dim: int, p: int, budget, chunks: _Chunks) -> list:
     total = p ** (dim ** 3)
     _check_budget(total, budget)
     field = prime_field(p)
-    flats = _run_chunks(_assoc_chunk, (p, dim), total, workers)
+    flats = chunks.run(_assoc_chunk, (p, dim), total)
     return [Algebra(_tensor_from_flat(field, dim, flat)) for flat in flats]
 
 
 def enumerate_rb_operators(algebra: Algebra, weight, budget: int | None = None,
                            workers: int = 1) -> list:
     """All matrices satisfying the weight-``weight`` relation on ``algebra``."""
+    with _Chunks(workers) as chunks:
+        return _rb_operators(algebra, weight, budget, chunks)
+
+
+def _rb_operators(algebra: Algebra, weight, budget, chunks: _Chunks) -> list:
     if not algebra.field.is_finite:
         from .errors import FieldNotFiniteError
         raise FieldNotFiniteError("enumeration requires a prime field")
     n = algebra.dim
     total = algebra.field.p ** (n * n)
     _check_budget(total, budget)
-    flats = _run_chunks(_rb_chunk, (algebra, weight), total, workers)
+    flats = chunks.run(_rb_chunk, (algebra, weight), total)
     return [RotaBaxterOperator(algebra, _matrix_from_flat(algebra.field, n, flat), weight)
             for flat in flats]
 
@@ -172,12 +198,17 @@ def enumerate_dendriform_di(dim: int, p: int, budget: int | None = None,
 
     Scans each associative star product's fibre ``{(prec, star - prec)}``.
     """
+    with _Chunks(workers) as chunks:
+        return _dendriform_di(dim, p, budget, chunks)
+
+
+def _dendriform_di(dim: int, p: int, budget, chunks: _Chunks) -> list:
     size = p ** (dim ** 3)
     _check_budget(size, budget)
-    stars = _run_chunks(_assoc_chunk, (p, dim), size, workers)
+    stars = chunks.run(_assoc_chunk, (p, dim), size)
     total = len(stars) * size
     _check_budget(total, budget)
-    flats = sorted(_run_chunks(_fibre_chunk, (p, dim, stars), total, workers))
+    flats = sorted(chunks.run(_fibre_chunk, (p, dim, stars), total))
     field = prime_field(p)
     cube = dim ** 3
     return [DendriformDi(_tensor_from_flat(field, dim, flat[:cube]),
@@ -221,14 +252,15 @@ def _dd_sort_key(d: DendriformDi):
 def phi_image_experiment(dim: int, p: int, budget: int | None = None,
                          workers: int = 1) -> PhiImageResult:
     """Compare the Rota-Baxter weight-zero image with all dendriform dialgebras."""
-    algebras = enumerate_associative_products(dim, p, budget, workers)
-    all_dd = enumerate_dendriform_di(dim, p, budget, workers)
     first_witness: dict = {}
-    for alg in algebras:
-        for rb in enumerate_rb_operators(alg, alg.field.zero, budget, workers):
-            d = domain_dendriform_di(rb_as_module_operator(rb))
-            if d not in first_witness:
-                first_witness[d] = (alg, rb.matrix)
+    with _Chunks(workers) as chunks:
+        algebras = _associative_products(dim, p, budget, chunks)
+        all_dd = _dendriform_di(dim, p, budget, chunks)
+        for alg in algebras:
+            for rb in _rb_operators(alg, alg.field.zero, budget, chunks):
+                d = domain_dendriform_di(rb_as_module_operator(rb))
+                if d not in first_witness:
+                    first_witness[d] = (alg, rb.matrix)
     all_set = set(all_dd)
     image = sorted(first_witness, key=_dd_sort_key)
     missing = [d for d in all_dd if d not in first_witness]

@@ -23,8 +23,8 @@ from .fields import FieldSpec, same_field
 from .linalg import Matrix, invert, rank
 from .operators import (ALGEBRA, OOperator, _check_domain_morphism,
                         multiplicativity_failure, pullback_domain)
-from .structures import (DendriformTri, DEFAULT_MAX_VIOLATIONS,
-                         _Collector, ValidationReport)
+from .structures import (DEFAULT_MAX_VIOLATIONS, _Collector, ValidationReport,
+                         _scan_homomorphisms)
 
 DEFAULT_DIMENSION_CAP = 3
 
@@ -51,22 +51,10 @@ class IsoSearchResult:
         return self.witness is not None
 
 
-def _product_labels(d) -> list:
-    if isinstance(d, DendriformTri):
-        return [("iso_prec", d.prec), ("iso_succ", d.succ), ("iso_dot", d.dot)]
-    return [("iso_prec", d.prec), ("iso_succ", d.succ)]
-
-
-def _scan_dendriform_iso(col: _Collector, d1, d2, F: Matrix) -> None:
-    fcols = [F.col(j) for j in range(F.cols)]
-    pairs = zip(_product_labels(d1), _product_labels(d2))
-    for (axiom, t1), (_, t2) in pairs:
-        for i in range(d1.dim):
-            for j in range(d1.dim):
-                if not col.check(axiom, (i, j),
-                                 F.matvec(t1.row(i, j)),
-                                 t2.apply(fcols[i], fcols[j])):
-                    return
+def _iso_rows(d1, d2, F: Matrix) -> list:
+    """F(x p1 y) = F(x) p2 F(y) for each product p, as homomorphism-scan rows."""
+    return [(axiom, F, t1.row, t2, True) for axiom, t1, t2 in
+            zip(("iso_prec", "iso_succ", "iso_dot"), d1.tensors(), d2.tensors())]
 
 
 def verify_dendriform_iso(d1, d2, F: Matrix,
@@ -75,13 +63,13 @@ def verify_dendriform_iso(d1, d2, F: Matrix,
     """Check F(x p1 y) = F(x) p2 F(y) for each product p of the two structures."""
     if type(d1) is not type(d2):
         raise KindMismatchError("cannot compare a dialgebra with a trialgebra")
-    same_field(d1.field, d2.field)
+    field = same_field(d1.field, d2.field)
     if d1.dim != d2.dim or F.rows != d1.dim or not F.is_square:
         raise DimensionMismatchError("witness must be square of the common dimension")
     if rank(F) < F.rows:
         raise NotInvertibleError("witness matrix is singular")
     col = _Collector("dendriform_iso", max_violations, False)
-    _scan_dendriform_iso(col, d1, d2, F)
+    _scan_homomorphisms(col, field, _iso_rows(d1, d2, F))
     return col.report()
 
 
@@ -176,8 +164,7 @@ def search_dendriform_iso_fp(d1, d2,
     for F in gl_matrices(field, d1.dim):
         tried += 1
         col = _Collector("dendriform_iso", 1, True)
-        _scan_dendriform_iso(col, d1, d2, F)
-        if col.total == 0:
+        if _scan_homomorphisms(col, field, _iso_rows(d1, d2, F)):
             return IsoSearchResult(IsoWitness(F, DENDRIFORM_ISO), tried)
     return IsoSearchResult(None, tried)
 

@@ -5,7 +5,11 @@ class DendropError(Exception):
     """Base class for all library errors."""
 
 
-# -- exact linear algebra ----------------------------------------------------
+# -- fields and exact linear algebra -----------------------------------------
+
+class FieldSpecError(DendropError, ValueError):
+    """Field description is invalid, e.g. a non-prime modulus."""
+
 
 class SingularMatrixError(DendropError):
     """Matrix has determinant zero; no inverse exists."""

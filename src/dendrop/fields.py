@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BadRationalError, FieldMismatchError
+from .errors import BadRationalError, FieldMismatchError, FieldSpecError
 
 RATIONAL = "rational"
 PRIME = "prime"
@@ -46,12 +46,12 @@ class FieldSpec:
     def __post_init__(self):
         if self.kind == RATIONAL:
             if self.p is not None:
-                raise ValueError("rational field takes no modulus")
+                raise FieldSpecError("rational field takes no modulus")
         elif self.kind == PRIME:
             if self.p is None or not is_prime(self.p):
-                raise ValueError(f"modulus {self.p!r} is not prime")
+                raise FieldSpecError(f"modulus {self.p!r} is not prime")
         else:
-            raise ValueError(f"unknown field kind {self.kind!r}")
+            raise FieldSpecError(f"unknown field kind {self.kind!r}")
 
     @property
     def is_finite(self) -> bool:

@@ -16,8 +16,26 @@ from .fields import FieldSpec, same_field
 
 # -- vectors -----------------------------------------------------------------
 
-def vec_add(field: FieldSpec, u: Sequence, v: Sequence) -> tuple:
-    return tuple(field.add(a, b) for a, b in zip(u, v))
+def _combine(coeffs: Sequence, vecs: Sequence, p, zero, at=None) -> tuple:
+    """Coordinates of sum_s coeffs[s] * vecs[s] (of vecs[s][at] when ``at`` is set).
+
+    The sum is exact and reduced mod ``p`` once at the end when ``p`` is
+    set, which equals accumulating it term by term in the field.
+    """
+    out = None
+    for c, v in zip(coeffs, vecs):
+        if c:
+            if at is not None:
+                v = v[at]
+            if out is None:
+                out = list(v) if c == 1 else [c * a if a else a for a in v]
+            else:
+                for r, a in enumerate(v):
+                    if a:
+                        out[r] += a if c == 1 else c * a
+    if out is None:
+        return (zero,) * len(vecs[0] if at is None else vecs[0][at]) if vecs else ()
+    return tuple(map(p.__rmod__, out)) if p else tuple(out)
 
 
 def vec_is_zero(v: Sequence) -> bool:
@@ -312,50 +330,16 @@ class StructureTensor:
     def apply(self, u: Sequence, v: Sequence) -> tuple:
         """Bilinear extension: coordinates of u * v."""
         f = self.field
-        n = self.dim
-        out = [f.zero] * n
-        for i, a in enumerate(u):
-            if a == 0:
-                continue
-            plane = self.entries[i]
-            for j, b in enumerate(v):
-                if b == 0:
-                    continue
-                c = f.mul(a, b)
-                row = plane[j]
-                for k in range(n):
-                    if row[k] != 0:
-                        out[k] = f.add(out[k], f.mul(c, row[k]))
-        return tuple(out)
+        return _combine([a * b if a and b else 0 for a in u for b in v],
+                        sum(self.entries, ()), f.p, f.zero)
 
     def apply_basis_left(self, i: int, v: Sequence) -> tuple:
         """Coordinates of b_i * v."""
-        f = self.field
-        n = self.dim
-        out = [f.zero] * n
-        plane = self.entries[i]
-        for j, b in enumerate(v):
-            if b == 0:
-                continue
-            row = plane[j]
-            for k in range(n):
-                if row[k] != 0:
-                    out[k] = f.add(out[k], f.mul(b, row[k]))
-        return tuple(out)
+        return _combine(v, self.entries[i], self.field.p, self.field.zero)
 
     def apply_basis_right(self, u: Sequence, j: int) -> tuple:
         """Coordinates of u * b_j."""
-        f = self.field
-        n = self.dim
-        out = [f.zero] * n
-        for i, a in enumerate(u):
-            if a == 0:
-                continue
-            row = self.entries[i][j]
-            for k in range(n):
-                if row[k] != 0:
-                    out[k] = f.add(out[k], f.mul(a, row[k]))
-        return tuple(out)
+        return _combine(u, self.entries, self.field.p, self.field.zero, j)
 
     def add(self, other: "StructureTensor") -> "StructureTensor":
         same_field(self.field, other.field)

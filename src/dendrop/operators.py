@@ -12,14 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (DimensionMismatchError, KindMismatchError,
-                     NotAssociativeError, NotIntertwiningError,
+                     NotIntertwiningError,
                      NotInvertibleError, NotMultiplicativeError,
                      SingularMatrixError)
 from .fields import same_field
-from .linalg import Matrix, StructureTensor, vec_add
+from .linalg import Matrix, StructureTensor, _combine
 from .structures import (Algebra, Bimodule, BimoduleAlgebra, _Collector,
                          DEFAULT_MAX_VIOLATIONS, ValidationReport,
-                         canonical_bimodule, _combo_col)
+                         canonical_bimodule, _action_tables,
+                         _scan_homomorphisms, _transpose)
 
 MODULE = "module"
 ALGEBRA = "algebra"
@@ -78,47 +79,56 @@ class OOperator:
 
 # -- validators -----------------------------------------------------------------
 
-def validate_rota_baxter(rb: RotaBaxterOperator,
-                         max_violations: int = DEFAULT_MAX_VIOLATIONS,
-                         early_stop: bool = False) -> ValidationReport:
-    """Check P(x)P(y) = P(P(x)y) + P(xP(y)) + weight * P(xy) on basis pairs."""
-    col = _Collector("rota_baxter", max_violations, early_stop)
-    f = rb.algebra.field
-    c = rb.algebra.product
-    P = rb.matrix
-    lam = rb.weight
-    n = rb.algebra.dim
-    pcols = [P.col(i) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            lhs = c.apply(pcols[i], pcols[j])
-            rhs = vec_add(f, P.matvec(c.apply_basis_right(pcols[i], j)),
-                          P.matvec(c.apply_basis_left(i, pcols[j])))
-            if lam != 0:
-                rhs = vec_add(f, rhs, P.matvec(tuple(f.mul(lam, a) for a in c.row(i, j))))
-            if not col.check("rb", (i, j), lhs, rhs):
-                return col.report()
+def _induced(field, matrix: Matrix, left, right, weight=None, product=None):
+    """Per-pair rows of the products an operator induces on its source.
+
+    ``left``/``right`` are action tables (``left[t][j] = l(b_t) e_j``,
+    ``right[i][t] = e_i r(b_t)``) and ``product`` the source product's
+    table.  Returns three functions of a source basis pair (i, j):
+    ``b_i < b_j = b_i r(alpha b_j)``, ``b_i > b_j = l(alpha b_i) b_j`` and
+    the star ``b_i < b_j + b_i > b_j + weight (b_i o b_j)``.
+    """
+    p, zero = field.p, field.zero
+    acols = _transpose(matrix.entries)
+    left_t = _transpose(left)
+
+    def prec(i, j):
+        return _combine(acols[j], right[i], p, zero)
+
+    def succ(i, j):
+        return _combine(acols[i], left_t[j], p, zero)
+
+    if weight:
+        def star(i, j):
+            return _combine(acols[j] + acols[i] + (weight,),
+                            right[i] + left_t[j] + (product[i][j],), p, zero)
+    else:
+        def star(i, j):
+            return _combine(acols[j] + acols[i], right[i] + left_t[j], p, zero)
+    return prec, succ, star
+
+
+def _check_o_relation(kind: str, axiom: str, algebra: Algebra, matrix: Matrix,
+                      left, right, weight, product,
+                      max_violations: int, early_stop: bool) -> ValidationReport:
+    """alpha(x) alpha(y) = alpha(x * y) for the star * that alpha induces on its source."""
+    col = _Collector(kind, max_violations, early_stop)
+    star = _induced(algebra.field, matrix, left, right, weight, product)[2]
+    _scan_homomorphisms(col, algebra.field, ((axiom, matrix, star, algebra.product, False),))
     return col.report()
 
 
-def _o_operator_sides(op: OOperator, i: int, j: int):
-    """LHS and RHS of the defining relation on the domain basis pair (i, j)."""
-    f = op.field
-    c = op.codomain.product
-    left, right = op.domain.left, op.domain.right
-    a = op.matrix.col(i)
-    b = op.matrix.col(j)
-    lhs = c.apply(a, b)
-    # l(alpha(u)) v  with u = e_i, v = e_j
-    w1 = _combo_col(f, a, left, j)
-    # u r(alpha(v))
-    w2 = _combo_col(f, b, right, i)
-    rhs = vec_add(f, op.matrix.matvec(w1), op.matrix.matvec(w2))
-    if op.kind == ALGEBRA and op.weight != 0:
-        prod_row = op.domain.product.row(i, j)
-        w3 = tuple(f.mul(op.weight, x) for x in prod_row)
-        rhs = vec_add(f, rhs, op.matrix.matvec(w3))
-    return lhs, rhs
+def validate_rota_baxter(rb: RotaBaxterOperator,
+                         max_violations: int = DEFAULT_MAX_VIOLATIONS,
+                         early_stop: bool = False) -> ValidationReport:
+    """Check P(x)P(y) = P(P(x)y) + P(xP(y)) + weight * P(xy) on basis pairs.
+
+    This is the O-operator relation with both actions and the source
+    product equal to the algebra's own product; associativity is not needed.
+    """
+    c = rb.algebra.product.entries
+    return _check_o_relation("rota_baxter", "rb", rb.algebra, rb.matrix, c, c, rb.weight, c,
+                             max_violations, early_stop)
 
 
 def validate_o_module(op: OOperator,
@@ -127,14 +137,9 @@ def validate_o_module(op: OOperator,
     """Check alpha(u)*alpha(v) = alpha(l(alpha(u))v) + alpha(u r(alpha(v)))."""
     if op.kind != MODULE:
         raise KindMismatchError("expected a module-kind operator")
-    col = _Collector("o_operator_module", max_violations, early_stop)
-    m = op.domain.dim
-    for i in range(m):
-        for j in range(m):
-            lhs, rhs = _o_operator_sides(op, i, j)
-            if not col.check("o_module", (i, j), lhs, rhs):
-                return col.report()
-    return col.report()
+    return _check_o_relation("o_operator_module", "o_module", op.codomain, op.matrix,
+                             *_action_tables(op.domain), None, None,
+                             max_violations, early_stop)
 
 
 def validate_o_algebra(op: OOperator,
@@ -143,14 +148,9 @@ def validate_o_algebra(op: OOperator,
     """Module relation plus the weighted product term on the domain algebra."""
     if op.kind != ALGEBRA:
         raise KindMismatchError("expected an algebra-kind operator")
-    col = _Collector("o_operator_algebra", max_violations, early_stop)
-    m = op.domain.dim
-    for i in range(m):
-        for j in range(m):
-            lhs, rhs = _o_operator_sides(op, i, j)
-            if not col.check("o_algebra", (i, j), lhs, rhs):
-                return col.report()
-    return col.report()
+    return _check_o_relation("o_operator_algebra", "o_algebra", op.codomain, op.matrix,
+                             *_action_tables(op.domain), op.weight, op.domain.product.entries,
+                             max_violations, early_stop)
 
 
 def validate_o_operator(op: OOperator, **kw) -> ValidationReport:
@@ -193,14 +193,12 @@ def forget_product(op: OOperator) -> OOperator:
 
 def multiplicativity_failure(fmat: Matrix, alg: Algebra):
     """First basis pair where f(x*y) != f(x)*f(y), or None if multiplicative."""
-    c = alg.product
-    n = alg.dim
-    cols = [fmat.col(i) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if fmat.matvec(c.row(i, j)) != c.apply(cols[i], cols[j]):
-                return (i, j)
-    return None
+    if not fmat.is_square or fmat.rows != alg.dim:
+        raise DimensionMismatchError("f must be square of the algebra's dimension")
+    col = _Collector("multiplicative", 1, True)
+    _scan_homomorphisms(col, alg.field, (("mult", fmat, alg.product.row, alg.product, True),))
+    first = col.report().first()
+    return None if first is None else first.indices
 
 
 def is_multiplicative(fmat: Matrix, alg: Algebra) -> bool:
@@ -229,13 +227,8 @@ def _check_domain_morphism(col: _Collector, g: Matrix, source, target) -> None:
             if not col.check("intertwine_right", (i, k), rg.col(k), gr.col(k)):
                 return
     if isinstance(source, BimoduleAlgebra) and isinstance(target, BimoduleAlgebra):
-        gcols = [g.col(j) for j in range(m)]
-        for j in range(m):
-            for k in range(m):
-                if not col.check("intertwine_product", (j, k),
-                                 g.matvec(source.product.row(j, k)),
-                                 target.product.apply(gcols[j], gcols[k])):
-                    return
+        _scan_homomorphisms(col, g.field, (("intertwine_product", g, source.product.row,
+                                            target.product, True),))
 
 
 def _is_invertible(M: Matrix) -> bool:

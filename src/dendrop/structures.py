@@ -6,6 +6,27 @@ scan every basis instance of every defining identity (multilinearity makes
 that equivalent to the identity holding on all elements) and report the
 violations found, up to a configurable cap.
 
+Every identity the package checks has one of two shapes, and each shape has
+one scan loop here; an identity is a data row for it:
+
+* compositions ``(x a y) b z = x c (y d z)`` of bilinear maps, scanned by
+  ``_check_compositions`` on basis triples.  A row is ``(axiom, positions,
+  reported_lhs, a, b, c, d)``: which entries of the reported index tuple
+  play x, y and z, which side (``OUTER`` or ``INNER``) is reported as lhs,
+  and the four products as indices into the validator's tables, where
+  ``a`` and ``d`` may be a tuple of indices standing for a sum such as
+  ``star = prec + succ``.  Module actions count as bilinear maps
+  ``l: A x M -> M`` and ``r: M x A -> M``.  Associativity, the dendriform
+  di- and trialgebra axioms and the bimodule(-algebra) laws are such rows.
+* homomorphisms ``F(x o y) = F(x) o' F(y)``, scanned by
+  ``_scan_homomorphisms`` on basis pairs.  A row is ``(axiom, F,
+  source_row, target, image_is_lhs)``, the last saying whether ``F(x o y)``
+  or ``F(x) o' F(y)`` is reported as lhs.  Besides isomorphism and
+  multiplicativity checks this covers the Rota-Baxter and O-operator
+  relations: an O-operator is exactly a homomorphism out of the star
+  product ``l(alpha x) y + x r(alpha y) + weight x o y`` it induces on its
+  source (``operators._induced``).
+
 Right-action orientation: for a basis element ``b_i`` of the acting algebra
 the stored matrix ``rho_i`` realizes ``v r(b_i)`` as ``rho_i @ coords(v)``.
 Consequently the module law ``v r(x*y) = (v r(x)) r(y)`` becomes the matrix
@@ -19,7 +40,7 @@ from typing import Sequence
 
 from .errors import DimensionMismatchError, NotAssociativeError
 from .fields import FieldSpec, same_field
-from .linalg import Matrix, StructureTensor, vec_add
+from .linalg import Matrix, StructureTensor, _combine
 
 DEFAULT_MAX_VIOLATIONS = 5
 
@@ -228,152 +249,181 @@ def make_dendriform_tri(field: FieldSpec, dim: int, prec, succ, dot,
                          StructureTensor.from_triples(field, dim, dot), name=name)
 
 
+# -- the identity engine -----------------------------------------------------------
+
+# Positions of x, y, z in the reported index tuple, and which side is reported as lhs.
+XYZ = (0, 1, 2)
+OUTER, INNER = "(xy)z", "x(yz)"
+
+
+def _transpose(table) -> tuple:
+    return tuple(zip(*table))
+
+
+def _entry_sum(tables: Sequence, refs: tuple, u: int, v: int, p) -> tuple:
+    """Coordinates of b_u * b_v for the sum of the products ``tables[r]``, r in refs."""
+    sums = map(sum, zip(*[tables[r][u][v] for r in refs]))
+    return tuple(map(p.__rmod__, sums)) if p else tuple(sums)
+
+
+def _action_tables(bm: "Bimodule") -> tuple:
+    """Actions as bilinear tables ``left[i][j] = l(b_i) e_j``, ``right[j][i] = e_j r(b_i)``."""
+    left = tuple(_transpose(M.entries) for M in bm.left)
+    right = _transpose([_transpose(M.entries) for M in bm.right])
+    return left, right
+
+
+def _action_matrices(field: FieldSpec, left, right) -> tuple:
+    """Inverse of ``_action_tables``: the per-basis-element action matrices."""
+    return (tuple(Matrix.from_columns(field, cols) for cols in left),
+            tuple(Matrix.from_columns(field, cols) for cols in _transpose(right)))
+
+
+def _check_compositions(kind: str, field: FieldSpec, tables: Sequence, groups,
+                        max_violations: int, early_stop: bool) -> ValidationReport:
+    """Scan composition rows (module docstring) over index tuples ``(i, j, k)``.
+
+    ``groups`` is a sequence of ``(sizes, rows)``: the tuples run
+    lexicographically over ``range(sizes[0]) x range(sizes[1]) x
+    range(sizes[2])``, and every row is checked on each tuple in row order.
+    ``tables[r][u][v]`` holds the coordinates of ``b_u r b_v``.
+    """
+    col = _Collector(kind, max_violations, early_stop)
+    p, zero = field.p, field.zero
+    sums: dict = {}
+    for (n0, n1, n2), rows in groups:
+        for i in range(n0):
+            for j in range(n1):
+                for k in range(n2):
+                    idx = (i, j, k)
+                    for axiom, (px, py, pz), lhs, a, b, c, d in rows:
+                        x, y, z = idx[px], idx[py], idx[pz]
+                        if a.__class__ is tuple:
+                            xy = sums.get((a, x, y)) or sums.setdefault(
+                                (a, x, y), _entry_sum(tables, a, x, y, p))
+                        else:
+                            xy = tables[a][x][y]
+                        if d.__class__ is tuple:
+                            yz = sums.get((d, y, z)) or sums.setdefault(
+                                (d, y, z), _entry_sum(tables, d, y, z, p))
+                        else:
+                            yz = tables[d][y][z]
+                        outer = _combine(xy, tables[b], p, zero, z)
+                        inner = _combine(yz, tables[c][x], p, zero)
+                        if outer != inner and not (
+                                col.check(axiom, idx, outer, inner) if lhs == OUTER
+                                else col.check(axiom, idx, inner, outer)):
+                            return col.report()
+    return col.report()
+
+
+def _scan_homomorphisms(col: _Collector, field: FieldSpec, rows) -> bool:
+    """Scan homomorphism rows (module docstring) on every source basis pair.
+
+    ``source_row(i, j)`` gives the coordinates of ``b_i o b_j``; ``target``
+    is the tensor of ``o'``.  Pairs run lexicographically within each row,
+    rows in order.  Returns False when the collector stops the scan.
+    """
+    p, zero = field.p, field.zero
+    for axiom, F, source_row, target, image_is_lhs in rows:
+        fcols = _transpose(F.entries)
+        n = len(fcols)
+        for i in range(n):
+            for j in range(n):
+                image = _combine(source_row(i, j), fcols, p, zero)
+                value = target.apply(fcols[i], fcols[j])
+                if image != value and not (
+                        col.check(axiom, (i, j), image, value) if image_is_lhs
+                        else col.check(axiom, (i, j), value, image)):
+                    return False
+    return True
+
+
 # -- validators ------------------------------------------------------------------
+
+# Table indices of each validator's products, and its identities as data rows.
+PREC, SUCC, DOT = 0, 1, 2
+STAR_DI, STAR_TRI = (PREC, SUCC), (PREC, SUCC, DOT)
+ALG, LEFT, RIGHT, MOD = 0, 1, 2, 3
+
+_ASSOCIATIVITY = (("assoc", XYZ, OUTER, 0, 0, 0, 0),)
+
+_DENDRIFORM_DI = (
+    ("di1", XYZ, OUTER, PREC, PREC, PREC, STAR_DI),   # (x<y)<z = x<(y*z)
+    ("di2", XYZ, OUTER, SUCC, PREC, SUCC, PREC),      # (x>y)<z = x>(y<z)
+    ("di3", XYZ, OUTER, STAR_DI, SUCC, SUCC, SUCC),   # (x*y)>z = x>(y>z)
+)
+
+_DENDRIFORM_TRI = (
+    ("tri1", XYZ, OUTER, PREC, PREC, PREC, STAR_TRI),  # (x<y)<z = x<(y*z)
+    ("tri2", XYZ, OUTER, SUCC, PREC, SUCC, PREC),      # (x>y)<z = x>(y<z)
+    ("tri3", XYZ, OUTER, STAR_TRI, SUCC, SUCC, SUCC),  # (x*y)>z = x>(y>z)
+    ("tri4", XYZ, OUTER, SUCC, DOT, SUCC, DOT),       # (x>y).z = x>(y.z)
+    ("tri5", XYZ, OUTER, PREC, DOT, DOT, SUCC),       # (x<y).z = x.(y>z)
+    ("tri6", XYZ, OUTER, DOT, PREC, DOT, PREC),       # (x.y)<z = x.(y<z)
+    ("tri7", XYZ, OUTER, DOT, DOT, DOT, DOT),         # (x.y).z = x.(y.z)
+)
+
+# Indices (i, j, k) = algebra, algebra, module basis; l = LEFT, r = RIGHT.
+_BIMODULE = (
+    # l(xy)v = l(x)l(y)v
+    ("left_action_mult", XYZ, OUTER, ALG, LEFT, LEFT, LEFT),
+    # v r(xy) = (v r(x)) r(y)
+    ("right_action_mult", (2, 0, 1), INNER, RIGHT, RIGHT, RIGHT, ALG),
+    # (l(x)v) r(y) = l(x)(v r(y))
+    ("action_commute", (0, 2, 1), OUTER, LEFT, RIGHT, LEFT, RIGHT),
+)
+
+# Indices (i, j, k) = algebra, module, module basis; o = MOD.
+_BIMODULE_ALGEBRA = (
+    # l(x)(v o w) = (l(x)v) o w
+    ("left_mult_compat", XYZ, INNER, LEFT, MOD, LEFT, MOD),
+    # (v o w) r(x) = v o (w r(x))
+    ("right_mult_compat", (1, 2, 0), OUTER, MOD, RIGHT, MOD, RIGHT),
+    # (v r(x)) o w = v o (l(x) w)
+    ("swap_mult_compat", (1, 0, 2), OUTER, RIGHT, MOD, MOD, LEFT),
+)
+
+_PRODUCT_ASSOCIATIVITY = (("product_assoc", XYZ, OUTER, MOD, MOD, MOD, MOD),)
+
 
 def validate_associativity(alg: Algebra,
                            max_violations: int = DEFAULT_MAX_VIOLATIONS,
                            early_stop: bool = False) -> ValidationReport:
     """Check (b_i * b_j) * b_k = b_i * (b_j * b_k) over all basis triples."""
-    col = _Collector("algebra", max_violations, early_stop)
-    _scan_associativity(alg.product, "assoc", col)
-    return col.report()
-
-
-def _scan_associativity(t: StructureTensor, axiom: str, col: _Collector) -> bool:
-    n = t.dim
-    for i in range(n):
-        for j in range(n):
-            u = t.row(i, j)
-            for k in range(n):
-                lhs = t.apply_basis_right(u, k)
-                rhs = t.apply_basis_left(i, t.row(j, k))
-                if not col.check(axiom, (i, j, k), lhs, rhs):
-                    return False
-    return True
+    n = alg.dim
+    return _check_compositions("algebra", alg.field, (alg.product.entries,),
+                               (((n, n, n), _ASSOCIATIVITY),), max_violations, early_stop)
 
 
 def validate_dendriform_di(d: DendriformDi,
                            max_violations: int = DEFAULT_MAX_VIOLATIONS,
                            early_stop: bool = False) -> ValidationReport:
     """Check the three dialgebra axioms (star = prec + succ) on all basis triples."""
-    col = _Collector("dendriform_di", max_violations, early_stop)
-    f = d.field
-    prec, succ = d.prec, d.succ
     n = d.dim
-    for i in range(n):
-        for j in range(n):
-            pij, sij = prec.row(i, j), succ.row(i, j)
-            star_ij = vec_add(f, pij, sij)
-            for k in range(n):
-                star_jk = vec_add(f, prec.row(j, k), succ.row(j, k))
-                # (x<y)<z = x<(y*z)
-                if not col.check("di1", (i, j, k),
-                                 prec.apply_basis_right(pij, k),
-                                 prec.apply_basis_left(i, star_jk)):
-                    return col.report()
-                # (x>y)<z = x>(y<z)
-                if not col.check("di2", (i, j, k),
-                                 prec.apply_basis_right(sij, k),
-                                 succ.apply_basis_left(i, prec.row(j, k))):
-                    return col.report()
-                # (x*y)>z = x>(y>z)
-                if not col.check("di3", (i, j, k),
-                                 succ.apply_basis_right(star_ij, k),
-                                 succ.apply_basis_left(i, succ.row(j, k))):
-                    return col.report()
-    return col.report()
+    return _check_compositions("dendriform_di", d.field, (d.prec.entries, d.succ.entries),
+                               (((n, n, n), _DENDRIFORM_DI),), max_violations, early_stop)
 
 
 def validate_dendriform_tri(t: DendriformTri,
                             max_violations: int = DEFAULT_MAX_VIOLATIONS,
                             early_stop: bool = False) -> ValidationReport:
     """Check the seven trialgebra axioms (star = prec + succ + dot)."""
-    col = _Collector("dendriform_tri", max_violations, early_stop)
-    f = t.field
-    prec, succ, dot = t.prec, t.succ, t.dot
     n = t.dim
-
-    def star(i, j):
-        return vec_add(f, vec_add(f, prec.row(i, j), succ.row(i, j)), dot.row(i, j))
-
-    for i in range(n):
-        for j in range(n):
-            pij, sij, dij = prec.row(i, j), succ.row(i, j), dot.row(i, j)
-            star_ij = star(i, j)
-            for k in range(n):
-                checks = (
-                    ("tri1", prec.apply_basis_right(pij, k),
-                     prec.apply_basis_left(i, star(j, k))),
-                    ("tri2", prec.apply_basis_right(sij, k),
-                     succ.apply_basis_left(i, prec.row(j, k))),
-                    ("tri3", succ.apply_basis_right(star_ij, k),
-                     succ.apply_basis_left(i, succ.row(j, k))),
-                    ("tri4", dot.apply_basis_right(sij, k),
-                     succ.apply_basis_left(i, dot.row(j, k))),
-                    ("tri5", dot.apply_basis_right(pij, k),
-                     dot.apply_basis_left(i, succ.row(j, k))),
-                    ("tri6", prec.apply_basis_right(dij, k),
-                     dot.apply_basis_left(i, prec.row(j, k))),
-                    ("tri7", dot.apply_basis_right(dij, k),
-                     dot.apply_basis_left(i, dot.row(j, k))),
-                )
-                for axiom, lhs, rhs in checks:
-                    if not col.check(axiom, (i, j, k), lhs, rhs):
-                        return col.report()
-    return col.report()
-
-
-def _combo_col(field: FieldSpec, coeffs: Sequence, mats: Sequence[Matrix], k: int) -> tuple:
-    """Column k of sum_s coeffs[s] * mats[s]."""
-    m = mats[0].rows
-    out = [field.zero] * m
-    for c, M in zip(coeffs, mats):
-        if c == 0:
-            continue
-        for r in range(m):
-            a = M.entries[r][k]
-            if a != 0:
-                out[r] = field.add(out[r], field.mul(c, a))
-    return tuple(out)
-
-
-def _scan_bimodule(bm: Bimodule, col: _Collector) -> bool:
-    """Bimodule laws, column-wise on module basis vectors.
-
-    Axiom ids (indices are (i, j, k) = algebra, algebra, module basis):
-      left_action_mult   l(b_i * b_j) = l(b_i) l(b_j)
-      right_action_mult  rho_{b_i * b_j} = rho_j rho_i
-      action_commute     (l(b_i) v) r(b_j) = l(b_i) (v r(b_j))
-    """
-    f = bm.field
-    c = bm.algebra.product
-    n, m = bm.algebra.dim, bm.dim
-    left, right = bm.left, bm.right
-    for i in range(n):
-        for j in range(n):
-            cij = c.row(i, j)
-            for k in range(m):
-                if not col.check("left_action_mult", (i, j, k),
-                                 _combo_col(f, cij, left, k),
-                                 left[i].matvec(left[j].col(k))):
-                    return False
-                if not col.check("right_action_mult", (i, j, k),
-                                 _combo_col(f, cij, right, k),
-                                 right[j].matvec(right[i].col(k))):
-                    return False
-                if not col.check("action_commute", (i, j, k),
-                                 right[j].matvec(left[i].col(k)),
-                                 left[i].matvec(right[j].col(k))):
-                    return False
-    return True
+    return _check_compositions("dendriform_tri", t.field,
+                               (t.prec.entries, t.succ.entries, t.dot.entries),
+                               (((n, n, n), _DENDRIFORM_TRI),), max_violations, early_stop)
 
 
 def validate_bimodule(bm: Bimodule,
                       max_violations: int = DEFAULT_MAX_VIOLATIONS,
                       early_stop: bool = False) -> ValidationReport:
-    col = _Collector("bimodule", max_violations, early_stop)
-    _scan_bimodule(bm, col)
-    return col.report()
+    """Bimodule laws, checked on (algebra, algebra, module) basis triples."""
+    n, m = bm.algebra.dim, bm.dim
+    left, right = _action_tables(bm)
+    return _check_compositions("bimodule", bm.field,
+                               (bm.algebra.product.entries, left, right),
+                               (((n, n, m), _BIMODULE),), max_violations, early_stop)
 
 
 def validate_bimodule_algebra(ba: BimoduleAlgebra,
@@ -381,38 +431,15 @@ def validate_bimodule_algebra(ba: BimoduleAlgebra,
                               early_stop: bool = False) -> ValidationReport:
     """Bimodule laws plus action/product compatibility plus associativity of the product.
 
-    Mixed-law axiom ids (indices (i, j, k) = algebra basis, module basis, module basis):
-      left_mult_compat   l(x)(v o w) = (l(x) v) o w
-      right_mult_compat  (v o w) r(x) = v o (w r(x))
-      swap_mult_compat   (v r(x)) o w = v o (l(x) w)
+    The compatibility laws are checked on (algebra, module, module) basis triples.
     """
-    col = _Collector("bimodule_algebra", max_violations, early_stop)
-    if not _scan_bimodule(ba.base, col):
-        return col.report()
-    f = ba.field
-    prod = ba.product
     n, m = ba.algebra.dim, ba.dim
-    left, right = ba.left, ba.right
-    for i in range(n):
-        li, ri = left[i], right[i]
-        for j in range(m):
-            for k in range(m):
-                ojk = prod.row(j, k)
-                if not col.check("left_mult_compat", (i, j, k),
-                                 li.matvec(ojk),
-                                 prod.apply_basis_right(li.col(j), k)):
-                    return col.report()
-                if not col.check("right_mult_compat", (i, j, k),
-                                 ri.matvec(ojk),
-                                 prod.apply_basis_left(j, ri.col(k))):
-                    return col.report()
-                if not col.check("swap_mult_compat", (i, j, k),
-                                 prod.apply_basis_right(ri.col(j), k),
-                                 prod.apply_basis_left(j, li.col(k))):
-                    return col.report()
-    if not _scan_associativity(prod, "product_assoc", col):
-        return col.report()
-    return col.report()
+    left, right = _action_tables(ba.base)
+    tables = (ba.algebra.product.entries, left, right, ba.product.entries)
+    groups = (((n, n, m), _BIMODULE), ((n, m, m), _BIMODULE_ALGEBRA),
+              ((m, m, m), _PRODUCT_ASSOCIATIVITY))
+    return _check_compositions("bimodule_algebra", ba.field, tables, groups,
+                               max_violations, early_stop)
 
 
 # -- constructions ----------------------------------------------------------------
@@ -432,15 +459,8 @@ def canonical_bimodule(alg: Algebra) -> BimoduleAlgebra:
     if not rep.passed:
         raise NotAssociativeError(
             f"algebra is not associative (first violation at {rep.first().indices})")
-    f = alg.field
     c = alg.product
-    n = alg.dim
-    left = tuple(Matrix(f, tuple(tuple(c.entries[i][j][k] for j in range(n))
-                                 for k in range(n)))
-                 for i in range(n))
-    right = tuple(Matrix(f, tuple(tuple(c.entries[j][i][k] for j in range(n))
-                                  for k in range(n)))
-                  for i in range(n))
+    left, right = _action_matrices(alg.field, c.entries, c.entries)
     return BimoduleAlgebra(Bimodule(alg, left, right), c)
 
 

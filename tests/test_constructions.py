@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 import dendrop as dp
-from dendrop.errors import (InvalidDendriformError, InvalidOperatorError,
-                            KernelNotIdealError, KindMismatchError,
-                            SingularMatrixError)
+from dendrop.errors import (DimensionMismatchError, InvalidDendriformError,
+                            InvalidOperatorError, KernelNotIdealError,
+                            KindMismatchError, SingularMatrixError)
 from dendrop.linalg import Matrix, StructureTensor
 from helpers import F3, Q, diag, n2, random_invertible, zero_algebra
 
@@ -105,6 +105,13 @@ def test_homomorphism_law_for_constructed_structures():
 def test_homomorphism_holds_for_zero_map():
     op = dp.rb_as_o_operator(dp.RotaBaxterOperator(n2(), Matrix.zeros(Q, 2, 2), ONE))
     assert dp.check_operator_homomorphism(op, dp.domain_dendriform_tri(op)).passed
+
+
+def test_homomorphism_check_rejects_a_structure_of_another_dimension():
+    op = weight1_op()
+    tri = dp.make_dendriform_tri(Q, 3, {}, {}, {})
+    with pytest.raises(DimensionMismatchError):
+        dp.check_operator_homomorphism(op, tri)
 
 
 def test_homomorphism_fails_on_corrupted_structure():

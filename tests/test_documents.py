@@ -242,13 +242,6 @@ def test_result_set_round_trip():
     assert emit_document(doc) == data
 
 
-def test_result_set_with_context():
-    rs = ResultSet.build("rb0", params={"dim": 2}, counts={"operators": 1},
-                         items=[Matrix.identity(F3, 2)], context=n2(F3))
-    doc = parse_document(emit_document(rs, field=F3))
-    assert doc.payload.context == n2(F3)
-
-
 def test_report_document_round_trip():
     rep = dp.validate_associativity(
         dp.make_algebra(Q, 2, {(0, 0, 1): Fraction(1), (1, 0, 0): Fraction(1)}))

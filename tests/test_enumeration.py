@@ -6,6 +6,7 @@ import pytest
 
 import dendrop as dp
 import oracle_enumeration
+import dendrop.enumeration as enumeration
 from dendrop.enumeration import _fibre_chunk, _worker_count
 from dendrop.errors import BudgetExceededError, FieldNotFiniteError
 from helpers import F2, F3, n2, zero_algebra
@@ -238,3 +239,17 @@ def test_repeated_runs_are_byte_identical():
         dp.ResultSet.build("dendriform-di", items=dp.enumerate_dendriform_di(1, 3)),
         field=F3)
     assert first == second
+
+
+def test_phi_image_experiment_starts_at_most_one_pool(monkeypatch):
+    started = []
+    real = enumeration.ProcessPoolExecutor
+
+    def counting(*args, **kwargs):
+        started.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", counting)
+    parallel = dp.phi_image_experiment(1, 2, workers=2)
+    assert len(started) <= 1
+    assert parallel == dp.phi_image_experiment(1, 2)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from dendrop.errors import BadRationalError, FieldMismatchError
+from dendrop.errors import BadRationalError, DendropError, FieldMismatchError
 from dendrop.fields import FieldSpec, RATIONALS, is_prime, prime_field, same_field
 
 
@@ -18,6 +18,11 @@ def test_field_spec_validation():
         FieldSpec("rational", 3)
     with pytest.raises(ValueError):
         FieldSpec("real")
+
+
+def test_non_prime_modulus_is_a_library_error():
+    with pytest.raises(DendropError, match="not prime"):
+        prime_field(4)
 
 
 def test_is_prime_small():

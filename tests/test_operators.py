@@ -181,6 +181,12 @@ def test_twist_by_identity_is_identity():
     assert dp.twist_by_range_automorphism(op, Matrix.identity(Q, 2)) == op
 
 
+def test_multiplicativity_rejects_a_wrong_shape():
+    for fmat in (Matrix.identity(Q, 3), Matrix.zeros(Q, 2, 3), Matrix.zeros(Q, 3, 2)):
+        with pytest.raises(DimensionMismatchError):
+            dp.is_multiplicative(fmat, n2())
+
+
 def test_twist_by_diag_4_2():
     op = base_operator()
     f = diag(Q, Fraction(4), Fraction(2))
