@@ -24,9 +24,9 @@ from .errors import (DimensionMismatchError, InvalidDendriformError,
 from .linalg import (Matrix, StructureTensor, _combine, column_space_basis,
                      in_span, invert, kernel_basis, solve)
 from .structures import (Algebra, Bimodule, BimoduleAlgebra, DendriformDi,
-                         DendriformTri, DEFAULT_MAX_VIOLATIONS, _Collector,
-                         ValidationReport, _action_matrices, _action_tables,
-                         _scan_homomorphisms, star_product,
+                         DendriformTri, DEFAULT_MAX_VIOLATIONS, ValidationReport,
+                         _action_matrices, _action_tables, _collect,
+                         _homomorphism_failures, _transpose, star_product,
                          validate_bimodule, validate_bimodule_algebra,
                          validate_dendriform_di, validate_dendriform_tri)
 from .operators import (ALGEBRA, MODULE, OOperator, _induced, validate_o_algebra,
@@ -45,7 +45,7 @@ def _domain_products(op: OOperator):
     """Structure tensors of the induced products on the operator's source."""
     f = op.field
     m = op.domain.dim
-    rows = _induced(f, op.matrix, *_action_tables(op.domain))[:2]
+    rows = _induced(f, _transpose(op.matrix.entries), *_action_tables(op.domain))[:2]
     return tuple(StructureTensor(f, tuple(tuple(row(i, j) for j in range(m))
                                           for i in range(m)))
                  for row in rows)
@@ -82,10 +82,10 @@ def check_operator_homomorphism(op: OOperator, dend,
     """Check alpha(u star v) = alpha(u) * alpha(v) on all source basis pairs."""
     if dend.dim != op.domain.dim:
         raise DimensionMismatchError("the structure must live on the operator's source")
-    col = _Collector("operator_homomorphism", max_violations, False)
-    _scan_homomorphisms(col, op.field, (("hom", op.matrix, star_product(dend).product.row,
-                                         op.codomain.product, True),))
-    return col.report()
+    rows = (("hom", _transpose(op.matrix.entries), star_product(dend).product.row,
+             op.codomain.product.entries, True),)
+    return _collect("operator_homomorphism", _homomorphism_failures(op.field, rows),
+                    max_violations)
 
 
 # -- canonical operators (surjectivity witnesses) --------------------------------
@@ -269,12 +269,10 @@ def range_dendriform_quotient(op: OOperator, section_rule: str = "first") -> Quo
 def check_splitting(dend, alg: Algebra,
                     max_violations: int = DEFAULT_MAX_VIOLATIONS) -> ValidationReport:
     """Check that the dendriform products sum entrywise to the algebra product."""
-    col = _Collector("splitting", max_violations, False)
     if dend.dim != alg.dim:
         raise DimensionMismatchError("splitting check needs matching dimensions")
     total = star_product(dend).product
     n = alg.dim
-    for i in range(n):
-        for j in range(n):
-            col.check("split", (i, j), total.row(i, j), alg.product.row(i, j))
-    return col.report()
+    failures = (("split", (i, j), total.row(i, j), alg.product.row(i, j))
+                for i in range(n) for j in range(n) if total.row(i, j) != alg.product.row(i, j))
+    return _collect("splitting", failures, max_violations)

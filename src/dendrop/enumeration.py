@@ -1,13 +1,16 @@
 """Exhaustive classification over prime fields in low dimension.
 
 Candidate spaces are walked in lexicographic order of their flattened
-structure constants (mixed-radix odometer), filtered through the public
-validators with an early-stop scan.  Index ranges can be partitioned across
-worker processes, capped at the CPU count and the number of candidates,
-with one process pool per public call (the image experiment's stages share
-it); chunks are merged in range order, so parallel and serial runs produce
-identical lists.  Candidate counts above the configured budget raise
-instead of truncating.
+structure constants (mixed-radix odometer).  Each candidate stays a raw
+table: the flat tuple is sliced into nested tuples and tested with the
+validators' failure scans for a verdict only (the first failure ends the
+scan, and no report is built).  Algebras, operators and dialgebras are
+built only for the accepted candidates.  Index ranges can be partitioned
+across worker processes, capped at the CPU count and the number of
+candidates, with one process pool per public call (the image experiment's
+stages share it); chunks are merged in range order, so parallel and serial
+runs produce identical lists.  Candidate counts above the configured
+budget raise instead of truncating.
 
 Dendriform dialgebras are fibred over their associative star products
 ``x * y = x < y + x > y``: the dialgebra axioms make the star associative
@@ -34,10 +37,10 @@ from .constructions import canonical_operator_from_di, domain_dendriform_di
 from .errors import BudgetExceededError, InvalidDendriformError
 from .fields import FieldSpec, prime_field
 from .linalg import Matrix, StructureTensor
-from .operators import (RotaBaxterOperator, rb_as_module_operator,
-                        validate_rota_baxter)
-from .structures import (Algebra, DendriformDi, validate_associativity,
-                         validate_dendriform_di)
+from .operators import (RotaBaxterOperator, _rota_baxter_failures,
+                        rb_as_module_operator)
+from .structures import (Algebra, DendriformDi, _associativity_failures,
+                         _dendriform_di_failures)
 
 DEFAULT_BUDGET = 1 << 24
 
@@ -69,11 +72,14 @@ def _digit_tuples(p: int, length: int, start: int, stop: int):
             digits[pos] = 0
 
 
+def _nested(flat, n: int) -> tuple:
+    """Row-major flat structure constants as the nested table ``c[i][j][k]``."""
+    rows = zip(*[iter(flat)] * n)
+    return tuple(zip(*[rows] * n))
+
+
 def _tensor_from_flat(field: FieldSpec, n: int, flat) -> StructureTensor:
-    it = iter(flat)
-    return StructureTensor(field, tuple(
-        tuple(tuple(next(it) for _ in range(n)) for _ in range(n))
-        for _ in range(n)))
+    return StructureTensor(field, _nested(flat, n))
 
 
 def _matrix_from_flat(field: FieldSpec, n: int, flat) -> Matrix:
@@ -85,24 +91,17 @@ def _matrix_from_flat(field: FieldSpec, n: int, flat) -> Matrix:
 def _assoc_chunk(args):
     p, n, start, stop = args
     field = prime_field(p)
-    out = []
-    for flat in _digit_tuples(p, n ** 3, start, stop):
-        alg = Algebra(_tensor_from_flat(field, n, flat))
-        if validate_associativity(alg, max_violations=1, early_stop=True).passed:
-            out.append(flat)
-    return out
+    return [flat for flat in _digit_tuples(p, n ** 3, start, stop)
+            if next(_associativity_failures(field, _nested(flat, n)), None) is None]
 
 
 def _rb_chunk(args):
     algebra, weight, start, stop = args
-    p = algebra.field.p
-    n = algebra.dim
-    out = []
-    for flat in _digit_tuples(p, n * n, start, stop):
-        rb = RotaBaxterOperator(algebra, _matrix_from_flat(algebra.field, n, flat), weight)
-        if validate_rota_baxter(rb, max_violations=1, early_stop=True).passed:
-            out.append(flat)
-    return out
+    field, n = algebra.field, algebra.dim
+    product = algebra.product.entries
+    return [flat for flat in _digit_tuples(field.p, n * n, start, stop)
+            if next(_rota_baxter_failures(field, product, tuple(flat[j::n] for j in range(n)),
+                                          weight), None) is None]
 
 
 def _fibre_chunk(args):
@@ -113,14 +112,12 @@ def _fibre_chunk(args):
     """
     p, n, stars, start, stop = args
     field = prime_field(p)
-    cube = n ** 3
-    size = p ** cube
+    size = p ** (n ** 3)
     out = []
-    for idx, prec in enumerate(_digit_tuples(p, cube, start, stop), start):
+    for idx, prec in enumerate(_digit_tuples(p, n ** 3, start, stop), start):
         succ = tuple((s - a) % p for s, a in zip(stars[idx // size], prec))
-        d = DendriformDi(_tensor_from_flat(field, n, prec),
-                         _tensor_from_flat(field, n, succ))
-        if validate_dendriform_di(d, max_violations=1, early_stop=True).passed:
+        if next(_dendriform_di_failures(field, _nested(prec, n), _nested(succ, n)),
+                None) is None:
             out.append(prec + succ)
     return out
 
@@ -187,6 +184,7 @@ def _rb_operators(algebra: Algebra, weight, budget, chunks: _Chunks) -> list:
     n = algebra.dim
     total = algebra.field.p ** (n * n)
     _check_budget(total, budget)
+    weight = algebra.field.coerce(weight)
     flats = chunks.run(_rb_chunk, (algebra, weight), total)
     return [RotaBaxterOperator(algebra, _matrix_from_flat(algebra.field, n, flat), weight)
             for flat in flats]

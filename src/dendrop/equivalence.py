@@ -7,7 +7,12 @@ algebra are isomorphic when a domain isomorphism g identifies them
 is allowed (f alpha1 = alpha2 g, with the actions of the first domain
 twisted through f^{-1}).  Over a prime field, dendriform isomorphism in
 small dimension is decided by scanning all invertible matrices in a fixed
-lexicographic order, so the first witness found is reproducible.
+lexicographic order, so the first witness found is reproducible.  The
+invertible matrices come from a span walk (``_gl_rows``): each row, in
+lexicographic order, is taken from the vectors outside the span of the
+rows above it, which gives that order without a rank computation per
+candidate.  The search tests raw column tuples and builds a ``Matrix``
+only for the witness it returns.
 """
 
 from __future__ import annotations
@@ -21,10 +26,10 @@ from .errors import (DimensionCapError, DimensionMismatchError,
                      SingularMatrixError)
 from .fields import FieldSpec, same_field
 from .linalg import Matrix, invert, rank
-from .operators import (ALGEBRA, OOperator, _check_domain_morphism,
+from .operators import (ALGEBRA, OOperator, _domain_morphism_failures,
                         multiplicativity_failure, pullback_domain)
-from .structures import (DEFAULT_MAX_VIOLATIONS, _Collector, ValidationReport,
-                         _scan_homomorphisms)
+from .structures import (DEFAULT_MAX_VIOLATIONS, ValidationReport, _collect,
+                         _homomorphism_failures, _transpose)
 
 DEFAULT_DIMENSION_CAP = 3
 
@@ -51,9 +56,12 @@ class IsoSearchResult:
         return self.witness is not None
 
 
-def _iso_rows(d1, d2, F: Matrix) -> list:
-    """F(x p1 y) = F(x) p2 F(y) for each product p, as homomorphism-scan rows."""
-    return [(axiom, F, t1.row, t2, True) for axiom, t1, t2 in
+def _iso_rows(d1, d2, fcols) -> list:
+    """F(x p1 y) = F(x) p2 F(y) for each product p, as homomorphism-scan rows.
+
+    ``fcols`` are the columns of F.
+    """
+    return [(axiom, fcols, t1.row, t2.entries, True) for axiom, t1, t2 in
             zip(("iso_prec", "iso_succ", "iso_dot"), d1.tensors(), d2.tensors())]
 
 
@@ -68,9 +76,8 @@ def verify_dendriform_iso(d1, d2, F: Matrix,
         raise DimensionMismatchError("witness must be square of the common dimension")
     if rank(F) < F.rows:
         raise NotInvertibleError("witness matrix is singular")
-    col = _Collector("dendriform_iso", max_violations, False)
-    _scan_homomorphisms(col, field, _iso_rows(d1, d2, F))
-    return col.report()
+    failures = _homomorphism_failures(field, _iso_rows(d1, d2, _transpose(F.entries)))
+    return _collect("dendriform_iso", failures, max_violations)
 
 
 def verify_operator_iso(op1: OOperator, op2: OOperator, g: Matrix,
@@ -90,14 +97,17 @@ def verify_operator_iso(op1: OOperator, op2: OOperator, g: Matrix,
         raise DimensionMismatchError("iso matrix shape mismatch")
     if not g.is_square or rank(g) < g.rows:
         raise NotInvertibleError("candidate g is singular")
-    col = _Collector("operator_iso", max_violations, False)
-    if op1.kind == ALGEBRA and op1.weight != op2.weight:
-        col.check("weight_eq", (), (op1.weight,), (op2.weight,))
-    _check_domain_morphism(col, g, op1.domain, op2.domain)
-    composed = op2.matrix.mul(g)
-    for j in range(op1.domain.dim):
-        col.check("map_eq", (j,), op1.matrix.col(j), composed.col(j))
-    return col.report()
+
+    def failures():
+        if op1.kind == ALGEBRA and op1.weight != op2.weight:
+            yield "weight_eq", (), (op1.weight,), (op2.weight,)
+        yield from _domain_morphism_failures(g, op1.domain, op2.domain)
+        composed = op2.matrix.mul(g)
+        for j in range(op1.domain.dim):
+            if op1.matrix.col(j) != composed.col(j):
+                yield "map_eq", (j,), op1.matrix.col(j), composed.col(j)
+
+    return _collect("operator_iso", failures(), max_violations)
 
 
 def verify_operator_equiv(op1: OOperator, op2: OOperator, f: Matrix, g: Matrix,
@@ -127,6 +137,32 @@ def induced_intertwiner(op1: OOperator, op2: OOperator):
 
 # -- exhaustive search over GL_n(F_p) ---------------------------------------------
 
+def _gl_rows(p: int, n: int):
+    """Rows of every invertible n x n matrix over F_p, lexicographic on the entries.
+
+    A depth-first walk takes each row, in lexicographic order, from the
+    vectors outside the span of the rows above it.  A matrix is invertible
+    exactly when every row lies outside the span of the rows before it, so
+    this is the lexicographic order of all matrices with the singular ones
+    skipped, and no candidate needs a rank computation.
+    """
+    if n == 0:
+        yield ()
+        return
+    vectors = list(itertools.product(range(p), repeat=n))
+
+    def walk(rows, span):
+        for v in vectors:
+            if v not in span:
+                if len(rows) == n - 1:
+                    yield rows + (v,)
+                else:
+                    yield from walk(rows + (v,), {tuple((a + c * b) % p for a, b in zip(w, v))
+                                                  for w in span for c in range(p)})
+
+    yield from walk((), {(0,) * n})
+
+
 def gl_matrices(field: FieldSpec, n: int):
     """All invertible n x n matrices over a prime field.
 
@@ -136,10 +172,8 @@ def gl_matrices(field: FieldSpec, n: int):
     """
     if not field.is_finite:
         raise FieldNotFiniteError("matrix enumeration requires a prime field")
-    for flat in itertools.product(range(field.p), repeat=n * n):
-        M = Matrix(field, tuple(flat[r * n:(r + 1) * n] for r in range(n)))
-        if rank(M) == n:
-            yield M
+    for rows in _gl_rows(field.p, n):
+        yield Matrix(field, rows)
 
 
 def search_dendriform_iso_fp(d1, d2,
@@ -161,11 +195,11 @@ def search_dendriform_iso_fp(d1, d2,
         raise DimensionCapError(
             f"dimension {d1.dim} above the search cap {dimension_cap}")
     tried = 0
-    for F in gl_matrices(field, d1.dim):
+    for rows in _gl_rows(field.p, d1.dim):
         tried += 1
-        col = _Collector("dendriform_iso", 1, True)
-        if _scan_homomorphisms(col, field, _iso_rows(d1, d2, F)):
-            return IsoSearchResult(IsoWitness(F, DENDRIFORM_ISO), tried)
+        if next(_homomorphism_failures(field, _iso_rows(d1, d2, _transpose(rows))),
+                None) is None:
+            return IsoSearchResult(IsoWitness(Matrix(field, rows), DENDRIFORM_ISO), tried)
     return IsoSearchResult(None, tried)
 
 

@@ -88,6 +88,22 @@ class FieldSpec:
     def from_int(self, k: int):
         return Fraction(k) if self.kind == RATIONAL else k % self.p
 
+    def coerce(self, value):
+        """``value`` as a scalar of this field: ints reduced mod p, or made Fractions over Q.
+
+        A ``Fraction`` is kept over Q; anything else (a float, a bool, a
+        ``Fraction`` inside a prime field) raises ``FieldMismatchError``.
+        """
+        cls = value.__class__
+        if self.kind == RATIONAL:
+            if isinstance(value, Fraction):
+                return value
+            if cls is int:
+                return Fraction(value)
+        elif cls is int:
+            return value % self.p
+        raise FieldMismatchError(f"{value!r} ({cls.__name__}) is not a scalar of {self}")
+
     def elements(self):
         """All field elements; only defined for prime fields."""
         if self.kind != PRIME:

@@ -46,13 +46,17 @@ def vec_is_zero(v: Sequence) -> bool:
 
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable dense matrix; ``entries`` is a row-major tuple of tuples."""
+    """Immutable dense matrix; ``entries`` is a row-major tuple of tuples.
+
+    Entries are coerced into the field (``FieldSpec.coerce``).
+    """
 
     field: FieldSpec
     entries: tuple
 
     def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.entries)
+        coerce = self.field.coerce
+        rows = tuple(tuple(map(coerce, r)) for r in self.entries)
         object.__setattr__(self, "entries", rows)
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise DimensionMismatchError("ragged rows")
@@ -289,13 +293,17 @@ def column_space_basis(M: Matrix) -> list:
 
 @dataclass(frozen=True)
 class StructureTensor:
-    """Coordinates c[i][j][k] of a bilinear product: b_i * b_j = sum_k c[i][j][k] b_k."""
+    """Coordinates c[i][j][k] of a bilinear product: b_i * b_j = sum_k c[i][j][k] b_k.
+
+    Entries are coerced into the field (``FieldSpec.coerce``).
+    """
 
     field: FieldSpec
     entries: tuple
 
     def __post_init__(self):
-        ents = tuple(tuple(tuple(row) for row in plane) for plane in self.entries)
+        coerce = self.field.coerce
+        ents = tuple(tuple(tuple(map(coerce, row)) for row in plane) for plane in self.entries)
         object.__setattr__(self, "entries", ents)
         n = len(ents)
         for plane in ents:

@@ -17,10 +17,9 @@ from .errors import (DimensionMismatchError, KindMismatchError,
                      SingularMatrixError)
 from .fields import same_field
 from .linalg import Matrix, StructureTensor, _combine
-from .structures import (Algebra, Bimodule, BimoduleAlgebra, _Collector,
-                         DEFAULT_MAX_VIOLATIONS, ValidationReport,
-                         canonical_bimodule, _action_tables,
-                         _scan_homomorphisms, _transpose)
+from .structures import (Algebra, Bimodule, BimoduleAlgebra, DEFAULT_MAX_VIOLATIONS,
+                         ValidationReport, canonical_bimodule, _action_tables,
+                         _collect, _homomorphism_failures, _transpose)
 
 MODULE = "module"
 ALGEBRA = "algebra"
@@ -36,6 +35,7 @@ class RotaBaxterOperator:
 
     def __post_init__(self):
         same_field(self.matrix.field, self.algebra.field)
+        object.__setattr__(self, "weight", self.algebra.field.coerce(self.weight))
         if self.matrix.rows != self.algebra.dim or not self.matrix.is_square:
             raise DimensionMismatchError("operator matrix must be dim x dim")
 
@@ -65,6 +65,8 @@ class OOperator:
         if self.domain.algebra != self.codomain:
             raise DimensionMismatchError("domain is not a bimodule over the codomain algebra")
         same_field(self.matrix.field, self.codomain.field)
+        if self.weight is not None:
+            object.__setattr__(self, "weight", self.codomain.field.coerce(self.weight))
         if self.matrix.rows != self.codomain.dim or self.matrix.cols != self.domain.dim:
             raise DimensionMismatchError("operator matrix shape must be (dim A) x (dim domain)")
 
@@ -79,17 +81,17 @@ class OOperator:
 
 # -- validators -----------------------------------------------------------------
 
-def _induced(field, matrix: Matrix, left, right, weight=None, product=None):
+def _induced(field, acols, left, right, weight=None, product=None):
     """Per-pair rows of the products an operator induces on its source.
 
-    ``left``/``right`` are action tables (``left[t][j] = l(b_t) e_j``,
-    ``right[i][t] = e_i r(b_t)``) and ``product`` the source product's
-    table.  Returns three functions of a source basis pair (i, j):
-    ``b_i < b_j = b_i r(alpha b_j)``, ``b_i > b_j = l(alpha b_i) b_j`` and
-    the star ``b_i < b_j + b_i > b_j + weight (b_i o b_j)``.
+    ``acols`` are the operator's columns, ``left``/``right`` action tables
+    (``left[t][j] = l(b_t) e_j``, ``right[i][t] = e_i r(b_t)``) and
+    ``product`` the source product's table.  Returns three functions of a
+    source basis pair (i, j): ``b_i < b_j = b_i r(alpha b_j)``,
+    ``b_i > b_j = l(alpha b_i) b_j`` and the star
+    ``b_i < b_j + b_i > b_j + weight (b_i o b_j)``.
     """
     p, zero = field.p, field.zero
-    acols = _transpose(matrix.entries)
     left_t = _transpose(left)
 
     def prec(i, j):
@@ -108,14 +110,23 @@ def _induced(field, matrix: Matrix, left, right, weight=None, product=None):
     return prec, succ, star
 
 
-def _check_o_relation(kind: str, axiom: str, algebra: Algebra, matrix: Matrix,
-                      left, right, weight, product,
-                      max_violations: int, early_stop: bool) -> ValidationReport:
-    """alpha(x) alpha(y) = alpha(x * y) for the star * that alpha induces on its source."""
-    col = _Collector(kind, max_violations, early_stop)
-    star = _induced(algebra.field, matrix, left, right, weight, product)[2]
-    _scan_homomorphisms(col, algebra.field, ((axiom, matrix, star, algebra.product, False),))
-    return col.report()
+def _o_relation_failures(field, axiom: str, target, acols, left, right,
+                         weight=None, product=None):
+    """Failures of alpha(x) alpha(y) = alpha(x * y), * the star alpha induces on its source.
+
+    ``target`` is the codomain's product table; the other arguments are
+    those of ``_induced``.
+    """
+    star = _induced(field, acols, left, right, weight, product)[2]
+    return _homomorphism_failures(field, ((axiom, acols, star, target, False),))
+
+
+def _rota_baxter_failures(field, product, acols, weight):
+    """Failures of the Rota-Baxter relation for a product table and the operator's columns.
+
+    Both actions and the source product are the algebra's own product.
+    """
+    return _o_relation_failures(field, "rb", product, acols, product, product, weight, product)
 
 
 def validate_rota_baxter(rb: RotaBaxterOperator,
@@ -126,9 +137,9 @@ def validate_rota_baxter(rb: RotaBaxterOperator,
     This is the O-operator relation with both actions and the source
     product equal to the algebra's own product; associativity is not needed.
     """
-    c = rb.algebra.product.entries
-    return _check_o_relation("rota_baxter", "rb", rb.algebra, rb.matrix, c, c, rb.weight, c,
-                             max_violations, early_stop)
+    failures = _rota_baxter_failures(rb.algebra.field, rb.algebra.product.entries,
+                                     _transpose(rb.matrix.entries), rb.weight)
+    return _collect("rota_baxter", failures, max_violations, early_stop)
 
 
 def validate_o_module(op: OOperator,
@@ -137,9 +148,9 @@ def validate_o_module(op: OOperator,
     """Check alpha(u)*alpha(v) = alpha(l(alpha(u))v) + alpha(u r(alpha(v)))."""
     if op.kind != MODULE:
         raise KindMismatchError("expected a module-kind operator")
-    return _check_o_relation("o_operator_module", "o_module", op.codomain, op.matrix,
-                             *_action_tables(op.domain), None, None,
-                             max_violations, early_stop)
+    failures = _o_relation_failures(op.field, "o_module", op.codomain.product.entries,
+                                    _transpose(op.matrix.entries), *_action_tables(op.domain))
+    return _collect("o_operator_module", failures, max_violations, early_stop)
 
 
 def validate_o_algebra(op: OOperator,
@@ -148,9 +159,10 @@ def validate_o_algebra(op: OOperator,
     """Module relation plus the weighted product term on the domain algebra."""
     if op.kind != ALGEBRA:
         raise KindMismatchError("expected an algebra-kind operator")
-    return _check_o_relation("o_operator_algebra", "o_algebra", op.codomain, op.matrix,
-                             *_action_tables(op.domain), op.weight, op.domain.product.entries,
-                             max_violations, early_stop)
+    failures = _o_relation_failures(op.field, "o_algebra", op.codomain.product.entries,
+                                    _transpose(op.matrix.entries), *_action_tables(op.domain),
+                                    op.weight, op.domain.product.entries)
+    return _collect("o_operator_algebra", failures, max_violations, early_stop)
 
 
 def validate_o_operator(op: OOperator, **kw) -> ValidationReport:
@@ -195,18 +207,17 @@ def multiplicativity_failure(fmat: Matrix, alg: Algebra):
     """First basis pair where f(x*y) != f(x)*f(y), or None if multiplicative."""
     if not fmat.is_square or fmat.rows != alg.dim:
         raise DimensionMismatchError("f must be square of the algebra's dimension")
-    col = _Collector("multiplicative", 1, True)
-    _scan_homomorphisms(col, alg.field, (("mult", fmat, alg.product.row, alg.product, True),))
-    first = col.report().first()
-    return None if first is None else first.indices
+    rows = (("mult", _transpose(fmat.entries), alg.product.row, alg.product.entries, True),)
+    first = next(_homomorphism_failures(alg.field, rows), None)
+    return None if first is None else first[1]
 
 
 def is_multiplicative(fmat: Matrix, alg: Algebra) -> bool:
     return multiplicativity_failure(fmat, alg) is None
 
 
-def _check_domain_morphism(col: _Collector, g: Matrix, source, target) -> None:
-    """Record failures of g as a bimodule(-algebra) morphism source -> target.
+def _domain_morphism_failures(g: Matrix, source, target):
+    """Yield the failures of g as a bimodule(-algebra) morphism source -> target.
 
     Checks, column-wise per algebra basis element i:
       intertwine_left   g l1_i = l_i g
@@ -222,13 +233,14 @@ def _check_domain_morphism(col: _Collector, g: Matrix, source, target) -> None:
         rg = g.mul(source.right[i])
         gr = target.right[i].mul(g)
         for k in range(m):
-            if not col.check("intertwine_left", (i, k), lg.col(k), gl.col(k)):
-                return
-            if not col.check("intertwine_right", (i, k), rg.col(k), gr.col(k)):
-                return
+            if lg.col(k) != gl.col(k):
+                yield "intertwine_left", (i, k), lg.col(k), gl.col(k)
+            if rg.col(k) != gr.col(k):
+                yield "intertwine_right", (i, k), rg.col(k), gr.col(k)
     if isinstance(source, BimoduleAlgebra) and isinstance(target, BimoduleAlgebra):
-        _scan_homomorphisms(col, g.field, (("intertwine_product", g, source.product.row,
-                                            target.product, True),))
+        yield from _homomorphism_failures(g.field, (
+            ("intertwine_product", _transpose(g.entries), source.product.row,
+             target.product.entries, True),))
 
 
 def _is_invertible(M: Matrix) -> bool:
@@ -253,12 +265,9 @@ def compose_with_domain_iso(op: OOperator, g: Matrix, source) -> OOperator:
         raise DimensionMismatchError("iso matrix shape mismatch")
     if not _is_invertible(g):
         raise NotInvertibleError("domain iso candidate is singular")
-    col = _Collector("domain_morphism", 1, True)
-    _check_domain_morphism(col, g, source, op.domain)
-    rep = col.report()
-    if not rep.passed:
-        v = rep.first()
-        raise NotIntertwiningError(f"g fails {v.axiom} at {v.indices}")
+    failure = next(_domain_morphism_failures(g, source, op.domain), None)
+    if failure is not None:
+        raise NotIntertwiningError(f"g fails {failure[0]} at {failure[1]}")
     return OOperator(source, op.codomain, op.matrix.mul(g), op.weight)
 
 

@@ -7,10 +7,12 @@ that equivalent to the identity holding on all elements) and report the
 violations found, up to a configurable cap.
 
 Every identity the package checks has one of two shapes, and each shape has
-one scan loop here; an identity is a data row for it:
+one scan here; an identity is a data row for it.  A scan is a generator
+that yields ``(axiom, indices, lhs, rhs)`` for each failing instance, in a
+fixed order:
 
 * compositions ``(x a y) b z = x c (y d z)`` of bilinear maps, scanned by
-  ``_check_compositions`` on basis triples.  A row is ``(axiom, positions,
+  ``_composition_failures`` on basis triples.  A row is ``(axiom, positions,
   reported_lhs, a, b, c, d)``: which entries of the reported index tuple
   play x, y and z, which side (``OUTER`` or ``INNER``) is reported as lhs,
   and the four products as indices into the validator's tables, where
@@ -19,13 +21,19 @@ one scan loop here; an identity is a data row for it:
   ``l: A x M -> M`` and ``r: M x A -> M``.  Associativity, the dendriform
   di- and trialgebra axioms and the bimodule(-algebra) laws are such rows.
 * homomorphisms ``F(x o y) = F(x) o' F(y)``, scanned by
-  ``_scan_homomorphisms`` on basis pairs.  A row is ``(axiom, F,
-  source_row, target, image_is_lhs)``, the last saying whether ``F(x o y)``
-  or ``F(x) o' F(y)`` is reported as lhs.  Besides isomorphism and
-  multiplicativity checks this covers the Rota-Baxter and O-operator
-  relations: an O-operator is exactly a homomorphism out of the star
-  product ``l(alpha x) y + x r(alpha y) + weight x o y`` it induces on its
-  source (``operators._induced``).
+  ``_homomorphism_failures`` on basis pairs.  A row is ``(axiom, fcols,
+  source_row, target, image_is_lhs)``: the columns of F, the coordinates of
+  ``b_i o b_j`` as a function of (i, j), the nested table of ``o'``, and
+  whether ``F(x o y)`` or ``F(x) o' F(y)`` is reported as lhs.  Besides
+  isomorphism and multiplicativity checks this covers the Rota-Baxter and
+  O-operator relations: an O-operator is exactly a homomorphism out of the
+  star product ``l(alpha x) y + x r(alpha y) + weight x o y`` it induces on
+  its source (``operators._induced``).
+
+Both scans read raw nested tuples, not structure objects.  The public
+validators turn a scan into a ``ValidationReport`` (``_collect``); a caller
+that needs only the verdict, such as the F_p enumerators, takes
+``next(failures, None) is None`` and builds no report and no objects.
 
 Right-action orientation: for a basis element ``b_i`` of the acting algebra
 the stored matrix ``rho_i`` realizes ``v r(b_i)`` as ``rho_i @ coords(v)``.
@@ -68,28 +76,21 @@ class ValidationReport:
         return self.violations[0] if self.violations else None
 
 
-class _Collector:
-    """Accumulates violations; keeps the first ``max_violations`` details."""
+def _collect(kind: str, failures, max_violations: int = DEFAULT_MAX_VIOLATIONS,
+             early_stop: bool = False) -> ValidationReport:
+    """Report on the failures a scan yields, keeping the first ``max_violations``.
 
-    def __init__(self, kind: str, max_violations: int, early_stop: bool):
-        self.kind = kind
-        self.max = max_violations
-        self.early = early_stop
-        self.kept: list = []
-        self.total = 0
-
-    def check(self, axiom: str, indices: tuple, lhs: tuple, rhs: tuple) -> bool:
-        """Record a mismatch; returns False when scanning should stop."""
-        if lhs == rhs:
-            return True
-        self.total += 1
-        if len(self.kept) < self.max:
-            self.kept.append(Violation(axiom, indices, tuple(lhs), tuple(rhs)))
-        return not self.early
-
-    def report(self) -> ValidationReport:
-        return ValidationReport(self.kind, self.total == 0,
-                                tuple(self.kept), self.total)
+    With ``early_stop`` the scan is not resumed after its first failure.
+    """
+    kept = []
+    total = 0
+    for axiom, indices, lhs, rhs in failures:
+        total += 1
+        if total <= max_violations:
+            kept.append(Violation(axiom, indices, tuple(lhs), tuple(rhs)))
+        if early_stop:
+            break
+    return ValidationReport(kind, total == 0, tuple(kept), total)
 
 
 # -- structures ----------------------------------------------------------------
@@ -279,16 +280,15 @@ def _action_matrices(field: FieldSpec, left, right) -> tuple:
             tuple(Matrix.from_columns(field, cols) for cols in _transpose(right)))
 
 
-def _check_compositions(kind: str, field: FieldSpec, tables: Sequence, groups,
-                        max_violations: int, early_stop: bool) -> ValidationReport:
-    """Scan composition rows (module docstring) over index tuples ``(i, j, k)``.
+def _composition_failures(field: FieldSpec, tables: Sequence, groups):
+    """Yield ``(axiom, indices, lhs, rhs)`` for each failing composition instance.
 
-    ``groups`` is a sequence of ``(sizes, rows)``: the tuples run
+    ``groups`` is a sequence of ``(sizes, rows)``: the index tuples run
     lexicographically over ``range(sizes[0]) x range(sizes[1]) x
-    range(sizes[2])``, and every row is checked on each tuple in row order.
-    ``tables[r][u][v]`` holds the coordinates of ``b_u r b_v``.
+    range(sizes[2])``, and every row (module docstring) is checked on each
+    tuple in row order.  ``tables[r][u][v]`` holds the coordinates of
+    ``b_u r b_v``, as nested tuples.
     """
-    col = _Collector(kind, max_violations, early_stop)
     p, zero = field.p, field.zero
     sums: dict = {}
     for (n0, n1, n2), rows in groups:
@@ -310,33 +310,32 @@ def _check_compositions(kind: str, field: FieldSpec, tables: Sequence, groups,
                             yz = tables[d][y][z]
                         outer = _combine(xy, tables[b], p, zero, z)
                         inner = _combine(yz, tables[c][x], p, zero)
-                        if outer != inner and not (
-                                col.check(axiom, idx, outer, inner) if lhs == OUTER
-                                else col.check(axiom, idx, inner, outer)):
-                            return col.report()
-    return col.report()
+                        if outer != inner:
+                            yield ((axiom, idx, outer, inner) if lhs == OUTER
+                                   else (axiom, idx, inner, outer))
 
 
-def _scan_homomorphisms(col: _Collector, field: FieldSpec, rows) -> bool:
-    """Scan homomorphism rows (module docstring) on every source basis pair.
+def _homomorphism_failures(field: FieldSpec, rows):
+    """Yield ``(axiom, (i, j), lhs, rhs)`` for each failing homomorphism instance.
 
-    ``source_row(i, j)`` gives the coordinates of ``b_i o b_j``; ``target``
-    is the tensor of ``o'``.  Pairs run lexicographically within each row,
-    rows in order.  Returns False when the collector stops the scan.
+    A row is ``(axiom, fcols, source_row, target, image_is_lhs)``: ``fcols``
+    are the columns of F, ``source_row(i, j)`` gives the coordinates of
+    ``b_i o b_j`` and ``target`` is the nested table of ``o'``.  Pairs run
+    lexicographically within each row, rows in order.
     """
     p, zero = field.p, field.zero
-    for axiom, F, source_row, target, image_is_lhs in rows:
-        fcols = _transpose(F.entries)
+    for axiom, fcols, source_row, target, image_is_lhs in rows:
+        flat = sum(target, ())
         n = len(fcols)
         for i in range(n):
+            u = fcols[i]
             for j in range(n):
                 image = _combine(source_row(i, j), fcols, p, zero)
-                value = target.apply(fcols[i], fcols[j])
-                if image != value and not (
-                        col.check(axiom, (i, j), image, value) if image_is_lhs
-                        else col.check(axiom, (i, j), value, image)):
-                    return False
-    return True
+                value = _combine([a * b if a and b else 0 for a in u for b in fcols[j]],
+                                 flat, p, zero)
+                if image != value:
+                    yield ((axiom, (i, j), image, value) if image_is_lhs
+                           else (axiom, (i, j), value, image))
 
 
 # -- validators ------------------------------------------------------------------
@@ -387,22 +386,33 @@ _BIMODULE_ALGEBRA = (
 _PRODUCT_ASSOCIATIVITY = (("product_assoc", XYZ, OUTER, MOD, MOD, MOD, MOD),)
 
 
+def _associativity_failures(field: FieldSpec, product):
+    """Failures of associativity for the nested product table ``product``."""
+    n = len(product)
+    return _composition_failures(field, (product,), (((n, n, n), _ASSOCIATIVITY),))
+
+
+def _dendriform_di_failures(field: FieldSpec, prec, succ):
+    """Failures of the dialgebra axioms for the nested tables ``prec`` and ``succ``."""
+    n = len(prec)
+    return _composition_failures(field, (prec, succ), (((n, n, n), _DENDRIFORM_DI),))
+
+
 def validate_associativity(alg: Algebra,
                            max_violations: int = DEFAULT_MAX_VIOLATIONS,
                            early_stop: bool = False) -> ValidationReport:
     """Check (b_i * b_j) * b_k = b_i * (b_j * b_k) over all basis triples."""
-    n = alg.dim
-    return _check_compositions("algebra", alg.field, (alg.product.entries,),
-                               (((n, n, n), _ASSOCIATIVITY),), max_violations, early_stop)
+    return _collect("algebra", _associativity_failures(alg.field, alg.product.entries),
+                    max_violations, early_stop)
 
 
 def validate_dendriform_di(d: DendriformDi,
                            max_violations: int = DEFAULT_MAX_VIOLATIONS,
                            early_stop: bool = False) -> ValidationReport:
     """Check the three dialgebra axioms (star = prec + succ) on all basis triples."""
-    n = d.dim
-    return _check_compositions("dendriform_di", d.field, (d.prec.entries, d.succ.entries),
-                               (((n, n, n), _DENDRIFORM_DI),), max_violations, early_stop)
+    return _collect("dendriform_di",
+                    _dendriform_di_failures(d.field, d.prec.entries, d.succ.entries),
+                    max_violations, early_stop)
 
 
 def validate_dendriform_tri(t: DendriformTri,
@@ -410,9 +420,10 @@ def validate_dendriform_tri(t: DendriformTri,
                             early_stop: bool = False) -> ValidationReport:
     """Check the seven trialgebra axioms (star = prec + succ + dot)."""
     n = t.dim
-    return _check_compositions("dendriform_tri", t.field,
-                               (t.prec.entries, t.succ.entries, t.dot.entries),
-                               (((n, n, n), _DENDRIFORM_TRI),), max_violations, early_stop)
+    tables = (t.prec.entries, t.succ.entries, t.dot.entries)
+    return _collect("dendriform_tri",
+                    _composition_failures(t.field, tables, (((n, n, n), _DENDRIFORM_TRI),)),
+                    max_violations, early_stop)
 
 
 def validate_bimodule(bm: Bimodule,
@@ -421,9 +432,10 @@ def validate_bimodule(bm: Bimodule,
     """Bimodule laws, checked on (algebra, algebra, module) basis triples."""
     n, m = bm.algebra.dim, bm.dim
     left, right = _action_tables(bm)
-    return _check_compositions("bimodule", bm.field,
-                               (bm.algebra.product.entries, left, right),
-                               (((n, n, m), _BIMODULE),), max_violations, early_stop)
+    tables = (bm.algebra.product.entries, left, right)
+    return _collect("bimodule",
+                    _composition_failures(bm.field, tables, (((n, n, m), _BIMODULE),)),
+                    max_violations, early_stop)
 
 
 def validate_bimodule_algebra(ba: BimoduleAlgebra,
@@ -438,8 +450,8 @@ def validate_bimodule_algebra(ba: BimoduleAlgebra,
     tables = (ba.algebra.product.entries, left, right, ba.product.entries)
     groups = (((n, n, m), _BIMODULE), ((n, m, m), _BIMODULE_ALGEBRA),
               ((m, m, m), _PRODUCT_ASSOCIATIVITY))
-    return _check_compositions("bimodule_algebra", ba.field, tables, groups,
-                               max_violations, early_stop)
+    return _collect("bimodule_algebra", _composition_failures(ba.field, tables, groups),
+                    max_violations, early_stop)
 
 
 # -- constructions ----------------------------------------------------------------
@@ -455,10 +467,10 @@ def star_product(d) -> Algebra:
 
 def canonical_bimodule(alg: Algebra) -> BimoduleAlgebra:
     """The algebra acting on itself by left/right multiplication, with its own product."""
-    rep = validate_associativity(alg)
-    if not rep.passed:
+    failure = next(_associativity_failures(alg.field, alg.product.entries), None)
+    if failure is not None:
         raise NotAssociativeError(
-            f"algebra is not associative (first violation at {rep.first().indices})")
+            f"algebra is not associative (first violation at {failure[1]})")
     c = alg.product
     left, right = _action_matrices(alg.field, c.entries, c.entries)
     return BimoduleAlgebra(Bimodule(alg, left, right), c)

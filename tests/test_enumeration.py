@@ -7,7 +7,9 @@ import pytest
 import dendrop as dp
 import oracle_enumeration
 import dendrop.enumeration as enumeration
-from dendrop.enumeration import _fibre_chunk, _worker_count
+from dendrop.enumeration import (_assoc_chunk, _fibre_chunk, _rb_chunk,
+                                 _tensor_from_flat, _worker_count)
+from dendrop.linalg import Matrix
 from dendrop.errors import BudgetExceededError, FieldNotFiniteError
 from helpers import F2, F3, n2, zero_algebra
 
@@ -253,3 +255,60 @@ def test_phi_image_experiment_starts_at_most_one_pool(monkeypatch):
     parallel = dp.phi_image_experiment(1, 2, workers=2)
     assert len(started) <= 1
     assert parallel == dp.phi_image_experiment(1, 2)
+
+
+# -- chunk verdicts against the public validators ------------------------------------
+
+def _digits(index, p, length):
+    return tuple(index // p ** (length - 1 - k) % p for k in range(length))
+
+
+def test_assoc_chunk_verdicts_match_the_validator():
+    rng = random.Random(4101)
+    space = range(3 ** 8)
+    passing = [i for i in space if dp.validate_associativity(
+        dp.Algebra(_tensor_from_flat(F3, 2, _digits(i, 3, 8)))).passed]
+    sample = rng.sample(space, 450) + rng.sample(passing, 50)
+    verdicts = []
+    for i in sample:
+        flat = _digits(i, 3, 8)
+        passed = dp.validate_associativity(dp.Algebra(_tensor_from_flat(F3, 2, flat))).passed
+        assert _assoc_chunk((3, 2, i, i + 1)) == ([flat] if passed else [])
+        verdicts.append(passed)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_rb_chunk_verdicts_match_the_validator():
+    rng = random.Random(4102)
+    algebras = dp.enumerate_associative_products(2, 3)
+    sample = [(rng.choice(algebras), rng.randrange(3), rng.randrange(81)) for _ in range(500)]
+    # P = 0 and P = -weight * id (flat index 28 * (-weight % 3)) satisfy the relation
+    sample += [(rng.choice(algebras), w, i) for w in range(3) for i in (0, 28 * (-w % 3))]
+    verdicts = []
+    for alg, weight, i in sample:
+        flat = _digits(i, 3, 4)
+        rb = dp.RotaBaxterOperator(alg, Matrix(F3, (flat[:2], flat[2:])), weight)
+        passed = dp.validate_rota_baxter(rb).passed
+        assert _rb_chunk((alg, weight, i, i + 1)) == ([flat] if passed else [])
+        verdicts.append(passed)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_fibre_chunk_verdicts_match_the_validator():
+    rng = random.Random(4103)
+    stars = [_flat(a.product.entries) for a in dp.enumerate_associative_products(2, 3)]
+    size = 3 ** 8
+    sample = [rng.randrange(len(stars) * size) for _ in range(500)]
+    # (star, 0) and (0, star) are dialgebras for every associative star
+    for s in rng.sample(range(len(stars)), 30):
+        star_index = sum(a * 3 ** (7 - k) for k, a in enumerate(stars[s]))
+        sample += [s * size, s * size + star_index]
+    verdicts = []
+    for i in sample:
+        star, prec = stars[i // size], _digits(i % size, 3, 8)
+        succ = tuple((s - a) % 3 for s, a in zip(star, prec))
+        d = dp.DendriformDi(_tensor_from_flat(F3, 2, prec), _tensor_from_flat(F3, 2, succ))
+        passed = dp.validate_dendriform_di(d).passed
+        assert _fibre_chunk((3, 2, stars, i, i + 1)) == ([prec + succ] if passed else [])
+        verdicts.append(passed)
+    assert 0 < sum(verdicts) < len(verdicts)

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -7,7 +9,7 @@ import dendrop as dp
 from dendrop.errors import (DimensionCapError, FieldNotFiniteError,
                             KindMismatchError, NotInvertibleError,
                             NotMultiplicativeError, SingularMatrixError)
-from dendrop.linalg import Matrix
+from dendrop.linalg import Matrix, rank
 from helpers import (F3, Q, automorphisms_of, diag, n2, random_invertible)
 
 ONE = Fraction(1)
@@ -250,3 +252,60 @@ def test_not_found_confirmed_by_independent_reenumeration():
                     F = Matrix(F3, ((a, b), (c, d)))
                     assert not dp.verify_dendriform_iso(four, six, F).passed
     assert invertible == 48
+
+
+@pytest.mark.parametrize("p, n, order", [(2, 1, 1), (3, 1, 2), (2, 2, 6), (3, 2, 48),
+                                         (5, 2, 480), (2, 3, 168), (3, 3, 11232)])
+def test_gl_walk_is_the_rank_filtered_lexicographic_order(p, n, order):
+    field = dp.prime_field(p)
+    naive = [flat for flat in itertools.product(range(p), repeat=n * n)
+             if rank(Matrix(field, [flat[r * n:(r + 1) * n] for r in range(n)])) == n]
+    walked = [sum(M.entries, ()) for M in dp.gl_matrices(field, n)]
+    assert walked == naive
+    assert len(walked) == order == math.prod(p ** n - p ** k for k in range(n))
+
+
+def _naive_search(d1, d2):
+    tried = 0
+    for F in dp.gl_matrices(d1.field, d1.dim):
+        tried += 1
+        if dp.verify_dendriform_iso(d1, d2, F).passed:
+            return F, tried
+    return None, tried
+
+
+def _f3_rb_images(weight, to_structure, count):
+    """The first ``count`` distinct structures of Rota-Baxter operators on F_3^2."""
+    out = []
+    for alg in dp.enumerate_associative_products(2, 3):
+        for rb in dp.enumerate_rb_operators(alg, weight):
+            d = to_structure(rb)
+            if d not in out:
+                out.append(d)
+            if len(out) == count:
+                return out
+    return out
+
+
+def _di_image(rb):
+    return dp.domain_dendriform_di(dp.rb_as_module_operator(rb))
+
+
+def _tri_image(rb):
+    return dp.domain_dendriform_tri(dp.rb_as_o_operator(rb))
+
+
+@pytest.mark.parametrize("weight, to_structure, count",
+                         [(0, _di_image, 8), (1, _tri_image, 4)],
+                         ids=["dialgebras", "trialgebras"])
+def test_search_agrees_with_a_naive_verify_loop(weight, to_structure, count):
+    ds = _f3_rb_images(weight, to_structure, count)
+    outcomes = set()
+    for d1 in ds:
+        for d2 in ds:
+            res = dp.search_dendriform_iso_fp(d1, d2)
+            witness, tried = _naive_search(d1, d2)
+            assert res.candidates_tried == tried
+            assert (res.witness.matrix if res.found else None) == witness
+            outcomes.add(res.found)
+    assert outcomes == {True, False}

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dendrop as dp
-from dendrop.errors import (DimensionMismatchError, NoSolutionError,
-                            SingularMatrixError)
+from dendrop.errors import (DimensionMismatchError, FieldMismatchError,
+                            NoSolutionError, SingularMatrixError)
 from dendrop.linalg import (Matrix, StructureTensor, column_space_basis,
                             in_span, invert, kernel_basis, rank, solve)
 from helpers import F2, F3, Q, diag
@@ -192,3 +192,34 @@ def test_structure_tensor_apply():
 def test_structure_tensor_shape_checks():
     with pytest.raises(DimensionMismatchError):
         StructureTensor(Q, (((Fraction(0),),),) * 2)
+
+
+# -- scalar coercion in constructors ------------------------------------------
+
+def test_prime_field_entries_are_reduced_mod_p():
+    four = StructureTensor(F3, (((4,),),))
+    one = StructureTensor(F3, (((1,),),))
+    assert four == one and hash(four) == hash(one)
+    assert Matrix(F3, ((4, -1), (3, 5))).entries == ((1, 2), (0, 2))
+
+
+def test_fraction_is_refused_in_a_prime_field():
+    with pytest.raises(FieldMismatchError):
+        StructureTensor(F3, (((Fraction(1, 2),),),))
+    with pytest.raises(FieldMismatchError):
+        Matrix(F3, ((Fraction(1, 2),),))
+
+
+def test_float_is_refused_in_a_rational_tensor():
+    with pytest.raises(FieldMismatchError):
+        dp.make_algebra(Q, 1, {(0, 0, 0): 0.5})
+    with pytest.raises(FieldMismatchError):
+        Matrix(Q, ((0.5,),))
+    with pytest.raises(FieldMismatchError):
+        Matrix(Q, ((True,),))
+
+
+def test_rational_int_entries_become_fractions():
+    M = Matrix(Q, ((1, Fraction(1, 2)),))
+    assert [type(a) for a in M.entries[0]] == [Fraction, Fraction]
+    assert StructureTensor(Q, (((3,),),)).entries[0][0][0] == Fraction(3)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import dendrop as dp
-from dendrop.errors import (DimensionMismatchError, KindMismatchError,
+from dendrop.errors import (DimensionMismatchError, FieldMismatchError, KindMismatchError,
                             NotIntertwiningError, NotInvertibleError,
                             NotMultiplicativeError)
 from dendrop.linalg import Matrix
@@ -219,3 +219,13 @@ def test_transport_closure_randomized():
         twisted = dp.twist_by_range_automorphism(op, f)
         assert dp.validate_o_algebra(twisted).passed
         assert dp.validate_bimodule_algebra(twisted.domain).passed
+
+
+def test_operator_weights_are_coerced_into_the_field():
+    rb = dp.RotaBaxterOperator(n2(F3), Matrix.zeros(F3, 2, 2), 4)
+    assert rb.weight == 1 and rb == dp.RotaBaxterOperator(n2(F3), Matrix.zeros(F3, 2, 2), 1)
+    assert type(dp.RotaBaxterOperator(n2(), Matrix.zeros(Q, 2, 2), 1).weight) is Fraction
+    with pytest.raises(FieldMismatchError):
+        dp.RotaBaxterOperator(n2(), Matrix.zeros(Q, 2, 2), 0.5)
+    with pytest.raises(FieldMismatchError):
+        dp.enumerate_rb_operators(n2(F3), Fraction(1, 2))
