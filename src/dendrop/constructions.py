@@ -6,8 +6,11 @@ the operator becomes an algebra homomorphism from the summed product to the
 codomain.  Range side: an invertible operator transports those products onto
 the codomain, splitting its multiplication; a non-invertible operator still
 induces products on its image when its kernel is an ideal of the domain
-product.  Conversely every dendriform structure arises from the identity map
-viewed as an operator out of a canonically built domain structure.
+product.  Both cases run one loop, ``_range_tensors``, on sections of an
+image basis: the columns of alpha^{-1} and the standard basis, or solved
+preimages of the reduced-echelon basis of the image.  Conversely every
+dendriform structure arises from the identity map viewed as an operator out
+of a canonically built domain structure.
 
 Constructors refuse operators or dendriform structures that fail their
 validators: the output guarantees only hold under those hypotheses, and
@@ -18,11 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (DimensionMismatchError, InvalidDendriformError,
+from .errors import (ArgumentError, DimensionMismatchError, InvalidDendriformError,
                      InvalidOperatorError, KernelNotIdealError,
                      KindMismatchError)
 from .linalg import (Matrix, StructureTensor, _combine, column_space_basis,
-                     in_span, invert, kernel_basis, solve)
+                     invert, kernel_basis, rank, solve)
 from .structures import (Algebra, Bimodule, BimoduleAlgebra, DendriformDi,
                          DendriformTri, DEFAULT_MAX_VIOLATIONS, ValidationReport,
                          _action_matrices, _action_tables, _collect,
@@ -140,22 +143,63 @@ def _verify_canonical(structure, op, dend, validate_structure, validate_op, rebu
 # -- range constructions -----------------------------------------------------------
 
 def kernel_ideal_check(op: OOperator) -> bool:
-    """True iff ker(alpha) is a two-sided ideal of the domain product."""
+    """True iff ker(alpha) is a two-sided ideal of the domain product.
+
+    One elimination: the kernel is an ideal exactly when adding every
+    product u o b_v and b_v o u (u in the kernel basis) leaves the rank at
+    the kernel's dimension.
+    """
     if op.kind != ALGEBRA:
         raise KindMismatchError("kernel ideal check applies to algebra-kind operators")
     ker = kernel_basis(op.matrix)
     if not ker:
         return True
     prod = op.domain.product
-    f = op.field
-    m = op.domain.dim
+    rows = list(ker)
     for u in ker:
-        for v in range(m):
-            if not in_span(ker, prod.apply_basis_right(u, v), f):
-                return False
-            if not in_span(ker, prod.apply_basis_left(v, u), f):
-                return False
-    return True
+        for v in range(op.domain.dim):
+            rows += [prod.apply_basis_right(u, v), prod.apply_basis_left(v, u)]
+    return rank(Matrix.from_rows(op.field, rows)) == len(ker)
+
+
+def _range_tensors(op: OOperator, sections, basis, pivots) -> tuple:
+    """Products alpha induces on its image, in the image basis ``basis``.
+
+    ``sections[s]`` is a preimage u_s of the image basis vector w_s, and
+    ``pivots[s]`` a coordinate where w_s is 1 and every other w_t is 0, so
+    a vector of the image has its image coordinates at ``pivots``.  Returns
+    the tensors of
+        w_s < w_t = alpha(u_s r(w_t)),  w_s > w_t = alpha(l(w_s) u_t),
+    and for algebra-kind operators also w_s . w_t = alpha(weight u_s o u_t).
+    Each is alpha of something, so it lies in the image and reading it at
+    the pivots loses nothing.
+    """
+    f = op.field
+    p, zero = f.p, f.zero
+    # alpha in image coordinates: the pivot rows of its columns
+    acols = tuple(tuple(col[i] for i in pivots) for col in zip(*op.matrix.entries))
+
+    def image(v):
+        return _combine(v, acols, p, zero)
+
+    # alpha(u_s r(b_j)) and alpha(l(b_j) u_s) for every algebra basis vector b_j
+    right = [[image(M.matvec(u)) for M in op.domain.right] for u in sections]
+    left = [[image(M.matvec(u)) for M in op.domain.left] for u in sections]
+    tensors = [tuple(tuple(_combine(wt, rs, p, zero) for wt in basis) for rs in right),
+               tuple(tuple(_combine(ws, lt, p, zero) for lt in left) for ws in basis)]
+    if op.kind == ALGEBRA:
+        wcols = tuple(_combine((op.weight,), (c,), p, zero) for c in acols)
+        prod = op.domain.product
+        tensors.append(tuple(tuple(_combine(prod.apply(us, ut), wcols, p, zero)
+                                   for ut in sections) for us in sections))
+    return tuple(StructureTensor(f, t) for t in tensors)
+
+
+def _invertible_range(op: OOperator) -> tuple:
+    """Range tensors of an invertible operator: sections alpha^{-1}(e_i), standard basis."""
+    n = op.codomain.dim
+    basis = Matrix.identity(op.field, n).entries
+    return _range_tensors(op, invert(op.matrix).columns(), basis, range(n))
 
 
 def range_dendriform_tri(op: OOperator) -> DendriformTri:
@@ -163,8 +207,7 @@ def range_dendriform_tri(op: OOperator) -> DendriformTri:
     if op.kind != ALGEBRA:
         raise KindMismatchError("expected an algebra-kind operator")
     _require_valid(op)
-    ainv = invert(op.matrix)  # raises SingularMatrixError
-    return _range_products(op, ainv, with_dot=True)
+    return DendriformTri(*_invertible_range(op))  # raises SingularMatrixError
 
 
 def range_dendriform_di(op: OOperator) -> DendriformDi:
@@ -172,36 +215,7 @@ def range_dendriform_di(op: OOperator) -> DendriformDi:
     if op.kind != MODULE:
         raise KindMismatchError("expected a module-kind operator")
     _require_valid(op)
-    ainv = invert(op.matrix)
-    tri = _range_products(op, ainv, with_dot=False)
-    return DendriformDi(tri.prec, tri.succ)
-
-
-def _range_products(op: OOperator, ainv: Matrix, with_dot: bool):
-    f = op.field
-    n = op.codomain.dim
-    left, right = op.domain.left, op.domain.right
-    pre = [ainv.col(i) for i in range(n)]  # alpha^{-1}(e_i)
-    zero = StructureTensor.zero(f, n)
-    prec_rows, succ_rows, dot_rows = [], [], []
-    for i in range(n):
-        prow, srow, drow = [], [], []
-        for j in range(n):
-            # x < y = alpha(alpha^{-1}(x) r(y))
-            prow.append(op.matrix.matvec(right[j].matvec(pre[i])))
-            # x > y = alpha(l(x) alpha^{-1}(y))
-            srow.append(op.matrix.matvec(left[i].matvec(pre[j])))
-            if with_dot:
-                u = op.domain.product.apply(pre[i], pre[j])
-                drow.append(op.matrix.matvec(tuple(f.mul(op.weight, a) for a in u)))
-        prec_rows.append(tuple(prow))
-        succ_rows.append(tuple(srow))
-        if with_dot:
-            dot_rows.append(tuple(drow))
-    prec = StructureTensor(f, tuple(prec_rows))
-    succ = StructureTensor(f, tuple(succ_rows))
-    dot = StructureTensor(f, tuple(dot_rows)) if with_dot else zero
-    return DendriformTri(prec, succ, dot)
+    return DendriformDi(*_invertible_range(op))
 
 
 @dataclass(frozen=True)
@@ -227,6 +241,8 @@ def range_dendriform_quotient(op: OOperator, section_rule: str = "first") -> Quo
     treated as free during the section solve; the resulting tensors are
     independent of this choice exactly because the kernel is an ideal.
     """
+    if section_rule not in ("first", "last"):
+        raise ArgumentError(f"unknown section rule {section_rule!r}")
     if op.kind != ALGEBRA:
         raise KindMismatchError("expected an algebra-kind operator")
     _require_valid(op)
@@ -234,36 +250,16 @@ def range_dendriform_quotient(op: OOperator, section_rule: str = "first") -> Quo
         raise KernelNotIdealError("kernel of alpha is not an ideal of the domain product")
     f = op.field
     basis = column_space_basis(op.matrix)
-    d = len(basis)
-    emb = Matrix.from_columns(f, basis) if d else Matrix.zeros(f, op.codomain.dim, 0)
+    # each reduced-echelon basis vector is 1 at its own pivot and 0 at the others
+    pivots = [next(i for i, a in enumerate(w) if a) for w in basis]
+    emb = Matrix.from_columns(f, basis) if basis else Matrix.zeros(f, op.codomain.dim, 0)
     sections = [solve(op.matrix, w, pivot_rule=section_rule) for w in basis]
-    left, right = op.domain.left, op.domain.right
-
-    def image_coords(vec):
-        return solve(emb, vec)
-
-    prec_rows, succ_rows, dot_rows, star_rows = [], [], [], []
-    for s in range(d):
-        prow, srow, drow, trow = [], [], [], []
-        for t in range(d):
-            # w_s < w_t = alpha(u_s r(w_t)) with r(w) = sum_j w_j rho_j
-            z = _combine(basis[t], [M.matvec(sections[s]) for M in right], f.p, f.zero)
-            prow.append(image_coords(op.matrix.matvec(z)))
-            z = _combine(basis[s], [M.matvec(sections[t]) for M in left], f.p, f.zero)
-            srow.append(image_coords(op.matrix.matvec(z)))
-            z = op.domain.product.apply(sections[s], sections[t])
-            drow.append(image_coords(op.matrix.matvec(
-                tuple(f.mul(op.weight, a) for a in z))))
-            trow.append(image_coords(op.codomain.product.apply(basis[s], basis[t])))
-        prec_rows.append(tuple(prow))
-        succ_rows.append(tuple(srow))
-        dot_rows.append(tuple(drow))
-        star_rows.append(tuple(trow))
-    tri = DendriformTri(StructureTensor(f, tuple(prec_rows)),
-                        StructureTensor(f, tuple(succ_rows)),
-                        StructureTensor(f, tuple(dot_rows)))
-    image_alg = Algebra(StructureTensor(f, tuple(star_rows)))
-    return QuotientDendriform(tri, emb, image_alg)
+    tri = DendriformTri(*_range_tensors(op, sections, basis, pivots))
+    # alpha(u) alpha(v) = alpha(u star v): the image is closed under the codomain product
+    prod = op.codomain.product
+    star = tuple(tuple(tuple(prod.apply(ws, wt)[i] for i in pivots) for wt in basis)
+                 for ws in basis)
+    return QuotientDendriform(tri, emb, Algebra(StructureTensor(f, star)))
 
 
 def check_splitting(dend, alg: Algebra,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import (DocumentSyntaxError, FieldSpecError,
+from .errors import (ArgumentError, DocumentSyntaxError, FieldSpecError,
                      SchemaError)
 from .fields import FieldSpec, PRIME, RATIONAL, RATIONALS, prime_field
 from .linalg import Matrix, StructureTensor
@@ -429,5 +429,5 @@ def emit_document(obj, field: FieldSpec | None = None) -> bytes:
         if field is None:
             field = _field_of(obj)
         if field is None:
-            raise ValueError("field must be supplied for objects that do not carry one")
+            raise ArgumentError("field must be supplied for objects that do not carry one")
     return emit_raw(field, _emit_payload(payload, field))

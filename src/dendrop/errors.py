@@ -5,6 +5,10 @@ class DendropError(Exception):
     """Base class for all library errors."""
 
 
+class ArgumentError(DendropError, ValueError):
+    """Argument outside the values a library function accepts."""
+
+
 # -- fields and exact linear algebra -----------------------------------------
 
 class FieldSpecError(DendropError, ValueError):

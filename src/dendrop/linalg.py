@@ -1,8 +1,12 @@
 """Dense exact linear algebra: matrices, tensors, elimination.
 
-Vectors are plain tuples of field values.  All routines use exact Gaussian
-elimination with a deterministic pivot rule (lowest column index first,
-then lowest row), so identical inputs always give identical outputs.
+Vectors are plain tuples of field values.  All arithmetic goes through one
+kernel, ``_combine``: a linear combination of vectors, summed exactly and
+reduced mod p once per vector (never per scalar operation).  Products,
+sums and scalings of matrices and tensors, ``matvec`` and the row
+operations of elimination are all calls to it.  Elimination is exact
+Gaussian elimination with a deterministic pivot rule (lowest column index
+first, then lowest row), so identical inputs always give identical outputs.
 """
 
 from __future__ import annotations
@@ -10,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatchError, NoSolutionError, SingularMatrixError
+from .errors import (ArgumentError, DimensionMismatchError, NoSolutionError,
+                     SingularMatrixError)
 from .fields import FieldSpec, same_field
 
 
@@ -112,45 +117,40 @@ class Matrix:
         if len(v) != self.cols:
             raise DimensionMismatchError(f"matvec: {self.cols} cols vs vector of {len(v)}")
         f = self.field
-        out = []
-        for r in self.entries:
-            acc = f.zero
-            for a, x in zip(r, v):
-                if a != 0 and x != 0:
-                    acc = f.add(acc, f.mul(a, x))
-            out.append(acc)
-        return tuple(out)
+        columns = tuple(zip(*self.entries))
+        return _combine(v, columns, f.p, f.zero) if columns else (f.zero,) * self.rows
 
     def mul(self, other: "Matrix") -> "Matrix":
         same_field(self.field, other.field)
         if self.cols != other.rows:
             raise DimensionMismatchError(f"mul: {self.cols} vs {other.rows}")
         f = self.field
-        ot = other.transpose().entries
-        return Matrix(f, tuple(
-            tuple(_dot(f, r, c) for c in ot) for r in self.entries))
+        return Matrix(f, tuple(_combine(r, other.entries, f.p, f.zero) for r in self.entries))
 
     __mul__ = mul
 
-    def add(self, other: "Matrix") -> "Matrix":
-        same_field(self.field, other.field)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatchError("add: shape mismatch")
+    def _rowwise(self, coeffs, *others) -> "Matrix":
+        """Matrix whose row i combines, by ``coeffs``, row i of ``self`` and of ``others``."""
         f = self.field
-        return Matrix(f, tuple(tuple(f.add(a, b) for a, b in zip(r, s))
-                               for r, s in zip(self.entries, other.entries)))
+        for other in others:
+            same_field(f, other.field)
+            if (self.rows, self.cols) != (other.rows, other.cols):
+                raise DimensionMismatchError("add: shape mismatch")
+        return Matrix(f, tuple(_combine(coeffs, rows, f.p, f.zero)
+                               for rows in zip(self.entries, *(o.entries for o in others))))
+
+    def add(self, other: "Matrix") -> "Matrix":
+        return self._rowwise((1, 1), other)
 
     __add__ = add
 
     def sub(self, other: "Matrix") -> "Matrix":
-        f = self.field
-        return self.add(other.scale(f.neg(f.one)))
+        return self._rowwise((1, -1), other)
 
     __sub__ = sub
 
     def scale(self, c) -> "Matrix":
-        f = self.field
-        return Matrix(f, tuple(tuple(f.mul(c, a) for a in r) for r in self.entries))
+        return self._rowwise((c,))
 
     def is_zero(self) -> bool:
         return all(a == 0 for r in self.entries for a in r)
@@ -163,14 +163,6 @@ class Matrix:
                    for i, r in enumerate(self.entries) for j, a in enumerate(r))
 
 
-def _dot(field: FieldSpec, u: Sequence, v: Sequence):
-    acc = field.zero
-    for a, b in zip(u, v):
-        if a != 0 and b != 0:
-            acc = field.add(acc, field.mul(a, b))
-    return acc
-
-
 # -- elimination -------------------------------------------------------------
 
 def _rref(rows: list, field: FieldSpec, col_order: Sequence[int]) -> list:
@@ -180,6 +172,7 @@ def _rref(rows: list, field: FieldSpec, col_order: Sequence[int]) -> list:
     selection is deterministic: first column in ``col_order`` with a nonzero
     entry in the lowest unused row.
     """
+    p, zero = field.p, field.zero
     m = len(rows)
     pivots = []
     r = 0
@@ -192,12 +185,10 @@ def _rref(rows: list, field: FieldSpec, col_order: Sequence[int]) -> list:
         rows[r], rows[pr] = rows[pr], rows[r]
         inv = field.inv(rows[r][c])
         if inv != field.one:
-            rows[r] = [field.mul(inv, a) for a in rows[r]]
+            rows[r] = _combine((inv,), (rows[r],), p, zero)
         for i in range(m):
             if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [field.sub(a, field.mul(factor, b))
-                           for a, b in zip(rows[i], rows[r])]
+                rows[i] = _combine((1, -rows[i][c]), (rows[i], rows[r]), p, zero)
         pivots.append((r, c))
         r += 1
     return pivots
@@ -255,7 +246,7 @@ def solve(M: Matrix, b: Sequence, pivot_rule: str = "first") -> tuple:
     elif pivot_rule == "last":
         order = range(M.cols - 1, -1, -1)
     else:
-        raise ValueError(f"unknown pivot rule {pivot_rule!r}")
+        raise ArgumentError(f"unknown pivot rule {pivot_rule!r}")
     f = M.field
     rows = [list(r) + [bb] for r, bb in zip(M.entries, b)]
     pivots = _rref(rows, f, order)
@@ -355,14 +346,13 @@ class StructureTensor:
             raise DimensionMismatchError("tensor add: dimension mismatch")
         f = self.field
         return StructureTensor(f, tuple(
-            tuple(tuple(f.add(a, b) for a, b in zip(r1, r2))
-                  for r1, r2 in zip(p1, p2))
+            tuple(_combine((1, 1), rows, f.p, f.zero) for rows in zip(p1, p2))
             for p1, p2 in zip(self.entries, other.entries)))
 
     def scale(self, c) -> "StructureTensor":
         f = self.field
         return StructureTensor(f, tuple(
-            tuple(tuple(f.mul(c, a) for a in row) for row in plane)
+            tuple(_combine((c,), (row,), f.p, f.zero) for row in plane)
             for plane in self.entries))
 
     def is_zero(self) -> bool:

@@ -289,19 +289,13 @@ def twist_by_range_automorphism(op: OOperator, fmat: Matrix) -> OOperator:
     if bad is not None:
         raise NotMultiplicativeError(f"f is not multiplicative at basis pair {bad}")
     f = op.field
-    n = op.codomain.dim
     old = op.domain.base if op.kind == ALGEBRA else op.domain
 
     def twist(mats):
-        out = []
-        for i in range(n):
-            coeffs = finv.col(i)
-            acc = Matrix.zeros(f, old.dim, old.dim)
-            for s, cs in enumerate(coeffs):
-                if cs != 0:
-                    acc = acc.add(mats[s].scale(cs))
-            out.append(acc)
-        return tuple(out)
+        # action of b_i becomes sum_s finv[s][i] mats[s], built row by row
+        rows = tuple(zip(*(M.entries for M in mats)))
+        return tuple(Matrix(f, tuple(_combine(coeffs, rs, f.p, f.zero) for rs in rows))
+                     for coeffs in finv.columns())
 
     new_base = Bimodule(op.codomain, twist(old.left), twist(old.right))
     if op.kind == ALGEBRA:

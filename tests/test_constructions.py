@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 
 import dendrop as dp
-from dendrop.errors import (DimensionMismatchError, InvalidDendriformError,
+from dendrop.errors import (DendropError, DimensionMismatchError, InvalidDendriformError,
                             InvalidOperatorError, KernelNotIdealError,
                             KindMismatchError, SingularMatrixError)
 from dendrop.linalg import Matrix, StructureTensor
-from helpers import F3, Q, diag, n2, random_invertible, zero_algebra
+from helpers import (F3, Q, diag, kx2, kx3, n2, random_invertible, rb_operator_stock,
+                     split2, zero_algebra)
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -206,6 +207,28 @@ def test_kernel_not_ideal_example():
     assert dp.kernel_ideal_check(other)
 
 
+def test_kernel_ideal_check_matches_the_definition():
+    # zero actions over a zero algebra, random domain products over F_3: the
+    # check must agree with testing u o b_v and b_v o u one by one with in_span
+    rng = random.Random(9)
+    seen = set()
+    for _ in range(400):
+        m, n = rng.randint(1, 3), rng.randint(1, 2)
+        A0 = zero_algebra(F3, n)
+        z = Matrix.zeros(F3, m, m)
+        prod = StructureTensor(F3, tuple(tuple(tuple(rng.choice((0, 0, 1, 2)) for _ in range(m))
+                                               for _ in range(m)) for _ in range(m)))
+        dom = dp.BimoduleAlgebra(dp.Bimodule(A0, (z,) * n, (z,) * n), prod)
+        mat = Matrix(F3, tuple(tuple(rng.randrange(3) for _ in range(m)) for _ in range(n)))
+        op = dp.OOperator(dom, A0, mat, 0)
+        ker = dp.kernel_basis(mat)
+        want = all(dp.in_span(ker, w, F3) for u in ker for v in range(m)
+                   for w in (prod.apply_basis_right(u, v), prod.apply_basis_left(v, u)))
+        assert dp.kernel_ideal_check(op) == want
+        seen.add(want)
+    assert seen == {True, False}
+
+
 # -- range constructions -----------------------------------------------------------------------
 
 def test_range_tri_of_weight1_diagonal():
@@ -248,12 +271,37 @@ def test_range_di_identity_from_canonical():
 
 # -- quotient path ------------------------------------------------------------------------------
 
+def invertible_weight1_ops():
+    """Invertible weight-one operators in dims 2-3 over Q and F_3.
+
+    -id on each fixture algebra, its transport along a seeded domain iso,
+    and the canonical operator of its domain trialgebra; over F_3 also the
+    enumerated invertible weight-one Rota-Baxter operators in dim 2.
+    """
+    rng = random.Random(17)
+    ops = [weight1_op()]
+    for field in (Q, F3):
+        for alg in (n2(field), kx2(field), split2(field), kx3(field)):
+            minus_id = Matrix.identity(field, alg.dim).scale(-1)
+            op = dp.rb_as_o_operator(dp.RotaBaxterOperator(alg, minus_id, field.one))
+            h = random_invertible(rng, field, alg.dim)
+            ops += [op,
+                    dp.compose_with_domain_iso(op, h, dp.pullback_domain(op.domain, h)),
+                    dp.canonical_operator_from_tri(dp.domain_dendriform_tri(op))[1]]
+    ops += [dp.rb_as_o_operator(rb) for rb in rb_operator_stock(F3)
+            if rb.weight == 1 and dp.rank(rb.matrix) == rb.algebra.dim]
+    return ops
+
+
 def test_quotient_agrees_with_invertible_mode():
-    op = weight1_op()
-    quot = dp.range_dendriform_quotient(op)
-    assert quot.structure == dp.range_dendriform_tri(op)
-    assert quot.embedding.is_identity()
-    assert quot.image_algebra.product == op.codomain.product
+    ops = invertible_weight1_ops()
+    assert {(op.field, op.codomain.dim) for op in ops} == {(f, n) for f in (Q, F3)
+                                                           for n in (2, 3)}
+    for op in ops:
+        quot = dp.range_dendriform_quotient(op)
+        assert quot.structure == dp.range_dendriform_tri(op)
+        assert quot.embedding.is_identity()
+        assert quot.image_algebra.product == op.codomain.product
 
 
 def test_quotient_of_rank_one_operator():
@@ -270,9 +318,31 @@ def test_quotient_of_rank_one_operator():
     assert dp.check_splitting(quot.structure, quot.image_algebra).passed
 
 
+def test_quotient_reads_coordinates_at_the_image_pivots():
+    # -pi on k^3 (three orthogonal idempotents), pi the projection onto the
+    # subalgebra span(e1, e3) along the ideal span(e2): the image basis has
+    # pivots 0 and 2, and the quotient is the range of -id on k x k
+    split3 = dp.make_algebra(Q, 3, {(i, i, i): ONE for i in range(3)})
+    op = dp.rb_as_o_operator(dp.RotaBaxterOperator(split3, diag(Q, -ONE, ZERO, -ONE), ONE))
+    quot = dp.range_dendriform_quotient(op)
+    assert quot.embedding.columns() == [(ONE, ZERO, ZERO), (ZERO, ZERO, ONE)]
+    assert quot.image_algebra == split2()
+    minus_id = dp.rb_as_o_operator(dp.RotaBaxterOperator(split2(), diag(Q, -ONE, -ONE), ONE))
+    assert quot.structure == dp.range_dendriform_tri(minus_id)
+
+
 def test_quotient_requires_ideal_kernel():
     with pytest.raises(KernelNotIdealError):
         dp.range_dendriform_quotient(kernel_not_ideal_op())
+
+
+def test_unknown_section_rule_is_a_library_error_raised_first():
+    # the rule is refused before the operator is validated or its kernel checked
+    bad_op = dp.rb_as_o_operator(dp.RotaBaxterOperator(n2(), diag(Q, ONE, ONE), ONE))
+    for op in (weight1_op(), kernel_not_ideal_op(), bad_op):
+        with pytest.raises(DendropError, match="section rule") as err:
+            dp.range_dendriform_quotient(op, section_rule="middle")
+        assert isinstance(err.value, ValueError)
 
 
 def test_quotient_section_rules_agree_when_kernel_ideal():

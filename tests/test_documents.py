@@ -7,7 +7,8 @@ import pytest
 import dendrop as dp
 from dendrop.documents import (Document, ResultSet, emit_document,
                                parse_document, payload_dict)
-from dendrop.errors import (BadRationalError, DocumentSyntaxError, SchemaError)
+from dendrop.errors import (BadRationalError, DendropError, DocumentSyntaxError,
+                            SchemaError)
 from dendrop.linalg import Matrix, StructureTensor
 from dendrop.structures import ValidationReport, Violation
 from helpers import (F3, F5, Q, n2, random_matrix, random_scalar,
@@ -255,6 +256,13 @@ def test_emit_requires_field_for_bare_reports():
     with pytest.raises(ValueError):
         emit_document(rep)
     assert parse_document(emit_document(rep, field=Q)).payload == rep
+
+
+def test_missing_field_is_a_library_error():
+    rep = ValidationReport("sample", True, (), 0)
+    with pytest.raises(DendropError, match="field must be supplied") as err:
+        emit_document(rep)
+    assert isinstance(err.value, ValueError)
 
 
 def test_unknown_payload_kind():

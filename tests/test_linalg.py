@@ -1,14 +1,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 import dendrop as dp
 from dendrop.errors import (DimensionMismatchError, FieldMismatchError,
                             NoSolutionError, SingularMatrixError)
 from dendrop.linalg import (Matrix, StructureTensor, column_space_basis,
                             in_span, invert, kernel_basis, rank, solve)
-from helpers import F2, F3, Q, diag
+from helpers import F2, F3, F5, Q, diag
 
 
 def m(field, rows):
@@ -223,3 +223,143 @@ def test_rational_int_entries_become_fractions():
     M = Matrix(Q, ((1, Fraction(1, 2)),))
     assert [type(a) for a in M.entries[0]] == [Fraction, Fraction]
     assert StructureTensor(Q, (((3,),),)).entries[0][0][0] == Fraction(3)
+
+
+# -- the combination kernel against a schoolbook reference ----------------------
+#
+# The reference works one scalar at a time with plain Python arithmetic and
+# reduces every result mod p: no code is shared with dendrop.linalg.
+
+def _ref(field, x):
+    return x % field.p if field.is_finite else x
+
+
+def _ref_div(field, a, b):
+    return a * pow(b, -1, field.p) % field.p if field.is_finite else a / b
+
+
+def _ref_matvec(field, rows, v):
+    return tuple(_ref(field, sum((a * x for a, x in zip(r, v)), field.zero)) for r in rows)
+
+
+def _ref_mul(field, A, B, k):
+    return tuple(tuple(_ref(field, sum((A[i][t] * B[t][j] for t in range(len(B))), field.zero))
+                       for j in range(k)) for i in range(len(A)))
+
+
+def _ref_rref(field, rows, order):
+    """Reduced echelon form along ``order``; returns (rows, pivot columns)."""
+    R = [list(r) for r in rows]
+    pivots = []
+    for c in order:
+        r = len(pivots)
+        pr = next((i for i in range(r, len(R)) if R[i][c] != 0), None)
+        if pr is None:
+            continue
+        R[r], R[pr] = R[pr], R[r]
+        piv = R[r][c]
+        R[r] = [_ref_div(field, a, piv) for a in R[r]]
+        for i in range(len(R)):
+            if i != r and R[i][c] != 0:
+                fac = R[i][c]
+                R[i] = [_ref(field, a - fac * b) for a, b in zip(R[i], R[r])]
+        pivots.append(c)
+    return R, pivots
+
+
+def _ref_kernel(field, rows, n):
+    R, pivots = _ref_rref(field, rows, range(n))
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        v = [field.zero] * n
+        v[fc] = field.one
+        for r, c in enumerate(pivots):
+            v[c] = _ref(field, -R[r][fc])
+        basis.append(tuple(v))
+    return basis
+
+
+def _assert_scalars(field, values):
+    for x in values:
+        if field.is_finite:
+            assert type(x) is int and 0 <= x < field.p
+        else:
+            assert type(x) is Fraction
+
+
+def _scalar(field):
+    if field.is_finite:
+        return st.integers(0, field.p - 1)
+    return st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+
+
+def _draw_rows(data, field, rows, cols):
+    return tuple(tuple(data.draw(_scalar(field)) for _ in range(cols)) for _ in range(rows))
+
+
+@seed(20261018)
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([Q, F2, F3, F5]), st.integers(1, 3), st.integers(0, 3),
+       st.integers(1, 3), st.data())
+def test_kernel_ops_match_a_schoolbook_reference(field, r, c, k, data):
+    zero = field.zero
+    A = Matrix(field, _draw_rows(data, field, r, c))
+    C = Matrix(field, _draw_rows(data, field, r, c))
+    k = k if c else 0           # a 0-row right factor has no columns either
+    B = Matrix(field, _draw_rows(data, field, c, k))
+    v = _draw_rows(data, field, 1, c)[0]
+    b = _draw_rows(data, field, 1, r)[0]
+    s = data.draw(_scalar(field))
+
+    got = A.matvec(v)
+    assert got == _ref_matvec(field, A.entries, v)
+    assert len(got) == r
+    _assert_scalars(field, got)
+    assert A.mul(B).entries == _ref_mul(field, A.entries, B.entries, k)
+    assert A.add(C).entries == tuple(tuple(_ref(field, x + y) for x, y in zip(p, q))
+                                     for p, q in zip(A.entries, C.entries))
+    assert A.sub(C).entries == tuple(tuple(_ref(field, x - y) for x, y in zip(p, q))
+                                     for p, q in zip(A.entries, C.entries))
+    assert A.scale(s).entries == tuple(tuple(_ref(field, s * x) for x in p) for p in A.entries)
+
+    T = StructureTensor(field, tuple(_draw_rows(data, field, k, k) for _ in range(k)))
+    U = StructureTensor(field, tuple(_draw_rows(data, field, k, k) for _ in range(k)))
+    assert T.add(U).entries == tuple(
+        tuple(tuple(_ref(field, x + y) for x, y in zip(p, q)) for p, q in zip(tp, tq))
+        for tp, tq in zip(T.entries, U.entries))
+    assert T.scale(s).entries == tuple(tuple(tuple(_ref(field, s * x) for x in p) for p in tp)
+                                       for tp in T.entries)
+
+    ref_rank = len(_ref_rref(field, A.entries, range(c))[1])
+    assert rank(A) == ref_rank
+    ker = kernel_basis(A)
+    assert ker == _ref_kernel(field, A.entries, c)
+    for u in ker:
+        _assert_scalars(field, u)
+        assert _ref_matvec(field, A.entries, u) == (zero,) * r
+
+    solvable = len(_ref_rref(field, [p + (x,) for p, x in zip(A.entries, b)],
+                             range(c + 1))[1]) == ref_rank
+    for rule, order in (("first", range(c)), ("last", range(c - 1, -1, -1))):
+        if not solvable:
+            with pytest.raises(NoSolutionError):
+                solve(A, b, pivot_rule=rule)
+            continue
+        x = solve(A, b, pivot_rule=rule)
+        _assert_scalars(field, x)
+        assert _ref_matvec(field, A.entries, x) == b
+        pivots = _ref_rref(field, A.entries, order)[1]
+        assert all(x[j] == 0 for j in range(c) if j not in pivots)
+
+    if r == c:
+        if ref_rank < r:
+            with pytest.raises(SingularMatrixError):
+                invert(A)
+        else:
+            inv = invert(A).entries
+            ident = tuple(tuple(field.one if i == j else zero for j in range(r))
+                          for i in range(r))
+            assert _ref_mul(field, A.entries, inv, r) == ident
+            assert _ref_mul(field, inv, A.entries, r) == ident
+            _assert_scalars(field, (x for row in inv for x in row))
+
