@@ -7,12 +7,22 @@ canonical: keys sorted, rationals in lowest terms, structure constants
 listed sparsely (nonzero entries only) ordered by index triple, so parsing
 followed by emission is the identity on canonical bytes and
 ``parse(emit(x)) == x`` for every supported object.
+
+Both directions are driven by two tables.  ``_KEYS`` gives every JSON key
+one codec: its JSON type, a loader, a dumper and the attribute it is read
+from on emission; a key means the same wherever it appears.  ``_KINDS``
+declares each payload kind once: its class, its keys in load order (a
+later key may depend on an earlier one, as a tensor on ``dim``) and a
+builder from the loaded values.  Keys missing from a kind's JSON object
+take the codec's default, or fail when it has none; unknown keys are
+ignored on parse.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .errors import (ArgumentError, DocumentSyntaxError, FieldSpecError,
                      SchemaError)
@@ -37,7 +47,7 @@ class ResultSet:
     """Serializable bundle of enumeration or search output."""
 
     what: str
-    params: tuple        # sorted (key, value) pairs; values are JSON scalars
+    params: tuple        # sorted (key, value) pairs; values are str or int
     counts: tuple        # sorted (key, int) pairs
     items: tuple         # payload objects
     label: str | None = None
@@ -50,32 +60,27 @@ class ResultSet:
                    tuple(items), label)
 
 
-# -- parsing helpers -----------------------------------------------------------------
+# -- scalars, tensors and flat matrices ---------------------------------------------
 
 def _expect(obj, key, types, where):
     if key not in obj:
         raise SchemaError(f"{where}: missing required key {key!r}")
     val = obj[key]
-    if not isinstance(val, types) or isinstance(val, bool) and bool not in (
-            types if isinstance(types, tuple) else (types,)):
+    if not isinstance(val, types) or val.__class__ is bool and types is not bool:
         raise SchemaError(f"{where}.{key}: unexpected type {type(val).__name__}")
     return val
 
 
 def _scalar(field: FieldSpec, raw, where):
-    if isinstance(raw, bool) or isinstance(raw, float):
-        raise SchemaError(f"{where}: scalars must be exact strings, got {raw!r}")
-    if isinstance(raw, int):
-        return field.from_int(raw)
-    if isinstance(raw, str):
+    if raw.__class__ is str:
         return field.parse(raw)  # BadRationalError propagates
-    raise SchemaError(f"{where}: scalars must be exact strings, got {type(raw).__name__}")
+    if raw.__class__ is int:
+        return field.from_int(raw)
+    raise SchemaError(f"{where}: scalars must be exact strings, got {raw!r}")
 
 
-def _parse_tensor(field: FieldSpec, dim, raw, where) -> StructureTensor:
+def _tensor(field: FieldSpec, dim, raw, where) -> StructureTensor:
     """Sparse list of {i,j,k,c} records, or a dense dim^3 nested grid."""
-    if not isinstance(raw, list):
-        raise SchemaError(f"{where}: expected a list")
     if raw and isinstance(raw[0], list):
         if len(raw) != dim:
             raise SchemaError(f"{where}: dense grid must have {dim} planes")
@@ -106,172 +111,261 @@ def _parse_tensor(field: FieldSpec, dim, raw, where) -> StructureTensor:
     return StructureTensor.from_triples(field, dim, triples)
 
 
-def _parse_flat_matrix(field: FieldSpec, rows, cols, raw, where) -> Matrix:
+def _flat(field: FieldSpec, rows, cols, raw, where) -> Matrix:
     if not isinstance(raw, list) or len(raw) != rows * cols:
-        raise SchemaError(f"{where}: expected a flat row-major list of {rows * cols} entries")
+        raise SchemaError(f"{where}: dimension mismatch, expected a flat row-major list "
+                          f"of {rows}x{cols} = {rows * cols} entries")
     vals = [_scalar(field, c, f"{where}[{i}]") for i, c in enumerate(raw)]
     return Matrix(field, tuple(tuple(vals[r * cols:(r + 1) * cols]) for r in range(rows)))
 
 
-def _parse_dim(obj, where) -> int:
-    dim = _expect(obj, "dim", int, where)
-    if dim < 1:
-        raise SchemaError(f"{where}.dim: must be a positive integer")
-    basis = obj.get("basis")
-    if basis is not None:
-        if not isinstance(basis, list) or len(basis) != dim \
-                or not all(isinstance(b, str) for b in basis):
-            raise SchemaError(f"{where}.basis: must list {dim} names")
-    return dim
+def _flat_strs(rows) -> list:
+    return [str(a) for row in rows for a in row]
 
 
-def _parse_algebra(field, obj, where) -> Algebra:
-    dim = _parse_dim(obj, where)
-    product = _parse_tensor(field, dim, _expect(obj, "product", list, where),
-                            f"{where}.product")
-    name = obj.get("name")
-    if name is not None and not isinstance(name, str):
-        raise SchemaError(f"{where}.name: must be a string")
-    return Algebra(product, name=name)
+# -- walking a kind's keys --------------------------------------------------------
+
+def _load_record(kind: _Kind, field, obj, where, got=None):
+    """Load ``kind``'s keys from ``obj`` in order; keys already in ``got`` are not read."""
+    got = dict(got or ())
+    for key in kind.keys:
+        name = key.name
+        if name in got:
+            continue
+        if name in obj or key.default is _REQUIRED:
+            got[name] = key.load(field, _expect(obj, name, key.types, where), got,
+                                 f"{where}.{name}")
+        else:
+            got[name] = key.default
+    return kind.build(got, where)
 
 
-def _parse_actions(field, algebra, obj, where):
-    m = _parse_dim(obj, where)
-    acts = []
-    for key in ("left_action", "right_action"):
-        raw = _expect(obj, key, list, where)
-        if len(raw) != algebra.dim:
-            raise SchemaError(
-                f"{where}.{key}: need one matrix per codomain basis element "
-                f"({algebra.dim}), got {len(raw)}")
-        acts.append(tuple(_parse_flat_matrix(field, m, m, mat, f"{where}.{key}[{i}]")
-                          for i, mat in enumerate(raw)))
-    return m, acts[0], acts[1]
+def _dump_record(kind: _Kind, obj, skip=None) -> dict:
+    """``kind``'s keys read from ``obj``, less ``skip``, a key its enclosing record holds."""
+    out = {}
+    for key in kind.keys:
+        value = getattr(obj, key.attr or key.name)
+        if value is not None and key.name != skip:
+            out[key.name] = key.dump(value)
+    return out
 
 
-def _parse_bimodule(field, obj, where) -> Bimodule:
-    alg = _parse_algebra(field, _expect(obj, "algebra", dict, where), f"{where}.algebra")
-    _, left, right = _parse_actions(field, alg, obj, where)
-    return Bimodule(alg, left, right)
-
-
-def _parse_bimodule_algebra(field, obj, where) -> BimoduleAlgebra:
-    base = _parse_bimodule(field, obj, where)
-    product = _parse_tensor(field, base.dim, _expect(obj, "product", list, where),
-                            f"{where}.product")
-    return BimoduleAlgebra(base, product)
-
-
-def _parse_operator(field, obj, where) -> OOperator:
-    op_kind = _expect(obj, "operator_kind", str, where)
-    if op_kind not in (MODULE, ALGEBRA):
-        raise SchemaError(f"{where}.operator_kind: must be 'module' or 'algebra'")
-    codomain = _parse_algebra(field, _expect(obj, "codomain", dict, where),
-                              f"{where}.codomain")
-    dom_obj = _expect(obj, "domain", dict, where)
-    m, left, right = _parse_actions(field, codomain, dom_obj, f"{where}.domain")
-    base = Bimodule(codomain, left, right)
-    if op_kind == ALGEBRA:
-        if "weight" not in obj:
-            raise SchemaError(f"{where}.weight: required for algebra-kind operators")
-        weight = _scalar(field, obj["weight"], f"{where}.weight")
-        product = _parse_tensor(field, m, _expect(dom_obj, "product", list, f"{where}.domain"),
-                                f"{where}.domain.product")
-        domain = BimoduleAlgebra(base, product)
-    else:
-        if "weight" in obj or "product" in dom_obj:
-            raise SchemaError(f"{where}: module-kind operators carry no weight or product")
-        weight = None
-        domain = base
-    raw = _expect(obj, "matrix", list, where)
-    if len(raw) != codomain.dim * m:
-        raise SchemaError(
-            f"{where}.matrix: dimension mismatch, expected "
-            f"{codomain.dim}x{m} = {codomain.dim * m} entries, got {len(raw)}")
-    matrix = _parse_flat_matrix(field, codomain.dim, m, raw, f"{where}.matrix")
-    return OOperator(domain, codomain, matrix, weight)
-
-
-def _parse_dendriform(field, obj, where, with_dot):
-    dim = _parse_dim(obj, where)
-    keys = ("prec", "succ", "dot") if with_dot else ("prec", "succ")
-    tensors = [_parse_tensor(field, dim, _expect(obj, k, list, where), f"{where}.{k}")
-               for k in keys]
-    name = obj.get("name")
-    if name is not None and not isinstance(name, str):
-        raise SchemaError(f"{where}.name: must be a string")
-    cls = DendriformTri if with_dot else DendriformDi
-    return cls(*tensors, name=name)
-
-
-def _parse_matrix_payload(field, obj, where) -> Matrix:
-    rows = _expect(obj, "rows", int, where)
-    cols = _expect(obj, "cols", int, where)
-    if rows < 0 or cols < 0:
-        raise SchemaError(f"{where}: rows/cols must be non-negative")
-    return _parse_flat_matrix(field, rows, cols, _expect(obj, "entries", list, where),
-                              f"{where}.entries")
-
-
-def _parse_report(field, obj, where) -> ValidationReport:
-    passed = _expect(obj, "passed", bool, where)
-    kind = _expect(obj, "structure_kind", str, where)
-    total = _expect(obj, "total_violations", int, where)
-    out = []
-    for idx, rec in enumerate(_expect(obj, "violations", list, where)):
-        here = f"{where}.violations[{idx}]"
-        if not isinstance(rec, dict):
-            raise SchemaError(f"{here}: expected an object")
-        axiom = _expect(rec, "axiom", str, here)
-        indices = tuple(_expect(rec, "indices", list, here))
-        if not all(isinstance(i, int) for i in indices):
-            raise SchemaError(f"{here}.indices: must be integers")
-        lhs = tuple(_scalar(field, c, f"{here}.lhs") for c in _expect(rec, "lhs", list, here))
-        rhs = tuple(_scalar(field, c, f"{here}.rhs") for c in _expect(rec, "rhs", list, here))
-        out.append(Violation(axiom, indices, lhs, rhs))
-    if passed != (total == 0):
-        raise SchemaError(f"{where}.passed: inconsistent with total_violations")
-    return ValidationReport(kind, passed, tuple(out), total)
-
-
-def _parse_result_set(field, obj, where) -> ResultSet:
-    what = _expect(obj, "what", str, where)
-    params = obj.get("params", {})
-    counts = obj.get("counts", {})
-    for name, d in (("params", params), ("counts", counts)):
-        if not isinstance(d, dict):
-            raise SchemaError(f"{where}.{name}: must be an object")
-    label = obj.get("label")
-    if label is not None and not isinstance(label, str):
-        raise SchemaError(f"{where}.label: must be a string")
-    items = tuple(_parse_payload(field, item, f"{where}.items[{i}]")
-                  for i, item in enumerate(_expect(obj, "items", list, where)))
-    return ResultSet(what, tuple(sorted(params.items())),
-                     tuple(sorted(counts.items())), items, label)
-
-
-_PARSERS = {
-    "algebra": _parse_algebra,
-    "bimodule": _parse_bimodule,
-    "bimodule_algebra": _parse_bimodule_algebra,
-    "operator": _parse_operator,
-    "dendriform_di": lambda f, o, w: _parse_dendriform(f, o, w, with_dot=False),
-    "dendriform_tri": lambda f, o, w: _parse_dendriform(f, o, w, with_dot=True),
-    "matrix": _parse_matrix_payload,
-    "report": _parse_report,
-    "result_set": _parse_result_set,
-}
-
-
-def _parse_payload(field, obj, where):
+def _load_payload(field, obj, where):
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: payload must be an object")
-    kind = _expect(obj, "kind", str, where)
-    parser = _PARSERS.get(kind)
-    if parser is None:
-        raise SchemaError(f"{where}.kind: unknown payload kind {kind!r}")
-    return parser(field, obj, where)
+    tag = _expect(obj, "kind", str, where)
+    kind = _KINDS.get(tag)
+    if kind is None:
+        raise SchemaError(f"{where}.kind: unknown payload kind {tag!r}")
+    return _load_record(kind, field, obj, where)
 
+
+def _dump_payload(obj) -> dict:
+    kind = _BY_CLASS.get(type(obj))
+    if kind is None:
+        raise ArgumentError(f"cannot serialize object of type {type(obj).__name__}")
+    out = _dump_record(kind, obj)
+    out["kind"] = kind.tag
+    return out
+
+
+# -- key codecs: load(field, raw, loaded so far, where) -> value, dump(value) -> JSON ------
+
+def _at_least(low):
+    def load(field, raw, got, where):
+        if raw < low:
+            raise SchemaError(f"{where}: must be an integer >= {low}")
+        return raw
+    return load
+
+
+def _map_of(types, what):
+    """A JSON object of scalars, loaded as its sorted (key, value) pairs."""
+    def load(field, raw, got, where):
+        for name, val in raw.items():
+            if val.__class__ not in types:
+                raise SchemaError(f"{where}.{name}: must be {what}")
+        return tuple(sorted(raw.items()))
+    return load
+
+
+def _load_basis(field, raw, got, where):
+    if raw is not None and (len(raw) != got["dim"]
+                            or not all(isinstance(b, str) for b in raw)):
+        raise SchemaError(f"{where}: must list {got['dim']} names")
+    return raw
+
+
+def _load_algebra(field, raw, got, where):
+    if raw.get("kind") != "algebra":
+        raise SchemaError(f"{where}.kind: must be 'algebra'")
+    return _load_record(_KINDS["algebra"], field, raw, where)
+
+
+def _load_actions(field, raw, got, where):
+    """One m x m flat matrix per algebra basis element, m the module's ``dim``."""
+    n, m = got["algebra"].dim, got["dim"]
+    if len(raw) != n:
+        raise SchemaError(f"{where}: need one matrix per algebra basis element ({n}), "
+                          f"got {len(raw)}")
+    return tuple(_flat(field, m, m, mat, f"{where}[{i}]") for i, mat in enumerate(raw))
+
+
+def _load_operator_kind(field, raw, got, where):
+    if raw not in (MODULE, ALGEBRA):
+        raise SchemaError(f"{where}: must be 'module' or 'algebra'")
+    return raw
+
+
+def _load_domain(field, raw, got, where):
+    """A bimodule (algebra) record without ``algebra``: that is the operator's codomain."""
+    kind = _KINDS["bimodule_algebra" if "product" in raw else "bimodule"]
+    return _load_record(kind, field, raw, where, {"algebra": got["codomain"]})
+
+
+def _load_violations(field, raw, got, where):
+    out = []
+    for i, rec in enumerate(raw):
+        if not isinstance(rec, dict):
+            raise SchemaError(f"{where}[{i}]: expected an object")
+        out.append(_load_record(_VIOLATION, field, rec, f"{where}[{i}]"))
+    return tuple(out)
+
+
+def _load_indices(field, raw, got, where):
+    if not all(i.__class__ is int for i in raw):
+        raise SchemaError(f"{where}: must be integers")
+    return tuple(raw)
+
+
+_REQUIRED = object()
+_NONE = type(None)
+
+
+class _Key(NamedTuple):
+    """One JSON key's codec; on emission a key whose attribute is None is left out."""
+
+    name: str
+    types: type | tuple
+    load: Callable = lambda field, raw, got, where: raw
+    dump: Callable = lambda value: value
+    attr: str | None = None         # attribute read on emission, when not ``name``
+    default: object = _REQUIRED     # value when the key is absent on parse
+
+
+def _tensor_key(name):
+    return _Key(name, list, lambda f, raw, got, w: _tensor(f, got["dim"], raw, w),
+                lambda t: [{"i": i, "j": j, "k": k, "c": str(c)}
+                           for (i, j, k), c in t.nonzero_triples()])
+
+
+def _vector_key(name):
+    return _Key(name, list, lambda f, raw, got, w: tuple(_scalar(f, c, w) for c in raw),
+                lambda vec: [str(c) for c in vec])
+
+
+def _action_key(name, attr):
+    return _Key(name, list, _load_actions, lambda ms: [_flat_strs(M.entries) for M in ms],
+                attr)
+
+
+_KEYS = {key.name: key for key in (
+    _Key("dim", int, _at_least(1)),
+    _Key("basis", (list, _NONE), _load_basis, lambda dim: [f"e{i + 1}" for i in range(dim)],
+         "dim", None),
+    _Key("name", (str, _NONE), default=None),
+    _Key("label", (str, _NONE), default=None),
+    *map(_tensor_key, ("product", "prec", "succ", "dot")),
+    _Key("algebra", dict, _load_algebra, _dump_payload),
+    _Key("codomain", dict, _load_algebra, _dump_payload),
+    _action_key("left_action", "left"),
+    _action_key("right_action", "right"),
+    _Key("operator_kind", str, _load_operator_kind, attr="kind"),
+    _Key("domain", dict, _load_domain,
+         lambda dom: _dump_record(_BY_CLASS[type(dom)], dom, skip="algebra")),
+    _Key("weight", (str, int), lambda f, raw, got, w: _scalar(f, raw, w), str, default=None),
+    _Key("matrix", list,
+         lambda f, raw, got, w: _flat(f, got["codomain"].dim, got["domain"].dim, raw, w),
+         lambda M: _flat_strs(M.entries)),
+    _Key("rows", int, _at_least(0)),
+    _Key("cols", int, _at_least(0)),
+    _Key("entries", list, lambda f, raw, got, w: _flat(f, got["rows"], got["cols"], raw, w),
+         _flat_strs),
+    _Key("structure_kind", str),
+    _Key("passed", bool),
+    _Key("total_violations", int, _at_least(0)),
+    _Key("violations", list, _load_violations,
+         lambda vs: [_dump_record(_VIOLATION, v) for v in vs]),
+    _Key("axiom", str),
+    _Key("indices", list, _load_indices, list),
+    *map(_vector_key, ("lhs", "rhs")),
+    _Key("what", str),
+    _Key("params", dict, _map_of((str, int), "a string or an integer"), dict, default=()),
+    _Key("counts", dict, _map_of((int,), "an integer"), dict, default=()),
+    _Key("items", list,
+         lambda f, raw, got, w: tuple(_load_payload(f, x, f"{w}[{i}]")
+                                      for i, x in enumerate(raw)),
+         lambda items: [_dump_payload(x) for x in items]),
+)}
+
+
+# -- payload kinds --------------------------------------------------------------------
+
+class _Kind(NamedTuple):
+    tag: str | None
+    cls: type
+    keys: tuple                     # _Key codecs in load order
+    build: Callable                 # (loaded values by key, where) -> object
+
+
+def _kind(tag, cls, names, build) -> _Kind:
+    return _Kind(tag, cls, tuple(_KEYS[name] for name in names.split()), build)
+
+
+def _operator(v, where) -> OOperator:
+    algebra_kind = v["operator_kind"] == ALGEBRA
+    if algebra_kind != isinstance(v["domain"], BimoduleAlgebra) \
+            or algebra_kind != (v["weight"] is not None):
+        raise SchemaError(f"{where}: algebra-kind operators carry a weight and a domain "
+                          f"product, module-kind operators neither")
+    return OOperator(v["domain"], v["codomain"], v["matrix"], v["weight"])
+
+
+def _report(v, where) -> ValidationReport:
+    total, listed = v["total_violations"], len(v["violations"])
+    if listed > total:
+        raise SchemaError(f"{where}.total_violations: {total} is below the "
+                          f"{listed} violations listed")
+    if v["passed"] != (total == 0):
+        raise SchemaError(f"{where}.passed: inconsistent with total_violations")
+    return ValidationReport(v["structure_kind"], v["passed"], v["violations"], total)
+
+
+_KINDS = {kind.tag: kind for kind in (
+    _kind("algebra", Algebra, "dim basis product name",
+          lambda v, where: Algebra(v["product"], name=v["name"])),
+    _kind("bimodule", Bimodule, "algebra dim left_action right_action",
+          lambda v, where: Bimodule(v["algebra"], v["left_action"], v["right_action"])),
+    _kind("bimodule_algebra", BimoduleAlgebra, "algebra dim left_action right_action product",
+          lambda v, where: BimoduleAlgebra(_KINDS["bimodule"].build(v, where), v["product"])),
+    _kind("operator", OOperator, "operator_kind codomain domain weight matrix", _operator),
+    _kind("dendriform_di", DendriformDi, "dim basis prec succ name",
+          lambda v, where: DendriformDi(v["prec"], v["succ"], name=v["name"])),
+    _kind("dendriform_tri", DendriformTri, "dim basis prec succ dot name",
+          lambda v, where: DendriformTri(v["prec"], v["succ"], v["dot"], name=v["name"])),
+    _kind("matrix", Matrix, "rows cols entries", lambda v, where: v["entries"]),
+    _kind("report", ValidationReport,
+          "structure_kind passed total_violations violations", _report),
+    _kind("result_set", ResultSet, "what params counts items label",
+          lambda v, where: ResultSet(v["what"], v["params"], v["counts"], v["items"],
+                                     v["label"])),
+)}
+_BY_CLASS = {kind.cls: kind for kind in _KINDS.values()}
+_VIOLATION = _kind(None, Violation, "axiom indices lhs rhs",
+                   lambda v, where: Violation(v["axiom"], v["indices"], v["lhs"], v["rhs"]))
+
+
+# -- documents ------------------------------------------------------------------------
 
 def parse_document(data) -> Document:
     """Parse and validate one document from bytes or text."""
@@ -305,109 +399,13 @@ def parse_document(data) -> Document:
             raise SchemaError(f"document.field.p: {e}") from None
     else:
         raise SchemaError(f"document.field.kind: unknown field kind {kind!r}")
-    payload = _parse_payload(field, _expect(obj, "payload", dict, "document"), "payload")
+    payload = _load_payload(field, _expect(obj, "payload", dict, "document"), "payload")
     return Document(version, field, payload)
-
-
-# -- emission --------------------------------------------------------------------------
-
-def _fmt(field: FieldSpec, value) -> str:
-    return field.format(value)
-
-
-def _emit_tensor(field, tensor: StructureTensor) -> list:
-    return [{"i": i, "j": j, "k": k, "c": _fmt(field, c)}
-            for (i, j, k), c in tensor.nonzero_triples()]
-
-
-def _emit_flat(field, matrix: Matrix) -> list:
-    return [_fmt(field, a) for row in matrix.entries for a in row]
-
-
-def _default_basis(dim: int) -> list:
-    return [f"e{i + 1}" for i in range(dim)]
-
-
-def _emit_payload(obj, field) -> dict:
-    if isinstance(obj, Algebra):
-        out = {"kind": "algebra", "dim": obj.dim, "basis": _default_basis(obj.dim),
-               "product": _emit_tensor(field, obj.product)}
-        if obj.name is not None:
-            out["name"] = obj.name
-        return out
-    if isinstance(obj, BimoduleAlgebra):
-        out = _emit_payload(obj.base, field)
-        out["kind"] = "bimodule_algebra"
-        out["product"] = _emit_tensor(field, obj.product)
-        return out
-    if isinstance(obj, Bimodule):
-        return {"kind": "bimodule",
-                "algebra": _emit_payload(obj.algebra, field),
-                "dim": obj.dim,
-                "left_action": [_emit_flat(field, M) for M in obj.left],
-                "right_action": [_emit_flat(field, M) for M in obj.right]}
-    if isinstance(obj, OOperator):
-        base = obj.domain.base if obj.kind == ALGEBRA else obj.domain
-        dom = {"dim": obj.domain.dim,
-               "left_action": [_emit_flat(field, M) for M in base.left],
-               "right_action": [_emit_flat(field, M) for M in base.right]}
-        out = {"kind": "operator", "operator_kind": obj.kind,
-               "codomain": _emit_payload(obj.codomain, field),
-               "matrix": _emit_flat(field, obj.matrix),
-               "domain": dom}
-        if obj.kind == ALGEBRA:
-            dom["product"] = _emit_tensor(field, obj.domain.product)
-            out["weight"] = _fmt(field, obj.weight)
-        return out
-    if isinstance(obj, DendriformTri):
-        out = {"kind": "dendriform_tri", "dim": obj.dim,
-               "basis": _default_basis(obj.dim),
-               "prec": _emit_tensor(field, obj.prec),
-               "succ": _emit_tensor(field, obj.succ),
-               "dot": _emit_tensor(field, obj.dot)}
-        if obj.name is not None:
-            out["name"] = obj.name
-        return out
-    if isinstance(obj, DendriformDi):
-        out = {"kind": "dendriform_di", "dim": obj.dim,
-               "basis": _default_basis(obj.dim),
-               "prec": _emit_tensor(field, obj.prec),
-               "succ": _emit_tensor(field, obj.succ)}
-        if obj.name is not None:
-            out["name"] = obj.name
-        return out
-    if isinstance(obj, Matrix):
-        return {"kind": "matrix", "rows": obj.rows, "cols": obj.cols,
-                "entries": _emit_flat(field, obj)}
-    if isinstance(obj, ValidationReport):
-        return {"kind": "report", "structure_kind": obj.structure_kind,
-                "passed": obj.passed, "total_violations": obj.total_violations,
-                "violations": [
-                    {"axiom": v.axiom, "indices": list(v.indices),
-                     "lhs": [_fmt(field, c) for c in v.lhs],
-                     "rhs": [_fmt(field, c) for c in v.rhs]}
-                    for v in obj.violations]}
-    if isinstance(obj, ResultSet):
-        out = {"kind": "result_set", "what": obj.what,
-               "params": dict(obj.params), "counts": dict(obj.counts),
-               "items": [_emit_payload(item, field) for item in obj.items]}
-        if obj.label is not None:
-            out["label"] = obj.label
-        return out
-    raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
-
-
-def _field_of(obj) -> FieldSpec | None:
-    for attr in ("field",):
-        f = getattr(obj, attr, None)
-        if isinstance(f, FieldSpec):
-            return f
-    return None
 
 
 def payload_dict(obj, field: FieldSpec) -> dict:
     """The payload dictionary alone, for callers assembling composite documents."""
-    return _emit_payload(obj, field)
+    return _dump_payload(obj)
 
 
 def emit_raw(field: FieldSpec, payload: dict) -> bytes:
@@ -422,12 +420,9 @@ def emit_raw(field: FieldSpec, payload: dict) -> bytes:
 def emit_document(obj, field: FieldSpec | None = None) -> bytes:
     """Canonical UTF-8 JSON bytes for a payload object or a full Document."""
     if isinstance(obj, Document):
-        field = obj.field
-        payload = obj.payload
-    else:
-        payload = obj
-        if field is None:
-            field = _field_of(obj)
+        field, obj = obj.field, obj.payload
+    elif field is None:
+        field = getattr(obj, "field", None)
         if field is None:
             raise ArgumentError("field must be supplied for objects that do not carry one")
-    return emit_raw(field, _emit_payload(payload, field))
+    return emit_raw(field, _dump_payload(obj))

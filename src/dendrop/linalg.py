@@ -248,7 +248,7 @@ def solve(M: Matrix, b: Sequence, pivot_rule: str = "first") -> tuple:
     else:
         raise ArgumentError(f"unknown pivot rule {pivot_rule!r}")
     f = M.field
-    rows = [list(r) + [bb] for r, bb in zip(M.entries, b)]
+    rows = [list(r) + [f.coerce(bb)] for r, bb in zip(M.entries, b)]
     pivots = _rref(rows, f, order)
     for i in range(len(rows)):
         if rows[i][-1] != 0 and all(a == 0 for a in rows[i][:-1]):

@@ -1,14 +1,16 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dendrop as dp
 from dendrop.documents import (Document, ResultSet, emit_document,
                                parse_document, payload_dict)
-from dendrop.errors import (BadRationalError, DendropError, DocumentSyntaxError,
-                            SchemaError)
+from dendrop.errors import (ArgumentError, BadRationalError, DendropError,
+                            DocumentSyntaxError, SchemaError)
 from dendrop.linalg import Matrix, StructureTensor
 from dendrop.structures import ValidationReport, Violation
 from helpers import (F3, F5, Q, n2, random_matrix, random_scalar,
@@ -274,3 +276,137 @@ def test_unknown_payload_kind():
 def test_zero_tensor_emits_empty_sparse_list():
     data = emit_document(dp.make_algebra(Q, 2, {}))
     assert b'"product": []' in data
+
+
+def test_emit_unknown_object_is_argument_error():
+    with pytest.raises(ArgumentError, match="cannot serialize object"):
+        emit_document(object(), field=Q)
+
+
+# -- rejections at nested and count-carrying keys ---------------------------------------
+
+ALG = {"kind": "algebra", "dim": 1, "product": []}
+WIDGET = {"kind": "widget", "dim": 1, "product": []}
+ACTIONS = {"dim": 1, "left_action": [["0"]], "right_action": [["0"]]}
+BIMODULE = {"kind": "bimodule", "algebra": ALG, **ACTIONS}
+OPERATOR = {"kind": "operator", "operator_kind": "module", "codomain": ALG,
+            "domain": ACTIONS, "matrix": ["1"]}
+VIOLATION = {"axiom": "a", "indices": [0], "lhs": ["1"], "rhs": ["0"]}
+REPORT = {"kind": "report", "structure_kind": "sample", "passed": False,
+          "total_violations": 1, "violations": [VIOLATION]}
+RESULT_SET = {"kind": "result_set", "what": "demo", "items": []}
+
+REJECTED = [
+    ({**BIMODULE, "algebra": WIDGET}, "payload.algebra.kind"),
+    ({**BIMODULE, "algebra": {"dim": 1, "product": []}}, "payload.algebra.kind"),
+    ({**OPERATOR, "codomain": WIDGET}, "payload.codomain.kind"),
+    ({**RESULT_SET, "params": {"a": 0.5}}, "payload.params.a"),
+    ({**RESULT_SET, "params": {"b": [1]}}, "payload.params.b"),
+    ({**RESULT_SET, "params": {"c": True}}, "payload.params.c"),
+    ({**RESULT_SET, "counts": {"found": "many"}}, "payload.counts.found"),
+    ({**RESULT_SET, "counts": {"found": False}}, "payload.counts.found"),
+    ({**REPORT, "passed": True, "total_violations": 0}, "payload.total_violations"),
+    ({**REPORT, "total_violations": -1, "violations": []}, "payload.total_violations"),
+    ({**REPORT, "violations": [VIOLATION, VIOLATION]}, "payload.total_violations"),
+    ({**REPORT, "violations": [{**VIOLATION, "indices": [True]}]},
+     "payload.violations[0].indices"),
+]
+
+
+def _doc(payload):
+    return json.dumps({"schema_version": "1", "field": {"kind": "rational"},
+                       "payload": payload}).encode()
+
+
+def test_rejection_bases_parse():
+    parsed = [parse_document(_doc(base)).payload
+              for base in (BIMODULE, OPERATOR, REPORT, RESULT_SET)]
+    assert [type(p) for p in parsed] == [dp.Bimodule, dp.OOperator, ValidationReport,
+                                         ResultSet]
+
+
+@pytest.mark.parametrize("payload, path", REJECTED)
+def test_malformed_payload_rejected_at_its_key(payload, path):
+    with pytest.raises(SchemaError, match=re.escape(path)):
+        parse_document(_doc(payload))
+
+
+# -- round-trip property over every payload kind ---------------------------------------
+
+def scalars(field):
+    if field.is_finite:
+        return st.integers(0, field.p - 1)
+    return st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+
+
+@st.composite
+def tensors(draw, field, dim):
+    vals = iter(draw(st.lists(scalars(field), min_size=dim ** 3, max_size=dim ** 3)))
+    return StructureTensor(field, tuple(tuple(tuple(next(vals) for _ in range(dim))
+                                              for _ in range(dim)) for _ in range(dim)))
+
+
+@st.composite
+def matrices(draw, field, rows, cols):
+    vals = draw(st.lists(scalars(field), min_size=rows * cols, max_size=rows * cols))
+    return Matrix(field, tuple(tuple(vals[r * cols:(r + 1) * cols]) for r in range(rows)))
+
+
+NAMES = st.none() | st.text(max_size=4)
+KINDS = ("algebra", "bimodule", "bimodule_algebra", "operator", "dendriform_di",
+         "dendriform_tri", "matrix", "report", "result_set")
+
+
+@st.composite
+def payloads(draw, field, kinds=KINDS):
+    kind = draw(st.sampled_from(kinds))
+    dim = draw(st.integers(1, 3))
+    if kind == "dendriform_di":
+        return dp.DendriformDi(draw(tensors(field, dim)), draw(tensors(field, dim)),
+                            name=draw(NAMES))
+    if kind == "dendriform_tri":
+        return dp.DendriformTri(*(draw(tensors(field, dim)) for _ in range(3)),
+                                name=draw(NAMES))
+    if kind == "matrix":
+        return draw(matrices(field, dim, draw(st.integers(0, 3))))
+    if kind == "report":
+        violations = tuple(draw(st.lists(st.builds(
+            Violation, st.text(max_size=4), st.lists(st.integers(0, 2), max_size=3).map(tuple),
+            st.lists(scalars(field), max_size=3).map(tuple),
+            st.lists(scalars(field), max_size=3).map(tuple)), max_size=3)))
+        total = len(violations) + draw(st.integers(0, 2))
+        return ValidationReport(draw(st.text(max_size=4)), total == 0, violations, total)
+    if kind == "result_set":
+        return ResultSet.build(
+            draw(st.text(max_size=4)),
+            draw(st.dictionaries(st.text(max_size=3), st.text(max_size=3) | st.integers())),
+            draw(st.dictionaries(st.text(max_size=3), st.integers())),
+            draw(st.lists(payloads(field, KINDS[:-1]), max_size=2)), draw(NAMES))
+    alg = dp.Algebra(draw(tensors(field, dim)), name=draw(NAMES))
+    if kind == "algebra":
+        return alg
+    m = draw(st.integers(1, 2))
+    acts = [draw(matrices(field, m, m)) for _ in range(2 * dim)]
+    module = dp.Bimodule(alg, tuple(acts[:dim]), tuple(acts[dim:]))
+    with_product = kind == "bimodule_algebra" or kind == "operator" and draw(st.booleans())
+    domain = dp.BimoduleAlgebra(module, draw(tensors(field, m))) if with_product else module
+    if kind != "operator":
+        return domain
+    weight = draw(scalars(field)) if with_product else None
+    return dp.OOperator(domain, alg, draw(matrices(field, dim, m)), weight)
+
+
+@st.composite
+def fields_and_payloads(draw):
+    field = draw(st.sampled_from([Q, F3, F5]))
+    return field, draw(payloads(field))
+
+
+@settings(max_examples=300, deadline=None)
+@given(fields_and_payloads())
+def test_emit_parse_round_trip_property(case):
+    field, obj = case
+    data = emit_document(obj, field=field)
+    doc = parse_document(data)
+    assert doc.field == field and doc.payload == obj
+    assert emit_document(doc) == data

@@ -82,6 +82,13 @@ def test_solve_pivot_rules_differ_on_deficient_systems():
         solve(M, (Fraction(5),), pivot_rule="middle")
 
 
+def test_solve_coerces_right_hand_side():
+    assert solve(Matrix(F3, ((1,),)), (5,)) == (2,)
+    x = solve(m(Q, [[1, 0], [0, 2]]), (2, 3))
+    assert x == (Fraction(2), Fraction(3, 2))
+    assert all(type(c) is Fraction for c in x)
+
+
 # -- span -------------------------------------------------------------------
 
 def test_in_span_examples():
