@@ -14,8 +14,8 @@ from on emission; a key means the same wherever it appears.  ``_KINDS``
 declares each payload kind once: its class, its keys in load order (a
 later key may depend on an earlier one, as a tensor on ``dim``) and a
 builder from the loaded values.  Keys missing from a kind's JSON object
-take the codec's default, or fail when it has none; unknown keys are
-ignored on parse.
+take the codec's default, or fail when it has none; a key the kind does
+not declare fails too, except the few a kind lists as dropped on parse.
 """
 
 from __future__ import annotations
@@ -127,6 +127,9 @@ def _flat_strs(rows) -> list:
 
 def _load_record(kind: _Kind, field, obj, where, got=None):
     """Load ``kind``'s keys from ``obj`` in order; keys already in ``got`` are not read."""
+    unknown = obj.keys() - kind.accepted
+    if unknown:
+        raise SchemaError(f"{where}.{min(unknown)}: unknown key")
     got = dict(got or ())
     for key in kind.keys:
         name = key.name
@@ -316,10 +319,14 @@ class _Kind(NamedTuple):
     cls: type
     keys: tuple                     # _Key codecs in load order
     build: Callable                 # (loaded values by key, where) -> object
+    accepted: frozenset             # JSON keys allowed on parse
 
 
-def _kind(tag, cls, names, build) -> _Kind:
-    return _Kind(tag, cls, tuple(_KEYS[name] for name in names.split()), build)
+def _kind(tag, cls, names, build, dropped="") -> _Kind:
+    """A kind with the keys ``names``; keys in ``dropped`` are accepted and ignored on parse."""
+    keys = tuple(_KEYS[name] for name in names.split())
+    accepted = {key.name for key in keys} | set(dropped.split()) | ({"kind"} if tag else set())
+    return _Kind(tag, cls, keys, build, frozenset(accepted))
 
 
 def _operator(v, where) -> OOperator:
@@ -349,8 +356,10 @@ _KINDS = {kind.tag: kind for kind in (
     _kind("bimodule_algebra", BimoduleAlgebra, "algebra dim left_action right_action product",
           lambda v, where: BimoduleAlgebra(_KINDS["bimodule"].build(v, where), v["product"])),
     _kind("operator", OOperator, "operator_kind codomain domain weight matrix", _operator),
+    # ``dendrop catalogue`` marks its corrected entries with ``typo_corrected``
     _kind("dendriform_di", DendriformDi, "dim basis prec succ name",
-          lambda v, where: DendriformDi(v["prec"], v["succ"], name=v["name"])),
+          lambda v, where: DendriformDi(v["prec"], v["succ"], name=v["name"]),
+          dropped="typo_corrected"),
     _kind("dendriform_tri", DendriformTri, "dim basis prec succ dot name",
           lambda v, where: DendriformTri(v["prec"], v["succ"], v["dot"], name=v["name"])),
     _kind("matrix", Matrix, "rows cols entries", lambda v, where: v["entries"]),

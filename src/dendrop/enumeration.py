@@ -1,25 +1,45 @@
 """Exhaustive classification over prime fields in low dimension.
 
-Candidate spaces are walked in lexicographic order of their flattened
-structure constants (mixed-radix odometer).  Each candidate stays a raw
-table: the flat tuple is sliced into nested tuples and tested with the
-validators' failure scans for a verdict only (the first failure ends the
-scan, and no report is built).  Algebras, operators and dialgebras are
-built only for the accepted candidates.  Index ranges can be partitioned
-across worker processes, capped at the CPU count and the number of
-candidates, with one process pool per public call (the image experiment's
-stages share it); chunks are merged in range order, so parallel and serial
-runs produce identical lists.  Candidate counts above the configured
-budget raise instead of truncating.
+Every enumeration is one depth-first search over partial tables
+(``_search``): orderly generation in the sense of Read 1978, without
+isomorph rejection.  A product table is filled one basis pair at a time:
+the search fixes the whole vector ``e_u e_v`` for one pair ``(u, v)`` per
+level, pairs in lexicographic order, each trying the ``p^n`` vectors in
+lexicographic order.  A Rota-Baxter operator is filled one column at a
+time in the same loop.
+
+Each instance of each identity row is tested at the first node where every
+entry it reads is fixed, with the arithmetic of the validators' scans
+(``_combine``).  A composition instance ``(x a y) b z = x c (y d z)`` reads
+``x a y`` and ``y d z``, then ``m b z`` for each ``m`` in the support of
+``x a y`` and ``x c m`` for each ``m`` in the support of ``y d z``: a zero
+coefficient reads no further entries, so sparse partial tables are tested
+early.  The rows are ``_ASSOCIATIVITY``, and for dialgebras
+``_DENDRIFORM_DI`` with the star a fixed table and ``succ = star - prec``
+fixed with ``prec``.  A Rota-Baxter instance is a basis pair (i, j) of the
+homomorphism row out of the induced star (``operators._induced``): it
+reads the columns i and j, then the columns in the support of the star of
+``b_i`` and ``b_j``.  A failing instance cuts its subtree, so every
+complete table the search reaches satisfies every instance.  Algebras,
+operators and dialgebras are built only for these leaves.
 
 Dendriform dialgebras are fibred over their associative star products
 ``x * y = x < y + x > y``: the dialgebra axioms make the star associative
 (every dialgebra comes from the identity O-operator onto its star), so
-enumerating the associative stars first and then every ``prec`` with
-``succ = star - prec`` reaches every dialgebra.  The budget counts the
-candidates of each stage: ``p^(n^3)`` products for the star stage, then
-``#stars * p^(n^3)`` pairs for the fibre stage, instead of the
-``p^(2 n^3)`` pairs of the full square.
+searching every ``prec`` under each associative star, with ``succ = star -
+prec``, reaches every dialgebra.
+
+Worker processes split the first-level choices: the vectors of the first
+pair or column, and for the fibre stage the star products.  A public call
+starts at most one process pool (the image experiment's stages share it),
+capped at the CPU count and the number of first-level choices.  Parts are
+merged in order and results sorted lexicographically by their flattened
+entries, so parallel and serial runs produce identical lists.
+
+The budget is checked before any search, on the sizes of the complete
+candidate spaces: ``p^(n^3)`` products for the star stage, ``p^(n^2)``
+operator matrices, and ``#stars * p^(n^3)`` (prec, succ) pairs for the
+fibre stage.  A space above it raises instead of truncating.
 
 The image experiment compares the dendriform dialgebras reachable from
 Rota-Baxter operators with the full enumeration.  This is a finite-field
@@ -32,20 +52,24 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import product
 
 from .constructions import canonical_operator_from_di, domain_dendriform_di
 from .errors import BudgetExceededError, InvalidDendriformError
-from .fields import FieldSpec, prime_field
-from .linalg import Matrix, StructureTensor
-from .operators import (RotaBaxterOperator, _rota_baxter_failures,
-                        rb_as_module_operator)
-from .structures import (Algebra, DendriformDi, _associativity_failures,
-                         _dendriform_di_failures)
+from .fields import prime_field
+from .linalg import Matrix, StructureTensor, _combine
+from .operators import RotaBaxterOperator, _induced, rb_as_module_operator
+from .structures import (_ASSOCIATIVITY, _DENDRIFORM_DI, STAR_DI, Algebra,
+                         DendriformDi)
 
 DEFAULT_BUDGET = 1 << 24
 
 ANALOGUE_LABEL = ("finite-field analogue over F_{p}; says nothing about "
                   "the corresponding statement in characteristic zero")
+
+# The dialgebra rows with ``prec + succ`` read from the fixed star table (index 2).
+_FIBRE_ROWS = tuple(row[:3] + tuple(2 if t == STAR_DI else t for t in row[3:])
+                    for row in _DENDRIFORM_DI)
 
 
 def _check_budget(total: int, budget: int | None) -> int:
@@ -55,80 +79,153 @@ def _check_budget(total: int, budget: int | None) -> int:
     return cap
 
 
-def _digit_tuples(p: int, length: int, start: int, stop: int):
-    """Mixed-radix odometer: flattened candidate tuples for indices [start, stop)."""
-    digits = []
-    idx = start
-    for _ in range(length):
-        digits.append(idx % p)
-        idx //= p
-    digits.reverse()
-    for _ in range(start, stop):
-        yield tuple(digits)
-        for pos in range(length - 1, -1, -1):
-            digits[pos] += 1
-            if digits[pos] < p:
-                break
-            digits[pos] = 0
+# -- the search ------------------------------------------------------------------------
 
+def _search(choices, slots, checks, later, holds, leaf) -> list:
+    """Leaves of a depth-first search over partial tables, in choice order.
 
-def _nested(flat, n: int) -> tuple:
-    """Row-major flat structure constants as the nested table ``c[i][j][k]``."""
-    rows = zip(*[iter(flat)] * n)
-    return tuple(zip(*[rows] * n))
-
-
-def _tensor_from_flat(field: FieldSpec, n: int, flat) -> StructureTensor:
-    return StructureTensor(field, _nested(flat, n))
-
-
-def _matrix_from_flat(field: FieldSpec, n: int, flat) -> Matrix:
-    return Matrix(field, tuple(flat[r * n:(r + 1) * n] for r in range(n)))
-
-
-# -- chunk filters (top level so worker processes can unpickle them) -----------------
-
-def _assoc_chunk(args):
-    p, n, start, stop = args
-    field = prime_field(p)
-    return [flat for flat in _digit_tuples(p, n ** 3, start, stop)
-            if next(_associativity_failures(field, _nested(flat, n)), None) is None]
-
-
-def _rb_chunk(args):
-    algebra, weight, start, stop = args
-    field, n = algebra.field, algebra.dim
-    product = algebra.product.entries
-    return [flat for flat in _digit_tuples(field.p, n * n, start, stop)
-            if next(_rota_baxter_failures(field, product, tuple(flat[j::n] for j in range(n)),
-                                          weight), None) is None]
-
-
-def _fibre_chunk(args):
-    """Pairs (prec, star - prec) for fibre indices [start, stop) that are dialgebras.
-
-    Index ``i`` is star ``i // p^(n^3)`` with prec number ``i % p^(n^3)``; the
-    odometer keeps only the low ``n^3`` digits, so it wraps to the next fibre.
+    Level ``t`` writes each value tuple of ``choices[t]`` into the
+    ``(container, key)`` pairs ``slots[t]``.  ``checks[t]`` lists the
+    instances whose first reads are all fixed at level ``t``; ``later(inst)``
+    is the level at which the last entry the instance reads, given the
+    values fixed so far, is fixed, and the instance is tested by
+    ``holds(inst)`` at that level.  ``leaf()`` copies a complete assignment.
     """
+    last = len(choices) - 1
+    pending = [[] for _ in choices]
+    leaves = []
+
+    def descend(t):
+        for values in choices[t]:
+            for (container, key), value in zip(slots[t], values):
+                container[key] = value
+            deferred = []
+            for inst in checks[t]:
+                at = later(inst)
+                if at > t:
+                    pending[at].append(inst)
+                    deferred.append(at)
+                elif not holds(inst):
+                    break
+            else:
+                if all(map(holds, pending[t])):
+                    if t == last:
+                        leaves.append(leaf())
+                    else:
+                        descend(t + 1)
+            for at in deferred:
+                pending[at].pop()
+
+    descend(0)
+    return leaves
+
+
+def _table_leaves(p: int, n: int, rows, choices, free: int, fixed=()) -> list:
+    """The ``free`` product tables, filled by basis pair, on which ``rows`` hold.
+
+    ``choices[u * n + v]`` lists the values of pair (u, v), one vector per
+    free table; the complete tables ``fixed`` follow the free ones in the
+    rows' table indices.  A leaf is the tuple of the free nested tables.
+    """
+    pairs = list(product(range(n), repeat=2))
+    # entries not yet fixed hold zero vectors, which ``_combine`` reads only for their length
+    tables = [[[(0,) * n] * n for _ in range(n)] for _ in range(free)] + list(fixed)
+    level = ([[[u * n + v for v in range(n)] for u in range(n)]] * free
+             + [[[-1] * n] * n] * len(fixed))
+    checks = [[] for _ in pairs]
+    for _, _, _, a, b, c, d in rows:
+        for x, y, z in product(range(n), repeat=3):
+            first = max(level[a][x][y], level[d][y][z])
+            checks[first].append((first, a, b, c, d, x, y, z))
+
+    def later(inst):
+        at, a, b, c, d, x, y, z = inst
+        lb, lc = level[b], level[c][x]
+        for m, coef in enumerate(tables[a][x][y]):
+            if coef and lb[m][z] > at:
+                at = lb[m][z]
+        for m, coef in enumerate(tables[d][y][z]):
+            if coef and lc[m] > at:
+                at = lc[m]
+        return at
+
+    def holds(inst):
+        _, a, b, c, d, x, y, z = inst
+        return (_combine(tables[a][x][y], tables[b], p, 0, z)
+                == _combine(tables[d][y][z], tables[c][x], p, 0))
+
+    slots = [tuple((tables[r][u], v) for r in range(free)) for u, v in pairs]
+    return _search(choices, slots, checks, later, holds,
+                   lambda: tuple(tuple(map(tuple, tables[r])) for r in range(free)))
+
+
+# -- search parts (top level so worker processes can unpickle them) ---------------------
+
+def _assoc_part(args):
+    """Associative tables whose first pair takes vector number start .. stop - 1 of ``F_p^n``."""
+    p, n, start, stop = args
+    vectors = [(v,) for v in product(range(p), repeat=n)]
+    choices = [vectors[start:stop]] + [vectors] * (n * n - 1)
+    return [tables[0] for tables in _table_leaves(p, n, _ASSOCIATIVITY, choices, 1)]
+
+
+def _fibre_part(args):
+    """(prec, succ) table pairs with ``prec + succ`` one of ``stars[start:stop]``."""
     p, n, stars, start, stop = args
-    field = prime_field(p)
-    size = p ** (n ** 3)
-    out = []
-    for idx, prec in enumerate(_digit_tuples(p, n ** 3, start, stop), start):
-        succ = tuple((s - a) % p for s, a in zip(stars[idx // size], prec))
-        if next(_dendriform_di_failures(field, _nested(prec, n), _nested(succ, n)),
-                None) is None:
-            out.append(prec + succ)
-    return out
+    vectors = list(product(range(p), repeat=n))
+    leaves = []
+    for star in stars[start:stop]:
+        choices = [[(a, tuple((s - c) % p for s, c in zip(star[u][v], a))) for a in vectors]
+                   for u in range(n) for v in range(n)]
+        leaves += _table_leaves(p, n, _FIBRE_ROWS, choices, 2, (star,))
+    return leaves
+
+
+def _rb_part(args):
+    """Rota-Baxter operators of weight ``weight`` on ``table``, as column tuples.
+
+    Only first columns numbered ``start .. stop - 1`` in ``F_p^n`` are searched.
+    """
+    p, table, weight, start, stop = args
+    n = len(table)
+    cols = [(0,) * n] * n
+    star = _induced(prime_field(p), cols, table, table, weight, table)[2]
+    target = sum(table, ())
+    checks = [[] for _ in range(n)]
+    for i, j in product(range(n), repeat=2):
+        checks[max(i, j)].append((i, j))
+
+    def later(inst):
+        at = max(inst)
+        for m, coef in enumerate(star(*inst)):
+            if coef and m > at:
+                at = m
+        return at
+
+    def holds(inst):
+        i, j = inst
+        return (_combine(star(i, j), cols, p, 0)
+                == _combine([a * b if a and b else 0 for a in cols[i] for b in cols[j]],
+                            target, p, 0))
+
+    vectors = [(v,) for v in product(range(p), repeat=n)]
+    choices = [vectors[start:stop]] + [vectors] * (n - 1)
+    slots = [((cols, j),) for j in range(n)]
+    return _search(choices, slots, checks, later, holds, lambda: tuple(cols))
 
 
 def _worker_count(requested: int, total: int) -> int:
-    """Processes to start: at least one, at most the CPUs and the candidates."""
+    """Processes to start: at least one, at most the CPUs and the first-level choices."""
     return max(1, min(requested, os.cpu_count() or 1, total))
 
 
 class _Chunks:
-    """Chunk runner of one public call: starts at most one process pool, when first needed."""
+    """Search runner of one public call: starts at most one process pool, when first needed.
+
+    ``run(part, fixed_args, total)`` calls ``part(fixed_args + (start, stop))``
+    on consecutive ranges of the ``total`` first-level choices and joins the
+    leaves in range order.
+    """
 
     def __init__(self, workers: int):
         self.workers = workers
@@ -141,16 +238,16 @@ class _Chunks:
         if self.pool is not None:
             self.pool.shutdown()
 
-    def run(self, chunk_fn, fixed_args, total: int):
+    def run(self, part_fn, fixed_args, total: int):
         workers = _worker_count(self.workers, total)
         if workers == 1:
-            return chunk_fn(fixed_args + (0, total))
+            return part_fn(fixed_args + (0, total))
         if self.pool is None:
             self.pool = ProcessPoolExecutor(max_workers=min(self.workers, os.cpu_count() or 1))
         bounds = [total * k // workers for k in range(workers + 1)]
         jobs = [fixed_args + (bounds[k], bounds[k + 1]) for k in range(workers)]
-        parts = list(self.pool.map(chunk_fn, jobs))
-        return [flat for part in parts for flat in part]
+        parts = list(self.pool.map(part_fn, jobs))
+        return [leaf for part in parts for leaf in part]
 
 
 # -- public enumerations ---------------------------------------------------------------
@@ -159,15 +256,13 @@ def enumerate_associative_products(dim: int, p: int, budget: int | None = None,
                                    workers: int = 1) -> list:
     """All associative structure tensors on F_p^dim, in lexicographic order."""
     with _Chunks(workers) as chunks:
-        return _associative_products(dim, p, budget, chunks)
+        tables = _associative_tables(dim, p, budget, chunks)
+    return [Algebra(StructureTensor(prime_field(p), table)) for table in tables]
 
 
-def _associative_products(dim: int, p: int, budget, chunks: _Chunks) -> list:
-    total = p ** (dim ** 3)
-    _check_budget(total, budget)
-    field = prime_field(p)
-    flats = chunks.run(_assoc_chunk, (p, dim), total)
-    return [Algebra(_tensor_from_flat(field, dim, flat)) for flat in flats]
+def _associative_tables(dim: int, p: int, budget, chunks: _Chunks) -> list:
+    _check_budget(p ** (dim ** 3), budget)
+    return chunks.run(_assoc_part, (p, dim), p ** dim)
 
 
 def enumerate_rb_operators(algebra: Algebra, weight, budget: int | None = None,
@@ -178,40 +273,34 @@ def enumerate_rb_operators(algebra: Algebra, weight, budget: int | None = None,
 
 
 def _rb_operators(algebra: Algebra, weight, budget, chunks: _Chunks) -> list:
-    if not algebra.field.is_finite:
+    field = algebra.field
+    if not field.is_finite:
         from .errors import FieldNotFiniteError
         raise FieldNotFiniteError("enumeration requires a prime field")
     n = algebra.dim
-    total = algebra.field.p ** (n * n)
-    _check_budget(total, budget)
-    weight = algebra.field.coerce(weight)
-    flats = chunks.run(_rb_chunk, (algebra, weight), total)
-    return [RotaBaxterOperator(algebra, _matrix_from_flat(algebra.field, n, flat), weight)
-            for flat in flats]
+    _check_budget(field.p ** (n * n), budget)
+    weight = field.coerce(weight)
+    cols = chunks.run(_rb_part, (field.p, algebra.product.entries, weight), field.p ** n)
+    return [RotaBaxterOperator(algebra, Matrix(field, rows), weight)
+            for rows in sorted(tuple(zip(*c)) for c in cols)]
 
 
 def enumerate_dendriform_di(dim: int, p: int, budget: int | None = None,
                             workers: int = 1) -> list:
     """All dendriform dialgebras on F_p^dim (pairs of tensors), lexicographic.
 
-    Scans each associative star product's fibre ``{(prec, star - prec)}``.
+    Searches each associative star product's fibre ``{(prec, star - prec)}``.
     """
     with _Chunks(workers) as chunks:
-        return _dendriform_di(dim, p, budget, chunks)
+        return _dendriform_di(dim, p, budget, chunks, _associative_tables(dim, p, budget, chunks))
 
 
-def _dendriform_di(dim: int, p: int, budget, chunks: _Chunks) -> list:
-    size = p ** (dim ** 3)
-    _check_budget(size, budget)
-    stars = chunks.run(_assoc_chunk, (p, dim), size)
-    total = len(stars) * size
-    _check_budget(total, budget)
-    flats = sorted(chunks.run(_fibre_chunk, (p, dim, stars), total))
+def _dendriform_di(dim: int, p: int, budget, chunks: _Chunks, stars: list) -> list:
+    """The dialgebras whose star products are the associative tables ``stars``."""
+    _check_budget(len(stars) * p ** (dim ** 3), budget)
     field = prime_field(p)
-    cube = dim ** 3
-    return [DendriformDi(_tensor_from_flat(field, dim, flat[:cube]),
-                         _tensor_from_flat(field, dim, flat[cube:]))
-            for flat in flats]
+    return [DendriformDi(StructureTensor(field, prec), StructureTensor(field, succ))
+            for prec, succ in sorted(chunks.run(_fibre_part, (p, dim, stars), len(stars)))]
 
 
 # -- the image experiment ---------------------------------------------------------------
@@ -251,11 +340,13 @@ def phi_image_experiment(dim: int, p: int, budget: int | None = None,
                          workers: int = 1) -> PhiImageResult:
     """Compare the Rota-Baxter weight-zero image with all dendriform dialgebras."""
     first_witness: dict = {}
+    field = prime_field(p)
     with _Chunks(workers) as chunks:
-        algebras = _associative_products(dim, p, budget, chunks)
-        all_dd = _dendriform_di(dim, p, budget, chunks)
-        for alg in algebras:
-            for rb in _rb_operators(alg, alg.field.zero, budget, chunks):
+        stars = _associative_tables(dim, p, budget, chunks)
+        all_dd = _dendriform_di(dim, p, budget, chunks, stars)
+        for table in stars:
+            alg = Algebra(StructureTensor(field, table))
+            for rb in _rb_operators(alg, field.zero, budget, chunks):
                 d = domain_dendriform_di(rb_as_module_operator(rb))
                 if d not in first_witness:
                     first_witness[d] = (alg, rb.matrix)

@@ -12,6 +12,8 @@ first, then lowest row), so identical inputs always give identical outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import (ArgumentError, DimensionMismatchError, NoSolutionError,
@@ -43,6 +45,22 @@ def _combine(coeffs: Sequence, vecs: Sequence, p, zero, at=None) -> tuple:
     return tuple(map(p.__rmod__, out)) if p else tuple(out)
 
 
+_INT, _FRACTION = frozenset((int,)), frozenset((Fraction,))
+
+
+def _in_field(field: FieldSpec, values: list) -> bool:
+    """Whether ``values`` are all scalars of ``field`` already, tested at C level.
+
+    Over Q every class must be exactly ``Fraction``; over F_p every class
+    ``int``, with ``0 <= min`` and ``max < p``.  Containers send any other
+    input through ``FieldSpec.coerce`` entry by entry.
+    """
+    classes = set(map(type, values))
+    if field.p:
+        return classes == _INT and min(values) >= 0 and max(values) < field.p
+    return classes == _FRACTION
+
+
 def vec_is_zero(v: Sequence) -> bool:
     return all(a == 0 for a in v)
 
@@ -53,15 +71,17 @@ def vec_is_zero(v: Sequence) -> bool:
 class Matrix:
     """Immutable dense matrix; ``entries`` is a row-major tuple of tuples.
 
-    Entries are coerced into the field (``FieldSpec.coerce``).
+    Entries are coerced into the field (``FieldSpec.coerce``), unless one
+    check finds them all field scalars already (``_in_field``).
     """
 
     field: FieldSpec
     entries: tuple
 
     def __post_init__(self):
-        coerce = self.field.coerce
-        rows = tuple(tuple(map(coerce, r)) for r in self.entries)
+        rows = tuple(map(tuple, self.entries))
+        if not _in_field(self.field, list(chain.from_iterable(rows))):
+            rows = tuple(tuple(map(self.field.coerce, r)) for r in rows)
         object.__setattr__(self, "entries", rows)
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise DimensionMismatchError("ragged rows")
@@ -286,15 +306,18 @@ def column_space_basis(M: Matrix) -> list:
 class StructureTensor:
     """Coordinates c[i][j][k] of a bilinear product: b_i * b_j = sum_k c[i][j][k] b_k.
 
-    Entries are coerced into the field (``FieldSpec.coerce``).
+    Entries are coerced into the field (``FieldSpec.coerce``), unless one
+    check finds them all field scalars already (``_in_field``).
     """
 
     field: FieldSpec
     entries: tuple
 
     def __post_init__(self):
-        coerce = self.field.coerce
-        ents = tuple(tuple(tuple(map(coerce, row)) for row in plane) for plane in self.entries)
+        ents = tuple(tuple(map(tuple, plane)) for plane in self.entries)
+        if not _in_field(self.field, list(chain.from_iterable(chain.from_iterable(ents)))):
+            coerce = self.field.coerce
+            ents = tuple(tuple(tuple(map(coerce, row)) for row in plane) for plane in ents)
         object.__setattr__(self, "entries", ents)
         n = len(ents)
         for plane in ents:

@@ -121,14 +121,6 @@ def _o_relation_failures(field, axiom: str, target, acols, left, right,
     return _homomorphism_failures(field, ((axiom, acols, star, target, False),))
 
 
-def _rota_baxter_failures(field, product, acols, weight):
-    """Failures of the Rota-Baxter relation for a product table and the operator's columns.
-
-    Both actions and the source product are the algebra's own product.
-    """
-    return _o_relation_failures(field, "rb", product, acols, product, product, weight, product)
-
-
 def validate_rota_baxter(rb: RotaBaxterOperator,
                          max_violations: int = DEFAULT_MAX_VIOLATIONS,
                          early_stop: bool = False) -> ValidationReport:
@@ -137,8 +129,9 @@ def validate_rota_baxter(rb: RotaBaxterOperator,
     This is the O-operator relation with both actions and the source
     product equal to the algebra's own product; associativity is not needed.
     """
-    failures = _rota_baxter_failures(rb.algebra.field, rb.algebra.product.entries,
-                                     _transpose(rb.matrix.entries), rb.weight)
+    product = rb.algebra.product.entries
+    failures = _o_relation_failures(rb.algebra.field, "rb", product, _transpose(rb.matrix.entries),
+                                    product, product, rb.weight, product)
     return _collect("rota_baxter", failures, max_violations, early_stop)
 
 

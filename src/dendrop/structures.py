@@ -32,7 +32,7 @@ fixed order:
 
 Both scans read raw nested tuples, not structure objects.  The public
 validators turn a scan into a ``ValidationReport`` (``_collect``); a caller
-that needs only the verdict, such as the F_p enumerators, takes
+that needs only the verdict, such as the F_p isomorphism search, takes
 ``next(failures, None) is None`` and builds no report and no objects.
 
 Right-action orientation: for a basis element ``b_i`` of the acting algebra
@@ -392,12 +392,6 @@ def _associativity_failures(field: FieldSpec, product):
     return _composition_failures(field, (product,), (((n, n, n), _ASSOCIATIVITY),))
 
 
-def _dendriform_di_failures(field: FieldSpec, prec, succ):
-    """Failures of the dialgebra axioms for the nested tables ``prec`` and ``succ``."""
-    n = len(prec)
-    return _composition_failures(field, (prec, succ), (((n, n, n), _DENDRIFORM_DI),))
-
-
 def validate_associativity(alg: Algebra,
                            max_violations: int = DEFAULT_MAX_VIOLATIONS,
                            early_stop: bool = False) -> ValidationReport:
@@ -410,8 +404,10 @@ def validate_dendriform_di(d: DendriformDi,
                            max_violations: int = DEFAULT_MAX_VIOLATIONS,
                            early_stop: bool = False) -> ValidationReport:
     """Check the three dialgebra axioms (star = prec + succ) on all basis triples."""
+    n = d.dim
+    tables = (d.prec.entries, d.succ.entries)
     return _collect("dendriform_di",
-                    _dendriform_di_failures(d.field, d.prec.entries, d.succ.entries),
+                    _composition_failures(d.field, tables, (((n, n, n), _DENDRIFORM_DI),)),
                     max_violations, early_stop)
 
 

@@ -67,6 +67,15 @@ def test_validate_malformed_document_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_validate_unknown_key_exits_2(tmp_path, capsys):
+    path = tmp_path / "typo.json"
+    raw = json.loads(dp.emit_document(dp.make_algebra(Q, 1, {})))
+    raw["payload"]["nmae"] = "x"
+    path.write_text(json.dumps(raw))
+    assert main(["validate", str(path)]) == 2
+    assert "payload.nmae: unknown key" in capsys.readouterr().err
+
+
 # -- construct ------------------------------------------------------------------------
 
 def test_construct_domain_matches_catalogue(tmp_path):

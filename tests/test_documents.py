@@ -310,12 +310,24 @@ REJECTED = [
     ({**REPORT, "violations": [VIOLATION, VIOLATION]}, "payload.total_violations"),
     ({**REPORT, "violations": [{**VIOLATION, "indices": [True]}]},
      "payload.violations[0].indices"),
+    ({**RESULT_SET, "lable": "demo"}, "payload.lable: unknown key"),
+    ({**REPORT, "violations": [{**VIOLATION, "kind": "violation"}]},
+     "payload.violations[0].kind: unknown key"),
+    ({**BIMODULE, "algebra": {**ALG, "typo_corrected": True}},
+     "payload.algebra.typo_corrected: unknown key"),
+    ({**RESULT_SET, "items": [{**ALG, "nmae": "x"}]}, "payload.items[0].nmae: unknown key"),
 ]
 
 
 def _doc(payload):
     return json.dumps({"schema_version": "1", "field": {"kind": "rational"},
                        "payload": payload}).encode()
+
+
+def test_typo_corrected_is_dropped_from_a_dialgebra():
+    d = dp.catalogue_entry("extra-2").structure
+    payload = {**payload_dict(d, Q), "typo_corrected": True}
+    assert parse_document(_doc(payload)).payload == d
 
 
 def test_rejection_bases_parse():

@@ -7,8 +7,7 @@ import pytest
 import dendrop as dp
 import oracle_enumeration
 import dendrop.enumeration as enumeration
-from dendrop.enumeration import (_assoc_chunk, _fibre_chunk, _rb_chunk,
-                                 _tensor_from_flat, _worker_count)
+from dendrop.enumeration import _worker_count
 from dendrop.linalg import Matrix
 from dendrop.errors import BudgetExceededError, FieldNotFiniteError
 from helpers import F2, F3, n2, zero_algebra
@@ -21,6 +20,11 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures",
 def oracle():
     with open(FIXTURES) as fh:
         return json.load(fh)
+
+
+@pytest.fixture(scope="module")
+def dialgebras_f3():
+    return dp.enumerate_dendriform_di(2, 3)
 
 
 # -- associative products ----------------------------------------------------------
@@ -41,6 +45,19 @@ def test_assoc_dim2_f2_matches_oracle(oracle):
 
 def test_assoc_dim2_f3_matches_oracle(oracle):
     assert len(dp.enumerate_associative_products(2, 3)) == oracle["assoc"]["2,3"]
+
+
+def test_assoc_dim2_f3_is_the_validator_filter():
+    # every one of the 3^8 tables, in lexicographic order, kept when the validator passes
+    expect = [alg for alg in (dp.Algebra(dp.StructureTensor(F3, t))
+                              for t in oracle_enumeration.all_tensors(2, 3))
+              if dp.validate_associativity(alg, max_violations=1, early_stop=True).passed]
+    assert dp.enumerate_associative_products(2, 3) == expect
+
+
+def test_assoc_dim2_f5_count():
+    # 5^8 = 390,625 tables; a count two methods agree on (brute force and the search)
+    assert len(dp.enumerate_associative_products(2, 5)) == 793
 
 
 def test_assoc_lexicographic_and_deterministic():
@@ -114,6 +131,16 @@ def test_rb_diagonal_members_on_n2_f3():
     assert diagonals == [(0, 0), (1, 0), (1, 2), (2, 0), (2, 1)]
 
 
+def test_rb_operators_are_the_validator_filter():
+    # all 121 F_3 products at weights 0, 1, 2 against the 81 matrices each
+    matrices = [Matrix(F3, m) for m in oracle_enumeration.all_matrices(2, 3)]
+    for alg in dp.enumerate_associative_products(2, 3):
+        for weight in range(3):
+            expect = [rb for rb in (dp.RotaBaxterOperator(alg, m, weight) for m in matrices)
+                      if dp.validate_rota_baxter(rb, max_violations=1, early_stop=True).passed]
+            assert dp.enumerate_rb_operators(alg, weight) == expect
+
+
 def test_rb_requires_finite_field():
     with pytest.raises(FieldNotFiniteError):
         dp.enumerate_rb_operators(n2(), 0)
@@ -156,7 +183,7 @@ def test_dendriform_set_matches_independent_oracle(dim, p):
     assert all(a < b for a, b in zip(flats, flats[1:]))
 
 
-def test_fibre_of_an_f3_star_matches_oracle():
+def test_fibre_of_an_f3_star_is_the_oracle_filter(dialgebras_f3):
     # Over F_2, and in dimension 1 where every product is associative, a fibre
     # built as star + prec would enumerate the same set; F_3 in dimension 2 does not.
     star = _flat(n2(F3).product.entries)
@@ -166,15 +193,28 @@ def test_fibre_of_an_f3_star_matches_oracle():
         succ = tuple(tuple(tuple(next(it) for _ in range(2)) for _ in range(2))
                      for _ in range(2))
         if oracle_enumeration.is_dendriform(prec, succ, 3, 2):
-            expect.append(_flat(prec) + _flat(succ))
+            expect.append((prec, succ))
     assert len(expect) > 2
-    assert _fibre_chunk((3, 2, [star], 0, 3 ** 8)) == expect
+    found = [(d.prec.entries, d.succ.entries) for d in dialgebras_f3
+             if tuple((a + b) % 3 for a, b in zip(_flat(d.prec.entries),
+                                                   _flat(d.succ.entries))) == star]
+    assert found == expect
+
+
+def test_dendriform_dim2_f3_validates(dialgebras_f3):
+    assert len(dialgebras_f3) == 657
+    for d in dialgebras_f3:
+        assert dp.validate_dendriform_di(d, max_violations=1, early_stop=True).passed
+        assert dp.validate_associativity(dp.star_product(d), max_violations=1,
+                                         early_stop=True).passed
+    flats = [_flat(d.prec.entries) + _flat(d.succ.entries) for d in dialgebras_f3]
+    assert all(a < b for a, b in zip(flats, flats[1:]))
 
 
 def test_parallel_and_serial_enumerations_agree():
     assert dp.enumerate_dendriform_di(1, 3, workers=2) == \
         dp.enumerate_dendriform_di(1, 3)
-    # chunk boundaries fall inside a fibre of one star product
+    # the workers split the star products of the fibre stage
     assert dp.enumerate_dendriform_di(2, 2, workers=2) == \
         dp.enumerate_dendriform_di(2, 2)
     assert dp.enumerate_associative_products(2, 2, workers=3) == \
@@ -255,60 +295,3 @@ def test_phi_image_experiment_starts_at_most_one_pool(monkeypatch):
     parallel = dp.phi_image_experiment(1, 2, workers=2)
     assert len(started) <= 1
     assert parallel == dp.phi_image_experiment(1, 2)
-
-
-# -- chunk verdicts against the public validators ------------------------------------
-
-def _digits(index, p, length):
-    return tuple(index // p ** (length - 1 - k) % p for k in range(length))
-
-
-def test_assoc_chunk_verdicts_match_the_validator():
-    rng = random.Random(4101)
-    space = range(3 ** 8)
-    passing = [i for i in space if dp.validate_associativity(
-        dp.Algebra(_tensor_from_flat(F3, 2, _digits(i, 3, 8)))).passed]
-    sample = rng.sample(space, 450) + rng.sample(passing, 50)
-    verdicts = []
-    for i in sample:
-        flat = _digits(i, 3, 8)
-        passed = dp.validate_associativity(dp.Algebra(_tensor_from_flat(F3, 2, flat))).passed
-        assert _assoc_chunk((3, 2, i, i + 1)) == ([flat] if passed else [])
-        verdicts.append(passed)
-    assert 0 < sum(verdicts) < len(verdicts)
-
-
-def test_rb_chunk_verdicts_match_the_validator():
-    rng = random.Random(4102)
-    algebras = dp.enumerate_associative_products(2, 3)
-    sample = [(rng.choice(algebras), rng.randrange(3), rng.randrange(81)) for _ in range(500)]
-    # P = 0 and P = -weight * id (flat index 28 * (-weight % 3)) satisfy the relation
-    sample += [(rng.choice(algebras), w, i) for w in range(3) for i in (0, 28 * (-w % 3))]
-    verdicts = []
-    for alg, weight, i in sample:
-        flat = _digits(i, 3, 4)
-        rb = dp.RotaBaxterOperator(alg, Matrix(F3, (flat[:2], flat[2:])), weight)
-        passed = dp.validate_rota_baxter(rb).passed
-        assert _rb_chunk((alg, weight, i, i + 1)) == ([flat] if passed else [])
-        verdicts.append(passed)
-    assert 0 < sum(verdicts) < len(verdicts)
-
-
-def test_fibre_chunk_verdicts_match_the_validator():
-    rng = random.Random(4103)
-    stars = [_flat(a.product.entries) for a in dp.enumerate_associative_products(2, 3)]
-    size = 3 ** 8
-    sample = [rng.randrange(len(stars) * size) for _ in range(500)]
-    # (star, 0) and (0, star) are dialgebras for every associative star
-    for s in rng.sample(range(len(stars)), 30):
-        star_index = sum(a * 3 ** (7 - k) for k, a in enumerate(stars[s]))
-        sample += [s * size, s * size + star_index]
-    verdicts = []
-    for i in sample:
-        star, prec = stars[i // size], _digits(i % size, 3, 8)
-        succ = tuple((s - a) % 3 for s, a in zip(star, prec))
-        d = dp.DendriformDi(_tensor_from_flat(F3, 2, prec), _tensor_from_flat(F3, 2, succ))
-        passed = dp.validate_dendriform_di(d).passed
-        assert _fibre_chunk((3, 2, stars, i, i + 1)) == ([prec + succ] if passed else [])
-        verdicts.append(passed)
-    assert 0 < sum(verdicts) < len(verdicts)

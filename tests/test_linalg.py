@@ -232,6 +232,46 @@ def test_rational_int_entries_become_fractions():
     assert StructureTensor(Q, (((3,),),)).entries[0][0][0] == Fraction(3)
 
 
+class _Half(Fraction):
+    """A ``Fraction`` subclass: kept as it is over Q, like any ``Fraction``."""
+
+
+def _containers(field, values):
+    """A 2 x 4 matrix and a dim-2 tensor, each holding the eight ``values`` in order."""
+    rows = (values[:4], values[4:])
+    return (Matrix(field, rows),
+            StructureTensor(field, tuple((r[:2], r[2:]) for r in rows)))
+
+
+@pytest.mark.parametrize("field, values", [
+    (F3, (0, 1, 2, 2, 1, 0, 0, 1)),
+    (F3, (0, 1, 2, 3, 4, 0, 0, 1)),
+    (F3, (0, 1, 2, -1, -5, 0, 0, 1)),
+    (F5, (4, 4, 4, 4, 4, 4, 4, 5)),
+    (Q, tuple(Fraction(k, 3) for k in range(8))),
+    (Q, (Fraction(1, 2), 1, 0, -3, Fraction(0), Fraction(2), Fraction(5, 7), 1)),
+    (Q, (_Half(1, 2), Fraction(1), Fraction(0), Fraction(3), Fraction(0),
+         Fraction(1), Fraction(2), _Half(1, 3))),
+])
+def test_containers_hold_what_coerce_returns(field, values):
+    expect = [(field.coerce(v), type(field.coerce(v))) for v in values]
+    matrix, tensor = _containers(field, values)
+    assert [(a, type(a)) for row in matrix.entries for a in row] == expect
+    assert [(a, type(a)) for plane in tensor.entries for row in plane for a in row] == expect
+
+
+@pytest.mark.parametrize("field, bad", [
+    (F3, True), (F3, False), (F3, 1.0), (F3, Fraction(1, 2)), (F3, Fraction(1)),
+    (Q, True), (Q, 0.5), (Q, 1.0),
+])
+def test_non_scalars_among_scalars_are_refused(field, bad):
+    one = field.one
+    with pytest.raises(FieldMismatchError):
+        Matrix(field, ((one, bad), (one, one)))
+    with pytest.raises(FieldMismatchError):
+        StructureTensor(field, (((one, bad), (one, one)), ((one, one), (one, one))))
+
+
 # -- the combination kernel against a schoolbook reference ----------------------
 #
 # The reference works one scalar at a time with plain Python arithmetic and
