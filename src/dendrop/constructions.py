@@ -54,29 +54,31 @@ def _domain_products(op: OOperator):
                  for row in rows)
 
 
-def domain_dendriform_tri(op: OOperator) -> DendriformTri:
-    """Dendriform trialgebra on the source of a validated algebra-kind operator."""
-    if op.kind != ALGEBRA:
-        raise KindMismatchError("expected an algebra-kind operator")
-    rep = validate_o_algebra(op, max_violations=1, early_stop=True)
+def _domain_structure(op: OOperator):
+    """The induced dendriform structure, built without validating ``op``."""
+    prec, succ = _domain_products(op)
+    if op.kind == ALGEBRA:
+        return DendriformTri(prec, succ, op.domain.product.scale(op.weight))
+    return DendriformDi(prec, succ)
+
+
+def _validated_domain_structure(op: OOperator, validate):
+    """``_domain_structure`` after ``validate`` (which also checks the kind) passes."""
+    rep = validate(op, max_violations=1, early_stop=True)
     if not rep.passed:
         raise InvalidOperatorError(
             f"operator fails its defining relation at basis pair {rep.first().indices}")
-    prec, succ = _domain_products(op)
-    dot = op.domain.product.scale(op.weight)
-    return DendriformTri(prec, succ, dot)
+    return _domain_structure(op)
+
+
+def domain_dendriform_tri(op: OOperator) -> DendriformTri:
+    """Dendriform trialgebra on the source of a validated algebra-kind operator."""
+    return _validated_domain_structure(op, validate_o_algebra)
 
 
 def domain_dendriform_di(op: OOperator) -> DendriformDi:
     """Dendriform dialgebra on the source of a validated module-kind operator."""
-    if op.kind != MODULE:
-        raise KindMismatchError("expected a module-kind operator")
-    rep = validate_o_module(op, max_violations=1, early_stop=True)
-    if not rep.passed:
-        raise InvalidOperatorError(
-            f"operator fails its defining relation at basis pair {rep.first().indices}")
-    prec, succ = _domain_products(op)
-    return DendriformDi(prec, succ)
+    return _validated_domain_structure(op, validate_o_module)
 
 
 def check_operator_homomorphism(op: OOperator, dend,
@@ -107,8 +109,7 @@ def canonical_operator_from_tri(tri: DendriformTri):
     left, right = _action_matrices(tri.field, tri.succ.entries, tri.prec.entries)
     structure = BimoduleAlgebra(Bimodule(alg, left, right), tri.dot)
     op = OOperator(structure, alg, Matrix.identity(tri.field, tri.dim), tri.field.one)
-    _verify_canonical(structure, op, tri, validate_bimodule_algebra,
-                      validate_o_algebra, domain_dendriform_tri)
+    _verify_canonical(structure, op, tri, validate_bimodule_algebra, validate_o_algebra)
     return structure, op
 
 
@@ -122,12 +123,11 @@ def canonical_operator_from_di(di: DendriformDi):
     left, right = _action_matrices(di.field, di.succ.entries, di.prec.entries)
     structure = Bimodule(alg, left, right)
     op = OOperator(structure, alg, Matrix.identity(di.field, di.dim), None)
-    _verify_canonical(structure, op, di, validate_bimodule,
-                      validate_o_module, domain_dendriform_di)
+    _verify_canonical(structure, op, di, validate_bimodule, validate_o_module)
     return structure, op
 
 
-def _verify_canonical(structure, op, dend, validate_structure, validate_op, rebuild):
+def _verify_canonical(structure, op, dend, validate_structure, validate_op):
     rep = validate_structure(structure, max_violations=1, early_stop=True)
     if not rep.passed:
         raise InvalidDendriformError(
@@ -136,7 +136,7 @@ def _verify_canonical(structure, op, dend, validate_structure, validate_op, rebu
     if not rep.passed:
         raise InvalidDendriformError(
             f"canonical operator fails its relation at {rep.first().indices}")
-    if rebuild(op) != dend:
+    if _domain_structure(op) != dend:
         raise InvalidDendriformError("canonical operator does not reproduce its input")
 
 

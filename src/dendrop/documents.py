@@ -182,6 +182,13 @@ def _at_least(low):
     return load
 
 
+def _load_cols(field, raw, got, where):
+    """A ``Matrix`` with no rows has no column count, so ``cols`` must then be 0."""
+    if _at_least(0)(field, raw, got, where) and not got["rows"]:
+        raise SchemaError(f"{where}: must be 0 when rows is 0")
+    return raw
+
+
 def _map_of(types, what):
     """A JSON object of scalars, loaded as its sorted (key, value) pairs."""
     def load(field, raw, got, where):
@@ -291,7 +298,7 @@ _KEYS = {key.name: key for key in (
          lambda f, raw, got, w: _flat(f, got["codomain"].dim, got["domain"].dim, raw, w),
          lambda M: _flat_strs(M.entries)),
     _Key("rows", int, _at_least(0)),
-    _Key("cols", int, _at_least(0)),
+    _Key("cols", int, _load_cols),
     _Key("entries", list, lambda f, raw, got, w: _flat(f, got["rows"], got["cols"], raw, w),
          _flat_strs),
     _Key("structure_kind", str),

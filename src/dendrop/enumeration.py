@@ -311,8 +311,9 @@ class PhiImageResult:
 
     ``witnesses`` pairs each image structure with one producing
     (algebra, operator matrix); ``missing`` lists the structures outside the
-    image explicitly.  ``round_trip_failures`` collects dialgebras whose
-    canonical-operator reconstruction failed (expected empty).
+    image explicitly.  ``round_trip_failures`` pairs each dialgebra whose
+    canonical-operator reconstruction failed with the error message that
+    says why (expected empty).
     """
 
     dim: int
@@ -357,8 +358,8 @@ def phi_image_experiment(dim: int, p: int, budget: int | None = None,
     for d in all_dd:
         try:
             canonical_operator_from_di(d)  # verifies the round trip internally
-        except InvalidDendriformError:
-            failures.append(d)
+        except InvalidDendriformError as e:
+            failures.append((d, str(e)))
     return PhiImageResult(
         dim=dim, p=p,
         label=ANALOGUE_LABEL.format(p=p),

@@ -5,27 +5,41 @@ bijection intertwines each product.  Two invertible operators into the same
 algebra are isomorphic when a domain isomorphism g identifies them
 (alpha1 = alpha2 g) and equivalent when additionally a range automorphism f
 is allowed (f alpha1 = alpha2 g, with the actions of the first domain
-twisted through f^{-1}).  Over a prime field, dendriform isomorphism in
-small dimension is decided by scanning all invertible matrices in a fixed
-lexicographic order, so the first witness found is reproducible.  The
-invertible matrices come from a span walk (``_gl_rows``): each row, in
-lexicographic order, is taken from the vectors outside the span of the
-rows above it, which gives that order without a rank computation per
-candidate.  The search tests raw column tuples and builds a ``Matrix``
-only for the witness it returns.
+twisted through f^{-1}).
+
+Over a prime field, dendriform isomorphism in small dimension is decided
+by a pruned depth-first walk over GL_n(F_p).  The invertible matrices come
+from a span walk (``_gl_rows``): each vector, in lexicographic order, is
+taken from the vectors outside the span of those before it, which gives
+every invertible matrix without a rank computation.  ``gl_matrices`` reads
+the vectors as rows; the search reads them as the columns of F.  An
+instance F(b_i p1 b_j) = F(b_i) p2 F(b_j) reads the columns i and j and
+the columns in the support of b_i p1 b_j; the first structure is fixed, so
+the last of those columns, the instance's level, is known in advance.
+Each instance is tested once, when the walk assigns the column of its
+level, and a failure cuts the subtree: every complete matrix the walk
+reaches is an isomorphism, and it reaches all of them.
+
+The witness is the least isomorphism in row-major lexicographic order,
+the first one a scan of ``gl_matrices`` would meet.  ``candidates_tried``
+is its position in that scan, in closed form (``_gl_position``): each row
+adds the vectors before it that lie outside the span of the rows above,
+times the completions of the rows below.  ``nodes`` counts the columns
+the walk assigned.  A ``Matrix`` is built only for the witness.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field as dataclass_field
 
 from .errors import (DimensionCapError, DimensionMismatchError,
                      FieldNotFiniteError, KindMismatchError,
                      NotInvertibleError, NotMultiplicativeError,
                      SingularMatrixError)
 from .fields import FieldSpec, same_field
-from .linalg import Matrix, invert, rank
+from .linalg import Matrix, _combine, invert, rank
 from .operators import (ALGEBRA, OOperator, _domain_morphism_failures,
                         multiplicativity_failure, pullback_domain)
 from .structures import (DEFAULT_MAX_VIOLATIONS, ValidationReport, _collect,
@@ -46,10 +60,15 @@ class IsoWitness:
 
 @dataclass(frozen=True)
 class IsoSearchResult:
-    """Outcome of an exhaustive witness search over invertible matrices."""
+    """Outcome of an exhaustive witness search over invertible matrices.
+
+    ``nodes`` (the columns the walk assigned) is work done, not part of
+    the outcome, so it takes no part in comparisons.
+    """
 
     witness: IsoWitness | None
     candidates_tried: int
+    nodes: int = dataclass_field(compare=False)
 
     @property
     def found(self) -> bool:
@@ -137,14 +156,21 @@ def induced_intertwiner(op1: OOperator, op2: OOperator):
 
 # -- exhaustive search over GL_n(F_p) ---------------------------------------------
 
-def _gl_rows(p: int, n: int):
+def _span_with(span: set, v: tuple, p: int) -> set:
+    """The span of ``span`` and ``v``, as a set of coordinate tuples."""
+    return {tuple((a + c * b) % p for a, b in zip(w, v)) for w in span for c in range(p)}
+
+
+def _gl_rows(p: int, n: int, holds=None):
     """Rows of every invertible n x n matrix over F_p, lexicographic on the entries.
 
     A depth-first walk takes each row, in lexicographic order, from the
     vectors outside the span of the rows above it.  A matrix is invertible
     exactly when every row lies outside the span of the rows before it, so
     this is the lexicographic order of all matrices with the singular ones
-    skipped, and no candidate needs a rank computation.
+    skipped, and no candidate needs a rank computation.  ``holds``, when
+    given, is called on each new prefix of rows; a false result cuts the
+    subtree below it.
     """
     if n == 0:
         yield ()
@@ -154,13 +180,37 @@ def _gl_rows(p: int, n: int):
     def walk(rows, span):
         for v in vectors:
             if v not in span:
-                if len(rows) == n - 1:
-                    yield rows + (v,)
+                prefix = rows + (v,)
+                if holds is not None and not holds(prefix):
+                    continue
+                if len(prefix) == n:
+                    yield prefix
                 else:
-                    yield from walk(rows + (v,), {tuple((a + c * b) % p for a, b in zip(w, v))
-                                                  for w in span for c in range(p)})
+                    yield from walk(prefix, _span_with(span, v, p))
 
     yield from walk((), {(0,) * n})
+
+
+def _completions(p: int, n: int, r: int) -> int:
+    """Ways to extend r independent rows of F_p^n to an invertible matrix."""
+    return math.prod(p ** n - p ** k for k in range(r, n))
+
+
+def _gl_position(p: int, rows: tuple) -> int:
+    """1-based position of an invertible matrix (row tuples) in the ``_gl_rows`` order.
+
+    Row r contributes, for each vector before it in lexicographic order
+    and outside the span of the rows above, the completions of the rows
+    below.
+    """
+    n = len(rows)
+    position, span = 1, {(0,) * n}
+    for r, row in enumerate(rows):
+        before = sum(a * p ** (n - 1 - k) for k, a in enumerate(row))
+        before -= sum(w < row for w in span)
+        position += before * _completions(p, n, r + 1)
+        span = _span_with(span, row, p)
+    return position
 
 
 def gl_matrices(field: FieldSpec, n: int):
@@ -176,13 +226,33 @@ def gl_matrices(field: FieldSpec, n: int):
         yield Matrix(field, rows)
 
 
+def _instance_levels(d1, d2) -> list:
+    """Instances of F(b_i p1 b_j) = F(b_i) p2 F(b_j), grouped by the last column they read.
+
+    Entry c lists ``(source, target, i, j)`` for the instances whose
+    columns i, j and support of ``b_i p1 b_j`` lie in 0..c and reach c;
+    ``source`` holds the coordinates of ``b_i p1 b_j`` and ``target`` the
+    flat table of p2.
+    """
+    n = d1.dim
+    levels = [[] for _ in range(n)]
+    for t1, t2 in zip(d1.tensors(), d2.tensors()):
+        target = sum(t2.entries, ())
+        for i, j in itertools.product(range(n), repeat=2):
+            source = t1.row(i, j)
+            last = max([i, j] + [k for k, a in enumerate(source) if a])
+            levels[last].append((source, target, i, j))
+    return levels
+
+
 def search_dendriform_iso_fp(d1, d2,
                              dimension_cap: int = DEFAULT_DIMENSION_CAP
                              ) -> IsoSearchResult:
     """First intertwining bijection in enumeration order, or an exhausted search.
 
-    ``candidates_tried`` counts the invertible matrices examined; on a
-    NotFound outcome it equals the order of the general linear group.
+    ``candidates_tried`` is the witness's position in the ``gl_matrices``
+    order; on a NotFound outcome it equals the order of the general
+    linear group.
     """
     if type(d1) is not type(d2):
         raise KindMismatchError("cannot compare a dialgebra with a trialgebra")
@@ -194,13 +264,26 @@ def search_dendriform_iso_fp(d1, d2,
     if d1.dim > dimension_cap:
         raise DimensionCapError(
             f"dimension {d1.dim} above the search cap {dimension_cap}")
-    tried = 0
-    for rows in _gl_rows(field.p, d1.dim):
-        tried += 1
-        if next(_homomorphism_failures(field, _iso_rows(d1, d2, _transpose(rows))),
-                None) is None:
-            return IsoSearchResult(IsoWitness(Matrix(field, rows), DENDRIFORM_ISO), tried)
-    return IsoSearchResult(None, tried)
+    p, zero, n = field.p, field.zero, d1.dim
+    levels = _instance_levels(d1, d2)
+    nodes = 0
+
+    def holds(cols):
+        nonlocal nodes
+        nodes += 1
+        for source, target, i, j in levels[len(cols) - 1]:
+            if (_combine(source, cols, p, zero)
+                    != _combine([a * b if a and b else 0 for a in cols[i] for b in cols[j]],
+                                target, p, zero)):
+                return False
+        return True
+
+    leaves = [_transpose(cols) for cols in _gl_rows(p, n, holds)]
+    if not leaves:
+        return IsoSearchResult(None, _completions(p, n, 0), nodes)
+    rows = min(leaves)
+    return IsoSearchResult(IsoWitness(Matrix(field, rows), DENDRIFORM_ISO),
+                           _gl_position(p, rows), nodes)
 
 
 # -- transport helper used by equivalence tests -------------------------------------

@@ -110,6 +110,8 @@ class Matrix:
 
     @classmethod
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "Matrix":
+        if cols and not rows:
+            raise DimensionMismatchError(f"a matrix with no rows cannot have {cols} columns")
         zero = field.zero
         return cls(field, tuple((zero,) * cols for _ in range(rows)))
 

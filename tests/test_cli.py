@@ -176,6 +176,16 @@ def test_iso_search_found_and_not_found(tmp_path, capsys):
     assert dp.verify_dendriform_iso(four, four, witness).passed
 
 
+def test_iso_witness_with_columns_but_no_rows_exits_2(tmp_path, capsys):
+    a = write_doc(tmp_path, "a.json", dp.catalogue_entry("rb-4").structure)
+    w = tmp_path / "w.json"
+    w.write_text(json.dumps({"schema_version": "1", "field": {"kind": "rational"},
+                             "payload": {"kind": "matrix", "rows": 0, "cols": 3,
+                                         "entries": []}}))
+    assert main(["iso", a, a, "--witness", str(w)]) == 2
+    assert "payload.cols" in capsys.readouterr().err
+
+
 # -- equiv ----------------------------------------------------------------------------
 
 def test_equiv_command(tmp_path):

@@ -273,6 +273,24 @@ def test_unknown_payload_kind():
         parse_document(raw)
 
 
+def _matrix_doc(rows, cols):
+    return _doc({"kind": "matrix", "rows": rows, "cols": cols, "entries": []})
+
+
+def test_matrix_without_rows_must_have_no_columns():
+    with pytest.raises(SchemaError, match=re.escape("payload.cols")):
+        parse_document(_matrix_doc(0, 3))
+
+
+@pytest.mark.parametrize("rows", [0, 3])
+def test_empty_matrix_documents_round_trip(rows):
+    raw = emit_document(parse_document(_matrix_doc(rows, 0)))
+    payload = json.loads(raw)["payload"]
+    assert (payload["rows"], payload["cols"]) == (rows, 0)
+    assert parse_document(raw).payload == Matrix.zeros(Q, rows, 0)
+    assert emit_document(parse_document(raw)) == raw
+
+
 def test_zero_tensor_emits_empty_sparse_list():
     data = emit_document(dp.make_algebra(Q, 2, {}))
     assert b'"product": []' in data

@@ -9,7 +9,8 @@ import oracle_enumeration
 import dendrop.enumeration as enumeration
 from dendrop.enumeration import _worker_count
 from dendrop.linalg import Matrix
-from dendrop.errors import BudgetExceededError, FieldNotFiniteError
+from dendrop.errors import (BudgetExceededError, FieldNotFiniteError,
+                            InvalidDendriformError)
 from helpers import F2, F3, n2, zero_algebra
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures",
@@ -234,6 +235,20 @@ def test_phi_image_dim1(oracle):
     # the idempotent prec-only structure is NOT reachable from Rota-Baxter operators
     idem = dp.make_dendriform_di(F2, 1, {(0, 0, 0): 1}, {})
     assert idem in res.missing
+
+
+def test_phi_image_records_why_a_round_trip_failed(monkeypatch):
+    idem = dp.make_dendriform_di(F2, 1, {(0, 0, 0): 1}, {})
+
+    def canonical(d):
+        if d == idem:
+            raise InvalidDendriformError("canonical operator does not reproduce its input")
+        return dp.canonical_operator_from_di(d)
+
+    monkeypatch.setattr(enumeration, "canonical_operator_from_di", canonical)
+    res = dp.phi_image_experiment(1, 2)
+    assert res.round_trip_failures == (
+        (idem, "canonical operator does not reproduce its input"),)
 
 
 def test_phi_image_dim2_matches_oracle(oracle):

@@ -9,8 +9,10 @@ import dendrop as dp
 from dendrop.errors import (DimensionCapError, FieldNotFiniteError,
                             KindMismatchError, NotInvertibleError,
                             NotMultiplicativeError, SingularMatrixError)
+from dendrop.equivalence import _gl_position
 from dendrop.linalg import Matrix, rank
-from helpers import (F3, Q, automorphisms_of, diag, n2, random_invertible)
+from helpers import (F2, F3, F5, Q, automorphisms_of, diag, kx2, kx3, n2,
+                     random_invertible)
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -274,10 +276,10 @@ def _naive_search(d1, d2):
     return None, tried
 
 
-def _f3_rb_images(weight, to_structure, count):
-    """The first ``count`` distinct structures of Rota-Baxter operators on F_3^2."""
+def _rb_images(algebras, weight, to_structure, count):
+    """The first ``count`` distinct structures of Rota-Baxter operators on ``algebras``."""
     out = []
-    for alg in dp.enumerate_associative_products(2, 3):
+    for alg in algebras:
         for rb in dp.enumerate_rb_operators(alg, weight):
             d = to_structure(rb)
             if d not in out:
@@ -295,11 +297,15 @@ def _tri_image(rb):
     return dp.domain_dendriform_tri(dp.rb_as_o_operator(rb))
 
 
-@pytest.mark.parametrize("weight, to_structure, count",
-                         [(0, _di_image, 8), (1, _tri_image, 4)],
-                         ids=["dialgebras", "trialgebras"])
-def test_search_agrees_with_a_naive_verify_loop(weight, to_structure, count):
-    ds = _f3_rb_images(weight, to_structure, count)
+@pytest.mark.parametrize("algebras, weight, to_structure, count", [
+    (lambda: dp.enumerate_associative_products(2, 3), 0, _di_image, 8),
+    (lambda: dp.enumerate_associative_products(2, 3), 1, _tri_image, 4),
+    (lambda: [kx3(F2)], 0, _di_image, 4),
+    (lambda: [n2(F5), kx2(F5)], 0, _di_image, 6),
+], ids=["dialgebras", "trialgebras", "f2-dim3-dialgebras", "f5-dialgebras"])
+def test_search_agrees_with_a_naive_verify_loop(algebras, weight, to_structure, count):
+    ds = _rb_images(algebras(), weight, to_structure, count)
+    assert len(ds) == count
     outcomes = set()
     for d1 in ds:
         for d2 in ds:
@@ -309,3 +315,18 @@ def test_search_agrees_with_a_naive_verify_loop(weight, to_structure, count):
             assert (res.witness.matrix if res.found else None) == witness
             outcomes.add(res.found)
     assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (3, 2), (2, 3)])
+def test_closed_form_position_is_the_gl_matrices_index(p, n):
+    for index, M in enumerate(dp.gl_matrices(dp.prime_field(p), n), start=1):
+        assert _gl_position(p, M.entries) == index
+
+
+def test_search_counts_the_columns_it_assigns():
+    # rb-4 against rb-6 over F_3: the walk cuts every branch before a leaf
+    res = dp.search_dendriform_iso_fp(over3("rb-4"), over3("rb-6"))
+    assert 0 < res.nodes < res.candidates_tried
+    zero = dp.make_dendriform_di(F3, 2, {}, {})
+    # every invertible matrix is an automorphism: 8 first columns, 6 second ones each
+    assert dp.search_dendriform_iso_fp(zero, zero).nodes == 8 + 8 * 6

@@ -175,6 +175,15 @@ def test_matrix_shape_errors():
         m(Q, [[1, 2]]).mul(m(Q, [[1, 2]]))
 
 
+def test_zeros_refuses_columns_without_rows():
+    # a Matrix with no rows has no column count, so 0 x 3 cannot be held
+    with pytest.raises(DimensionMismatchError):
+        Matrix.zeros(F3, 0, 3)
+    for rows, cols in ((0, 0), (3, 0)):
+        M = Matrix.zeros(F3, rows, cols)
+        assert (M.rows, M.cols) == (rows, cols)
+
+
 def test_matrix_algebra():
     A = m(Q, [[1, 2], [3, 4]])
     B = m(Q, [[0, 1], [1, 0]])
