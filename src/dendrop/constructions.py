@@ -24,24 +24,25 @@ from dataclasses import dataclass
 from .errors import (ArgumentError, DimensionMismatchError, InvalidDendriformError,
                      InvalidOperatorError, KernelNotIdealError,
                      KindMismatchError)
+from .fields import same_field
 from .linalg import (Matrix, StructureTensor, _combine, column_space_basis,
                      invert, kernel_basis, rank, solve)
 from .structures import (Algebra, Bimodule, BimoduleAlgebra, DendriformDi,
-                         DendriformTri, DEFAULT_MAX_VIOLATIONS, ValidationReport,
+                         DendriformTri,
+                         DEFAULT_MAX_VIOLATIONS, ValidationReport,
                          _action_matrices, _action_tables, _collect,
-                         _homomorphism_failures, _transpose, star_product,
+                         _homomorphism_failures, _require, _transpose, star_product,
                          validate_bimodule, validate_bimodule_algebra,
                          validate_dendriform_di, validate_dendriform_tri)
-from .operators import (ALGEBRA, MODULE, OOperator, _induced, validate_o_algebra,
+from .operators import (ALGEBRA, OOperator, _induced, validate_o_algebra,
                         validate_o_module, validate_o_operator)
 
 
-def _require_valid(op: OOperator) -> None:
-    rep = validate_o_operator(op, max_violations=1, early_stop=True)
-    if not rep.passed:
-        v = rep.first()
-        raise InvalidOperatorError(
-            f"operator fails its defining relation at basis pair {v.indices}")
+def _valid(op: OOperator, validate) -> OOperator:
+    """``op``, once ``validate`` (which also checks the kind) passes on it."""
+    _require(validate(op, max_violations=1, early_stop=True), InvalidOperatorError,
+             "operator fails its defining relation at basis pair {indices}")
+    return op
 
 
 def _domain_products(op: OOperator):
@@ -62,23 +63,25 @@ def _domain_structure(op: OOperator):
     return DendriformDi(prec, succ)
 
 
-def _validated_domain_structure(op: OOperator, validate):
-    """``_domain_structure`` after ``validate`` (which also checks the kind) passes."""
-    rep = validate(op, max_violations=1, early_stop=True)
-    if not rep.passed:
-        raise InvalidOperatorError(
-            f"operator fails its defining relation at basis pair {rep.first().indices}")
-    return _domain_structure(op)
-
-
 def domain_dendriform_tri(op: OOperator) -> DendriformTri:
     """Dendriform trialgebra on the source of a validated algebra-kind operator."""
-    return _validated_domain_structure(op, validate_o_algebra)
+    return _domain_structure(_valid(op, validate_o_algebra))
 
 
 def domain_dendriform_di(op: OOperator) -> DendriformDi:
     """Dendriform dialgebra on the source of a validated module-kind operator."""
-    return _validated_domain_structure(op, validate_o_module)
+    return _domain_structure(_valid(op, validate_o_module))
+
+
+def _star_homomorphism(kind: str, axiom: str, fcols, dend, alg: Algebra,
+                       max_violations: int) -> ValidationReport:
+    """Report on F(u star v) = F(u) * F(v), F given by its columns ``fcols``.
+
+    ``star`` is the sum of the products of ``dend``, ``*`` the product of ``alg``.
+    """
+    field = same_field(dend.field, alg.field)
+    rows = ((axiom, fcols, star_product(dend).product.row, alg.product.entries, True),)
+    return _collect(kind, _homomorphism_failures(field, rows), max_violations)
 
 
 def check_operator_homomorphism(op: OOperator, dend,
@@ -87,57 +90,58 @@ def check_operator_homomorphism(op: OOperator, dend,
     """Check alpha(u star v) = alpha(u) * alpha(v) on all source basis pairs."""
     if dend.dim != op.domain.dim:
         raise DimensionMismatchError("the structure must live on the operator's source")
-    rows = (("hom", _transpose(op.matrix.entries), star_product(dend).product.row,
-             op.codomain.product.entries, True),)
-    return _collect("operator_homomorphism", _homomorphism_failures(op.field, rows),
-                    max_violations)
+    return _star_homomorphism("operator_homomorphism", "hom", _transpose(op.matrix.entries),
+                              dend, op.codomain, max_violations)
+
+
+def check_splitting(dend, alg: Algebra,
+                    max_violations: int = DEFAULT_MAX_VIOLATIONS) -> ValidationReport:
+    """Check that the dendriform products sum entrywise to the algebra product.
+
+    That is the identity map being a homomorphism from the star product to ``alg``.
+    """
+    if dend.dim != alg.dim:
+        raise DimensionMismatchError("splitting check needs matching dimensions")
+    return _star_homomorphism("splitting", "split", Matrix.identity(alg.field, alg.dim).entries,
+                              dend, alg, max_violations)
 
 
 # -- canonical operators (surjectivity witnesses) --------------------------------
 
-def canonical_operator_from_tri(tri: DendriformTri):
-    """Identity map as a weight-one operator from (V, dot, L_succ, R_prec) to (V, star).
+def _canonical_operator(dend, noun: str, validate):
+    """The identity map of V as an operator onto the star product (V, star).
 
-    Returns ``(structure, operator)``.  Verifies that the built structure
-    and operator validate and that the operator reproduces ``tri`` exactly.
+    Its domain is (V, L_succ, R_prec), carrying the product dot for a
+    trialgebra, which makes the operator algebra kind of weight one.
+    ``validate`` checks ``dend`` first, and the built structure and operator
+    must validate and reproduce ``dend`` exactly.  Returns ``(structure, operator)``.
     """
-    rep = validate_dendriform_tri(tri, max_violations=1, early_stop=True)
-    if not rep.passed:
-        raise InvalidDendriformError(
-            f"trialgebra axioms fail at {rep.first().indices}")
-    alg = star_product(tri)
-    left, right = _action_matrices(tri.field, tri.succ.entries, tri.prec.entries)
-    structure = BimoduleAlgebra(Bimodule(alg, left, right), tri.dot)
-    op = OOperator(structure, alg, Matrix.identity(tri.field, tri.dim), tri.field.one)
-    _verify_canonical(structure, op, tri, validate_bimodule_algebra, validate_o_algebra)
+    _require(validate(dend, 1, True), InvalidDendriformError, noun + " axioms fail at {indices}")
+    f = dend.field
+    alg = star_product(dend)
+    structure = Bimodule(alg, *_action_matrices(f, dend.succ.entries, dend.prec.entries))
+    weight, validate_structure = None, validate_bimodule
+    if isinstance(dend, DendriformTri):
+        structure = BimoduleAlgebra(structure, dend.dot)
+        weight, validate_structure = f.one, validate_bimodule_algebra
+    op = OOperator(structure, alg, Matrix.identity(f, dend.dim), weight)
+    _require(validate_structure(structure, 1, True), InvalidDendriformError,
+             "canonical domain structure fails {axiom} at {indices}")
+    _require(validate_o_operator(op, max_violations=1, early_stop=True), InvalidDendriformError,
+             "canonical operator fails its relation at {indices}")
+    if _domain_structure(op) != dend:
+        raise InvalidDendriformError("canonical operator does not reproduce its input")
     return structure, op
+
+
+def canonical_operator_from_tri(tri: DendriformTri):
+    """Identity map as a weight-one operator from (V, dot, L_succ, R_prec) to (V, star)."""
+    return _canonical_operator(tri, "trialgebra", validate_dendriform_tri)
 
 
 def canonical_operator_from_di(di: DendriformDi):
     """Identity map as a module-kind operator from (V, L_succ, R_prec) to (V, star)."""
-    rep = validate_dendriform_di(di, max_violations=1, early_stop=True)
-    if not rep.passed:
-        raise InvalidDendriformError(
-            f"dialgebra axioms fail at {rep.first().indices}")
-    alg = star_product(di)
-    left, right = _action_matrices(di.field, di.succ.entries, di.prec.entries)
-    structure = Bimodule(alg, left, right)
-    op = OOperator(structure, alg, Matrix.identity(di.field, di.dim), None)
-    _verify_canonical(structure, op, di, validate_bimodule, validate_o_module)
-    return structure, op
-
-
-def _verify_canonical(structure, op, dend, validate_structure, validate_op):
-    rep = validate_structure(structure, max_violations=1, early_stop=True)
-    if not rep.passed:
-        raise InvalidDendriformError(
-            f"canonical domain structure fails {rep.first().axiom} at {rep.first().indices}")
-    rep = validate_op(op, max_violations=1, early_stop=True)
-    if not rep.passed:
-        raise InvalidDendriformError(
-            f"canonical operator fails its relation at {rep.first().indices}")
-    if _domain_structure(op) != dend:
-        raise InvalidDendriformError("canonical operator does not reproduce its input")
+    return _canonical_operator(di, "dialgebra", validate_dendriform_di)
 
 
 # -- range constructions -----------------------------------------------------------
@@ -204,18 +208,13 @@ def _invertible_range(op: OOperator) -> tuple:
 
 def range_dendriform_tri(op: OOperator) -> DendriformTri:
     """Transport the domain trialgebra onto the codomain of an invertible operator."""
-    if op.kind != ALGEBRA:
-        raise KindMismatchError("expected an algebra-kind operator")
-    _require_valid(op)
-    return DendriformTri(*_invertible_range(op))  # raises SingularMatrixError
+    # raises SingularMatrixError
+    return DendriformTri(*_invertible_range(_valid(op, validate_o_algebra)))
 
 
 def range_dendriform_di(op: OOperator) -> DendriformDi:
     """Transport the domain dialgebra onto the codomain of an invertible operator."""
-    if op.kind != MODULE:
-        raise KindMismatchError("expected a module-kind operator")
-    _require_valid(op)
-    return DendriformDi(*_invertible_range(op))
+    return DendriformDi(*_invertible_range(_valid(op, validate_o_module)))
 
 
 @dataclass(frozen=True)
@@ -243,9 +242,7 @@ def range_dendriform_quotient(op: OOperator, section_rule: str = "first") -> Quo
     """
     if section_rule not in ("first", "last"):
         raise ArgumentError(f"unknown section rule {section_rule!r}")
-    if op.kind != ALGEBRA:
-        raise KindMismatchError("expected an algebra-kind operator")
-    _require_valid(op)
+    _valid(op, validate_o_algebra)
     if not kernel_ideal_check(op):
         raise KernelNotIdealError("kernel of alpha is not an ideal of the domain product")
     f = op.field
@@ -261,14 +258,3 @@ def range_dendriform_quotient(op: OOperator, section_rule: str = "first") -> Quo
                  for ws in basis)
     return QuotientDendriform(tri, emb, Algebra(StructureTensor(f, star)))
 
-
-def check_splitting(dend, alg: Algebra,
-                    max_violations: int = DEFAULT_MAX_VIOLATIONS) -> ValidationReport:
-    """Check that the dendriform products sum entrywise to the algebra product."""
-    if dend.dim != alg.dim:
-        raise DimensionMismatchError("splitting check needs matching dimensions")
-    total = star_product(dend).product
-    n = alg.dim
-    failures = (("split", (i, j), total.row(i, j), alg.product.row(i, j))
-                for i in range(n) for j in range(n) if total.row(i, j) != alg.product.row(i, j))
-    return _collect("splitting", failures, max_violations)

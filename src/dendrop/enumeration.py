@@ -14,10 +14,11 @@ entry it reads is fixed, with the arithmetic of the validators' scans
 ``x a y`` and ``y d z``, then ``m b z`` for each ``m`` in the support of
 ``x a y`` and ``x c m`` for each ``m`` in the support of ``y d z``: a zero
 coefficient reads no further entries, so sparse partial tables are tested
-early.  The rows are ``_ASSOCIATIVITY``, and for dialgebras
-``_DENDRIFORM_DI`` with the star a fixed table and ``succ = star - prec``
-fixed with ``prec``.  A Rota-Baxter instance is a basis pair (i, j) of the
-homomorphism row out of the induced star (``operators._induced``): it
+early.  The rows are the validators' own: ``_ASSOCIATIVITY``, and for
+dialgebras ``_DENDRIFORM_DI``, whose star table is fixed in advance and
+whose ``succ = star - prec`` is fixed with ``prec``.  A Rota-Baxter
+instance is a basis pair (i, j) of the homomorphism row out of the
+induced star (``operators._induced``): it
 reads the columns i and j, then the columns in the support of the star of
 ``b_i`` and ``b_j``.  A failing instance cuts its subtree, so every
 complete table the search reaches satisfies every instance.  Algebras,
@@ -59,17 +60,12 @@ from .errors import BudgetExceededError, InvalidDendriformError
 from .fields import prime_field
 from .linalg import Matrix, StructureTensor, _combine
 from .operators import RotaBaxterOperator, _induced, rb_as_module_operator
-from .structures import (_ASSOCIATIVITY, _DENDRIFORM_DI, STAR_DI, Algebra,
-                         DendriformDi)
+from .structures import _ASSOCIATIVITY, _DENDRIFORM_DI, Algebra, DendriformDi
 
 DEFAULT_BUDGET = 1 << 24
 
 ANALOGUE_LABEL = ("finite-field analogue over F_{p}; says nothing about "
                   "the corresponding statement in characteristic zero")
-
-# The dialgebra rows with ``prec + succ`` read from the fixed star table (index 2).
-_FIBRE_ROWS = tuple(row[:3] + tuple(2 if t == STAR_DI else t for t in row[3:])
-                    for row in _DENDRIFORM_DI)
 
 
 def _check_budget(total: int, budget: int | None) -> int:
@@ -177,7 +173,7 @@ def _fibre_part(args):
     for star in stars[start:stop]:
         choices = [[(a, tuple((s - c) % p for s, c in zip(star[u][v], a))) for a in vectors]
                    for u in range(n) for v in range(n)]
-        leaves += _table_leaves(p, n, _FIBRE_ROWS, choices, 2, (star,))
+        leaves += _table_leaves(p, n, _DENDRIFORM_DI, choices, 2, (star,))
     return leaves
 
 

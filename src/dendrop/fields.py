@@ -82,9 +82,6 @@ class FieldSpec:
             raise ZeroDivisionError("inverse of zero")
         return _F1 / a if self.kind == RATIONAL else pow(a, -1, self.p)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def from_int(self, k: int):
         return Fraction(k) if self.kind == RATIONAL else k % self.p
 
@@ -104,12 +101,6 @@ class FieldSpec:
             return value % self.p
         raise FieldMismatchError(f"{value!r} ({cls.__name__}) is not a scalar of {self}")
 
-    def elements(self):
-        """All field elements; only defined for prime fields."""
-        if self.kind != PRIME:
-            raise FieldMismatchError("rational field is not enumerable")
-        return range(self.p)
-
     def parse(self, text: str):
         """Parse a scalar literal: an integer string or ``a/b``."""
         s = text.strip()
@@ -121,17 +112,9 @@ class FieldSpec:
             raise BadRationalError(f"malformed scalar literal {text!r}") from None
         if sep and (den_s.startswith(("+", "-")) or den <= 0):
             raise BadRationalError(f"denominator must be a positive integer: {text!r}")
-        if den == 0:
-            raise BadRationalError(f"zero denominator: {text!r}")
-        if self.kind == RATIONAL:
-            return Fraction(num, den)
-        if den % self.p == 0:
+        if self.p and den % self.p == 0:
             raise BadRationalError(f"denominator of {text!r} is divisible by p={self.p}")
-        return (num % self.p) * pow(den % self.p, -1, self.p) % self.p
-
-    def format(self, value) -> str:
-        """Canonical scalar literal: lowest terms, integer form when exact."""
-        return str(value)
+        return self.convert_from_rational(Fraction(num, den))
 
     def convert_from_rational(self, value):
         """Map a rational scalar into this field; error if p divides the denominator."""

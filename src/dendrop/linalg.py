@@ -117,8 +117,8 @@ class Matrix:
 
     @classmethod
     def from_columns(cls, field: FieldSpec, columns: Sequence[Sequence]) -> "Matrix":
-        if not columns:
-            return cls(field, ())
+        if not columns or not columns[0]:
+            return cls.zeros(field, 0, len(columns))  # k > 0 empty columns raise
         m = len(columns[0])
         return cls(field, tuple(tuple(col[i] for col in columns) for i in range(m)))
 

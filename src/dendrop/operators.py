@@ -19,7 +19,7 @@ from .fields import same_field
 from .linalg import Matrix, StructureTensor, _combine
 from .structures import (Algebra, Bimodule, BimoduleAlgebra, DEFAULT_MAX_VIOLATIONS,
                          ValidationReport, canonical_bimodule, _action_tables,
-                         _collect, _homomorphism_failures, _transpose)
+                         _collect, _homomorphism_failures, _require, _transpose)
 
 MODULE = "module"
 ALGEBRA = "algebra"
@@ -217,6 +217,11 @@ def _domain_morphism_failures(g: Matrix, source, target):
       intertwine_right  g rho1_i = rho_i g
     and for algebra kind, on source basis pairs (j, k):
       intertwine_product  g(u o1 v) = g(u) o g(v)
+
+    Only the product law is a row of the homomorphism scan.  The two
+    intertwining laws stay written out: the frozen report order interleaves
+    them, left then right, for each (i, k), while a scan runs one row to
+    the end before the next, so as rows they would reorder every report.
     """
     n = source.algebra.dim
     m = source.dim
@@ -258,9 +263,9 @@ def compose_with_domain_iso(op: OOperator, g: Matrix, source) -> OOperator:
         raise DimensionMismatchError("iso matrix shape mismatch")
     if not _is_invertible(g):
         raise NotInvertibleError("domain iso candidate is singular")
-    failure = next(_domain_morphism_failures(g, source, op.domain), None)
-    if failure is not None:
-        raise NotIntertwiningError(f"g fails {failure[0]} at {failure[1]}")
+    failures = _domain_morphism_failures(g, source, op.domain)
+    _require(_collect("domain_morphism", failures, 1, True), NotIntertwiningError,
+             "g fails {axiom} at {indices}")
     return OOperator(source, op.codomain, op.matrix.mul(g), op.weight)
 
 

@@ -15,11 +15,12 @@ fixed order:
   ``_composition_failures`` on basis triples.  A row is ``(axiom, positions,
   reported_lhs, a, b, c, d)``: which entries of the reported index tuple
   play x, y and z, which side (``OUTER`` or ``INNER``) is reported as lhs,
-  and the four products as indices into the validator's tables, where
-  ``a`` and ``d`` may be a tuple of indices standing for a sum such as
-  ``star = prec + succ``.  Module actions count as bilinear maps
-  ``l: A x M -> M`` and ``r: M x A -> M``.  Associativity, the dendriform
-  di- and trialgebra axioms and the bimodule(-algebra) laws are such rows.
+  and the four products as indices into the validator's tables.  Module
+  actions count as bilinear maps ``l: A x M -> M`` and ``r: M x A -> M``,
+  and the star product ``prec + succ (+ dot)`` of a dendriform structure
+  is one more table, summed once before the scan.  Associativity, the
+  dendriform di- and trialgebra axioms and the bimodule(-algebra) laws are
+  such rows; the F_p enumerators run the same rows (``enumeration``).
 * homomorphisms ``F(x o y) = F(x) o' F(y)``, scanned by
   ``_homomorphism_failures`` on basis pairs.  A row is ``(axiom, fcols,
   source_row, target, image_is_lhs)``: the columns of F, the coordinates of
@@ -33,7 +34,9 @@ fixed order:
 Both scans read raw nested tuples, not structure objects.  The public
 validators turn a scan into a ``ValidationReport`` (``_collect``); a caller
 that needs only the verdict, such as the F_p isomorphism search, takes
-``next(failures, None) is None`` and builds no report and no objects.
+``next(failures, None) is None`` and builds no report and no objects.  A
+construction that refuses invalid input raises through ``_require``, naming
+the first violation of an early-stopped report.
 
 Right-action orientation: for a basis element ``b_i`` of the acting algebra
 the stored matrix ``rho_i`` realizes ``v r(b_i)`` as ``rho_i @ coords(v)``.
@@ -91,6 +94,17 @@ def _collect(kind: str, failures, max_violations: int = DEFAULT_MAX_VIOLATIONS,
         if early_stop:
             break
     return ValidationReport(kind, total == 0, tuple(kept), total)
+
+
+def _require(report: ValidationReport, error, message: str) -> None:
+    """Raise ``error`` when ``report`` failed.
+
+    ``message`` is formatted with the first violation's ``axiom`` and
+    ``indices``.
+    """
+    v = report.first()
+    if v is not None:
+        raise error(message.format(axiom=v.axiom, indices=v.indices))
 
 
 # -- structures ----------------------------------------------------------------
@@ -261,10 +275,12 @@ def _transpose(table) -> tuple:
     return tuple(zip(*table))
 
 
-def _entry_sum(tables: Sequence, refs: tuple, u: int, v: int, p) -> tuple:
-    """Coordinates of b_u * b_v for the sum of the products ``tables[r]``, r in refs."""
-    sums = map(sum, zip(*[tables[r][u][v] for r in refs]))
-    return tuple(map(p.__rmod__, sums)) if p else tuple(sums)
+def _table_sum(field: FieldSpec, tables: Sequence) -> tuple:
+    """Entrywise sum of nested product tables: the table of the star product."""
+    p, zero = field.p, field.zero
+    ones = (1,) * len(tables)
+    return tuple(tuple(_combine(ones, rows, p, zero) for rows in zip(*planes))
+                 for planes in zip(*tables))
 
 
 def _action_tables(bm: "Bimodule") -> tuple:
@@ -290,7 +306,6 @@ def _composition_failures(field: FieldSpec, tables: Sequence, groups):
     ``b_u r b_v``, as nested tuples.
     """
     p, zero = field.p, field.zero
-    sums: dict = {}
     for (n0, n1, n2), rows in groups:
         for i in range(n0):
             for j in range(n1):
@@ -298,18 +313,8 @@ def _composition_failures(field: FieldSpec, tables: Sequence, groups):
                     idx = (i, j, k)
                     for axiom, (px, py, pz), lhs, a, b, c, d in rows:
                         x, y, z = idx[px], idx[py], idx[pz]
-                        if a.__class__ is tuple:
-                            xy = sums.get((a, x, y)) or sums.setdefault(
-                                (a, x, y), _entry_sum(tables, a, x, y, p))
-                        else:
-                            xy = tables[a][x][y]
-                        if d.__class__ is tuple:
-                            yz = sums.get((d, y, z)) or sums.setdefault(
-                                (d, y, z), _entry_sum(tables, d, y, z, p))
-                        else:
-                            yz = tables[d][y][z]
-                        outer = _combine(xy, tables[b], p, zero, z)
-                        inner = _combine(yz, tables[c][x], p, zero)
+                        outer = _combine(tables[a][x][y], tables[b], p, zero, z)
+                        inner = _combine(tables[d][y][z], tables[c][x], p, zero)
                         if outer != inner:
                             yield ((axiom, idx, outer, inner) if lhs == OUTER
                                    else (axiom, idx, inner, outer))
@@ -341,8 +346,9 @@ def _homomorphism_failures(field: FieldSpec, rows):
 # -- validators ------------------------------------------------------------------
 
 # Table indices of each validator's products, and its identities as data rows.
+# A dendriform validator's last table is its star product, the sum of the others.
 PREC, SUCC, DOT = 0, 1, 2
-STAR_DI, STAR_TRI = (PREC, SUCC), (PREC, SUCC, DOT)
+STAR_DI, STAR_TRI = 2, 3
 ALG, LEFT, RIGHT, MOD = 0, 1, 2, 3
 
 _ASSOCIATIVITY = (("assoc", XYZ, OUTER, 0, 0, 0, 0),)
@@ -400,14 +406,19 @@ def validate_associativity(alg: Algebra,
                     max_violations, early_stop)
 
 
+def _dendriform_failures(d, rows):
+    """Failures of ``rows`` on the products of ``d`` followed by their star product."""
+    n = d.dim
+    tables = tuple(t.entries for t in d.tensors())
+    tables += (_table_sum(d.field, tables),)
+    return _composition_failures(d.field, tables, (((n, n, n), rows),))
+
+
 def validate_dendriform_di(d: DendriformDi,
                            max_violations: int = DEFAULT_MAX_VIOLATIONS,
                            early_stop: bool = False) -> ValidationReport:
     """Check the three dialgebra axioms (star = prec + succ) on all basis triples."""
-    n = d.dim
-    tables = (d.prec.entries, d.succ.entries)
-    return _collect("dendriform_di",
-                    _composition_failures(d.field, tables, (((n, n, n), _DENDRIFORM_DI),)),
+    return _collect("dendriform_di", _dendriform_failures(d, _DENDRIFORM_DI),
                     max_violations, early_stop)
 
 
@@ -415,10 +426,7 @@ def validate_dendriform_tri(t: DendriformTri,
                             max_violations: int = DEFAULT_MAX_VIOLATIONS,
                             early_stop: bool = False) -> ValidationReport:
     """Check the seven trialgebra axioms (star = prec + succ + dot)."""
-    n = t.dim
-    tables = (t.prec.entries, t.succ.entries, t.dot.entries)
-    return _collect("dendriform_tri",
-                    _composition_failures(t.field, tables, (((n, n, n), _DENDRIFORM_TRI),)),
+    return _collect("dendriform_tri", _dendriform_failures(t, _DENDRIFORM_TRI),
                     max_violations, early_stop)
 
 
@@ -454,19 +462,14 @@ def validate_bimodule_algebra(ba: BimoduleAlgebra,
 
 def star_product(d) -> Algebra:
     """Sum of the dendriform products; associative whenever the axioms hold."""
-    tensors = d.tensors()
-    total = tensors[0]
-    for t in tensors[1:]:
-        total = total.add(t)
-    return Algebra(total)
+    tables = [t.entries for t in d.tensors()]
+    return Algebra(StructureTensor(d.field, _table_sum(d.field, tables)))
 
 
 def canonical_bimodule(alg: Algebra) -> BimoduleAlgebra:
     """The algebra acting on itself by left/right multiplication, with its own product."""
-    failure = next(_associativity_failures(alg.field, alg.product.entries), None)
-    if failure is not None:
-        raise NotAssociativeError(
-            f"algebra is not associative (first violation at {failure[1]})")
+    _require(validate_associativity(alg, 1, True), NotAssociativeError,
+             "algebra is not associative (first violation at {indices})")
     c = alg.product
     left, right = _action_matrices(alg.field, c.entries, c.entries)
     return BimoduleAlgebra(Bimodule(alg, left, right), c)

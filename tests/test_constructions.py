@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 import dendrop as dp
-from dendrop.errors import (DendropError, DimensionMismatchError, InvalidDendriformError,
-                            InvalidOperatorError, KernelNotIdealError,
+from dendrop.errors import (DendropError, DimensionMismatchError, FieldMismatchError,
+                            InvalidDendriformError, InvalidOperatorError, KernelNotIdealError,
                             KindMismatchError, SingularMatrixError)
 from dendrop.linalg import Matrix, StructureTensor
 from helpers import (F3, Q, diag, kx2, kx3, n2, random_invertible, rb_operator_stock,
@@ -436,3 +436,16 @@ def test_splitting_zero_vs_zero():
 
 def test_splitting_rb2_sums_to_n2():
     assert dp.check_splitting(dp.catalogue_entry("rb-2").structure, n2()).passed
+
+
+def test_star_checks_refuse_structures_over_different_fields():
+    rb4 = dp.catalogue_entry("rb-4").structure
+    star = dp.star_product(rb4)
+    F2, F5 = dp.prime_field(2), dp.prime_field(5)
+    with pytest.raises(FieldMismatchError):
+        dp.check_splitting(rb4, dp.algebra_to_field(star, F2))
+    with pytest.raises(FieldMismatchError):
+        dp.check_splitting(dp.dendriform_di_to_field(rb4, F5), dp.algebra_to_field(star, F3))
+    _, op = dp.canonical_operator_from_di(rb4)
+    with pytest.raises(FieldMismatchError):
+        dp.check_operator_homomorphism(op, dp.dendriform_di_to_field(rb4, F3))

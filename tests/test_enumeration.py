@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -8,7 +9,8 @@ import dendrop as dp
 import oracle_enumeration
 import dendrop.enumeration as enumeration
 from dendrop.enumeration import _worker_count
-from dendrop.linalg import Matrix
+from dendrop.linalg import Matrix, StructureTensor
+from dendrop.structures import _DENDRIFORM_TRI
 from dendrop.errors import (BudgetExceededError, FieldNotFiniteError,
                             InvalidDendriformError)
 from helpers import F2, F3, n2, zero_algebra
@@ -210,6 +212,47 @@ def test_dendriform_dim2_f3_validates(dialgebras_f3):
                                          early_stop=True).passed
     flats = [_flat(d.prec.entries) + _flat(d.succ.entries) for d in dialgebras_f3]
     assert all(a < b for a, b in zip(flats, flats[1:]))
+
+
+# -- trialgebra rows in the search ------------------------------------------------------------
+
+def _trialgebra_tables(dim, p):
+    """(prec, succ, dot) tables found by the search running ``_DENDRIFORM_TRI`` unchanged.
+
+    Fibred over the associative stars: each pair fixes prec and succ, and
+    ``dot = star - prec - succ`` with them.
+    """
+    vectors = list(itertools.product(range(p), repeat=dim))
+    leaves = []
+    for alg in dp.enumerate_associative_products(dim, p):
+        star = alg.product.entries
+        choices = [[(a, b, tuple((s - x - y) % p for s, x, y in zip(star[u][v], a, b)))
+                    for a in vectors for b in vectors]
+                   for u in range(dim) for v in range(dim)]
+        leaves += enumeration._table_leaves(p, dim, _DENDRIFORM_TRI, choices, 3, (star,))
+    return leaves
+
+
+@pytest.mark.parametrize("p,count", [(2, 5), (3, 9)])
+def test_trialgebra_search_dim1_is_the_validator_filter(p, count):
+    field = dp.prime_field(p)
+    brute = set()
+    for values in itertools.product(range(p), repeat=3):
+        tables = tuple((((c,),),) for c in values)
+        tri = dp.DendriformTri(*(StructureTensor(field, t) for t in tables))
+        if dp.validate_dendriform_tri(tri, max_violations=1, early_stop=True).passed:
+            brute.add(tables)
+    found = _trialgebra_tables(1, p)
+    assert len(found) == len(brute) == count
+    assert set(found) == brute
+
+
+def test_trialgebra_search_dim2_f2_count():
+    found = _trialgebra_tables(2, 2)
+    assert len(found) == len(set(found)) == 436
+    for tables in found:
+        tri = dp.DendriformTri(*(StructureTensor(F2, t) for t in tables))
+        assert dp.validate_dendriform_tri(tri, max_violations=1, early_stop=True).passed
 
 
 def test_parallel_and_serial_enumerations_agree():

