@@ -28,7 +28,7 @@ from .errors import (DendropError, InvalidDendriformError, InvalidOperatorError,
                      KernelNotIdealError, SingularMatrixError, UsageError)
 from .fields import is_prime, prime_field, same_field
 from .linalg import Matrix
-from .operators import ALGEBRA, OOperator, validate_o_algebra, validate_o_module
+from .operators import ALGEBRA, OOperator, validate_o_operator
 from .structures import (Algebra, Bimodule, BimoduleAlgebra, DendriformDi,
                          DendriformTri, ValidationReport,
                          validate_associativity, validate_bimodule,
@@ -65,21 +65,18 @@ _VALIDATORS = {
     BimoduleAlgebra: validate_bimodule_algebra,
     DendriformDi: validate_dendriform_di,
     DendriformTri: validate_dendriform_tri,
+    OOperator: validate_o_operator,
 }
 
 
 def _cmd_validate(args) -> int:
     doc = _read_document(args.file)
     obj = doc.payload
-    if isinstance(obj, OOperator):
-        rep = validate_o_algebra(obj) if obj.kind == ALGEBRA else validate_o_module(obj)
-    else:
-        validator = _VALIDATORS.get(type(obj))
-        if validator is None:
-            print(f"nothing to validate in a {type(obj).__name__} document",
-                  file=sys.stderr)
-            return 2
-        rep = validator(obj)
+    validator = _VALIDATORS.get(type(obj))
+    if validator is None:
+        print(f"nothing to validate in a {type(obj).__name__} document", file=sys.stderr)
+        return 2
+    rep = validator(obj)
     _print_report(args.file, rep)
     if args.report:
         _write_bytes(args.report, emit_document(rep, field=doc.field))
@@ -218,7 +215,7 @@ def _cmd_enumerate(args) -> int:
                                                   workers=args.workers)
         items, total = [], 0
         for alg in algebras:
-            ops = enumerate_rb_operators(alg, field.zero, budget, workers=args.workers)
+            ops = enumerate_rb_operators(alg, field.zero, budget)
             total += len(ops)
             items.extend(op.matrix for op in ops)
         rs = ResultSet.build("rb0", params={"dim": args.dim, "prime": args.prime},

@@ -16,6 +16,8 @@ later key may depend on an earlier one, as a tensor on ``dim``) and a
 builder from the loaded values.  Keys missing from a kind's JSON object
 take the codec's default, or fail when it has none; a key the kind does
 not declare fails too, except the few a kind lists as dropped on parse.
+The envelope, its ``field`` object and sparse tensor records refuse
+undeclared keys the same way.
 """
 
 from __future__ import annotations
@@ -62,6 +64,12 @@ class ResultSet:
 
 # -- scalars, tensors and flat matrices ---------------------------------------------
 
+def _reject_unknown(obj, keys, where):
+    unknown = obj.keys() - keys
+    if unknown:
+        raise SchemaError(f"{where}.{min(unknown)}: unknown key")
+
+
 def _expect(obj, key, types, where):
     if key not in obj:
         raise SchemaError(f"{where}: missing required key {key!r}")
@@ -75,7 +83,7 @@ def _scalar(field: FieldSpec, raw, where):
     if raw.__class__ is str:
         return field.parse(raw)  # BadRationalError propagates
     if raw.__class__ is int:
-        return field.from_int(raw)
+        return field.coerce(raw)
     raise SchemaError(f"{where}: scalars must be exact strings, got {raw!r}")
 
 
@@ -100,6 +108,7 @@ def _tensor(field: FieldSpec, dim, raw, where) -> StructureTensor:
         here = f"{where}[{idx}]"
         if not isinstance(rec, dict):
             raise SchemaError(f"{here}: expected an object with i/j/k/c")
+        _reject_unknown(rec, ("i", "j", "k", "c"), here)
         i = _expect(rec, "i", int, here)
         j = _expect(rec, "j", int, here)
         k = _expect(rec, "k", int, here)
@@ -127,9 +136,7 @@ def _flat_strs(rows) -> list:
 
 def _load_record(kind: _Kind, field, obj, where, got=None):
     """Load ``kind``'s keys from ``obj`` in order; keys already in ``got`` are not read."""
-    unknown = obj.keys() - kind.accepted
-    if unknown:
-        raise SchemaError(f"{where}.{min(unknown)}: unknown key")
+    _reject_unknown(obj, kind.accepted, where)
     got = dict(got or ())
     for key in kind.keys:
         name = key.name
@@ -400,6 +407,7 @@ def parse_document(data) -> Document:
         ) from None
     if not isinstance(obj, dict):
         raise SchemaError("document: top level must be an object")
+    _reject_unknown(obj, ("schema_version", "field", "payload"), "document")
     version = _expect(obj, "schema_version", str, "document")
     if version != SCHEMA_VERSION:
         raise SchemaError(f"document.schema_version: unsupported version {version!r}")
@@ -415,6 +423,7 @@ def parse_document(data) -> Document:
             raise SchemaError(f"document.field.p: {e}") from None
     else:
         raise SchemaError(f"document.field.kind: unknown field kind {kind!r}")
+    _reject_unknown(fobj, ("kind", "p") if field.is_finite else ("kind",), "document.field")
     payload = _load_payload(field, _expect(obj, "payload", dict, "document"), "payload")
     return Document(version, field, payload)
 

@@ -30,12 +30,14 @@ Dendriform dialgebras are fibred over their associative star products
 searching every ``prec`` under each associative star, with ``succ = star -
 prec``, reaches every dialgebra.
 
-Worker processes split the first-level choices: the vectors of the first
-pair or column, and for the fibre stage the star products.  A public call
-starts at most one process pool (the image experiment's stages share it),
-capped at the CPU count and the number of first-level choices.  Parts are
-merged in order and results sorted lexicographically by their flattened
-entries, so parallel and serial runs produce identical lists.
+Worker processes split the product search and the fibre stage: the
+vectors of the first pair, and the star products.  A public call starts at
+most one process pool (the image experiment's stages share it), capped at
+the CPU count and the number of first-level choices.  Parts are merged in
+order and results sorted lexicographically by their flattened entries, so
+parallel and serial runs produce identical lists.  Rota-Baxter searches run
+in-process: each searches one algebra's ``p^(n^2)`` matrices, too small a
+space for a pool to pay for its start.
 
 The budget is checked before any search, on the sizes of the complete
 candidate spaces: ``p^(n^3)`` products for the star stage, ``p^(n^2)``
@@ -155,34 +157,8 @@ def _table_leaves(p: int, n: int, rows, choices, free: int, fixed=()) -> list:
                    lambda: tuple(tuple(map(tuple, tables[r])) for r in range(free)))
 
 
-# -- search parts (top level so worker processes can unpickle them) ---------------------
-
-def _assoc_part(args):
-    """Associative tables whose first pair takes vector number start .. stop - 1 of ``F_p^n``."""
-    p, n, start, stop = args
-    vectors = [(v,) for v in product(range(p), repeat=n)]
-    choices = [vectors[start:stop]] + [vectors] * (n * n - 1)
-    return [tables[0] for tables in _table_leaves(p, n, _ASSOCIATIVITY, choices, 1)]
-
-
-def _fibre_part(args):
-    """(prec, succ) table pairs with ``prec + succ`` one of ``stars[start:stop]``."""
-    p, n, stars, start, stop = args
-    vectors = list(product(range(p), repeat=n))
-    leaves = []
-    for star in stars[start:stop]:
-        choices = [[(a, tuple((s - c) % p for s, c in zip(star[u][v], a))) for a in vectors]
-                   for u in range(n) for v in range(n)]
-        leaves += _table_leaves(p, n, _DENDRIFORM_DI, choices, 2, (star,))
-    return leaves
-
-
-def _rb_part(args):
-    """Rota-Baxter operators of weight ``weight`` on ``table``, as column tuples.
-
-    Only first columns numbered ``start .. stop - 1`` in ``F_p^n`` are searched.
-    """
-    p, table, weight, start, stop = args
+def _rb_part(p: int, table, weight) -> list:
+    """Rota-Baxter operators of weight ``weight`` on ``table``, as column tuples."""
     n = len(table)
     cols = [(0,) * n] * n
     star = _induced(prime_field(p), cols, table, table, weight, table)[2]
@@ -204,10 +180,31 @@ def _rb_part(args):
                 == _combine([a * b if a and b else 0 for a in cols[i] for b in cols[j]],
                             target, p, 0))
 
-    vectors = [(v,) for v in product(range(p), repeat=n)]
-    choices = [vectors[start:stop]] + [vectors] * (n - 1)
+    choices = [[(v,) for v in product(range(p), repeat=n)]] * n
     slots = [((cols, j),) for j in range(n)]
     return _search(choices, slots, checks, later, holds, lambda: tuple(cols))
+
+
+# -- search parts (top level so worker processes can unpickle them) ---------------------
+
+def _assoc_part(args):
+    """Associative tables whose first pair takes vector number start .. stop - 1 of ``F_p^n``."""
+    p, n, start, stop = args
+    vectors = [(v,) for v in product(range(p), repeat=n)]
+    choices = [vectors[start:stop]] + [vectors] * (n * n - 1)
+    return [tables[0] for tables in _table_leaves(p, n, _ASSOCIATIVITY, choices, 1)]
+
+
+def _fibre_part(args):
+    """(prec, succ) table pairs with ``prec + succ`` one of ``stars[start:stop]``."""
+    p, n, stars, start, stop = args
+    vectors = list(product(range(p), repeat=n))
+    leaves = []
+    for star in stars[start:stop]:
+        choices = [[(a, tuple((s - c) % p for s, c in zip(star[u][v], a))) for a in vectors]
+                   for u in range(n) for v in range(n)]
+        leaves += _table_leaves(p, n, _DENDRIFORM_DI, choices, 2, (star,))
+    return leaves
 
 
 def _worker_count(requested: int, total: int) -> int:
@@ -261,14 +258,8 @@ def _associative_tables(dim: int, p: int, budget, chunks: _Chunks) -> list:
     return chunks.run(_assoc_part, (p, dim), p ** dim)
 
 
-def enumerate_rb_operators(algebra: Algebra, weight, budget: int | None = None,
-                           workers: int = 1) -> list:
+def enumerate_rb_operators(algebra: Algebra, weight, budget: int | None = None) -> list:
     """All matrices satisfying the weight-``weight`` relation on ``algebra``."""
-    with _Chunks(workers) as chunks:
-        return _rb_operators(algebra, weight, budget, chunks)
-
-
-def _rb_operators(algebra: Algebra, weight, budget, chunks: _Chunks) -> list:
     field = algebra.field
     if not field.is_finite:
         from .errors import FieldNotFiniteError
@@ -276,7 +267,7 @@ def _rb_operators(algebra: Algebra, weight, budget, chunks: _Chunks) -> list:
     n = algebra.dim
     _check_budget(field.p ** (n * n), budget)
     weight = field.coerce(weight)
-    cols = chunks.run(_rb_part, (field.p, algebra.product.entries, weight), field.p ** n)
+    cols = _rb_part(field.p, algebra.product.entries, weight)
     return [RotaBaxterOperator(algebra, Matrix(field, rows), weight)
             for rows in sorted(tuple(zip(*c)) for c in cols)]
 
@@ -341,12 +332,12 @@ def phi_image_experiment(dim: int, p: int, budget: int | None = None,
     with _Chunks(workers) as chunks:
         stars = _associative_tables(dim, p, budget, chunks)
         all_dd = _dendriform_di(dim, p, budget, chunks, stars)
-        for table in stars:
-            alg = Algebra(StructureTensor(field, table))
-            for rb in _rb_operators(alg, field.zero, budget, chunks):
-                d = domain_dendriform_di(rb_as_module_operator(rb))
-                if d not in first_witness:
-                    first_witness[d] = (alg, rb.matrix)
+    for table in stars:
+        alg = Algebra(StructureTensor(field, table))
+        for rb in enumerate_rb_operators(alg, field.zero, budget):
+            d = domain_dendriform_di(rb_as_module_operator(rb))
+            if d not in first_witness:
+                first_witness[d] = (alg, rb.matrix)
     all_set = set(all_dd)
     image = sorted(first_witness, key=_dd_sort_key)
     missing = [d for d in all_dd if d not in first_witness]

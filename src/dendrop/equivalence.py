@@ -40,14 +40,12 @@ from .errors import (DimensionCapError, DimensionMismatchError,
 from .fields import FieldSpec, same_field
 from .linalg import Matrix, _combine, invert, rank
 from .operators import ALGEBRA, OOperator, _domain_morphism_failures, pullback_domain
-from .structures import (DEFAULT_MAX_VIOLATIONS, ValidationReport, _collect,
-                         _homomorphism_failures, _transpose)
+from .structures import (DEFAULT_MAX_VIOLATIONS, DendriformDi, DendriformTri,
+                         ValidationReport, _collect, _homomorphism_failures, _transpose)
 
 DEFAULT_DIMENSION_CAP = 3
 
 DENDRIFORM_ISO = "dendriform-iso"
-OPERATOR_ISO_G = "operator-iso-g"
-RANGE_AUTOMORPHISM_F = "range-automorphism-f"
 
 
 @dataclass(frozen=True)
@@ -82,12 +80,19 @@ def _iso_rows(d1, d2, fcols) -> list:
             zip(("iso_prec", "iso_succ", "iso_dot"), d1.tensors(), d2.tensors())]
 
 
+def _same_dendriform_kind(d1, d2) -> None:
+    for d in (d1, d2):
+        if not isinstance(d, (DendriformDi, DendriformTri)):
+            raise KindMismatchError(f"expected a dendriform structure, got a {type(d).__name__}")
+    if type(d1) is not type(d2):
+        raise KindMismatchError("cannot compare a dialgebra with a trialgebra")
+
+
 def verify_dendriform_iso(d1, d2, F: Matrix,
                           max_violations: int = DEFAULT_MAX_VIOLATIONS
                           ) -> ValidationReport:
     """Check F(x p1 y) = F(x) p2 F(y) for each product p of the two structures."""
-    if type(d1) is not type(d2):
-        raise KindMismatchError("cannot compare a dialgebra with a trialgebra")
+    _same_dendriform_kind(d1, d2)
     field = same_field(d1.field, d2.field)
     if d1.dim != d2.dim or F.rows != d1.dim or not F.is_square:
         raise DimensionMismatchError("witness must be square of the common dimension")
@@ -250,8 +255,7 @@ def search_dendriform_iso_fp(d1, d2) -> IsoSearchResult:
     order; on a NotFound outcome it equals the order of the general
     linear group.
     """
-    if type(d1) is not type(d2):
-        raise KindMismatchError("cannot compare a dialgebra with a trialgebra")
+    _same_dendriform_kind(d1, d2)
     field = same_field(d1.field, d2.field)
     if not field.is_finite:
         raise FieldNotFiniteError("exhaustive search requires a prime field")

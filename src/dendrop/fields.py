@@ -82,9 +82,6 @@ class FieldSpec:
             raise ZeroDivisionError("inverse of zero")
         return _F1 / a if self.kind == RATIONAL else pow(a, -1, self.p)
 
-    def from_int(self, k: int):
-        return Fraction(k) if self.kind == RATIONAL else k % self.p
-
     def coerce(self, value):
         """``value`` as a scalar of this field: ints reduced mod p, or made Fractions over Q.
 

@@ -2,9 +2,9 @@
 
 Vectors are plain tuples of field values.  All arithmetic goes through one
 kernel, ``_combine``: a linear combination of vectors, summed exactly and
-reduced mod p once per vector (never per scalar operation).  Products,
-sums and scalings of matrices and tensors, ``matvec`` and the row
-operations of elimination are all calls to it.  Elimination is exact
+reduced mod p once per vector (never per scalar operation).  Products
+and scalings of matrices and tensors, ``matvec`` and the row operations
+of elimination are all calls to it.  Elimination is exact
 Gaussian elimination with a deterministic pivot rule (lowest column index
 first, then lowest row), so identical inputs always give identical outputs.
 """
@@ -59,10 +59,6 @@ def _in_field(field: FieldSpec, values: list) -> bool:
     if field.p:
         return classes == _INT and min(values) >= 0 and max(values) < field.p
     return classes == _FRACTION
-
-
-def vec_is_zero(v: Sequence) -> bool:
-    return all(a == 0 for a in v)
 
 
 # -- matrices ----------------------------------------------------------------
@@ -131,10 +127,6 @@ class Matrix:
     def columns(self) -> list:
         return [self.col(j) for j in range(self.cols)]
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, tuple(zip(*self.entries))) if self.entries \
-            else Matrix(self.field, ())
-
     def matvec(self, v: Sequence) -> tuple:
         if len(v) != self.cols:
             raise DimensionMismatchError(f"matvec: {self.cols} cols vs vector of {len(v)}")
@@ -151,28 +143,9 @@ class Matrix:
 
     __mul__ = mul
 
-    def _rowwise(self, coeffs, *others) -> "Matrix":
-        """Matrix whose row i combines, by ``coeffs``, row i of ``self`` and of ``others``."""
-        f = self.field
-        for other in others:
-            same_field(f, other.field)
-            if (self.rows, self.cols) != (other.rows, other.cols):
-                raise DimensionMismatchError("add: shape mismatch")
-        return Matrix(f, tuple(_combine(coeffs, rows, f.p, f.zero)
-                               for rows in zip(self.entries, *(o.entries for o in others))))
-
-    def add(self, other: "Matrix") -> "Matrix":
-        return self._rowwise((1, 1), other)
-
-    __add__ = add
-
-    def sub(self, other: "Matrix") -> "Matrix":
-        return self._rowwise((1, -1), other)
-
-    __sub__ = sub
-
     def scale(self, c) -> "Matrix":
-        return self._rowwise((c,))
+        f = self.field
+        return Matrix(f, tuple(_combine((c,), (row,), f.p, f.zero) for row in self.entries))
 
     def is_zero(self) -> bool:
         return all(a == 0 for r in self.entries for a in r)
@@ -285,7 +258,7 @@ def in_span(vectors: Sequence[Sequence], v: Sequence, field: FieldSpec) -> bool:
     """Exact membership of v in the linear span of ``vectors``."""
     vecs = [list(u) for u in vectors]
     if not vecs:
-        return vec_is_zero(v)
+        return all(a == 0 for a in v)
     base = rank(Matrix.from_rows(field, vecs))
     return rank(Matrix.from_rows(field, vecs + [list(v)])) == base
 
@@ -364,15 +337,6 @@ class StructureTensor:
     def apply_basis_right(self, u: Sequence, j: int) -> tuple:
         """Coordinates of u * b_j."""
         return _combine(u, self.entries, self.field.p, self.field.zero, j)
-
-    def add(self, other: "StructureTensor") -> "StructureTensor":
-        same_field(self.field, other.field)
-        if self.dim != other.dim:
-            raise DimensionMismatchError("tensor add: dimension mismatch")
-        f = self.field
-        return StructureTensor(f, tuple(
-            tuple(_combine((1, 1), rows, f.p, f.zero) for rows in zip(p1, p2))
-            for p1, p2 in zip(self.entries, other.entries)))
 
     def scale(self, c) -> "StructureTensor":
         f = self.field

@@ -101,7 +101,7 @@ def automorphisms_of(alg, rng):
 def rb_operator_stock(field, max_per_weight=60):
     """Validated Rota-Baxter operators on the dimension-2 fixture algebras."""
     stock = []
-    weights = [field.zero, field.one, field.from_int(2)]
+    weights = [field.zero, field.one, field.coerce(2)]
     for alg in (n2(field), kx2(field), split2(field), zero_algebra(field, 2)):
         for w in weights:
             found = dp.enumerate_rb_operators(alg, w)

@@ -1,11 +1,14 @@
 import json
+import os
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import pytest
 
 import dendrop as dp
+from dendrop import enumeration
 from dendrop.cli import main
 from dendrop.documents import emit_document, parse_document
 from helpers import F3, Q, diag, n2
@@ -186,6 +189,15 @@ def test_iso_witness_with_columns_but_no_rows_exits_2(tmp_path, capsys):
     assert "payload.cols" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("obj", [n2(F3), dp.Matrix.identity(F3, 2)])
+def test_iso_on_non_dendriform_documents_exits_2(tmp_path, capsys, obj):
+    a = write_doc(tmp_path, "a.json", obj, field=F3)
+    w = write_doc(tmp_path, "w.json", dp.Matrix.identity(F3, 2), field=F3)
+    for mode in (["--search-fp"], ["--witness", w]):
+        assert main(["iso", a, a, *mode]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
 # -- equiv ----------------------------------------------------------------------------
 
 def test_equiv_command(tmp_path):
@@ -260,6 +272,28 @@ def test_enumerate_rejects_non_integer_budget_env(tmp_path, capsys, monkeypatch)
     err = capsys.readouterr().err
     assert err.startswith("error:") and "DENDROP_BUDGET" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("what", ["rb0", "phi-image"])
+def test_enumerate_starts_at_most_one_pool(tmp_path, monkeypatch, what):
+    pools = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # let two workers start on any host
+    outputs = []
+    for workers in ("1", "2"):
+        pools.clear()
+        out = tmp_path / f"{what}-{workers}.json"
+        assert main(["enumerate", "--what", what, "--dim", "2", "--prime", "2",
+                     "--workers", workers, "-o", str(out)]) == 0
+        assert len(pools) <= 1
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_enumerate_rb0_cli(tmp_path):

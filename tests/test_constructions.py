@@ -391,7 +391,7 @@ def projection_operator_with_ideal_kernel(field):
         field, 3, {(i, j, k): c for (i, j, k), c in A.product.nonzero_triples()})
     dom = dp.BimoduleAlgebra(dp.Bimodule(A, left, right), prod)
     mat = Matrix(field, ((one, zero, zero), (zero, one, zero)))
-    return dp.OOperator(dom, A, mat, field.from_int(-1))
+    return dp.OOperator(dom, A, mat, field.coerce(-1))
 
 
 def test_quotient_sections_differ_but_tensors_agree_on_skewed_kernels():

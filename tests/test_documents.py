@@ -314,6 +314,12 @@ REPORT = {"kind": "report", "structure_kind": "sample", "passed": False,
           "total_violations": 1, "violations": [VIOLATION]}
 RESULT_SET = {"kind": "result_set", "what": "demo", "items": []}
 
+
+def _doc(payload, **envelope):
+    return json.dumps({"schema_version": "1", "field": {"kind": "rational"},
+                       "payload": payload, **envelope}).encode()
+
+
 REJECTED = [
     ({**BIMODULE, "algebra": WIDGET}, "payload.algebra.kind"),
     ({**BIMODULE, "algebra": {"dim": 1, "product": []}}, "payload.algebra.kind"),
@@ -334,12 +340,13 @@ REJECTED = [
     ({**BIMODULE, "algebra": {**ALG, "typo_corrected": True}},
      "payload.algebra.typo_corrected: unknown key"),
     ({**RESULT_SET, "items": [{**ALG, "nmae": "x"}]}, "payload.items[0].nmae: unknown key"),
+    ({**ALG, "product": [{"i": 0, "j": 0, "k": 0, "c": "1", "w": "2"}]},
+     "payload.product[0].w: unknown key"),
+    # whole documents: keys outside the payload
+    (_doc(ALG, extra=1), "document.extra: unknown key"),
+    (_doc(ALG, field={"kind": "prime", "p": 3, "q": 5}), "document.field.q: unknown key"),
+    (_doc(ALG, field={"kind": "rational", "p": 3}), "document.field.p: unknown key"),
 ]
-
-
-def _doc(payload):
-    return json.dumps({"schema_version": "1", "field": {"kind": "rational"},
-                       "payload": payload}).encode()
 
 
 def test_typo_corrected_is_dropped_from_a_dialgebra():
@@ -358,7 +365,7 @@ def test_rejection_bases_parse():
 @pytest.mark.parametrize("payload, path", REJECTED)
 def test_malformed_payload_rejected_at_its_key(payload, path):
     with pytest.raises(SchemaError, match=re.escape(path)):
-        parse_document(_doc(payload))
+        parse_document(payload if isinstance(payload, bytes) else _doc(payload))
 
 
 # -- round-trip property over every payload kind ---------------------------------------

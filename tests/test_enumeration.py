@@ -263,8 +263,6 @@ def test_parallel_and_serial_enumerations_agree():
         dp.enumerate_dendriform_di(2, 2)
     assert dp.enumerate_associative_products(2, 2, workers=3) == \
         dp.enumerate_associative_products(2, 2)
-    assert dp.enumerate_rb_operators(n2(F3), 0, workers=2) == \
-        dp.enumerate_rb_operators(n2(F3), 0)
 
 
 # -- the image experiment ----------------------------------------------------------------------

@@ -57,6 +57,16 @@ def test_kind_mismatch_rejected():
         dp.verify_dendriform_iso(d, tri, Matrix.identity(Q, 2))
 
 
+@pytest.mark.parametrize("other", [n2(F3), Matrix.identity(F3, 2)])
+def test_non_dendriform_inputs_rejected(other):
+    d = over3("rb-4")
+    for d1, d2 in ((other, other), (d, other), (other, d)):
+        with pytest.raises(KindMismatchError):
+            dp.verify_dendriform_iso(d1, d2, Matrix.identity(F3, 2))
+        with pytest.raises(KindMismatchError):
+            dp.search_dendriform_iso_fp(d1, d2)
+
+
 def test_witness_symmetry_forward_implies_inverse_backward():
     rng = random.Random(21)
     d1 = over3("rb-4")

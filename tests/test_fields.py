@@ -93,7 +93,7 @@ def test_prime_parse_format_round_trip(residue):
 def test_no_floats_in_scalar_path():
     # every value produced by field arithmetic is an int or a Fraction
     f5 = prime_field(5)
-    for v in (f5.zero, f5.one, f5.add(2, 4), f5.inv(3), f5.from_int(-2)):
+    for v in (f5.zero, f5.one, f5.add(2, 4), f5.inv(3), f5.coerce(-2)):
         assert isinstance(v, int) and not isinstance(v, bool)
     for v in (RATIONALS.zero, RATIONALS.one, RATIONALS.parse("-7/3"),
               RATIONALS.inv(Fraction(2))):

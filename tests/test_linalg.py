@@ -196,8 +196,6 @@ def test_matrix_algebra():
     A = m(Q, [[1, 2], [3, 4]])
     B = m(Q, [[0, 1], [1, 0]])
     assert A.mul(B) == m(Q, [[2, 1], [4, 3]])
-    assert A.add(B).sub(B) == A
-    assert A.transpose().transpose() == A
     assert A.col(1) == (2, 4)
     assert Matrix.from_columns(Q, [A.col(0), A.col(1)]) == A
 
@@ -209,7 +207,6 @@ def test_structure_tensor_apply():
     assert t.apply_basis_left(1, (Fraction(0), Fraction(1))) == (Fraction(1), Fraction(0))
     assert t.apply_basis_right((Fraction(0), Fraction(1)), 1) == (Fraction(1), Fraction(0))
     assert t.nonzero_triples() == [((1, 1, 0), Fraction(1))]
-    assert t.add(t).row(1, 1) == (Fraction(2), Fraction(0))
     assert t.scale(Fraction(0)).is_zero()
 
 
@@ -368,7 +365,6 @@ def _draw_rows(data, field, rows, cols):
 def test_kernel_ops_match_a_schoolbook_reference(field, r, c, k, data):
     zero = field.zero
     A = Matrix(field, _draw_rows(data, field, r, c))
-    C = Matrix(field, _draw_rows(data, field, r, c))
     k = k if c else 0           # a 0-row right factor has no columns either
     B = Matrix(field, _draw_rows(data, field, c, k))
     v = _draw_rows(data, field, 1, c)[0]
@@ -380,17 +376,9 @@ def test_kernel_ops_match_a_schoolbook_reference(field, r, c, k, data):
     assert len(got) == r
     _assert_scalars(field, got)
     assert A.mul(B).entries == _ref_mul(field, A.entries, B.entries, k)
-    assert A.add(C).entries == tuple(tuple(_ref(field, x + y) for x, y in zip(p, q))
-                                     for p, q in zip(A.entries, C.entries))
-    assert A.sub(C).entries == tuple(tuple(_ref(field, x - y) for x, y in zip(p, q))
-                                     for p, q in zip(A.entries, C.entries))
     assert A.scale(s).entries == tuple(tuple(_ref(field, s * x) for x in p) for p in A.entries)
 
     T = StructureTensor(field, tuple(_draw_rows(data, field, k, k) for _ in range(k)))
-    U = StructureTensor(field, tuple(_draw_rows(data, field, k, k) for _ in range(k)))
-    assert T.add(U).entries == tuple(
-        tuple(tuple(_ref(field, x + y) for x, y in zip(p, q)) for p, q in zip(tp, tq))
-        for tp, tq in zip(T.entries, U.entries))
     assert T.scale(s).entries == tuple(tuple(tuple(_ref(field, s * x) for x in p) for p in tp)
                                        for tp in T.entries)
 
