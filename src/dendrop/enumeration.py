@@ -1,28 +1,30 @@
 """Exhaustive classification over prime fields in low dimension.
 
-Every enumeration is one depth-first search over partial tables
-(``_search``): orderly generation in the sense of Read 1978, without
-isomorph rejection.  A product table is filled one basis pair at a time:
-the search fixes the whole vector ``e_u e_v`` for one pair ``(u, v)`` per
-level, pairs in lexicographic order, each trying the ``p^n`` vectors in
-lexicographic order.  A Rota-Baxter operator is filled one column at a
-time in the same loop.
+Every enumeration here, and the walk over GL_n(F_p) in ``equivalence``, is
+one depth-first search over partial assignments (``_search``): orderly
+generation in the sense of Read 1978, without isomorph rejection.  Level
+``t`` fixes one entry, trying the values ``choices(t)`` in order; the
+choices may read the entries fixed above.  Each instance of an identity is
+tested, with the arithmetic of the validators' scans (``_combine``), at the
+first node where every entry it reads is fixed.  A failing instance cuts
+its subtree, so every leaf satisfies every instance, and results are built
+only for the leaves.  Two instance families share the engine:
 
-Each instance of each identity row is tested at the first node where every
-entry it reads is fixed, with the arithmetic of the validators' scans
-(``_combine``).  A composition instance ``(x a y) b z = x c (y d z)`` reads
-``x a y`` and ``y d z``, then ``m b z`` for each ``m`` in the support of
-``x a y`` and ``x c m`` for each ``m`` in the support of ``y d z``: a zero
-coefficient reads no further entries, so sparse partial tables are tested
-early.  The rows are the validators' own: ``_ASSOCIATIVITY``, and for
-dialgebras ``_DENDRIFORM_DI``, whose star table is fixed in advance and
-whose ``succ = star - prec`` is fixed with ``prec``.  A Rota-Baxter
-instance is a basis pair (i, j) of the homomorphism row out of the
-induced star (``operators._induced``): it
-reads the columns i and j, then the columns in the support of the star of
-``b_i`` and ``b_j``.  A failing instance cuts its subtree, so every
-complete table the search reaches satisfies every instance.  Algebras,
-operators and dialgebras are built only for these leaves.
+* Product tables (``_table_leaves``), filled one basis pair ``(u, v)`` per
+  level, pairs and the vectors ``e_u e_v`` in lexicographic order.  A
+  composition instance ``(x a y) b z = x c (y d z)`` reads ``x a y`` and
+  ``y d z``, then ``m b z`` for each ``m`` in the support of ``x a y`` and
+  ``x c m`` for each ``m`` in the support of ``y d z``: a zero coefficient
+  reads no further entries, so sparse partial tables are tested early.
+  The rows are the validators' own: ``_ASSOCIATIVITY``, and for dialgebras
+  ``_DENDRIFORM_DI``, whose star table is fixed in advance and whose
+  ``succ = star - prec`` is fixed with ``prec``.
+* Linear maps F (``_column_leaves``), filled one column per level.  An
+  instance F(b_i o b_j) = F(b_i) o' F(b_j) reads the columns i and j, then
+  those in the support of ``b_i o b_j``.  Rota-Baxter operators try every
+  vector at each column, with the star the operator induces as ``o``; the
+  isomorphism search and ``gl_matrices`` try the vectors outside the span
+  of the columns above.
 
 Dendriform dialgebras are fibred over their associative star products
 ``x * y = x < y + x > y``: the dialgebra axioms make the star associative
@@ -39,10 +41,11 @@ parallel and serial runs produce identical lists.  Rota-Baxter searches run
 in-process: each searches one algebra's ``p^(n^2)`` matrices, too small a
 space for a pool to pay for its start.
 
-The budget is checked before any search, on the sizes of the complete
-candidate spaces: ``p^(n^3)`` products for the star stage, ``p^(n^2)``
-operator matrices, and ``#stars * p^(n^3)`` (prec, succ) pairs for the
-fibre stage.  A space above it raises instead of truncating.
+The dimension, the field and the budget are checked before any search, the
+budget on the sizes of the complete candidate spaces: ``p^(n^3)`` products
+for the star stage, ``p^(n^2)`` operator matrices, and ``#stars *
+p^(n^3)`` (prec, succ) pairs for the fibre stage.  A space above it raises
+instead of truncating.  Dimension 0 has one structure of each kind.
 
 The image experiment compares the dendriform dialgebras reachable from
 Rota-Baxter operators with the full enumeration.  This is a finite-field
@@ -58,7 +61,8 @@ from dataclasses import dataclass
 from itertools import product
 
 from .constructions import canonical_operator_from_di, domain_dendriform_di
-from .errors import BudgetExceededError, InvalidDendriformError
+from .errors import (ArgumentError, BudgetExceededError, FieldNotFiniteError,
+                     InvalidDendriformError)
 from .fields import prime_field
 from .linalg import Matrix, StructureTensor, _combine
 from .operators import RotaBaxterOperator, _induced, rb_as_module_operator
@@ -77,28 +81,37 @@ def _check_budget(total: int, budget: int | None) -> int:
     return cap
 
 
+def _check_dim(dim: int) -> None:
+    if dim < 0:
+        raise ArgumentError(f"dimension must be non-negative, got {dim}")
+
+
 # -- the search ------------------------------------------------------------------------
 
-def _search(choices, slots, checks, later, holds, leaf) -> list:
-    """Leaves of a depth-first search over partial tables, in choice order.
+def _search(choices, slots, checks, later, holds, leaf):
+    """Leaves of a depth-first search over partial assignments, in choice order.
 
-    Level ``t`` writes each value tuple of ``choices[t]`` into the
-    ``(container, key)`` pairs ``slots[t]``.  ``checks[t]`` lists the
-    instances whose first reads are all fixed at level ``t``; ``later(inst)``
-    is the level at which the last entry the instance reads, given the
-    values fixed so far, is fixed, and the instance is tested by
-    ``holds(inst)`` at that level.  ``leaf()`` copies a complete assignment.
+    Level ``t`` writes each value tuple of ``choices(t)``, which may read
+    the values fixed above it, into the ``(container, key)`` pairs
+    ``slots[t]``.  ``checks[t]`` lists the instances filed at level ``t``;
+    ``later(inst)`` is the level at which the last entry the instance reads,
+    given the values fixed so far, is fixed, and the instance is tested by
+    ``holds(inst)`` at that level.  ``leaf()`` copies a complete assignment
+    (with no levels, the empty one); leaves are yielded as they are reached.
     """
-    last = len(choices) - 1
-    pending = [[] for _ in choices]
-    leaves = []
+    depth = len(slots)
+    pending = [[] for _ in slots]
 
     def descend(t):
-        for values in choices[t]:
-            for (container, key), value in zip(slots[t], values):
+        if t == depth:
+            yield leaf()
+            return
+        level, check, waiting = slots[t], checks[t], pending[t]
+        for values in choices(t):
+            for (container, key), value in zip(level, values):
                 container[key] = value
             deferred = []
-            for inst in checks[t]:
+            for inst in check:
                 at = later(inst)
                 if at > t:
                     pending[at].append(inst)
@@ -106,19 +119,15 @@ def _search(choices, slots, checks, later, holds, leaf) -> list:
                 elif not holds(inst):
                     break
             else:
-                if all(map(holds, pending[t])):
-                    if t == last:
-                        leaves.append(leaf())
-                    else:
-                        descend(t + 1)
+                if all(map(holds, waiting)):
+                    yield from descend(t + 1)
             for at in deferred:
                 pending[at].pop()
 
-    descend(0)
-    return leaves
+    return descend(0)
 
 
-def _table_leaves(p: int, n: int, rows, choices, free: int, fixed=()) -> list:
+def _table_leaves(p: int, n: int, rows, choices, free: int, fixed=()):
     """The ``free`` product tables, filled by basis pair, on which ``rows`` hold.
 
     ``choices[u * n + v]`` lists the values of pair (u, v), one vector per
@@ -153,36 +162,45 @@ def _table_leaves(p: int, n: int, rows, choices, free: int, fixed=()) -> list:
                 == _combine(tables[d][y][z], tables[c][x], p, 0))
 
     slots = [tuple((tables[r][u], v) for r in range(free)) for u, v in pairs]
-    return _search(choices, slots, checks, later, holds,
+    return _search(choices.__getitem__, slots, checks, later, holds,
                    lambda: tuple(tuple(map(tuple, tables[r])) for r in range(free)))
 
 
-def _rb_part(p: int, table, weight) -> list:
-    """Rota-Baxter operators of weight ``weight`` on ``table``, as column tuples."""
-    n = len(table)
-    cols = [(0,) * n] * n
-    star = _induced(prime_field(p), cols, table, table, weight, table)[2]
-    target = sum(table, ())
-    checks = [[] for _ in range(n)]
-    for i, j in product(range(n), repeat=2):
-        checks[max(i, j)].append((i, j))
+def _column_leaves(p: int, cols: list, rows, choices):
+    """The linear maps F, filled one column of ``cols`` per level, on which ``rows`` hold.
+
+    A row ``(source, target)`` gives an instance F(b_i o b_j) = F(b_i) o'
+    F(b_j) per basis pair: ``source(i, j)``, the coordinates of ``b_i o
+    b_j``, may read ``cols``, and ``target`` is the flat table of ``o'``.
+    Each instance is filed at the level ``later`` gives on the columns
+    ``cols`` holds on entry.  A leaf is the tuple of columns.
+    """
+    n = len(cols)
+    last = n - 1
 
     def later(inst):
-        at = max(inst)
-        for m, coef in enumerate(star(*inst)):
-            if coef and m > at:
-                at = m
+        source, _, i, j = inst
+        at = i if i > j else j
+        if at < last:
+            coords = source(i, j)
+            for m in range(last, at, -1):
+                if coords[m]:
+                    return m
         return at
 
     def holds(inst):
-        i, j = inst
-        return (_combine(star(i, j), cols, p, 0)
+        source, target, i, j = inst
+        return (_combine(source(i, j), cols, p, 0)
                 == _combine([a * b if a and b else 0 for a in cols[i] for b in cols[j]],
                             target, p, 0))
 
-    choices = [[(v,) for v in product(range(p), repeat=n)]] * n
-    slots = [((cols, j),) for j in range(n)]
-    return _search(choices, slots, checks, later, holds, lambda: tuple(cols))
+    checks = [[] for _ in cols]
+    for source, target in rows:
+        for i, j in product(range(n), repeat=2):
+            inst = (source, target, i, j)
+            checks[later(inst)].append(inst)
+    return _search(choices, [((cols, t),) for t in range(n)], checks, later, holds,
+                   lambda: tuple(cols))
 
 
 # -- search parts (top level so worker processes can unpickle them) ---------------------
@@ -248,9 +266,11 @@ class _Chunks:
 def enumerate_associative_products(dim: int, p: int, budget: int | None = None,
                                    workers: int = 1) -> list:
     """All associative structure tensors on F_p^dim, in lexicographic order."""
+    _check_dim(dim)
+    field = prime_field(p)
     with _Chunks(workers) as chunks:
         tables = _associative_tables(dim, p, budget, chunks)
-    return [Algebra(StructureTensor(prime_field(p), table)) for table in tables]
+    return [Algebra(StructureTensor(field, table)) for table in tables]
 
 
 def _associative_tables(dim: int, p: int, budget, chunks: _Chunks) -> list:
@@ -259,17 +279,23 @@ def _associative_tables(dim: int, p: int, budget, chunks: _Chunks) -> list:
 
 
 def enumerate_rb_operators(algebra: Algebra, weight, budget: int | None = None) -> list:
-    """All matrices satisfying the weight-``weight`` relation on ``algebra``."""
+    """All matrices satisfying the weight-``weight`` relation on ``algebra``.
+
+    The relation is P(x * y) = P(x) P(y), * the star P induces.
+    """
     field = algebra.field
     if not field.is_finite:
-        from .errors import FieldNotFiniteError
         raise FieldNotFiniteError("enumeration requires a prime field")
-    n = algebra.dim
-    _check_budget(field.p ** (n * n), budget)
+    n, p = algebra.dim, field.p
+    _check_budget(p ** (n * n), budget)
     weight = field.coerce(weight)
-    cols = _rb_part(field.p, algebra.product.entries, weight)
+    table = algebra.product.entries
+    cols = [(0,) * n] * n
+    star = _induced(field, cols, table, table, weight, table)[2]
+    vectors = [(v,) for v in product(range(p), repeat=n)]
+    leaves = _column_leaves(p, cols, [(star, sum(table, ()))], lambda t: vectors)
     return [RotaBaxterOperator(algebra, Matrix(field, rows), weight)
-            for rows in sorted(tuple(zip(*c)) for c in cols)]
+            for rows in sorted(tuple(zip(*c)) for c in leaves)]
 
 
 def enumerate_dendriform_di(dim: int, p: int, budget: int | None = None,
@@ -278,14 +304,17 @@ def enumerate_dendriform_di(dim: int, p: int, budget: int | None = None,
 
     Searches each associative star product's fibre ``{(prec, star - prec)}``.
     """
-    with _Chunks(workers) as chunks:
-        return _dendriform_di(dim, p, budget, chunks, _associative_tables(dim, p, budget, chunks))
-
-
-def _dendriform_di(dim: int, p: int, budget, chunks: _Chunks, stars: list) -> list:
-    """The dialgebras whose star products are the associative tables ``stars``."""
-    _check_budget(len(stars) * p ** (dim ** 3), budget)
+    _check_dim(dim)
     field = prime_field(p)
+    with _Chunks(workers) as chunks:
+        return _dendriform_di(field, dim, budget, chunks,
+                              _associative_tables(dim, p, budget, chunks))
+
+
+def _dendriform_di(field, dim: int, budget, chunks: _Chunks, stars: list) -> list:
+    """The dialgebras whose star products are the associative tables ``stars``."""
+    p = field.p
+    _check_budget(len(stars) * p ** (dim ** 3), budget)
     return [DendriformDi(StructureTensor(field, prec), StructureTensor(field, succ))
             for prec, succ in sorted(chunks.run(_fibre_part, (p, dim, stars), len(stars)))]
 
@@ -327,11 +356,12 @@ def _dd_sort_key(d: DendriformDi):
 def phi_image_experiment(dim: int, p: int, budget: int | None = None,
                          workers: int = 1) -> PhiImageResult:
     """Compare the Rota-Baxter weight-zero image with all dendriform dialgebras."""
+    _check_dim(dim)
     first_witness: dict = {}
     field = prime_field(p)
     with _Chunks(workers) as chunks:
         stars = _associative_tables(dim, p, budget, chunks)
-        all_dd = _dendriform_di(dim, p, budget, chunks, stars)
+        all_dd = _dendriform_di(field, dim, budget, chunks, stars)
     for table in stars:
         alg = Algebra(StructureTensor(field, table))
         for rb in enumerate_rb_operators(alg, field.zero, budget):

@@ -8,16 +8,12 @@ is allowed (f alpha1 = alpha2 g, with the actions of the first domain
 twisted through f^{-1}).
 
 Over a prime field, dendriform isomorphism in small dimension is decided
-by a pruned depth-first walk over GL_n(F_p).  The invertible matrices come
-from a span walk (``_gl_rows``): each vector, in lexicographic order, is
-taken from the vectors outside the span of those before it, which gives
-every invertible matrix without a rank computation.  ``gl_matrices`` reads
-the vectors as rows; the search reads them as the columns of F.  An
-instance F(b_i p1 b_j) = F(b_i) p2 F(b_j) reads the columns i and j and
-the columns in the support of b_i p1 b_j; the first structure is fixed, so
-the last of those columns, the instance's level, is known in advance.
-Each instance is tested once, when the walk assigns the column of its
-level, and a failure cuts the subtree: every complete matrix the walk
+by the column search of ``enumeration._column_leaves``.  Column t of F is
+taken, in lexicographic order, from the vectors outside the span of the
+columns before it (``_gl_choices``), which gives every invertible matrix
+without a rank computation; ``gl_matrices`` is the same walk with no
+instances, its columns read as rows.  The instances are F(b_i p1 b_j) =
+F(b_i) p2 F(b_j) for each product p, so every complete matrix the walk
 reaches is an isomorphism, and it reaches all of them.
 
 The witness is the least isomorphism in row-major lexicographic order,
@@ -38,7 +34,8 @@ from .errors import (DimensionCapError, DimensionMismatchError,
                      FieldNotFiniteError, KindMismatchError,
                      NotInvertibleError, SingularMatrixError)
 from .fields import FieldSpec, same_field
-from .linalg import Matrix, _combine, invert, rank
+from .enumeration import _check_dim, _column_leaves
+from .linalg import Matrix, invert, rank
 from .operators import ALGEBRA, OOperator, _domain_morphism_failures, pullback_domain
 from .structures import (DEFAULT_MAX_VIOLATIONS, DendriformDi, DendriformTri,
                          ValidationReport, _collect, _homomorphism_failures, _transpose)
@@ -93,7 +90,7 @@ def verify_dendriform_iso(d1, d2, F: Matrix,
                           ) -> ValidationReport:
     """Check F(x p1 y) = F(x) p2 F(y) for each product p of the two structures."""
     _same_dendriform_kind(d1, d2)
-    field = same_field(d1.field, d2.field)
+    field = same_field(same_field(d1.field, d2.field), F.field)
     if d1.dim != d2.dim or F.rows != d1.dim or not F.is_square:
         raise DimensionMismatchError("witness must be square of the common dimension")
     if rank(F) < F.rows:
@@ -164,34 +161,23 @@ def _span_with(span: set, v: tuple, p: int) -> set:
     return {tuple((a + c * b) % p for a, b in zip(w, v)) for w in span for c in range(p)}
 
 
-def _gl_rows(p: int, n: int, holds=None):
-    """Rows of every invertible n x n matrix over F_p, lexicographic on the entries.
+def _gl_choices(p: int, cols: list):
+    """Level t of the GL walk: the vectors of F_p^n outside the span of ``cols[:t]``.
 
-    A depth-first walk takes each row, in lexicographic order, from the
-    vectors outside the span of the rows above it.  A matrix is invertible
-    exactly when every row lies outside the span of the rows before it, so
-    this is the lexicographic order of all matrices with the singular ones
-    skipped, and no candidate needs a rank computation.  ``holds``, when
-    given, is called on each new prefix of rows; a false result cuts the
-    subtree below it.
+    A matrix is invertible exactly when each of its vectors lies outside
+    the span of those before it.
     """
-    if n == 0:
-        yield ()
-        return
-    vectors = list(itertools.product(range(p), repeat=n))
+    n = len(cols)
+    vectors = [(v,) for v in itertools.product(range(p), repeat=n)]
+    spans = [{(0,) * n}] * (n + 1)
 
-    def walk(rows, span):
-        for v in vectors:
-            if v not in span:
-                prefix = rows + (v,)
-                if holds is not None and not holds(prefix):
-                    continue
-                if len(prefix) == n:
-                    yield prefix
-                else:
-                    yield from walk(prefix, _span_with(span, v, p))
+    def choices(t):
+        if t:
+            spans[t] = _span_with(spans[t - 1], cols[t - 1], p)
+        span = spans[t]
+        return [v for v in vectors if v[0] not in span]
 
-    yield from walk((), {(0,) * n})
+    return choices
 
 
 def _completions(p: int, n: int, r: int) -> int:
@@ -200,7 +186,7 @@ def _completions(p: int, n: int, r: int) -> int:
 
 
 def _gl_position(p: int, rows: tuple) -> int:
-    """1-based position of an invertible matrix (row tuples) in the ``_gl_rows`` order.
+    """1-based position of an invertible matrix (row tuples) in the ``gl_matrices`` order.
 
     Row r contributes, for each vector before it in lexicographic order
     and outside the span of the rows above, the completions of the rows
@@ -217,7 +203,7 @@ def _gl_position(p: int, rows: tuple) -> int:
 
 
 def gl_matrices(field: FieldSpec, n: int):
-    """All invertible n x n matrices over a prime field.
+    """All invertible n x n matrices over a prime field, lazily.
 
     Lexicographic on the row-major entry tuple (entries 0..p-1), singular
     candidates skipped; the order is the search order, so "first witness"
@@ -225,27 +211,10 @@ def gl_matrices(field: FieldSpec, n: int):
     """
     if not field.is_finite:
         raise FieldNotFiniteError("matrix enumeration requires a prime field")
-    for rows in _gl_rows(field.p, n):
-        yield Matrix(field, rows)
-
-
-def _instance_levels(d1, d2) -> list:
-    """Instances of F(b_i p1 b_j) = F(b_i) p2 F(b_j), grouped by the last column they read.
-
-    Entry c lists ``(source, target, i, j)`` for the instances whose
-    columns i, j and support of ``b_i p1 b_j`` lie in 0..c and reach c;
-    ``source`` holds the coordinates of ``b_i p1 b_j`` and ``target`` the
-    flat table of p2.
-    """
-    n = d1.dim
-    levels = [[] for _ in range(n)]
-    for t1, t2 in zip(d1.tensors(), d2.tensors()):
-        target = sum(t2.entries, ())
-        for i, j in itertools.product(range(n), repeat=2):
-            source = t1.row(i, j)
-            last = max([i, j] + [k for k, a in enumerate(source) if a])
-            levels[last].append((source, target, i, j))
-    return levels
+    _check_dim(n)
+    rows = [(0,) * n] * n
+    return (Matrix(field, leaf)
+            for leaf in _column_leaves(field.p, rows, (), _gl_choices(field.p, rows)))
 
 
 def search_dendriform_iso_fp(d1, d2) -> IsoSearchResult:
@@ -264,21 +233,19 @@ def search_dendriform_iso_fp(d1, d2) -> IsoSearchResult:
     if d1.dim > DEFAULT_DIMENSION_CAP:
         raise DimensionCapError(
             f"dimension {d1.dim} above the search cap {DEFAULT_DIMENSION_CAP}")
-    p, zero, n = field.p, field.zero, d1.dim
-    levels = _instance_levels(d1, d2)
+    p, n = field.p, d1.dim
+    cols = [(0,) * n] * n
+    gl = _gl_choices(p, cols)
     nodes = 0
 
-    def holds(cols):
+    def choices(t):
         nonlocal nodes
-        nodes += 1
-        for source, target, i, j in levels[len(cols) - 1]:
-            if (_combine(source, cols, p, zero)
-                    != _combine([a * b if a and b else 0 for a in cols[i] for b in cols[j]],
-                                target, p, zero)):
-                return False
-        return True
+        values = gl(t)
+        nodes += len(values)
+        return values
 
-    leaves = [_transpose(cols) for cols in _gl_rows(p, n, holds)]
+    products = [(t1.row, sum(t2.entries, ())) for t1, t2 in zip(d1.tensors(), d2.tensors())]
+    leaves = [_transpose(c) for c in _column_leaves(p, cols, products, choices)]
     if not leaves:
         return IsoSearchResult(None, _completions(p, n, 0), nodes)
     rows = min(leaves)

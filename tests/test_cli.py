@@ -179,6 +179,14 @@ def test_iso_search_found_and_not_found(tmp_path, capsys):
     assert dp.verify_dendriform_iso(four, four, witness).passed
 
 
+def test_iso_witness_over_another_field_exits_2(tmp_path, capsys):
+    a = write_doc(tmp_path, "a.json", dp.dendriform_di_to_field(
+        dp.catalogue_entry("rb-4").structure, F3))
+    w = write_doc(tmp_path, "wq.json", dp.Matrix.identity(Q, 2), field=Q)
+    assert main(["iso", a, a, "--witness", w]) == 2
+    assert "field mismatch" in capsys.readouterr().err
+
+
 def test_iso_witness_with_columns_but_no_rows_exits_2(tmp_path, capsys):
     a = write_doc(tmp_path, "a.json", dp.catalogue_entry("rb-4").structure)
     w = tmp_path / "w.json"

@@ -11,8 +11,8 @@ import dendrop.enumeration as enumeration
 from dendrop.enumeration import _worker_count
 from dendrop.linalg import Matrix, StructureTensor
 from dendrop.structures import _DENDRIFORM_TRI
-from dendrop.errors import (BudgetExceededError, FieldNotFiniteError,
-                            InvalidDendriformError)
+from dendrop.errors import (ArgumentError, BudgetExceededError, FieldNotFiniteError,
+                            FieldSpecError, InvalidDendriformError)
 from helpers import F2, F3, n2, zero_algebra
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures",
@@ -86,6 +86,40 @@ def test_budget_arithmetic():
         dp.enumerate_dendriform_di(2, 3, budget=700_000)
     with pytest.raises(BudgetExceededError):
         dp.enumerate_associative_products(2, 2, budget=10)
+
+
+EMPTY = StructureTensor(F2, ())
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: dp.enumerate_associative_products(-1, 2), ArgumentError),
+    (lambda: dp.enumerate_dendriform_di(-1, 2), ArgumentError),
+    (lambda: dp.phi_image_experiment(-1, 2), ArgumentError),
+    (lambda: dp.gl_matrices(F2, -1), ArgumentError),
+    (lambda: dp.enumerate_associative_products(2, 4), FieldSpecError),
+    (lambda: dp.enumerate_dendriform_di(2, 4), FieldSpecError),
+    (lambda: dp.phi_image_experiment(2, 4), FieldSpecError),
+    (lambda: dp.enumerate_associative_products(0, 2), [dp.Algebra(EMPTY)]),
+    (lambda: dp.enumerate_dendriform_di(0, 2), [dp.DendriformDi(EMPTY, EMPTY)]),
+    (lambda: dp.enumerate_rb_operators(dp.Algebra(EMPTY), 0),
+     [dp.RotaBaxterOperator(dp.Algebra(EMPTY), Matrix(F2, ()), 0)]),
+    (lambda: dp.phi_image_experiment(0, 2).counts, {"all": 1, "image": 1, "missing": 0}),
+    (lambda: list(dp.gl_matrices(F2, 0)), [Matrix(F2, ())]),
+    (lambda: dp.search_dendriform_iso_fp(dp.DendriformDi(EMPTY, EMPTY),
+                                         dp.DendriformDi(EMPTY, EMPTY)).witness.matrix,
+     Matrix(F2, ())),
+], ids=["assoc-neg", "dd-neg", "phi-neg", "gl-neg", "assoc-p4", "dd-p4", "phi-p4",
+        "assoc-0", "dd-0", "rb-0", "phi-0", "gl-0", "iso-0"])
+def test_enumeration_boundary(monkeypatch, call, expected):
+    """A bad dimension or field is refused before any search; dimension 0 has one answer."""
+    if isinstance(expected, type):
+        def no_search(*args):
+            raise AssertionError("searched before refusing")
+        monkeypatch.setattr(enumeration, "_search", no_search)
+        with pytest.raises(expected):
+            call()
+    else:
+        assert call() == expected
 
 
 def test_budget_override_allows_more():

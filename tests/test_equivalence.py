@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import dendrop as dp
-from dendrop.errors import (DimensionCapError, FieldNotFiniteError,
+from dendrop.errors import (DimensionCapError, FieldMismatchError, FieldNotFiniteError,
                             KindMismatchError, NotInvertibleError,
                             NotMultiplicativeError, SingularMatrixError)
 from dendrop.equivalence import _gl_position
@@ -48,6 +48,13 @@ def test_witness_must_be_invertible():
     d = dp.catalogue_entry("rb-4").structure
     with pytest.raises(NotInvertibleError):
         dp.verify_dendriform_iso(d, d, Matrix.zeros(Q, 2, 2))
+
+
+def test_witness_over_another_field_rejected():
+    # the identity over Q is no witness for structures over F_3
+    d = over3("rb-4")
+    with pytest.raises(FieldMismatchError):
+        dp.verify_dendriform_iso(d, d, Matrix.identity(Q, 2))
 
 
 def test_kind_mismatch_rejected():
@@ -275,6 +282,12 @@ def test_gl_walk_is_the_rank_filtered_lexicographic_order(p, n, order):
     walked = [sum(M.entries, ()) for M in dp.gl_matrices(field, n)]
     assert walked == naive
     assert len(walked) == order == math.prod(p ** n - p ** k for k in range(n))
+
+
+def test_gl_matrices_is_lazy():
+    # |GL_4(F_5)| is about 1.2e11: only a lazy walk returns its first member
+    first = next(dp.gl_matrices(F5, 4))
+    assert first == Matrix(F5, tuple(tuple(int(r + c == 3) for c in range(4)) for r in range(4)))
 
 
 def _naive_search(d1, d2):
