@@ -30,10 +30,9 @@ from .linalg import (Matrix, StructureTensor, _combine, column_space_basis,
 from .structures import (Algebra, Bimodule, BimoduleAlgebra, DendriformDi,
                          DendriformTri,
                          DEFAULT_MAX_VIOLATIONS, ValidationReport,
-                         _action_matrices, _action_tables, _collect,
+                         _action_matrices, _collect,
                          _homomorphism_failures, _require, _transpose, star_product,
-                         validate_bimodule, validate_bimodule_algebra,
-                         validate_dendriform_di, validate_dendriform_tri)
+                         validate_bimodule, validate_bimodule_algebra)
 from .operators import (ALGEBRA, OOperator, _induced, validate_o_algebra,
                         validate_o_module, validate_o_operator)
 
@@ -49,7 +48,7 @@ def _domain_products(op: OOperator):
     """Structure tensors of the induced products on the operator's source."""
     f = op.field
     m = op.domain.dim
-    rows = _induced(f, _transpose(op.matrix.entries), *_action_tables(op.domain))[:2]
+    rows = _induced(f, _transpose(op.matrix.entries), *op.domain._action_tables)[:2]
     return tuple(StructureTensor(f, tuple(tuple(row(i, j) for j in range(m))
                                           for i in range(m)))
                  for row in rows)
@@ -108,15 +107,20 @@ def check_splitting(dend, alg: Algebra,
 
 # -- canonical operators (surjectivity witnesses) --------------------------------
 
-def _canonical_operator(dend, noun: str, validate):
+def _canonical_operator(dend, kind, noun: str):
     """The identity map of V as an operator onto the star product (V, star).
 
     Its domain is (V, L_succ, R_prec), carrying the product dot for a
-    trialgebra, which makes the operator algebra kind of weight one.
-    ``validate`` checks ``dend`` first, and the built structure and operator
-    must validate and reproduce ``dend`` exactly.  Returns ``(structure, operator)``.
+    trialgebra, which makes the operator algebra kind of weight one.  The
+    built structure and operator must validate and reproduce ``dend``
+    exactly.  ``dend`` is not validated on its own: the laws of its domain
+    structure are its dendriform axioms, instance for instance (the bimodule
+    laws di3, di1, di2, or tri3, tri1, tri2, then tri4, tri6, tri5 and tri7
+    for a bimodule algebra), so that check refuses exactly the structures
+    its validator fails.  Returns ``(structure, operator)``.
     """
-    _require(validate(dend, 1, True), InvalidDendriformError, noun + " axioms fail at {indices}")
+    if type(dend) is not kind:
+        raise KindMismatchError(f"expected a {noun}, got a {type(dend).__name__}")
     f = dend.field
     alg = star_product(dend)
     structure = Bimodule(alg, *_action_matrices(f, dend.succ.entries, dend.prec.entries))
@@ -124,9 +128,9 @@ def _canonical_operator(dend, noun: str, validate):
     if isinstance(dend, DendriformTri):
         structure = BimoduleAlgebra(structure, dend.dot)
         weight, validate_structure = f.one, validate_bimodule_algebra
-    op = OOperator(structure, alg, Matrix.identity(f, dend.dim), weight)
     _require(validate_structure(structure, 1, True), InvalidDendriformError,
-             "canonical domain structure fails {axiom} at {indices}")
+             noun + " axioms fail: canonical domain structure fails {axiom} at {indices}")
+    op = OOperator(structure, alg, Matrix.identity(f, dend.dim), weight)
     _require(validate_o_operator(op, max_violations=1, early_stop=True), InvalidDendriformError,
              "canonical operator fails its relation at {indices}")
     if _domain_structure(op) != dend:
@@ -136,12 +140,12 @@ def _canonical_operator(dend, noun: str, validate):
 
 def canonical_operator_from_tri(tri: DendriformTri):
     """Identity map as a weight-one operator from (V, dot, L_succ, R_prec) to (V, star)."""
-    return _canonical_operator(tri, "trialgebra", validate_dendriform_tri)
+    return _canonical_operator(tri, DendriformTri, "trialgebra")
 
 
 def canonical_operator_from_di(di: DendriformDi):
     """Identity map as a module-kind operator from (V, L_succ, R_prec) to (V, star)."""
-    return _canonical_operator(di, "dialgebra", validate_dendriform_di)
+    return _canonical_operator(di, DendriformDi, "dialgebra")
 
 
 # -- range constructions -----------------------------------------------------------

@@ -88,7 +88,7 @@ def _check_dim(dim: int) -> None:
 
 # -- the search ------------------------------------------------------------------------
 
-def _search(choices, slots, checks, later, holds, leaf):
+def _search(choices, slots, checks, fixed, later, holds, leaf):
     """Leaves of a depth-first search over partial assignments, in choice order.
 
     Level ``t`` writes each value tuple of ``choices(t)``, which may read
@@ -96,11 +96,13 @@ def _search(choices, slots, checks, later, holds, leaf):
     ``slots[t]``.  ``checks[t]`` lists the instances filed at level ``t``;
     ``later(inst)`` is the level at which the last entry the instance reads,
     given the values fixed so far, is fixed, and the instance is tested by
-    ``holds(inst)`` at that level.  ``leaf()`` copies a complete assignment
-    (with no levels, the empty one); leaves are yielded as they are reached.
+    ``holds(inst)`` at that level.  ``fixed[t]`` lists instances whose last
+    read is at level ``t`` whatever the values: they are tested there with
+    no ``later`` call.  ``leaf()`` copies a complete assignment (with no
+    levels, the empty one); leaves are yielded as they are reached.
     """
     depth = len(slots)
-    pending = [[] for _ in slots]
+    pending = [list(f) for f in fixed]
 
     def descend(t):
         if t == depth:
@@ -162,7 +164,7 @@ def _table_leaves(p: int, n: int, rows, choices, free: int, fixed=()):
                 == _combine(tables[d][y][z], tables[c][x], p, 0))
 
     slots = [tuple((tables[r][u], v) for r in range(free)) for u, v in pairs]
-    return _search(choices.__getitem__, slots, checks, later, holds,
+    return _search(choices.__getitem__, slots, checks, [()] * len(pairs), later, holds,
                    lambda: tuple(tuple(map(tuple, tables[r])) for r in range(free)))
 
 
@@ -170,10 +172,13 @@ def _column_leaves(p: int, cols: list, rows, choices):
     """The linear maps F, filled one column of ``cols`` per level, on which ``rows`` hold.
 
     A row ``(source, target)`` gives an instance F(b_i o b_j) = F(b_i) o'
-    F(b_j) per basis pair: ``source(i, j)``, the coordinates of ``b_i o
-    b_j``, may read ``cols``, and ``target`` is the flat table of ``o'``.
-    Each instance is filed at the level ``later`` gives on the columns
-    ``cols`` holds on entry.  A leaf is the tuple of columns.
+    F(b_j) per basis pair, ``target`` being the flat table of ``o'``.
+    ``source`` is the nested table of ``o``, or, where ``o`` depends on F
+    (the star a Rota-Baxter operator induces), a function ``source(i, j)``
+    of ``cols`` giving the coordinates of ``b_i o b_j``.  An instance of a
+    table reads the same columns at every node, so it is filed once at its
+    level; an instance of a function is filed at each node by ``later``.
+    A leaf is the tuple of columns.
     """
     n = len(cols)
     last = n - 1
@@ -195,11 +200,15 @@ def _column_leaves(p: int, cols: list, rows, choices):
                             target, p, 0))
 
     checks = [[] for _ in cols]
+    fixed = [[] for _ in cols]
     for source, target in rows:
+        filed = checks
+        if not callable(source):
+            filed, source = fixed, (lambda i, j, table=source: table[i][j])
         for i, j in product(range(n), repeat=2):
             inst = (source, target, i, j)
-            checks[later(inst)].append(inst)
-    return _search(choices, [((cols, t),) for t in range(n)], checks, later, holds,
+            filed[later(inst)].append(inst)
+    return _search(choices, [((cols, t),) for t in range(n)], checks, fixed, later, holds,
                    lambda: tuple(cols))
 
 

@@ -244,7 +244,7 @@ def search_dendriform_iso_fp(d1, d2) -> IsoSearchResult:
         nodes += len(values)
         return values
 
-    products = [(t1.row, sum(t2.entries, ())) for t1, t2 in zip(d1.tensors(), d2.tensors())]
+    products = [(t1.entries, sum(t2.entries, ())) for t1, t2 in zip(d1.tensors(), d2.tensors())]
     leaves = [_transpose(c) for c in _column_leaves(p, cols, products, choices)]
     if not leaves:
         return IsoSearchResult(None, _completions(p, n, 0), nodes)

@@ -18,8 +18,8 @@ from .errors import (DimensionMismatchError, KindMismatchError,
 from .fields import same_field
 from .linalg import Matrix, StructureTensor, _combine
 from .structures import (Algebra, Bimodule, BimoduleAlgebra, DEFAULT_MAX_VIOLATIONS,
-                         ValidationReport, canonical_bimodule, _action_tables,
-                         _collect, _homomorphism_failures, _require, _transpose)
+                         ValidationReport, canonical_bimodule, _collect,
+                         _homomorphism_failures, _require, _transpose)
 
 MODULE = "module"
 ALGEBRA = "algebra"
@@ -142,7 +142,7 @@ def validate_o_module(op: OOperator,
     if op.kind != MODULE:
         raise KindMismatchError("expected a module-kind operator")
     failures = _o_relation_failures(op.field, "o_module", op.codomain.product.entries,
-                                    _transpose(op.matrix.entries), *_action_tables(op.domain))
+                                    _transpose(op.matrix.entries), *op.domain._action_tables)
     return _collect("o_operator_module", failures, max_violations, early_stop)
 
 
@@ -153,7 +153,7 @@ def validate_o_algebra(op: OOperator,
     if op.kind != ALGEBRA:
         raise KindMismatchError("expected an algebra-kind operator")
     failures = _o_relation_failures(op.field, "o_algebra", op.codomain.product.entries,
-                                    _transpose(op.matrix.entries), *_action_tables(op.domain),
+                                    _transpose(op.matrix.entries), *op.domain._action_tables,
                                     op.weight, op.domain.product.entries)
     return _collect("o_operator_algebra", failures, max_violations, early_stop)
 

@@ -47,6 +47,7 @@ identity ``rho_{x*y} = rho_y rho_x`` (note the order reversal).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Sequence
 
 from .errors import DimensionMismatchError, NotAssociativeError
@@ -111,7 +112,13 @@ def _require(report: ValidationReport, error, message: str) -> None:
 
 @dataclass(frozen=True)
 class Algebra:
-    """Bilinear product on a finite free module; associativity is checked, not assumed."""
+    """Bilinear product on a finite free module; associativity is checked, not assumed.
+
+    Structures are immutable, so data derived from their fields (here the
+    canonical bimodule, on ``Bimodule`` the action tables) is computed on
+    first use and kept on the instance.  It takes no part in equality,
+    hashing or documents, which read the fields only.
+    """
 
     product: StructureTensor
     name: str | None = dc_field(default=None, compare=False)
@@ -123,6 +130,15 @@ class Algebra:
     @property
     def dim(self) -> int:
         return self.product.dim
+
+    @cached_property
+    def _canonical_bimodule(self) -> "BimoduleAlgebra":
+        # a failed check raises, so nothing is kept and the next call checks again
+        _require(validate_associativity(self, 1, True), NotAssociativeError,
+                 "algebra is not associative (first violation at {indices})")
+        c = self.product
+        left, right = _action_matrices(self.field, c.entries, c.entries)
+        return BimoduleAlgebra(Bimodule(self, left, right), c)
 
 
 @dataclass(frozen=True)
@@ -159,6 +175,13 @@ class Bimodule:
     def dim(self) -> int:
         return self.left[0].rows if self.left else 0
 
+    @cached_property
+    def _action_tables(self) -> tuple:
+        """Actions as bilinear tables ``left[i][j] = l(b_i) e_j``, ``right[j][i] = e_j r(b_i)``."""
+        left = tuple(_transpose(M.entries) for M in self.left)
+        right = _transpose([_transpose(M.entries) for M in self.right])
+        return left, right
+
 
 @dataclass(frozen=True)
 class BimoduleAlgebra:
@@ -183,6 +206,10 @@ class BimoduleAlgebra:
     @property
     def right(self) -> tuple:
         return self.base.right
+
+    @property
+    def _action_tables(self) -> tuple:
+        return self.base._action_tables
 
     @property
     def field(self) -> FieldSpec:
@@ -283,15 +310,8 @@ def _table_sum(field: FieldSpec, tables: Sequence) -> tuple:
                  for planes in zip(*tables))
 
 
-def _action_tables(bm: "Bimodule") -> tuple:
-    """Actions as bilinear tables ``left[i][j] = l(b_i) e_j``, ``right[j][i] = e_j r(b_i)``."""
-    left = tuple(_transpose(M.entries) for M in bm.left)
-    right = _transpose([_transpose(M.entries) for M in bm.right])
-    return left, right
-
-
 def _action_matrices(field: FieldSpec, left, right) -> tuple:
-    """Inverse of ``_action_tables``: the per-basis-element action matrices."""
+    """Inverse of ``Bimodule._action_tables``: the per-basis-element action matrices."""
     return (tuple(Matrix.from_columns(field, cols) for cols in left),
             tuple(Matrix.from_columns(field, cols) for cols in _transpose(right)))
 
@@ -435,8 +455,7 @@ def validate_bimodule(bm: Bimodule,
                       early_stop: bool = False) -> ValidationReport:
     """Bimodule laws, checked on (algebra, algebra, module) basis triples."""
     n, m = bm.algebra.dim, bm.dim
-    left, right = _action_tables(bm)
-    tables = (bm.algebra.product.entries, left, right)
+    tables = (bm.algebra.product.entries, *bm._action_tables)
     return _collect("bimodule",
                     _composition_failures(bm.field, tables, (((n, n, m), _BIMODULE),)),
                     max_violations, early_stop)
@@ -450,8 +469,7 @@ def validate_bimodule_algebra(ba: BimoduleAlgebra,
     The compatibility laws are checked on (algebra, module, module) basis triples.
     """
     n, m = ba.algebra.dim, ba.dim
-    left, right = _action_tables(ba.base)
-    tables = (ba.algebra.product.entries, left, right, ba.product.entries)
+    tables = (ba.algebra.product.entries, *ba._action_tables, ba.product.entries)
     groups = (((n, n, m), _BIMODULE), ((n, m, m), _BIMODULE_ALGEBRA),
               ((m, m, m), _PRODUCT_ASSOCIATIVITY))
     return _collect("bimodule_algebra", _composition_failures(ba.field, tables, groups),
@@ -467,12 +485,12 @@ def star_product(d) -> Algebra:
 
 
 def canonical_bimodule(alg: Algebra) -> BimoduleAlgebra:
-    """The algebra acting on itself by left/right multiplication, with its own product."""
-    _require(validate_associativity(alg, 1, True), NotAssociativeError,
-             "algebra is not associative (first violation at {indices})")
-    c = alg.product
-    left, right = _action_matrices(alg.field, c.entries, c.entries)
-    return BimoduleAlgebra(Bimodule(alg, left, right), c)
+    """The algebra acting on itself by left/right multiplication, with its own product.
+
+    Built and checked once per algebra instance; raises ``NotAssociativeError``
+    on every call for a non-associative algebra.
+    """
+    return alg._canonical_bimodule
 
 
 # -- field transport ----------------------------------------------------------------

@@ -136,6 +136,14 @@ def test_canonical_round_trip_via_cli(tmp_path):
     assert dp.domain_dendriform_di(op) == rb5
 
 
+def test_canonical_refuses_an_invalid_dialgebra_and_writes_nothing(tmp_path, capsys):
+    bad = dp.make_dendriform_di(Q, 2, {(0, 0, 1): ONE}, {(0, 0, 0): ONE})
+    out = tmp_path / "op.json"
+    assert main(["canonical", write_doc(tmp_path, "bad.json", bad), "-o", str(out)]) == 1
+    assert not out.exists()
+    assert "dialgebra axioms fail: canonical domain structure fails" in capsys.readouterr().err
+
+
 # -- split-check ----------------------------------------------------------------------
 
 def test_split_check_pass_and_fail(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from dendrop.errors import (DendropError, DimensionMismatchError, FieldMismatchE
                             InvalidDendriformError, InvalidOperatorError, KernelNotIdealError,
                             KindMismatchError, SingularMatrixError)
 from dendrop.linalg import Matrix, StructureTensor
-from helpers import (F3, Q, diag, kx2, kx3, n2, random_invertible, rb_operator_stock,
+from helpers import (F2, F3, Q, diag, kx2, kx3, n2, random_invertible, rb_operator_stock,
                      split2, zero_algebra)
 
 ONE = Fraction(1)
@@ -168,8 +169,77 @@ def test_canonical_from_di_round_trips_catalogue():
 
 def test_canonical_refuses_invalid_dendriform():
     bad = dp.make_dendriform_di(Q, 2, {(0, 0, 1): ONE}, {(0, 0, 0): ONE})
-    with pytest.raises(InvalidDendriformError):
+    with pytest.raises(InvalidDendriformError,
+                       match=r"^dialgebra axioms fail: canonical domain structure fails "
+                             r"(left_action_mult|right_action_mult|action_commute) at \(\d, \d, \d\)$"):
         dp.canonical_operator_from_di(bad)
+    # a dot that is not associative breaks only the bimodule-algebra laws (tri7)
+    tri = dp.make_dendriform_tri(Q, 1, {}, {}, {(0, 0, 0): ONE})
+    assert dp.canonical_operator_from_tri(tri)
+    bad_tri = dp.make_dendriform_tri(F3, 2, {}, {}, {(0, 0, 1): 1, (1, 0, 0): 1})
+    with pytest.raises(InvalidDendriformError,
+                       match=r"^trialgebra axioms fail: canonical domain structure fails "):
+        dp.canonical_operator_from_tri(bad_tri)
+
+
+def test_canonical_refuses_the_other_dendriform_kind():
+    d = dp.catalogue_entry("rb-5").structure
+    tri = dp.DendriformTri(d.prec, d.succ, StructureTensor.zero(Q, 2))
+    with pytest.raises(KindMismatchError, match="expected a dialgebra, got a DendriformTri"):
+        dp.canonical_operator_from_di(tri)
+    with pytest.raises(KindMismatchError, match="expected a trialgebra, got a DendriformDi"):
+        dp.canonical_operator_from_tri(d)
+
+
+def _tensor(field, n, flat):
+    """The structure tensor whose entries, in (i, j, k) order, are ``flat``."""
+    return StructureTensor(field, tuple(
+        tuple(tuple(flat[(i * n + j) * n:(i * n + j + 1) * n]) for j in range(n))
+        for i in range(n)))
+
+
+def _refusal_matches_validator(kind, field, n, flat) -> bool:
+    """Whether the canonical operator refuses the candidate; asserts the validator agrees."""
+    size = n ** 3
+    tensors = [_tensor(field, n, flat[k:k + size]) for k in range(0, len(flat), size)]
+    if kind == "di":
+        d = dp.DendriformDi(*tensors)
+        canonical, validate = dp.canonical_operator_from_di, dp.validate_dendriform_di
+    else:
+        d = dp.DendriformTri(*tensors)
+        canonical, validate = dp.canonical_operator_from_tri, dp.validate_dendriform_tri
+    try:
+        canonical(d)
+        refused = False
+    except InvalidDendriformError:
+        refused = True
+    assert refused == (not validate(d, 1, True).passed)
+    return refused
+
+
+@pytest.mark.parametrize("kind,tables", [("di", 2), ("tri", 3)])
+@pytest.mark.parametrize("p", [2, 3])
+def test_canonical_refuses_exactly_what_the_validator_fails_dim1(kind, tables, p):
+    field = dp.prime_field(p)
+    verdicts = [_refusal_matches_validator(kind, field, 1, flat)
+                for flat in itertools.product(range(p), repeat=tables)]
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("kind,tables", [("di", 2), ("tri", 3)])
+def test_canonical_refuses_exactly_what_the_validator_fails_dim2(kind, tables):
+    """2,000 candidates over F_2: uniform ones, the 130 dialgebras (with zero
+    dot for trialgebras), and those with one entry flipped."""
+    rng = random.Random(2202 + tables)
+    valid = [[a for t in d.tensors() for plane in t.entries for row in plane for a in row]
+             + [0] * 8 * (tables - 2) for d in dp.enumerate_dendriform_di(2, 2)]
+    sample = [[rng.randrange(2) for _ in range(8 * tables)] for _ in range(1000)] + valid
+    while len(sample) < 2000:
+        flat = list(rng.choice(valid))
+        flat[rng.randrange(len(flat))] ^= 1
+        sample.append(flat)
+    verdicts = [_refusal_matches_validator(kind, F2, 2, flat) for flat in sample]
+    assert verdicts.count(False) > len(valid) and verdicts.count(True) > 1000
 
 
 # -- kernel ideal check -----------------------------------------------------------------------

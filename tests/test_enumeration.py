@@ -7,6 +7,7 @@ import pytest
 
 import dendrop as dp
 import oracle_enumeration
+import dendrop.constructions as constructions
 import dendrop.enumeration as enumeration
 from dendrop.enumeration import _worker_count
 from dendrop.linalg import Matrix, StructureTensor
@@ -324,6 +325,23 @@ def test_phi_image_records_why_a_round_trip_failed(monkeypatch):
     res = dp.phi_image_experiment(1, 2)
     assert res.round_trip_failures == (
         (idem, "canonical operator does not reproduce its input"),)
+
+
+def test_phi_image_round_trip_catches_a_wrong_reconstruction(monkeypatch):
+    # the reproduction check is live: a domain structure off by one entry fails it
+    real = constructions._domain_structure
+
+    def off_by_one(op):
+        d = real(op)
+        planes = [[list(row) for row in plane] for plane in d.prec.entries]
+        planes[0][0][0] = (planes[0][0][0] + 1) % d.field.p
+        return dp.DendriformDi(StructureTensor(d.field, planes), d.succ)
+
+    monkeypatch.setattr(constructions, "_domain_structure", off_by_one)
+    res = dp.phi_image_experiment(1, 2)
+    assert res.round_trip_failures
+    assert {why for _, why in res.round_trip_failures} == {
+        "canonical operator does not reproduce its input"}
 
 
 def test_phi_image_dim2_matches_oracle(oracle):

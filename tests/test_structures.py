@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -87,6 +88,60 @@ def test_canonical_bimodule_requires_associativity():
     bad = dp.make_algebra(Q, 2, {(0, 0, 1): ONE, (1, 0, 0): ONE})
     with pytest.raises(NotAssociativeError):
         dp.canonical_bimodule(bad)
+
+
+def test_canonical_bimodule_is_built_once_per_algebra():
+    alg = kx2()
+    assert dp.canonical_bimodule(alg) is dp.canonical_bimodule(alg)
+    # an equal algebra is another instance, with its own (equal) canonical bimodule
+    assert dp.canonical_bimodule(kx2()) == dp.canonical_bimodule(alg)
+
+
+def test_non_associative_algebra_is_refused_on_every_call():
+    bad = dp.make_algebra(Q, 2, {(0, 0, 1): ONE, (1, 0, 0): ONE})
+    for _ in range(3):
+        with pytest.raises(NotAssociativeError, match=r"first violation at \(0, 0, 0\)"):
+            dp.canonical_bimodule(bad)
+
+
+def _observed(obj):
+    """Everything a caller sees of a structure besides its derived data."""
+    copy = pickle.loads(pickle.dumps(obj))
+    return obj, hash(obj), repr(obj), dp.emit_document(obj), copy, dp.emit_document(copy)
+
+
+def test_derived_data_is_invisible_from_outside():
+    kept, fresh = kx2(), kx2()
+    before = _observed(kept)
+    ba = dp.canonical_bimodule(kept)
+    ba._action_tables
+    after = _observed(kept)
+    assert after == before == _observed(fresh)
+    assert kept == fresh and hash(kept) == hash(fresh)
+    # a copy made after the cache was filled behaves as the original
+    assert dp.canonical_bimodule(after[4]) == ba
+    for structure, twin in ((ba.base, dp.canonical_bimodule(kx2()).base),
+                            (ba, dp.canonical_bimodule(kx2()))):
+        assert _observed(structure) == _observed(twin)
+
+
+def _transposed_actions(bm):
+    """``left[i][j] = l(b_i) e_j`` and ``right[j][i] = e_j r(b_i)``, read off the matrices."""
+    n, m = bm.algebra.dim, bm.dim
+    return (tuple(tuple(bm.left[i].col(j) for j in range(m)) for i in range(n)),
+            tuple(tuple(bm.right[i].col(j) for i in range(n)) for j in range(m)))
+
+
+def test_cached_action_tables_equal_fresh_transposes():
+    # left and right differ: L_succ and R_prec of rb-5, as a trialgebra with zero dot
+    d = dp.catalogue_entry("rb-5").structure
+    ba, _ = dp.canonical_operator_from_tri(
+        dp.DendriformTri(d.prec, d.succ, StructureTensor.zero(Q, 2)))
+    assert ba.left != ba.right
+    for structure in (ba, ba.base, dp.canonical_bimodule(n2())):
+        assert structure._action_tables == _transposed_actions(structure)
+        assert structure._action_tables is structure._action_tables
+    assert ba._action_tables is ba.base._action_tables
 
 
 def test_broken_left_action_fails_at_named_pair():
