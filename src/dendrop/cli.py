@@ -157,6 +157,7 @@ def _cmd_iso(args) -> int:
         _print_report("iso witness", rep)
         return 0 if rep.passed else 1
     result = search_dendriform_iso_fp(d1, d2)
+    print(f"search: {result.nodes} columns assigned", file=sys.stderr)
     if result.found:
         print(f"isomorphic: witness found after {result.candidates_tried} candidate(s)")
         if args.output:

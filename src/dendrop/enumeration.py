@@ -22,9 +22,10 @@ only for the leaves.  Two instance families share the engine:
 * Linear maps F (``_column_leaves``), filled one column per level.  An
   instance F(b_i o b_j) = F(b_i) o' F(b_j) reads the columns i and j, then
   those in the support of ``b_i o b_j``.  Rota-Baxter operators try every
-  vector at each column, with the star the operator induces as ``o``; the
-  isomorphism search and ``gl_matrices`` try the vectors outside the span
-  of the columns above.
+  vector at each column, with the star the operator induces as ``o``;
+  ``gl_matrices`` tries the vectors outside the span of the columns above,
+  and the isomorphism search those of them in the class of the basis
+  vector the column replaces.
 
 Dendriform dialgebras are fibred over their associative star products
 ``x * y = x < y + x > y``: the dialgebra axioms make the star associative

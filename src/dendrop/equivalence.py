@@ -16,12 +16,22 @@ instances, its columns read as rows.  The instances are F(b_i p1 b_j) =
 F(b_i) p2 F(b_j) for each product p, so every complete matrix the walk
 reaches is an isomorphism, and it reaches all of them.
 
+The walk is refined by vertex invariants (McKay and Piperno 2014): column
+t is drawn only from the vectors w whose class in the second structure
+(for each product, whether ``w o w`` is zero and whether it is parallel
+to w; ``DendriformDi._vector_classes``) equals the class of ``b_t`` in the
+first.  An isomorphism preserves the classes, so this removes only
+non-isomorphisms and leaves the set of leaves unchanged.
+
 The witness is the least isomorphism in row-major lexicographic order,
 the first one a scan of ``gl_matrices`` would meet.  ``candidates_tried``
 is its position in that scan, in closed form (``_gl_position``): each row
 adds the vectors before it that lie outside the span of the rows above,
-times the completions of the rows below.  ``nodes`` counts the columns
-the walk assigned.  A ``Matrix`` is built only for the witness.
+times the completions of the rows below.  Neither depends on the
+refinement.  ``nodes`` counts the columns the refined walk assigned; a
+structure whose vectors all share one class, such as a zero product,
+still walks every isomorphism.  A ``Matrix`` is built only for the
+witness.
 """
 
 from __future__ import annotations
@@ -236,11 +246,13 @@ def search_dendriform_iso_fp(d1, d2) -> IsoSearchResult:
     p, n = field.p, d1.dim
     cols = [(0,) * n] * n
     gl = _gl_choices(p, cols)
+    classes = d2._vector_classes
+    wanted = [d1._vector_classes[tuple(int(k == t) for k in range(n))] for t in range(n)]
     nodes = 0
 
     def choices(t):
         nonlocal nodes
-        values = gl(t)
+        values = [v for v in gl(t) if classes[v[0]] == wanted[t]]
         nodes += len(values)
         return values
 

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
+from itertools import combinations, product
 from typing import Sequence
 
 from .errors import DimensionMismatchError, NotAssociativeError
@@ -220,6 +221,30 @@ class BimoduleAlgebra:
         return self.base.dim
 
 
+def _square_classes(d) -> dict:
+    """Class of each vector w of F_p^n, as a dict keyed by its coordinates.
+
+    For each product o of ``d`` the class records whether ``w o w`` is zero
+    and whether it is parallel to w (every 2 x 2 minor of ``[w, w o w]``
+    vanishes).  An isomorphism F maps ``w o w`` to ``F(w) o' F(w)``, so
+    ``F(w)`` has the class of w; the F_p isomorphism search draws each
+    column from the vectors of its basis vector's class.  Kept on the
+    instance, like ``Algebra._canonical_bimodule``; prime fields only.
+    """
+    p, n = d.field.p, d.dim
+    flats = [sum(t.entries, ()) for t in d.tensors()]
+    classes = {}
+    for w in product(range(p), repeat=n):
+        pairs = [a * b if a and b else 0 for a in w for b in w]
+        key = []
+        for flat in flats:
+            ww = _combine(pairs, flat, p, 0)
+            key += (not any(ww), all((w[i] * ww[j] - w[j] * ww[i]) % p == 0
+                                     for i, j in combinations(range(n), 2)))
+        classes[w] = tuple(key)
+    return classes
+
+
 @dataclass(frozen=True)
 class DendriformDi:
     """Pair of products (prec, succ) subject to the three dialgebra axioms."""
@@ -243,6 +268,8 @@ class DendriformDi:
 
     def tensors(self) -> tuple:
         return (self.prec, self.succ)
+
+    _vector_classes = cached_property(_square_classes)
 
 
 @dataclass(frozen=True)
@@ -270,6 +297,8 @@ class DendriformTri:
 
     def tensors(self) -> tuple:
         return (self.prec, self.succ, self.dot)
+
+    _vector_classes = cached_property(_square_classes)
 
 
 # -- convenience constructors ----------------------------------------------------

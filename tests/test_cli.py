@@ -187,6 +187,24 @@ def test_iso_search_found_and_not_found(tmp_path, capsys):
     assert dp.verify_dendriform_iso(four, four, witness).passed
 
 
+def test_iso_search_reports_columns_on_stderr(tmp_path, capsys):
+    four = dp.dendriform_di_to_field(dp.catalogue_entry("rb-4").structure, F3)
+    six = dp.dendriform_di_to_field(dp.catalogue_entry("rb-6").structure, F3)
+    _, op = dp.canonical_operator_from_di(four)
+    g = dp.Matrix(F3, ((0, 1), (1, 1)))
+    moved = dp.domain_dendriform_di(dp.compose_with_domain_iso(op, g, dp.pullback_domain(op.domain, g)))
+    a, b, c = (write_doc(tmp_path, f"{n}.json", d) for n, d in (("a", four), ("b", six), ("c", moved)))
+    out = tmp_path / "w.json"
+    for args, code, text, d1, d2 in (
+            ([a, b], 1, "not isomorphic: exhausted 48 invertible candidate(s)\n", four, six),
+            ([a, c, "-o", str(out)], 0, "isomorphic: witness found after 33 candidate(s)\n",
+             four, moved)):
+        assert main(["iso", *args, "--search-fp"]) == code
+        res = dp.search_dendriform_iso_fp(d1, d2)
+        assert capsys.readouterr() == (text, f"search: {res.nodes} columns assigned\n")
+    assert out.read_bytes() == emit_document(dp.Matrix(F3, ((2, 0), (1, 1))), field=F3)
+
+
 def test_iso_witness_over_another_field_exits_2(tmp_path, capsys):
     a = write_doc(tmp_path, "a.json", dp.dendriform_di_to_field(
         dp.catalogue_entry("rb-4").structure, F3))

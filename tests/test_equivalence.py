@@ -9,10 +9,11 @@ import dendrop as dp
 from dendrop.errors import (DimensionCapError, FieldMismatchError, FieldNotFiniteError,
                             KindMismatchError, NotInvertibleError,
                             NotMultiplicativeError, SingularMatrixError)
-from dendrop.equivalence import _gl_position
+from dendrop.enumeration import _column_leaves
+from dendrop.equivalence import _completions, _gl_choices, _gl_position
 from dendrop.linalg import Matrix, rank
 from helpers import (F2, F3, F5, Q, automorphisms_of, diag, kx2, kx3, n2,
-                     random_invertible)
+                     random_invertible, random_vector)
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -353,3 +354,82 @@ def test_search_counts_the_columns_it_assigns():
     zero = dp.make_dendriform_di(F3, 2, {}, {})
     # every invertible matrix is an automorphism: 8 first columns, 6 second ones each
     assert dp.search_dendriform_iso_fp(zero, zero).nodes == 8 + 8 * 6
+
+
+# -- vertex refinement ------------------------------------------------------------------------
+
+def _transport(d, g):
+    """``d`` carried along g, x o' y = g((g^-1 x) o (g^-1 y)), checked as an isomorphism."""
+    ginv, n = dp.invert(g), d.dim
+    moved = type(d)(*(dp.StructureTensor(d.field, tuple(
+        tuple(g.matvec(t.apply(ginv.col(i), ginv.col(j))) for j in range(n)) for i in range(n)))
+        for t in d.tensors()))
+    assert dp.verify_dendriform_iso(d, moved, g).passed
+    return moved
+
+
+@pytest.mark.parametrize("field, algebras, sample", [
+    (F2, lambda: [kx3(F2)], 40),
+    (F3, lambda: dp.enumerate_associative_products(2, 3), None),
+    (F5, lambda: [n2(F5), kx2(F5)], 60),
+], ids=["f2-dim3", "f3-dim2", "f5-dim2"])
+def test_vector_classes_are_gl_invariant(field, algebras, sample):
+    rng = random.Random(1300 + field.p)
+    algs = algebras()
+    ds = (rng.sample(_rb_images(algs, 0, _di_image, 12), 3)
+          + rng.sample(_rb_images(algs, 1, _tri_image, 12), 3))
+    n = ds[0].dim
+    # seeded products that satisfy no axiom: the classes are invariants of any products
+    for kind in (dp.DendriformDi, dp.DendriformTri):
+        tables = [dp.StructureTensor(field, tuple(tuple(random_vector(rng, field, n)
+                                                        for _ in range(n)) for _ in range(n)))
+                  for _ in range(2 if kind is dp.DendriformDi else 3)]
+        ds.append(kind(*tables))
+    gl = list(dp.gl_matrices(field, n))
+    if sample:
+        gl = rng.sample(gl, sample)
+    assert any(len(set(d._vector_classes.values())) > 2 for d in ds)
+    for d in ds:
+        classes = d._vector_classes
+        assert sorted(classes) == sorted(itertools.product(range(field.p), repeat=n))
+        for g in gl:
+            moved = _transport(d, g)._vector_classes
+            for w, cls in classes.items():
+                assert moved[g.matvec(w)] == cls
+
+
+def _unrefined_search(d1, d2):
+    """The column walk over GL_n(F_p) without the class filter: witness, position, columns."""
+    p, n = d1.field.p, d1.dim
+    cols = [(0,) * n] * n
+    gl = _gl_choices(p, cols)
+    nodes = 0
+
+    def choices(t):
+        nonlocal nodes
+        values = gl(t)
+        nodes += len(values)
+        return values
+
+    rows = [(t1.entries, sum(t2.entries, ())) for t1, t2 in zip(d1.tensors(), d2.tensors())]
+    leaves = sorted(tuple(zip(*c)) for c in _column_leaves(p, cols, rows, choices))
+    if not leaves:
+        return None, _completions(p, n, 0), nodes
+    return Matrix(d1.field, leaves[0]), _gl_position(p, leaves[0]), nodes
+
+
+def test_refinement_removes_only_non_isomorphisms():
+    ds = _rb_images(dp.enumerate_associative_products(2, 3), 0, _di_image, 8)
+    refined = unrefined = 0
+    for d1 in ds:
+        for d2 in ds:
+            res = dp.search_dendriform_iso_fp(d1, d2)
+            witness, tried, nodes = _unrefined_search(d1, d2)
+            assert (res.witness.matrix if res.found else None) == witness
+            assert res.candidates_tried == tried
+            assert res.nodes <= nodes
+            refined, unrefined = refined + res.nodes, unrefined + nodes
+    assert refined < unrefined
+    # every vector of the zero dialgebra has one class: nothing to refine
+    zero = dp.make_dendriform_di(F3, 2, {}, {})
+    assert _unrefined_search(zero, zero)[2] == dp.search_dendriform_iso_fp(zero, zero).nodes == 8 + 8 * 6

@@ -125,6 +125,23 @@ def test_derived_data_is_invisible_from_outside():
         assert _observed(structure) == _observed(twin)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: dp.make_dendriform_di(F3, 2, {(1, 1, 0): 1}, {(0, 1, 1): 2}),
+    lambda: dp.make_dendriform_tri(F3, 2, {(1, 1, 0): 1}, {}, {(1, 1, 1): 1}),
+], ids=["dialgebra", "trialgebra"])
+def test_vector_classes_are_invisible_from_outside(make):
+    kept, fresh = make(), make()
+    before = _observed(kept)
+    found = dp.search_dendriform_iso_fp(kept, kept)
+    assert "_vector_classes" in vars(kept)
+    after = _observed(kept)
+    assert after == before == _observed(fresh)
+    assert kept == fresh and hash(kept) == hash(fresh)
+    # a copy made after the classes were filled searches as the original
+    assert dp.search_dendriform_iso_fp(after[4], fresh) == found
+    assert after[4]._vector_classes == fresh._vector_classes
+
+
 def _transposed_actions(bm):
     """``left[i][j] = l(b_i) e_j`` and ``right[j][i] = e_j r(b_i)``, read off the matrices."""
     n, m = bm.algebra.dim, bm.dim
