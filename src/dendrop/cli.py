@@ -1,7 +1,11 @@
 """Command-line surface: validate, construct, compare, enumerate, catalogue.
 
-Exit status: 0 when every requested validation passed, 1 when a check
-failed (reports are still written), 2 on malformed input or usage errors.
+Each command returns a verdict, True when everything asked for passed or
+was built, and ``main`` alone turns outcomes into exit status: 0 for True;
+1 for False or a refused construction (stderr ``failed: ...``; reports are
+still written); 2 for any other ``DendropError`` or an ``OSError``, such as
+malformed input, a document of the wrong kind or a bad flag (stderr
+``error: ...``).
 The enumeration budget comes from --budget when given, else the
 DENDROP_BUDGET environment variable, else the built-in default.
 """
@@ -17,7 +21,7 @@ from .constructions import (check_splitting, canonical_operator_from_di,
                             canonical_operator_from_tri, domain_dendriform_di,
                             domain_dendriform_tri, range_dendriform_di,
                             range_dendriform_quotient, range_dendriform_tri)
-from .documents import (Document, ResultSet, emit_document, emit_raw,
+from .documents import (_BY_CLASS, Document, ResultSet, emit_document, emit_raw,
                         parse_document, payload_dict)
 from .enumeration import (DEFAULT_BUDGET, enumerate_associative_products,
                           enumerate_dendriform_di, enumerate_rb_operators,
@@ -25,8 +29,9 @@ from .enumeration import (DEFAULT_BUDGET, enumerate_associative_products,
 from .equivalence import (search_dendriform_iso_fp, verify_dendriform_iso,
                           verify_operator_equiv)
 from .errors import (DendropError, InvalidDendriformError, InvalidOperatorError,
-                     KernelNotIdealError, SingularMatrixError, UsageError)
-from .fields import is_prime, prime_field, same_field
+                     KernelNotIdealError, KindMismatchError, SingularMatrixError,
+                     UsageError)
+from .fields import prime_field, same_field
 from .linalg import Matrix
 from .operators import ALGEBRA, OOperator, validate_o_operator
 from .structures import (Algebra, Bimodule, BimoduleAlgebra, DendriformDi,
@@ -36,9 +41,15 @@ from .structures import (Algebra, Bimodule, BimoduleAlgebra, DendriformDi,
                          validate_dendriform_tri)
 
 
-def _read_document(path: str) -> Document:
+def _read_document(path: str, *classes) -> Document:
+    """The document at ``path``, refused unless its payload is one of ``classes``."""
     with open(path, "rb") as fh:
-        return parse_document(fh.read())
+        doc = parse_document(fh.read())
+    if type(doc.payload) not in classes:
+        raise KindMismatchError(
+            f"{path}: expected {' or '.join(_BY_CLASS[c].tag for c in classes)}, "
+            f"found {_BY_CLASS[type(doc.payload)].tag}")
+    return doc
 
 
 def _write_bytes(path: str | None, data: bytes) -> None:
@@ -50,13 +61,17 @@ def _write_bytes(path: str | None, data: bytes) -> None:
             fh.write(data)
 
 
-def _print_report(label: str, rep: ValidationReport) -> None:
+def _report(label: str, rep: ValidationReport, field=None, path: str | None = None) -> bool:
+    """Print ``rep``, write it to ``path`` when given, and return whether it passed."""
     status = "PASS" if rep.passed else "FAIL"
     print(f"{status} {label} [{rep.structure_kind}]"
           + ("" if rep.passed else f": {rep.total_violations} violation(s)"))
     for v in rep.violations:
         print(f"  axiom {v.axiom} at {v.indices}: "
               f"lhs={[str(c) for c in v.lhs]} rhs={[str(c) for c in v.rhs]}")
+    if path:
+        _write_bytes(path, emit_document(rep, field=field))
+    return rep.passed
 
 
 _VALIDATORS = {
@@ -67,39 +82,29 @@ _VALIDATORS = {
     DendriformTri: validate_dendriform_tri,
     OOperator: validate_o_operator,
 }
+_DENDRIFORM = (DendriformDi, DendriformTri)
 
 
-def _cmd_validate(args) -> int:
-    doc = _read_document(args.file)
-    obj = doc.payload
-    validator = _VALIDATORS.get(type(obj))
-    if validator is None:
-        print(f"nothing to validate in a {type(obj).__name__} document", file=sys.stderr)
-        return 2
-    rep = validator(obj)
-    _print_report(args.file, rep)
-    if args.report:
-        _write_bytes(args.report, emit_document(rep, field=doc.field))
-    return 0 if rep.passed else 1
+def _cmd_validate(args) -> bool:
+    doc = _read_document(args.file, *_VALIDATORS)
+    rep = _VALIDATORS[type(doc.payload)](doc.payload)
+    return _report(args.file, rep, doc.field, args.report)
 
 
-def _cmd_construct(args) -> int:
-    doc = _read_document(args.operator)
+def _cmd_construct(args) -> bool:
+    doc = _read_document(args.operator, OOperator)
     op = doc.payload
-    if not isinstance(op, OOperator):
-        print("construct expects an operator document", file=sys.stderr)
-        return 2
     if args.side == "domain":
         built = domain_dendriform_tri(op) if op.kind == ALGEBRA else domain_dendriform_di(op)
         _write_bytes(args.output, emit_document(built, field=doc.field))
-        return 0
+        return True
     try:
         built = range_dendriform_tri(op) if op.kind == ALGEBRA else range_dendriform_di(op)
     except SingularMatrixError:
         if op.kind != ALGEBRA:
-            print("operator is singular and the quotient path needs an algebra-kind "
-                  "operator", file=sys.stderr)
-            return 1
+            print("failed: operator is singular and the quotient path needs an "
+                  "algebra-kind operator", file=sys.stderr)
+            return False
         quot = range_dendriform_quotient(op)
         rs = ResultSet.build(
             "range-quotient",
@@ -108,54 +113,36 @@ def _cmd_construct(args) -> int:
         _write_bytes(args.output, emit_document(rs, field=doc.field))
         print(f"operator singular; emitted quotient structure on a "
               f"{quot.structure.dim}-dimensional image basis")
-        return 0
+        return True
     _write_bytes(args.output, emit_document(built, field=doc.field))
-    return 0
+    return True
 
 
-def _cmd_canonical(args) -> int:
-    doc = _read_document(args.dendriform)
+def _cmd_canonical(args) -> bool:
+    doc = _read_document(args.dendriform, *_DENDRIFORM)
     d = doc.payload
-    if isinstance(d, DendriformTri):
-        _, op = canonical_operator_from_tri(d)
-    elif isinstance(d, DendriformDi):
-        _, op = canonical_operator_from_di(d)
-    else:
-        print("canonical expects a dendriform document", file=sys.stderr)
-        return 2
-    _write_bytes(args.output, emit_document(op, field=doc.field))
-    return 0
+    canonical = (canonical_operator_from_tri if isinstance(d, DendriformTri)
+                 else canonical_operator_from_di)
+    _write_bytes(args.output, emit_document(canonical(d)[1], field=doc.field))
+    return True
 
 
-def _cmd_split_check(args) -> int:
-    ddoc = _read_document(args.dendriform)
-    adoc = _read_document(args.algebra)
+def _cmd_split_check(args) -> bool:
+    ddoc = _read_document(args.dendriform, *_DENDRIFORM)
+    adoc = _read_document(args.algebra, Algebra)
     same_field(ddoc.field, adoc.field)
-    d, alg = ddoc.payload, adoc.payload
-    if not isinstance(d, (DendriformDi, DendriformTri)) or not isinstance(alg, Algebra):
-        print("split-check expects a dendriform document and an algebra document",
-              file=sys.stderr)
-        return 2
-    rep = check_splitting(d, alg)
-    _print_report(f"{args.dendriform} vs {args.algebra}", rep)
-    if args.report:
-        _write_bytes(args.report, emit_document(rep, field=ddoc.field))
-    return 0 if rep.passed else 1
+    rep = check_splitting(ddoc.payload, adoc.payload)
+    return _report(f"{args.dendriform} vs {args.algebra}", rep, ddoc.field, args.report)
 
 
-def _cmd_iso(args) -> int:
-    doc1 = _read_document(args.d1)
-    doc2 = _read_document(args.d2)
+def _cmd_iso(args) -> bool:
+    doc1 = _read_document(args.d1, *_DENDRIFORM)
+    doc2 = _read_document(args.d2, *_DENDRIFORM)
     same_field(doc1.field, doc2.field)
     d1, d2 = doc1.payload, doc2.payload
     if args.witness:
-        wdoc = _read_document(args.witness)
-        if not isinstance(wdoc.payload, Matrix):
-            print("witness file must hold a matrix payload", file=sys.stderr)
-            return 2
-        rep = verify_dendriform_iso(d1, d2, wdoc.payload)
-        _print_report("iso witness", rep)
-        return 0 if rep.passed else 1
+        wdoc = _read_document(args.witness, Matrix)
+        return _report("iso witness", verify_dendriform_iso(d1, d2, wdoc.payload))
     result = search_dendriform_iso_fp(d1, d2)
     print(f"search: {result.nodes} columns assigned", file=sys.stderr)
     if result.found:
@@ -163,26 +150,15 @@ def _cmd_iso(args) -> int:
         if args.output:
             _write_bytes(args.output,
                          emit_document(result.witness.matrix, field=doc1.field))
-        return 0
+        return True
     print(f"not isomorphic: exhausted {result.candidates_tried} invertible candidate(s)")
-    return 1
+    return False
 
 
-def _cmd_equiv(args) -> int:
-    doc1 = _read_document(args.op1)
-    doc2 = _read_document(args.op2)
-    fdoc = _read_document(args.f)
-    gdoc = _read_document(args.g)
-    op1, op2 = doc1.payload, doc2.payload
-    if not isinstance(op1, OOperator) or not isinstance(op2, OOperator):
-        print("equiv expects two operator documents", file=sys.stderr)
-        return 2
-    if not isinstance(fdoc.payload, Matrix) or not isinstance(gdoc.payload, Matrix):
-        print("--f and --g must hold matrix payloads", file=sys.stderr)
-        return 2
-    rep = verify_operator_equiv(op1, op2, fdoc.payload, gdoc.payload)
-    _print_report("operator equivalence", rep)
-    return 0 if rep.passed else 1
+def _cmd_equiv(args) -> bool:
+    op1, op2 = (_read_document(path, OOperator).payload for path in (args.op1, args.op2))
+    f, g = (_read_document(path, Matrix).payload for path in (args.f, args.g))
+    return _report("operator equivalence", verify_operator_equiv(op1, op2, f, g))
 
 
 def _resolve_budget(args) -> int | None:
@@ -197,15 +173,13 @@ def _resolve_budget(args) -> int | None:
         raise UsageError(f"DENDROP_BUDGET={env!r} is not an integer") from None
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args) -> bool:
     if args.dim < 1:
         raise UsageError(f"--dim must be at least 1, got {args.dim}")
     if args.workers < 1:
         raise UsageError(f"--workers must be at least 1, got {args.workers}")
-    if not is_prime(args.prime):
-        raise UsageError(f"--prime {args.prime} is not prime")
-    budget = _resolve_budget(args)
     field = prime_field(args.prime)
+    budget = _resolve_budget(args)
     if args.what == "assoc":
         algebras = enumerate_associative_products(args.dim, args.prime, budget,
                                                   workers=args.workers)
@@ -239,10 +213,10 @@ def _cmd_enumerate(args) -> int:
         print(f"all={result.counts['all']} image={result.counts['image']} "
               f"missing={result.counts['missing']} ({result.label})")
     _write_bytes(args.output, emit_document(rs, field=field))
-    return 0
+    return True
 
 
-def _cmd_catalogue(args) -> int:
+def _cmd_catalogue(args) -> bool:
     from .fields import RATIONALS
 
     items = []
@@ -255,7 +229,7 @@ def _cmd_catalogue(args) -> int:
                                "params": {}, "counts": {"entries": len(items)},
                                "items": items})
     _write_bytes(args.output, doc)
-    return 0
+    return True
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -327,14 +301,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return 0 if args.fn(args) else 1
     except (InvalidOperatorError, InvalidDendriformError, KernelNotIdealError) as e:
         print(f"failed: {e}", file=sys.stderr)
         return 1
-    except DendropError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (DendropError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -36,6 +36,11 @@ from .operators import ALGEBRA, MODULE, OOperator
 
 SCHEMA_VERSION = "1"
 
+# A sparse tensor of dimension n is built as n^3 cells from ``dim`` alone,
+# so a short document could ask for any amount of memory; larger tensors
+# are refused before anything is allocated.
+MAX_TENSOR_DIM = 64
+
 
 @dataclass(frozen=True)
 class Document:
@@ -89,6 +94,8 @@ def _scalar(field: FieldSpec, raw, where):
 
 def _tensor(field: FieldSpec, dim, raw, where) -> StructureTensor:
     """Sparse list of {i,j,k,c} records, or a dense dim^3 nested grid."""
+    if dim > MAX_TENSOR_DIM:
+        raise SchemaError(f"{where}: dim {dim} is above the cap {MAX_TENSOR_DIM}")
     if raw and isinstance(raw[0], list):
         if len(raw) != dim:
             raise SchemaError(f"{where}: dense grid must have {dim} planes")

@@ -61,7 +61,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 
-from .constructions import canonical_operator_from_di, domain_dendriform_di
+from .constructions import _domain_structure, canonical_operator_from_di
 from .errors import (ArgumentError, BudgetExceededError, FieldNotFiniteError,
                      InvalidDendriformError)
 from .fields import prime_field
@@ -75,11 +75,16 @@ ANALOGUE_LABEL = ("finite-field analogue over F_{p}; says nothing about "
                   "the corresponding statement in characteristic zero")
 
 
-def _check_budget(total: int, budget: int | None) -> int:
+def _check_budget(p: int, exponent: int, budget: int | None, factor: int = 1) -> None:
+    """Refuse ``factor * p**exponent`` candidates above the budget.
+
+    With ``p >= 2`` and ``factor >= 1``, a cap of at most ``exponent`` bits is
+    below the count, which is then refused without computing the power.
+    """
     cap = DEFAULT_BUDGET if budget is None else budget
-    if total > cap:
-        raise BudgetExceededError(f"{total} candidates exceed budget {cap}")
-    return cap
+    if exponent >= cap.bit_length() or factor * p ** exponent > cap:
+        count = f"{p}^{exponent}" if factor == 1 else f"{factor} * {p}^{exponent}"
+        raise BudgetExceededError(f"{count} candidates exceed budget {cap}")
 
 
 def _check_dim(dim: int) -> None:
@@ -284,7 +289,7 @@ def enumerate_associative_products(dim: int, p: int, budget: int | None = None,
 
 
 def _associative_tables(dim: int, p: int, budget, chunks: _Chunks) -> list:
-    _check_budget(p ** (dim ** 3), budget)
+    _check_budget(p, dim ** 3, budget)
     return chunks.run(_assoc_part, (p, dim), p ** dim)
 
 
@@ -297,7 +302,7 @@ def enumerate_rb_operators(algebra: Algebra, weight, budget: int | None = None) 
     if not field.is_finite:
         raise FieldNotFiniteError("enumeration requires a prime field")
     n, p = algebra.dim, field.p
-    _check_budget(p ** (n * n), budget)
+    _check_budget(p, n * n, budget)
     weight = field.coerce(weight)
     table = algebra.product.entries
     cols = [(0,) * n] * n
@@ -324,7 +329,7 @@ def enumerate_dendriform_di(dim: int, p: int, budget: int | None = None,
 def _dendriform_di(field, dim: int, budget, chunks: _Chunks, stars: list) -> list:
     """The dialgebras whose star products are the associative tables ``stars``."""
     p = field.p
-    _check_budget(len(stars) * p ** (dim ** 3), budget)
+    _check_budget(p, dim ** 3, budget, len(stars))
     return [DendriformDi(StructureTensor(field, prec), StructureTensor(field, succ))
             for prec, succ in sorted(chunks.run(_fibre_part, (p, dim, stars), len(stars)))]
 
@@ -375,7 +380,8 @@ def phi_image_experiment(dim: int, p: int, budget: int | None = None,
     for table in stars:
         alg = Algebra(StructureTensor(field, table))
         for rb in enumerate_rb_operators(alg, field.zero, budget):
-            d = domain_dendriform_di(rb_as_module_operator(rb))
+            # the search accepted rb, so its domain structure needs no re-check
+            d = _domain_structure(rb_as_module_operator(rb))
             if d not in first_witness:
                 first_witness[d] = (alg, rb.matrix)
     all_set = set(all_dd)

@@ -10,7 +10,7 @@ import pytest
 import dendrop as dp
 from dendrop import enumeration
 from dendrop.cli import main
-from dendrop.documents import emit_document, parse_document
+from dendrop.documents import ResultSet, emit_document, parse_document
 from helpers import F3, Q, diag, n2
 
 ONE = Fraction(1)
@@ -290,6 +290,7 @@ def test_enumerate_budget_flag_and_env(tmp_path, capsys, monkeypatch):
     ["--dim", "0", "--prime", "2"],
     ["--dim", "1", "--prime", "4"],
     ["--dim", "1", "--prime", "1"],
+    ["--dim", "25", "--prime", "2"],  # 2^15625 candidates, refused without computing them
 ])
 def test_enumerate_rejects_bad_flags(tmp_path, capsys, flags):
     out = tmp_path / "x.json"
@@ -339,6 +340,68 @@ def test_enumerate_rb0_cli(tmp_path):
     assert counts["algebras"] == 2
     # zero algebra: both maps pass; idempotent algebra: only the zero map
     assert counts["operators"] == 3
+
+
+# -- documents of the wrong kind ------------------------------------------------------
+
+def one_document_of_each_kind():
+    """One payload of every document kind, by its JSON ``kind`` tag."""
+    op = weight0_diagonal_operator()
+    zero = dp.StructureTensor.zero(Q, 2)
+    return {"algebra": n2(), "bimodule": op.domain.base,
+            "bimodule_algebra": op.domain, "operator": op,
+            "dendriform_di": dp.catalogue_entry("rb-4").structure,
+            "dendriform_tri": dp.DendriformTri(zero, zero, zero),
+            "matrix": dp.Matrix.identity(Q, 2),
+            "report": dp.validate_associativity(n2()),
+            "result_set": ResultSet.build("demo")}
+
+
+DENDRIFORM = {"dendriform_di", "dendriform_tri"}
+VALIDATED = {"algebra", "bimodule", "bimodule_algebra", "operator", *DENDRIFORM}
+
+# Each slot: a command line naming one document of each kind as ``<kind>.json``,
+# with SLOT where the document under test goes, and the kinds the slot accepts.
+SLOT = "SLOT"
+WRONG_KIND_SLOTS = {
+    "validate": (["validate", SLOT, "--report", "out.json"], VALIDATED),
+    "construct": (["construct", "domain", SLOT, "-o", "out.json"], {"operator"}),
+    "canonical": (["canonical", SLOT, "-o", "out.json"], DENDRIFORM),
+    "split-check dendriform": (["split-check", SLOT, "algebra.json", "--report", "out.json"],
+                               DENDRIFORM),
+    "split-check algebra": (["split-check", "dendriform_di.json", SLOT,
+                             "--report", "out.json"], {"algebra"}),
+    "iso d1": (["iso", SLOT, "dendriform_di.json", "--search-fp", "-o", "out.json"],
+               DENDRIFORM),
+    "iso d2": (["iso", "dendriform_di.json", SLOT, "--search-fp", "-o", "out.json"],
+               DENDRIFORM),
+    "iso --witness": (["iso", "dendriform_di.json", "dendriform_di.json", "--witness", SLOT,
+                       "-o", "out.json"], {"matrix"}),
+    "equiv op1": (["equiv", SLOT, "operator.json", "--f", "matrix.json", "--g", "matrix.json"],
+                  {"operator"}),
+    "equiv op2": (["equiv", "operator.json", SLOT, "--f", "matrix.json", "--g", "matrix.json"],
+                  {"operator"}),
+    "equiv --f": (["equiv", "operator.json", "operator.json", "--f", SLOT,
+                   "--g", "matrix.json"], {"matrix"}),
+    "equiv --g": (["equiv", "operator.json", "operator.json", "--f", "matrix.json",
+                   "--g", SLOT], {"matrix"}),
+}
+
+
+@pytest.mark.parametrize("slot", WRONG_KIND_SLOTS)
+def test_every_wrong_document_kind_exits_2_naming_the_file(tmp_path, capsys, monkeypatch,
+                                                           slot):
+    monkeypatch.chdir(tmp_path)
+    docs = one_document_of_each_kind()
+    for kind, obj in docs.items():
+        write_doc(tmp_path, f"{kind}.json", obj, field=Q)
+    line, accepted = WRONG_KIND_SLOTS[slot]
+    assert len(docs) == 9 and accepted < docs.keys()
+    for wrong in sorted(docs.keys() - accepted):
+        assert main([f"{wrong}.json" if arg == SLOT else arg for arg in line]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {wrong}.json:"), (slot, err)
+        assert not (tmp_path / "out.json").exists(), (slot, wrong)
 
 
 # -- catalogue ------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dendrop as dp
-from dendrop.documents import (Document, ResultSet, emit_document,
+from dendrop.documents import (MAX_TENSOR_DIM, Document, ResultSet, emit_document,
                                parse_document, payload_dict)
 from dendrop.errors import (ArgumentError, BadRationalError, DendropError,
                             DocumentSyntaxError, SchemaError)
@@ -346,6 +346,8 @@ REJECTED = [
     (_doc(ALG, extra=1), "document.extra: unknown key"),
     (_doc(ALG, field={"kind": "prime", "p": 3, "q": 5}), "document.field.q: unknown key"),
     (_doc(ALG, field={"kind": "rational", "p": 3}), "document.field.p: unknown key"),
+    # the smallest dimension whose dim^3 cells are refused before allocation
+    ({**ALG, "dim": MAX_TENSOR_DIM + 1}, f"payload.product: dim {MAX_TENSOR_DIM + 1} is above"),
 ]
 
 

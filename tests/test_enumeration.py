@@ -89,6 +89,13 @@ def test_budget_arithmetic():
         dp.enumerate_associative_products(2, 2, budget=10)
 
 
+def test_budget_refuses_a_huge_space_without_computing_it():
+    # 2^15625 has 4,704 digits: past the int-to-str limit, and never built
+    with pytest.raises(BudgetExceededError,
+                       match=r"^2\^15625 candidates exceed budget 16777216$"):
+        dp.enumerate_associative_products(25, 2)
+
+
 EMPTY = StructureTensor(F2, ())
 
 
