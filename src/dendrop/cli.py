@@ -142,6 +142,8 @@ def _cmd_iso(args) -> bool:
     d1, d2 = doc1.payload, doc2.payload
     if args.witness:
         wdoc = _read_document(args.witness, Matrix)
+        if args.output:
+            raise UsageError("-o writes the witness --search-fp finds; --witness writes nothing")
         return _report("iso witness", verify_dendriform_iso(d1, d2, wdoc.payload))
     result = search_dendriform_iso_fp(d1, d2)
     print(f"search: {result.nodes} columns assigned", file=sys.stderr)
@@ -270,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--witness", metavar="F_JSON")
     group.add_argument("--search-fp", action="store_true")
-    p.add_argument("-o", "--output", metavar="OUT", help="write the found witness")
+    p.add_argument("-o", "--output", metavar="OUT",
+                   help="write the witness --search-fp finds (refused with --witness)")
     p.set_defaults(fn=_cmd_iso)
 
     p = sub.add_parser("equiv", help="verify an operator equivalence witness pair")

@@ -37,8 +37,9 @@ from .operators import ALGEBRA, MODULE, OOperator
 SCHEMA_VERSION = "1"
 
 # A sparse tensor of dimension n is built as n^3 cells from ``dim`` alone,
-# so a short document could ask for any amount of memory; larger tensors
-# are refused before anything is allocated.
+# and a matrix with no columns as ``rows`` empty rows, so a short document
+# could ask for any amount of memory; a larger tensor ``dim`` or matrix
+# ``rows`` or ``cols`` is refused before anything is allocated.
 MAX_TENSOR_DIM = 64
 
 
@@ -188,17 +189,19 @@ def _dump_payload(obj) -> dict:
 
 # -- key codecs: load(field, raw, loaded so far, where) -> value, dump(value) -> JSON ------
 
-def _at_least(low):
+def _at_least(low, cap=None):
     def load(field, raw, got, where):
         if raw < low:
             raise SchemaError(f"{where}: must be an integer >= {low}")
+        if cap is not None and raw > cap:
+            raise SchemaError(f"{where}: {raw} is above the cap {cap}")
         return raw
     return load
 
 
 def _load_cols(field, raw, got, where):
     """A ``Matrix`` with no rows has no column count, so ``cols`` must then be 0."""
-    if _at_least(0)(field, raw, got, where) and not got["rows"]:
+    if _at_least(0, MAX_TENSOR_DIM)(field, raw, got, where) and not got["rows"]:
         raise SchemaError(f"{where}: must be 0 when rows is 0")
     return raw
 
@@ -311,7 +314,7 @@ _KEYS = {key.name: key for key in (
     _Key("matrix", list,
          lambda f, raw, got, w: _flat(f, got["codomain"].dim, got["domain"].dim, raw, w),
          lambda M: _flat_strs(M.entries)),
-    _Key("rows", int, _at_least(0)),
+    _Key("rows", int, _at_least(0, MAX_TENSOR_DIM)),
     _Key("cols", int, _load_cols),
     _Key("entries", list, lambda f, raw, got, w: _flat(f, got["rows"], got["cols"], raw, w),
          _flat_strs),
@@ -399,6 +402,13 @@ _VIOLATION = _kind(None, Violation, "axiom indices lhs rhs",
 
 def parse_document(data) -> Document:
     """Parse and validate one document from bytes or text."""
+    try:
+        return _parse(data)
+    except RecursionError:
+        raise DocumentSyntaxError("document is nested too deeply") from None
+
+
+def _parse(data) -> Document:
     if isinstance(data, (bytes, bytearray)):
         try:
             text = data.decode("utf-8")
@@ -412,6 +422,8 @@ def parse_document(data) -> Document:
         raise DocumentSyntaxError(
             f"invalid JSON at line {e.lineno} column {e.colno} (char {e.pos}): {e.msg}"
         ) from None
+    except ValueError as e:  # an integer literal longer than Python converts to int
+        raise DocumentSyntaxError(f"invalid JSON: {e}") from None
     if not isinstance(obj, dict):
         raise SchemaError("document: top level must be an object")
     _reject_unknown(obj, ("schema_version", "field", "payload"), "document")

@@ -46,9 +46,10 @@ identity ``rho_{x*y} = rho_y rho_x`` (note the order reversal).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from functools import cached_property
 from itertools import combinations, product
+from operator import attrgetter
 from typing import Sequence
 
 from .errors import DimensionMismatchError, NotAssociativeError
@@ -111,8 +112,55 @@ def _require(report: ValidationReport, error, message: str) -> None:
 
 # -- structures ----------------------------------------------------------------
 
+def _square_classes(d) -> dict:
+    """Class of each vector w of F_p^n, as a dict keyed by its coordinates.
+
+    For each product o of ``d`` the class records whether ``w o w`` is zero
+    and whether it is parallel to w (every 2 x 2 minor of ``[w, w o w]``
+    vanishes).  An isomorphism F maps ``w o w`` to ``F(w) o' F(w)``, so
+    ``F(w)`` has the class of w; the F_p isomorphism search draws each
+    column from the vectors of its basis vector's class.  Kept on the
+    instance, like ``Algebra._canonical_bimodule``; prime fields only.
+    """
+    p, n = d.field.p, d.dim
+    flats = [sum(t.entries, ()) for t in d.tensors()]
+    classes = {}
+    for w in product(range(p), repeat=n):
+        pairs = [a * b if a and b else 0 for a in w for b in w]
+        key = []
+        for flat in flats:
+            ww = _combine(pairs, flat, p, 0)
+            key += (not any(ww), all((w[i] * ww[j] - w[j] * ww[i]) % p == 0
+                                     for i, j in combinations(range(n), 2)))
+        classes[w] = tuple(key)
+    return classes
+
+
+class _Tables:
+    """Base of the structures given by product tables alone.
+
+    ``Algebra``, ``DendriformDi`` and ``DendriformTri`` list their tables in
+    ``tensors()``, in field order, and read ``field`` and ``dim`` directly
+    off the first one; construction checks that all tables agree in both.
+    """
+
+    def __post_init__(self):
+        first, *rest = self.tensors()
+        n, field = first.dim, first.field
+        for t in rest:
+            if t.dim != n:
+                names = [f.name for f in fields(self)][:-1]
+                raise DimensionMismatchError(f"{'/'.join(names)} dimension mismatch")
+        for t in rest:
+            # tables built together share one FieldSpec; compare values only otherwise
+            if t.field is not field:
+                same_field(field, t.field)
+
+    _vector_classes = cached_property(_square_classes)
+
+
 @dataclass(frozen=True)
-class Algebra:
+class Algebra(_Tables):
     """Bilinear product on a finite free module; associativity is checked, not assumed.
 
     Structures are immutable, so data derived from their fields (here the
@@ -124,13 +172,11 @@ class Algebra:
     product: StructureTensor
     name: str | None = dc_field(default=None, compare=False)
 
-    @property
-    def field(self) -> FieldSpec:
-        return self.product.field
+    field = property(attrgetter("product.field"))
+    dim = property(attrgetter("product.dim"))
 
-    @property
-    def dim(self) -> int:
-        return self.product.dim
+    def tensors(self) -> tuple:
+        return (self.product,)
 
     @cached_property
     def _canonical_bimodule(self) -> "BimoduleAlgebra":
@@ -221,59 +267,23 @@ class BimoduleAlgebra:
         return self.base.dim
 
 
-def _square_classes(d) -> dict:
-    """Class of each vector w of F_p^n, as a dict keyed by its coordinates.
-
-    For each product o of ``d`` the class records whether ``w o w`` is zero
-    and whether it is parallel to w (every 2 x 2 minor of ``[w, w o w]``
-    vanishes).  An isomorphism F maps ``w o w`` to ``F(w) o' F(w)``, so
-    ``F(w)`` has the class of w; the F_p isomorphism search draws each
-    column from the vectors of its basis vector's class.  Kept on the
-    instance, like ``Algebra._canonical_bimodule``; prime fields only.
-    """
-    p, n = d.field.p, d.dim
-    flats = [sum(t.entries, ()) for t in d.tensors()]
-    classes = {}
-    for w in product(range(p), repeat=n):
-        pairs = [a * b if a and b else 0 for a in w for b in w]
-        key = []
-        for flat in flats:
-            ww = _combine(pairs, flat, p, 0)
-            key += (not any(ww), all((w[i] * ww[j] - w[j] * ww[i]) % p == 0
-                                     for i, j in combinations(range(n), 2)))
-        classes[w] = tuple(key)
-    return classes
-
-
 @dataclass(frozen=True)
-class DendriformDi:
+class DendriformDi(_Tables):
     """Pair of products (prec, succ) subject to the three dialgebra axioms."""
 
     prec: StructureTensor
     succ: StructureTensor
     name: str | None = dc_field(default=None, compare=False)
 
-    def __post_init__(self):
-        if self.prec.dim != self.succ.dim:
-            raise DimensionMismatchError("prec/succ dimension mismatch")
-        same_field(self.prec.field, self.succ.field)
-
-    @property
-    def field(self) -> FieldSpec:
-        return self.prec.field
-
-    @property
-    def dim(self) -> int:
-        return self.prec.dim
+    field = property(attrgetter("prec.field"))
+    dim = property(attrgetter("prec.dim"))
 
     def tensors(self) -> tuple:
         return (self.prec, self.succ)
 
-    _vector_classes = cached_property(_square_classes)
-
 
 @dataclass(frozen=True)
-class DendriformTri:
+class DendriformTri(_Tables):
     """Triple of products (prec, succ, dot) subject to the seven trialgebra axioms."""
 
     prec: StructureTensor
@@ -281,24 +291,11 @@ class DendriformTri:
     dot: StructureTensor
     name: str | None = dc_field(default=None, compare=False)
 
-    def __post_init__(self):
-        if not (self.prec.dim == self.succ.dim == self.dot.dim):
-            raise DimensionMismatchError("prec/succ/dot dimension mismatch")
-        same_field(self.prec.field, self.succ.field)
-        same_field(self.prec.field, self.dot.field)
-
-    @property
-    def field(self) -> FieldSpec:
-        return self.prec.field
-
-    @property
-    def dim(self) -> int:
-        return self.prec.dim
+    field = property(attrgetter("prec.field"))
+    dim = property(attrgetter("prec.dim"))
 
     def tensors(self) -> tuple:
         return (self.prec, self.succ, self.dot)
-
-    _vector_classes = cached_property(_square_classes)
 
 
 # -- convenience constructors ----------------------------------------------------
@@ -441,33 +438,28 @@ _BIMODULE_ALGEBRA = (
 _PRODUCT_ASSOCIATIVITY = (("product_assoc", XYZ, OUTER, MOD, MOD, MOD, MOD),)
 
 
-def _associativity_failures(field: FieldSpec, product):
-    """Failures of associativity for the nested product table ``product``."""
-    n = len(product)
-    return _composition_failures(field, (product,), (((n, n, n), _ASSOCIATIVITY),))
+def _table_failures(s, rows):
+    """Failures of ``rows`` on the tables of ``s``, followed by their star product if several."""
+    n = s.dim
+    tables = [t.entries for t in s.tensors()]
+    if len(tables) > 1:
+        tables.append(_table_sum(s.field, tables))
+    return _composition_failures(s.field, tables, (((n, n, n), rows),))
 
 
 def validate_associativity(alg: Algebra,
                            max_violations: int = DEFAULT_MAX_VIOLATIONS,
                            early_stop: bool = False) -> ValidationReport:
     """Check (b_i * b_j) * b_k = b_i * (b_j * b_k) over all basis triples."""
-    return _collect("algebra", _associativity_failures(alg.field, alg.product.entries),
+    return _collect("algebra", _table_failures(alg, _ASSOCIATIVITY),
                     max_violations, early_stop)
-
-
-def _dendriform_failures(d, rows):
-    """Failures of ``rows`` on the products of ``d`` followed by their star product."""
-    n = d.dim
-    tables = tuple(t.entries for t in d.tensors())
-    tables += (_table_sum(d.field, tables),)
-    return _composition_failures(d.field, tables, (((n, n, n), rows),))
 
 
 def validate_dendriform_di(d: DendriformDi,
                            max_violations: int = DEFAULT_MAX_VIOLATIONS,
                            early_stop: bool = False) -> ValidationReport:
     """Check the three dialgebra axioms (star = prec + succ) on all basis triples."""
-    return _collect("dendriform_di", _dendriform_failures(d, _DENDRIFORM_DI),
+    return _collect("dendriform_di", _table_failures(d, _DENDRIFORM_DI),
                     max_violations, early_stop)
 
 
@@ -475,7 +467,7 @@ def validate_dendriform_tri(t: DendriformTri,
                             max_violations: int = DEFAULT_MAX_VIOLATIONS,
                             early_stop: bool = False) -> ValidationReport:
     """Check the seven trialgebra axioms (star = prec + succ + dot)."""
-    return _collect("dendriform_tri", _dendriform_failures(t, _DENDRIFORM_TRI),
+    return _collect("dendriform_tri", _table_failures(t, _DENDRIFORM_TRI),
                     max_violations, early_stop)
 
 
@@ -533,16 +525,9 @@ def tensor_to_field(t: StructureTensor, target: FieldSpec) -> StructureTensor:
         tuple(tuple(conv(a) for a in row) for row in plane) for plane in t.entries))
 
 
-def dendriform_di_to_field(d: DendriformDi, target: FieldSpec) -> DendriformDi:
-    return DendriformDi(tensor_to_field(d.prec, target),
-                        tensor_to_field(d.succ, target), name=d.name)
+def _to_field(s, target: FieldSpec):
+    """``s`` with every table reinterpreted over ``target``; the name is kept."""
+    return type(s)(*(tensor_to_field(t, target) for t in s.tensors()), name=s.name)
 
 
-def dendriform_tri_to_field(d: DendriformTri, target: FieldSpec) -> DendriformTri:
-    return DendriformTri(tensor_to_field(d.prec, target),
-                         tensor_to_field(d.succ, target),
-                         tensor_to_field(d.dot, target), name=d.name)
-
-
-def algebra_to_field(a: Algebra, target: FieldSpec) -> Algebra:
-    return Algebra(tensor_to_field(a.product, target), name=a.name)
+algebra_to_field = dendriform_di_to_field = dendriform_tri_to_field = _to_field

@@ -70,6 +70,13 @@ def test_validate_malformed_document_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_validate_deeply_nested_document_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_bytes(b"[" * 100_000 + b"]" * 100_000)
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == "error: document is nested too deeply\n"
+
+
 def test_validate_unknown_key_exits_2(tmp_path, capsys):
     path = tmp_path / "typo.json"
     raw = json.loads(dp.emit_document(dp.make_algebra(Q, 1, {})))
@@ -223,6 +230,17 @@ def test_iso_witness_with_columns_but_no_rows_exits_2(tmp_path, capsys):
     assert "payload.cols" in capsys.readouterr().err
 
 
+def test_iso_witness_refuses_output_flag(tmp_path, capsys):
+    a = write_doc(tmp_path, "a.json", dp.catalogue_entry("rb-4").structure)
+    w = write_doc(tmp_path, "w.json", dp.Matrix.identity(Q, 2), field=Q)
+    out = tmp_path / "out.json"
+    assert main(["iso", a, a, "--witness", w, "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: -o") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("obj", [n2(F3), dp.Matrix.identity(F3, 2)])
 def test_iso_on_non_dendriform_documents_exits_2(tmp_path, capsys, obj):
     a = write_doc(tmp_path, "a.json", obj, field=F3)
@@ -297,6 +315,29 @@ def test_enumerate_rejects_bad_flags(tmp_path, capsys, flags):
     assert main(["enumerate", "--what", "assoc", *flags, "-o", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, code, error", [
+    (["enumerate", "--what", "assoc", "--dim", "1", "--prime", str(2 ** 61 - 1)], 2,
+     "candidates exceed budget"),
+    (["enumerate", "--what", "assoc", "--dim", "1", "--prime", str(2 ** 64 + 13)], 2,
+     "modulus is above the cap 2^64"),
+    (["validate", "m61.json"], 0, ""),
+    (["validate", "big.json"], 2, "document.field.p: modulus is above the cap 2^64"),
+], ids=["prime-flag", "flag-above-cap", "prime-document", "document-above-cap"])
+def test_huge_modulus_is_decided_or_refused_at_once(tmp_path, command, code, error):
+    """Trial division would run for hours on 2^61 - 1; the exit must come at once."""
+    for name, p in (("m61.json", 2 ** 61 - 1), ("big.json", 2 ** 64 + 13)):
+        (tmp_path / name).write_text(json.dumps(
+            {"schema_version": "1", "field": {"kind": "prime", "p": p},
+             "payload": {"kind": "algebra", "dim": 1, "product": []}}))
+    command = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in command]
+    proc = subprocess.run([sys.executable, "-m", "dendrop.cli", *command],
+                          capture_output=True, text=True, timeout=20)
+    assert proc.returncode == code, proc.stderr
+    if code == 2:
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+        assert error in proc.stderr
 
 
 def test_enumerate_rejects_non_integer_budget_env(tmp_path, capsys, monkeypatch):

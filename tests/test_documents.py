@@ -348,6 +348,9 @@ REJECTED = [
     (_doc(ALG, field={"kind": "rational", "p": 3}), "document.field.p: unknown key"),
     # the smallest dimension whose dim^3 cells are refused before allocation
     ({**ALG, "dim": MAX_TENSOR_DIM + 1}, f"payload.product: dim {MAX_TENSOR_DIM + 1} is above"),
+    # a million empty rows, refused before they are built
+    ({"kind": "matrix", "rows": 1000000, "cols": 0, "entries": []}, "payload.rows: 1000000"),
+    ({"kind": "matrix", "rows": 1, "cols": MAX_TENSOR_DIM + 1, "entries": []}, "payload.cols"),
 ]
 
 
@@ -368,6 +371,27 @@ def test_rejection_bases_parse():
 def test_malformed_payload_rejected_at_its_key(payload, path):
     with pytest.raises(SchemaError, match=re.escape(path)):
         parse_document(payload if isinstance(payload, bytes) else _doc(payload))
+
+
+def _nested_result_set(depth):
+    payload = RESULT_SET
+    for _ in range(depth):
+        payload = {**RESULT_SET, "items": [payload]}
+    return _doc(payload)
+
+
+@pytest.mark.parametrize("data", [b"[" * 100_000 + b"]" * 100_000, _nested_result_set(300)],
+                         ids=["nested_arrays", "nested_result_sets"])
+def test_deep_nesting_is_a_syntax_error(data):
+    with pytest.raises(DocumentSyntaxError, match="nested too deeply"):
+        parse_document(data)
+
+
+def test_an_integer_literal_too_long_to_convert_is_a_syntax_error():
+    data = _doc({"kind": "matrix", "rows": 0, "cols": 0, "entries": []}).replace(
+        b'"rows": 0', b'"rows": ' + b"9" * 5000)
+    with pytest.raises(DocumentSyntaxError, match="invalid JSON"):
+        parse_document(data)
 
 
 # -- round-trip property over every payload kind ---------------------------------------
@@ -449,3 +473,41 @@ def test_emit_parse_round_trip_property(case):
     doc = parse_document(data)
     assert doc.field == field and doc.payload == obj
     assert emit_document(doc) == data
+
+
+# -- one mutation of a valid document ---------------------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=4) | st.sampled_from(["-1", "1/0", "1/2", "x", "algebra", "prime"]),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=2),
+    max_leaves=4)
+
+
+def _slots(tree):
+    """Every (container, key) holding a value in a parsed JSON tree, outermost first."""
+    items = tree.items() if isinstance(tree, dict) else enumerate(tree) \
+        if isinstance(tree, list) else ()
+    for key, value in items:
+        yield tree, key
+        yield from _slots(value)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_one_mutation_of_a_valid_document_raises_only_dendrop_errors(kind, data):
+    """Replace one value or drop one key anywhere in a valid document: parsing either
+    succeeds or raises a ``DendropError``, never another exception."""
+    field = data.draw(st.sampled_from([Q, F3, F5]))
+    tree = json.loads(emit_document(data.draw(payloads(field, (kind,))), field=field))
+    container, key = data.draw(st.sampled_from(list(_slots(tree))))
+    if isinstance(container, dict) and data.draw(st.booleans()):
+        del container[key]
+    else:
+        container[key] = data.draw(JSON_VALUES)
+    try:
+        parse_document(json.dumps(tree).encode())
+    except DendropError:
+        pass

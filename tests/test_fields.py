@@ -3,8 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from dendrop.errors import BadRationalError, DendropError, FieldMismatchError
-from dendrop.fields import FieldSpec, RATIONALS, is_prime, prime_field, same_field
+from dendrop.errors import (BadRationalError, DendropError, FieldMismatchError,
+                            FieldSpecError)
+from dendrop.fields import (MAX_MODULUS, FieldSpec, RATIONALS, is_prime, prime_field,
+                            same_field)
 
 
 def test_field_spec_validation():
@@ -28,6 +30,34 @@ def test_non_prime_modulus_is_a_library_error():
 def test_is_prime_small():
     primes = [n for n in range(60) if is_prime(n)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+
+
+def test_is_prime_agrees_with_a_sieve():
+    n = 20_000
+    sieve = [False, False] + [True] * (n - 2)
+    for i in range(2, n):
+        if sieve[i]:
+            sieve[i * i::i] = [False] * len(range(i * i, n, i))
+    assert [is_prime(k) for k in range(n)] == sieve
+
+
+@pytest.mark.parametrize("n, prime", [
+    (2 ** 61 - 1, True),
+    (2 ** 64 - 59, True),              # the largest prime below the cap
+    (2 ** 61 + 1, False),
+    (4294967291 ** 2, False),          # the square of the largest 32-bit prime
+    (3215031751, False),               # strong pseudoprime to the bases 2, 3, 5 and 7
+    (3825123056546413051, False),      # strong pseudoprime to every prime base up to 23
+])
+def test_is_prime_decides_large_moduli_exactly(n, prime):
+    assert is_prime(n) is prime
+
+
+def test_moduli_above_the_cap_are_refused_before_testing():
+    assert is_prime(MAX_MODULUS) is False
+    for n in (MAX_MODULUS + 1, 2 ** 89 - 1, 10 ** 4000):
+        with pytest.raises(FieldSpecError, match="above the cap 2\\^64"):
+            prime_field(n)
 
 
 def test_rational_arithmetic_exact():

@@ -1,5 +1,6 @@
 import pickle
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from dendrop.structures import (validate_associativity, validate_bimodule,
                                 validate_bimodule_algebra,
                                 validate_dendriform_di,
                                 validate_dendriform_tri)
-from helpers import F2, F3, Q, kx2, n2, zero_algebra
+from helpers import F2, F3, F5, Q, kx2, n2, zero_algebra
 
 ONE = Fraction(1)
 
@@ -139,6 +140,39 @@ def test_vector_classes_are_invisible_from_outside(make):
     assert kept == fresh and hash(kept) == hash(fresh)
     # a copy made after the classes were filled searches as the original
     assert dp.search_dendriform_iso_fp(after[4], fresh) == found
+    assert after[4]._vector_classes == fresh._vector_classes
+
+
+HALVES = {(0, 0, 1): Fraction(1, 2), (1, 1, 0): Fraction(-3, 2), (0, 1, 1): Fraction(5, 4)}
+
+
+def _with_halves(cls):
+    """A structure of ``cls`` over Q whose every table has denominators 2 and 4."""
+    tables = [StructureTensor.from_triples(Q, 2, {ijk: c * (r + 1) for ijk, c in HALVES.items()})
+              for r in range(len(fields(cls)) - 1)]
+    return cls(*tables, name=f"halves-{cls.__name__}")
+
+
+TABLE_CLASSES = [dp.Algebra, dp.DendriformDi, dp.DendriformTri]
+
+
+def _transport_to(d, field):
+    return {dp.Algebra: dp.algebra_to_field, dp.DendriformDi: dp.dendriform_di_to_field,
+            dp.DendriformTri: dp.dendriform_tri_to_field}[type(d)](d, field)
+
+
+@pytest.mark.parametrize("cls", TABLE_CLASSES, ids=lambda c: c.__name__)
+def test_derived_data_of_every_table_structure_is_invisible_from_outside(cls):
+    kept, fresh = (_transport_to(_with_halves(cls), F3) for _ in range(2))
+    before = _observed(kept)
+    assert repr(kept).startswith(f"{cls.__name__}(")
+    kept._vector_classes
+    {dp.Algebra: validate_associativity, dp.DendriformDi: validate_dendriform_di,
+     dp.DendriformTri: validate_dendriform_tri}[cls](kept)
+    assert "_vector_classes" in vars(kept)
+    after = _observed(kept)
+    assert after == before == _observed(fresh)
+    assert kept == fresh and hash(kept) == hash(fresh)
     assert after[4]._vector_classes == fresh._vector_classes
 
 
@@ -295,6 +329,35 @@ def test_reduction_mod_p():
     assert validate_dendriform_di(over3).passed
     with pytest.raises(BadRationalError):
         dp.dendriform_di_to_field(rb2, F2)  # 1/2 has no image mod 2
+
+
+@pytest.mark.parametrize("cls", TABLE_CLASSES, ids=lambda c: c.__name__)
+def test_transport_reduces_every_table_and_keeps_the_name(cls):
+    d = _with_halves(cls)
+    over5 = _transport_to(d, F5)
+    assert type(over5) is cls and over5.name == d.name and over5.field == F5
+    for t, t5 in zip(d.tensors(), over5.tensors(), strict=True):
+        # c = a/b maps to a * b^-1 mod 5
+        assert t5.entries == tuple(tuple(tuple(c.numerator * pow(c.denominator, -1, 5) % 5
+                                                 for c in row) for row in plane)
+                                   for plane in t.entries)
+    assert _transport_to(d, Q) == d
+    assert _transport_to(over5, F5) == over5
+    with pytest.raises(BadRationalError):
+        _transport_to(d, F2)  # 1/2 has no image mod 2
+
+
+@pytest.mark.parametrize("cls, message", [(dp.DendriformDi, "prec/succ dimension mismatch"),
+                                            (dp.DendriformTri, "prec/succ/dot dimension mismatch")])
+def test_every_table_must_agree_in_dimension_and_field(cls, message):
+    k = len(fields(cls)) - 1
+    for bad in range(1, k):
+        dims = [2] * k
+        dims[bad] = 3
+        with pytest.raises(DimensionMismatchError, match=f"^{message}$"):
+            cls(*(StructureTensor.zero(Q, n) for n in dims))
+        with pytest.raises(FieldMismatchError):
+            cls(*(StructureTensor.zero(F3 if i == bad else Q, 2) for i in range(k)))
 
 
 def test_structure_constructor_checks():
