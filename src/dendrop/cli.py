@@ -164,15 +164,18 @@ def _cmd_equiv(args) -> bool:
 
 
 def _resolve_budget(args) -> int | None:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("DENDROP_BUDGET")
-    if not env:
-        return None
-    try:
-        return int(env)
-    except ValueError:
-        raise UsageError(f"DENDROP_BUDGET={env!r} is not an integer") from None
+    budget, source = args.budget, "--budget"
+    if budget is None:
+        env, source = os.environ.get("DENDROP_BUDGET"), "DENDROP_BUDGET"
+        if not env:
+            return None
+        try:
+            budget = int(env)
+        except ValueError:
+            raise UsageError(f"DENDROP_BUDGET={env!r} is not an integer") from None
+    if budget < 1:
+        raise UsageError(f"{source} must be at least 1, got {budget}")
+    return budget
 
 
 def _cmd_enumerate(args) -> bool:

@@ -462,11 +462,18 @@ def emit_raw(field: FieldSpec, payload: dict) -> bytes:
 
 
 def emit_document(obj, field: FieldSpec | None = None) -> bytes:
-    """Canonical UTF-8 JSON bytes for a payload object or a full Document."""
+    """Canonical UTF-8 JSON bytes for a payload object or a full Document.
+
+    A payload nested deeper than the interpreter recurses is refused, as
+    ``parse_document`` refuses such a document.
+    """
     if isinstance(obj, Document):
         field, obj = obj.field, obj.payload
     elif field is None:
         field = getattr(obj, "field", None)
         if field is None:
             raise ArgumentError("field must be supplied for objects that do not carry one")
-    return emit_raw(field, _dump_payload(obj))
+    try:
+        return emit_raw(field, _dump_payload(obj))
+    except RecursionError:
+        raise ArgumentError("document is nested too deeply") from None

@@ -25,7 +25,14 @@ only for the leaves.  Two instance families share the engine:
   vector at each column, with the star the operator induces as ``o``;
   ``gl_matrices`` tries the vectors outside the span of the columns above,
   and the isomorphism search those of them in the class of the basis
-  vector the column replaces.
+  vector the column replaces.  An instance with i, j < t whose ``b_i o
+  b_j`` has its last nonzero coordinate at t determines column t: those
+  coordinates read no column but i and j (a table reads none, the star
+  only i and j), so the instance is linear in column t with every other
+  column it reads fixed.  Level t then tries only the vector it forces,
+  if that is among its values.  Every other vector fails that instance,
+  so the leaves and their order do not change (propagation, as in McKay
+  and Piperno 2014).
 
 Dendriform dialgebras are fibred over their associative star products
 ``x * y = x < y + x > y``: the dialgebra axioms make the star associative
@@ -97,15 +104,17 @@ def _check_dim(dim: int) -> None:
 def _search(choices, slots, checks, fixed, later, holds, leaf):
     """Leaves of a depth-first search over partial assignments, in choice order.
 
-    Level ``t`` writes each value tuple of ``choices(t)``, which may read
-    the values fixed above it, into the ``(container, key)`` pairs
-    ``slots[t]``.  ``checks[t]`` lists the instances filed at level ``t``;
-    ``later(inst)`` is the level at which the last entry the instance reads,
-    given the values fixed so far, is fixed, and the instance is tested by
-    ``holds(inst)`` at that level.  ``fixed[t]`` lists instances whose last
-    read is at level ``t`` whatever the values: they are tested there with
-    no ``later`` call.  ``leaf()`` copies a complete assignment (with no
-    levels, the empty one); leaves are yielded as they are reached.
+    Level ``t`` writes each value tuple of ``choices(t, waiting)``, which
+    may read the values fixed above it, into the ``(container, key)`` pairs
+    ``slots[t]``; ``waiting`` lists the instances whose last read is at
+    level ``t`` given those values.  ``checks[t]`` lists the instances filed
+    at level ``t``; ``later(inst)`` is the level at which the last entry the
+    instance reads, given the values fixed so far, is fixed, and the
+    instance is tested by ``holds(inst)`` at that level.  ``fixed[t]`` lists
+    instances whose last read is at level ``t`` whatever the values: they
+    are tested there with no ``later`` call.  ``leaf()`` copies a complete
+    assignment (with no levels, the empty one); leaves are yielded as they
+    are reached.
     """
     depth = len(slots)
     pending = [list(f) for f in fixed]
@@ -115,7 +124,7 @@ def _search(choices, slots, checks, fixed, later, holds, leaf):
             yield leaf()
             return
         level, check, waiting = slots[t], checks[t], pending[t]
-        for values in choices(t):
+        for values in choices(t, waiting):
             for (container, key), value in zip(level, values):
                 container[key] = value
             deferred = []
@@ -170,8 +179,8 @@ def _table_leaves(p: int, n: int, rows, choices, free: int, fixed=()):
                 == _combine(tables[d][y][z], tables[c][x], p, 0))
 
     slots = [tuple((tables[r][u], v) for r in range(free)) for u, v in pairs]
-    return _search(choices.__getitem__, slots, checks, [()] * len(pairs), later, holds,
-                   lambda: tuple(tuple(map(tuple, tables[r])) for r in range(free)))
+    return _search(lambda t, waiting: choices[t], slots, checks, [()] * len(pairs), later,
+                   holds, lambda: tuple(tuple(map(tuple, tables[r])) for r in range(free)))
 
 
 def _column_leaves(p: int, cols: list, rows, choices):
@@ -181,13 +190,27 @@ def _column_leaves(p: int, cols: list, rows, choices):
     F(b_j) per basis pair, ``target`` being the flat table of ``o'``.
     ``source`` is the nested table of ``o``, or, where ``o`` depends on F
     (the star a Rota-Baxter operator induces), a function ``source(i, j)``
-    of ``cols`` giving the coordinates of ``b_i o b_j``.  An instance of a
-    table reads the same columns at every node, so it is filed once at its
-    level; an instance of a function is filed at each node by ``later``.
-    A leaf is the tuple of columns.
+    of the columns i and j giving the coordinates s of ``b_i o b_j``.  An
+    instance of a table reads the same columns at every node, so it is
+    filed once at its level; an instance of a function is filed at level
+    max(i, j), where s is first known, and deferred from there by
+    ``later`` at each node.
+
+    ``choices(t, among)`` gives, in order, the values of column t among the
+    value tuples ``among``.  An instance with i, j < t whose s has its last
+    nonzero coordinate s_t at t determines column t: with every other
+    column it reads fixed, it holds only for c_t = s_t^-1 (c_i o' c_j -
+    sum_{m<t} s_m c_m).  These are the instances of ``waiting`` at level t
+    with i, j < t: for a table, those filed there; for a function, those
+    ``later`` deferred there.  Level t then offers the vector the first of
+    them forces, and every vector of F_p^n when there is none.  The other
+    vectors fail that instance, so the leaves and their order are those of
+    offering every vector; ``holds`` still tests each instance, the
+    determining one included.  A leaf is the tuple of columns.
     """
     n = len(cols)
     last = n - 1
+    vectors = [(v,) for v in product(range(p), repeat=n)]
 
     def later(inst):
         source, _, i, j = inst
@@ -199,22 +222,39 @@ def _column_leaves(p: int, cols: list, rows, choices):
                     return m
         return at
 
+    def image(inst):
+        _, target, i, j = inst
+        return _combine([a * b if a and b else 0 for a in cols[i] for b in cols[j]],
+                        target, p, 0)
+
     def holds(inst):
-        source, target, i, j = inst
-        return (_combine(source(i, j), cols, p, 0)
-                == _combine([a * b if a and b else 0 for a in cols[i] for b in cols[j]],
-                            target, p, 0))
+        source, _, i, j = inst
+        return _combine(source(i, j), cols, p, 0) == image(inst)
+
+    def narrowed(t, waiting):
+        for inst in waiting:
+            source, _, i, j = inst
+            if i < t and j < t:
+                coords = source(i, j)
+                inverse = pow(coords[t], -1, p)
+                fixed_part = _combine(coords[:t], cols, p, 0)
+                return choices(t, [(tuple((a - b) * inverse % p
+                                          for a, b in zip(image(inst), fixed_part)),)])
+        return choices(t, vectors)
 
     checks = [[] for _ in cols]
     fixed = [[] for _ in cols]
     for source, target in rows:
-        filed = checks
-        if not callable(source):
-            filed, source = fixed, (lambda i, j, table=source: table[i][j])
+        varies = callable(source)
+        if not varies:
+            source = (lambda i, j, table=source: table[i][j])
         for i, j in product(range(n), repeat=2):
             inst = (source, target, i, j)
-            filed[later(inst)].append(inst)
-    return _search(choices, [((cols, t),) for t in range(n)], checks, fixed, later, holds,
+            if varies:
+                checks[max(i, j)].append(inst)
+            else:
+                fixed[later(inst)].append(inst)
+    return _search(narrowed, [((cols, t),) for t in range(n)], checks, fixed, later, holds,
                    lambda: tuple(cols))
 
 
@@ -307,8 +347,7 @@ def enumerate_rb_operators(algebra: Algebra, weight, budget: int | None = None) 
     table = algebra.product.entries
     cols = [(0,) * n] * n
     star = _induced(field, cols, table, table, weight, table)[2]
-    vectors = [(v,) for v in product(range(p), repeat=n)]
-    leaves = _column_leaves(p, cols, [(star, sum(table, ()))], lambda t: vectors)
+    leaves = _column_leaves(p, cols, [(star, sum(table, ()))], lambda t, among: among)
     return [RotaBaxterOperator(algebra, Matrix(field, rows), weight)
             for rows in sorted(tuple(zip(*c)) for c in leaves)]
 

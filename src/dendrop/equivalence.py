@@ -21,22 +21,25 @@ t is drawn only from the vectors w whose class in the second structure
 (for each product, whether ``w o w`` is zero and whether it is parallel
 to w; ``DendriformDi._vector_classes``) equals the class of ``b_t`` in the
 first.  An isomorphism preserves the classes, so this removes only
-non-isomorphisms and leaves the set of leaves unchanged.
+non-isomorphisms and leaves the set of leaves unchanged.  Where an
+instance fixes column t from the columns before it (b_i p1 b_j, with i,
+j < t, has its last nonzero coordinate at t), the walk offers only the
+vector it forces, if that vector is among those drawn (propagation, the
+other half of individualisation and refinement).
 
 The witness is the least isomorphism in row-major lexicographic order,
 the first one a scan of ``gl_matrices`` would meet.  ``candidates_tried``
 is its position in that scan, in closed form (``_gl_position``): each row
 adds the vectors before it that lie outside the span of the rows above,
 times the completions of the rows below.  Neither depends on the
-refinement.  ``nodes`` counts the columns the refined walk assigned; a
-structure whose vectors all share one class, such as a zero product,
-still walks every isomorphism.  A ``Matrix`` is built only for the
-witness.
+refinement or the propagation.  ``nodes`` counts the columns the walk
+assigned after both; a zero product, whose vectors all share one class
+and whose instances determine no column, still walks every isomorphism.
+A ``Matrix`` is built only for the witness.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field
 
@@ -65,8 +68,9 @@ class IsoWitness:
 class IsoSearchResult:
     """Outcome of an exhaustive witness search over invertible matrices.
 
-    ``nodes`` (the columns the walk assigned) is work done, not part of
-    the outcome, so it takes no part in comparisons.
+    ``nodes`` (the columns the walk assigned, after refinement and
+    propagation) is work done, not part of the outcome, so it takes no
+    part in comparisons.
     """
 
     witness: IsoWitness | None
@@ -172,20 +176,19 @@ def _span_with(span: set, v: tuple, p: int) -> set:
 
 
 def _gl_choices(p: int, cols: list):
-    """Level t of the GL walk: the vectors of F_p^n outside the span of ``cols[:t]``.
+    """Level t of the GL walk: the vectors of ``among`` outside the span of ``cols[:t]``.
 
     A matrix is invertible exactly when each of its vectors lies outside
     the span of those before it.
     """
     n = len(cols)
-    vectors = [(v,) for v in itertools.product(range(p), repeat=n)]
     spans = [{(0,) * n}] * (n + 1)
 
-    def choices(t):
+    def choices(t, among):
         if t:
             spans[t] = _span_with(spans[t - 1], cols[t - 1], p)
         span = spans[t]
-        return [v for v in vectors if v[0] not in span]
+        return [v for v in among if v[0] not in span]
 
     return choices
 
@@ -250,9 +253,9 @@ def search_dendriform_iso_fp(d1, d2) -> IsoSearchResult:
     wanted = [d1._vector_classes[tuple(int(k == t) for k in range(n))] for t in range(n)]
     nodes = 0
 
-    def choices(t):
+    def choices(t, among):
         nonlocal nodes
-        values = [v for v in gl(t) if classes[v[0]] == wanted[t]]
+        values = [v for v in gl(t, among) if classes[v[0]] == wanted[t]]
         nodes += len(values)
         return values
 

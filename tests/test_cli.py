@@ -350,6 +350,22 @@ def test_enumerate_rejects_non_integer_budget_env(tmp_path, capsys, monkeypatch)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, env, error", [
+    (["--budget", "0"], None, "--budget must be at least 1, got 0"),
+    (["--budget", "-5"], "1000", "--budget must be at least 1, got -5"),
+    ([], "0", "DENDROP_BUDGET must be at least 1, got 0"),
+    ([], "-5", "DENDROP_BUDGET must be at least 1, got -5"),
+], ids=["flag-zero", "flag-negative", "env-zero", "env-negative"])
+def test_enumerate_rejects_a_budget_below_one(tmp_path, capsys, monkeypatch, flag, env, error):
+    if env is not None:
+        monkeypatch.setenv("DENDROP_BUDGET", env)
+    out = tmp_path / "x.json"
+    assert main(["enumerate", "--what", "assoc", "--dim", "1", "--prime", "2", *flag,
+                 "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("what", ["rb0", "phi-image"])
 def test_enumerate_starts_at_most_one_pool(tmp_path, monkeypatch, what):
     pools = []

@@ -387,6 +387,14 @@ def test_deep_nesting_is_a_syntax_error(data):
         parse_document(data)
 
 
+def test_emitting_a_result_set_nested_too_deeply_is_refused():
+    rs = ResultSet.build("x", items=[])
+    for _ in range(1000):
+        rs = ResultSet.build("x", items=[rs])
+    with pytest.raises(ArgumentError, match="^document is nested too deeply$"):
+        emit_document(rs, Q)
+
+
 def test_an_integer_literal_too_long_to_convert_is_a_syntax_error():
     data = _doc({"kind": "matrix", "rows": 0, "cols": 0, "entries": []}).replace(
         b'"rows": 0', b'"rows": ' + b"9" * 5000)

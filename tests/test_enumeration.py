@@ -186,6 +186,50 @@ def test_rb_operators_are_the_validator_filter():
             assert dp.enumerate_rb_operators(alg, weight) == expect
 
 
+# products of dimension 3 over F_2: zero, the mod-2 reductions of k[x]/(x^3), k^3 and
+# k[x]/(x^2) x k, b_0 b_0 = b_2 and b_0 b_0 = b_0 + b_2
+DIM3_F2 = {
+    "zero3": {},
+    "kx3": {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (0, 2, 2): 1, (2, 0, 2): 1, (1, 1, 2): 1},
+    "split3": {(0, 0, 0): 1, (1, 1, 1): 1, (2, 2, 2): 1},
+    "kx2k": {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (2, 2, 2): 1},
+    "n3": {(0, 0, 2): 1},
+    "e3": {(0, 0, 0): 1, (0, 0, 2): 1},
+}
+
+
+def _determines_a_column(c, P, weight, p, n):
+    """Whether some star b_i * b_j under P has its last nonzero coordinate past i and j."""
+    o = oracle_enumeration
+    for i, j in itertools.product(range(n), repeat=2):
+        star = [(a + b + weight * d) % p for a, b, d in
+                zip(o.mul_vec(c, o.matcol(P, i, n), o.unit(j, n), p, n),
+                    o.mul_vec(c, o.unit(i, n), o.matcol(P, j, n), p, n), c[i][j])]
+        if any(star[max(i, j) + 1:]):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("name, narrowed", [
+    ("zero3", False), ("kx3", True), ("split3", False), ("kx2k", False), ("n3", True),
+    ("e3", True),
+])
+def test_rb_dim3_f2_is_the_oracle_filter(name, narrowed):
+    # every one of the 512 matrices through the naive oracle, against the narrowed search
+    n, p, entries = 3, 2, DIM3_F2[name]
+    c = tuple(tuple(tuple(entries.get((i, j, k), 0) for k in range(n)) for j in range(n))
+              for i in range(n))
+    alg = dp.make_algebra(F2, n, entries)
+    determined = False
+    for weight in (0, 1):
+        expect = [P for P in oracle_enumeration.all_matrices(n, p)
+                  if oracle_enumeration.is_rota_baxter(c, P, weight, p, n)]
+        assert [op.matrix.entries for op in dp.enumerate_rb_operators(alg, weight)] == expect
+        # an operator with such a pair was reached through a level that pair determined
+        determined |= any(_determines_a_column(c, P, weight, p, n) for P in expect)
+    assert determined == narrowed
+
+
 def test_rb_requires_finite_field():
     with pytest.raises(FieldNotFiniteError):
         dp.enumerate_rb_operators(n2(), 0)

@@ -405,9 +405,9 @@ def _unrefined_search(d1, d2):
     gl = _gl_choices(p, cols)
     nodes = 0
 
-    def choices(t):
+    def choices(t, among):
         nonlocal nodes
-        values = gl(t)
+        values = gl(t, among)
         nodes += len(values)
         return values
 
@@ -433,3 +433,43 @@ def test_refinement_removes_only_non_isomorphisms():
     # every vector of the zero dialgebra has one class: nothing to refine
     zero = dp.make_dendriform_di(F3, 2, {}, {})
     assert _unrefined_search(zero, zero)[2] == dp.search_dendriform_iso_fp(zero, zero).nodes == 8 + 8 * 6
+
+
+# -- propagation ----------------------------------------------------------------------------
+
+def _class_filtered_draws(d1, d2):
+    """Columns the class-filtered walk draws when no instance narrows a column, and its leaves."""
+    p, n = d1.field.p, d1.dim
+    cols = [(0,) * n] * n
+    gl = _gl_choices(p, cols)
+    vectors = [(v,) for v in itertools.product(range(p), repeat=n)]
+    classes = d2._vector_classes
+    wanted = [d1._vector_classes[tuple(int(k == t) for k in range(n))] for t in range(n)]
+    draws = 0
+
+    def choices(t, among):
+        nonlocal draws
+        values = [v for v in gl(t, vectors) if classes[v[0]] == wanted[t]]
+        draws += len(values)
+        return values
+
+    rows = [(t1.entries, sum(t2.entries, ())) for t1, t2 in zip(d1.tensors(), d2.tensors())]
+    leaves = sorted(tuple(zip(*c)) for c in _column_leaves(p, cols, rows, choices))
+    return draws, leaves
+
+
+def test_determined_columns_are_the_only_ones_tried():
+    # every b_i < b_j is 2 b_0 + b_1 (rb-4 moved by a change of basis): b_0 < b_0 ends at
+    # b_1, so that instance fixes column 1 of F from column 0
+    moved = dp.make_dendriform_di(F3, 2, {(i, j, k): 2 - k for i in range(2) for j in range(2)
+                                          for k in range(2)}, {})
+    rb4 = over3("rb-4")
+    res = dp.search_dendriform_iso_fp(moved, rb4)
+    draws, leaves = _class_filtered_draws(moved, rb4)
+    assert res.witness.matrix == Matrix(F3, leaves[0])
+    assert res.candidates_tried == _naive_search(moved, rb4)[1] == 2
+    assert res.nodes < draws
+    # rb-4's products end at b_0: no instance determines a column, so nothing changes
+    res = dp.search_dendriform_iso_fp(rb4, moved)
+    assert res.nodes == _class_filtered_draws(rb4, moved)[0]
+    assert res.found and res.candidates_tried == 33
