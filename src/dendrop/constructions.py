@@ -14,7 +14,10 @@ of a canonically built domain structure.
 
 Constructors refuse operators or dendriform structures that fail their
 validators: the output guarantees only hold under those hypotheses, and
-constructing from unvalidated inputs would poison downstream checks.
+constructing from unvalidated inputs would poison downstream checks.  An
+operator is checked through the relation verdict it keeps, or was handed by
+a construction that preserves the relation (see ``operators``), and is
+scanned again only to name the failing basis pair of one that fails.
 """
 
 from __future__ import annotations
@@ -33,14 +36,20 @@ from .structures import (Algebra, Bimodule, BimoduleAlgebra, DendriformDi,
                          _action_matrices, _collect,
                          _homomorphism_failures, _require, _transpose, star_product,
                          validate_bimodule, validate_bimodule_algebra)
-from .operators import (ALGEBRA, OOperator, _induced, validate_o_algebra,
-                        validate_o_module, validate_o_operator)
+from .operators import (ALGEBRA, MODULE, OOperator, _expect_kind, _induced,
+                        validate_o_operator)
 
 
-def _valid(op: OOperator, validate) -> OOperator:
-    """``op``, once ``validate`` (which also checks the kind) passes on it."""
-    _require(validate(op, max_violations=1, early_stop=True), InvalidOperatorError,
-             "operator fails its defining relation at basis pair {indices}")
+def _valid(op: OOperator, kind: str) -> OOperator:
+    """``op``, once it is of ``kind`` and its relation verdict holds.
+
+    A failing verdict is scanned again, to name the first failing basis pair.
+    """
+    _expect_kind(op, kind)
+    if not op._relation_holds:
+        _require(validate_o_operator(op, max_violations=1, early_stop=True),
+                 InvalidOperatorError,
+                 "operator fails its defining relation at basis pair {indices}")
     return op
 
 
@@ -64,12 +73,12 @@ def _domain_structure(op: OOperator):
 
 def domain_dendriform_tri(op: OOperator) -> DendriformTri:
     """Dendriform trialgebra on the source of a validated algebra-kind operator."""
-    return _domain_structure(_valid(op, validate_o_algebra))
+    return _domain_structure(_valid(op, ALGEBRA))
 
 
 def domain_dendriform_di(op: OOperator) -> DendriformDi:
     """Dendriform dialgebra on the source of a validated module-kind operator."""
-    return _domain_structure(_valid(op, validate_o_module))
+    return _domain_structure(_valid(op, MODULE))
 
 
 def _star_homomorphism(kind: str, axiom: str, fcols, dend, alg: Algebra,
@@ -131,8 +140,9 @@ def _canonical_operator(dend, kind, noun: str):
     _require(validate_structure(structure, 1, True), InvalidDendriformError,
              noun + " axioms fail: canonical domain structure fails {axiom} at {indices}")
     op = OOperator(structure, alg, Matrix.identity(f, dend.dim), weight)
-    _require(validate_o_operator(op, max_violations=1, early_stop=True), InvalidDendriformError,
-             "canonical operator fails its relation at {indices}")
+    if not op._relation_holds:
+        _require(validate_o_operator(op, max_violations=1, early_stop=True),
+                 InvalidDendriformError, "canonical operator fails its relation at {indices}")
     if _domain_structure(op) != dend:
         raise InvalidDendriformError("canonical operator does not reproduce its input")
     return structure, op
@@ -213,12 +223,12 @@ def _invertible_range(op: OOperator) -> tuple:
 def range_dendriform_tri(op: OOperator) -> DendriformTri:
     """Transport the domain trialgebra onto the codomain of an invertible operator."""
     # raises SingularMatrixError
-    return DendriformTri(*_invertible_range(_valid(op, validate_o_algebra)))
+    return DendriformTri(*_invertible_range(_valid(op, ALGEBRA)))
 
 
 def range_dendriform_di(op: OOperator) -> DendriformDi:
     """Transport the domain dialgebra onto the codomain of an invertible operator."""
-    return DendriformDi(*_invertible_range(_valid(op, validate_o_module)))
+    return DendriformDi(*_invertible_range(_valid(op, MODULE)))
 
 
 @dataclass(frozen=True)
@@ -246,7 +256,7 @@ def range_dendriform_quotient(op: OOperator, section_rule: str = "first") -> Quo
     """
     if section_rule not in ("first", "last"):
         raise ArgumentError(f"unknown section rule {section_rule!r}")
-    _valid(op, validate_o_algebra)
+    _valid(op, ALGEBRA)
     if not kernel_ideal_check(op):
         raise KernelNotIdealError("kernel of alpha is not an ideal of the domain product")
     f = op.field

@@ -448,8 +448,15 @@ def _parse(data) -> Document:
 
 
 def payload_dict(obj, field: FieldSpec) -> dict:
-    """The payload dictionary alone, for callers assembling composite documents."""
-    return _dump_payload(obj)
+    """The payload dictionary alone, for callers assembling composite documents.
+
+    A payload nested deeper than the interpreter recurses is refused, as
+    ``parse_document`` refuses such a document.
+    """
+    try:
+        return _dump_payload(obj)
+    except RecursionError:
+        raise ArgumentError("document is nested too deeply") from None
 
 
 def emit_raw(field: FieldSpec, payload: dict) -> bytes:

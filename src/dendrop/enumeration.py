@@ -68,12 +68,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 
-from .constructions import _domain_structure, canonical_operator_from_di
+from .constructions import canonical_operator_from_di, domain_dendriform_di
 from .errors import (ArgumentError, BudgetExceededError, FieldNotFiniteError,
                      InvalidDendriformError)
 from .fields import prime_field
 from .linalg import Matrix, StructureTensor, _combine
-from .operators import RotaBaxterOperator, _induced, rb_as_module_operator
+from .operators import RotaBaxterOperator, _given, _induced, rb_as_module_operator
 from .structures import _ASSOCIATIVITY, _DENDRIFORM_DI, Algebra, DendriformDi
 
 DEFAULT_BUDGET = 1 << 24
@@ -348,7 +348,8 @@ def enumerate_rb_operators(algebra: Algebra, weight, budget: int | None = None) 
     cols = [(0,) * n] * n
     star = _induced(field, cols, table, table, weight, table)[2]
     leaves = _column_leaves(p, cols, [(star, sum(table, ()))], lambda t, among: among)
-    return [RotaBaxterOperator(algebra, Matrix(field, rows), weight)
+    # every leaf passed every instance of the relation: its verdict is known
+    return [_given(RotaBaxterOperator(algebra, Matrix(field, rows), weight), True)
             for rows in sorted(tuple(zip(*c)) for c in leaves)]
 
 
@@ -419,8 +420,7 @@ def phi_image_experiment(dim: int, p: int, budget: int | None = None,
     for table in stars:
         alg = Algebra(StructureTensor(field, table))
         for rb in enumerate_rb_operators(alg, field.zero, budget):
-            # the search accepted rb, so its domain structure needs no re-check
-            d = _domain_structure(rb_as_module_operator(rb))
+            d = domain_dendriform_di(rb_as_module_operator(rb))
             if d not in first_witness:
                 first_witness[d] = (alg, rb.matrix)
     all_set = set(all_dd)

@@ -5,11 +5,29 @@ bimodule (module kind) or a bimodule algebra (algebra kind, with a weight)
 into its base algebra.  Transports along domain isomorphisms and range
 automorphisms return fresh operators carrying the transported domain
 structure explicitly.
+
+Each operator keeps the verdict of its defining relation, the early-stop
+scan of its validator, computed on first use (``_relation_holds``); it
+takes no part in equality, hashing, ``repr`` or documents.  A construction
+that provably preserves the relation hands a known verdict on to the
+operator it returns, and never computes one that is not known:
+
+* ``enumerate_rb_operators`` (in ``enumeration``): its search tests every
+  instance of the relation, so each operator it returns holds it;
+* ``rb_as_o_operator`` and ``rb_as_module_operator`` (weight zero): both
+  actions of the canonical bimodule are the algebra's product, so the O-
+  operator scan runs exactly the instances of ``validate_rota_baxter``;
+* ``compose_with_domain_iso``, once g has passed its checks: for an
+  isomorphism g of domain structures, alpha o g satisfies the relation
+  exactly when alpha does (transport of structure).
+
+The public validators always scan and return full reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (DimensionMismatchError, KindMismatchError,
                      NotIntertwiningError,
@@ -38,6 +56,10 @@ class RotaBaxterOperator:
         object.__setattr__(self, "weight", self.algebra.field.coerce(self.weight))
         if self.matrix.rows != self.algebra.dim or not self.matrix.is_square:
             raise DimensionMismatchError("operator matrix must be dim x dim")
+
+    @cached_property
+    def _relation_holds(self) -> bool:
+        return next(_rb_failures(self), None) is None
 
 
 @dataclass(frozen=True)
@@ -70,6 +92,10 @@ class OOperator:
         if self.matrix.rows != self.codomain.dim or self.matrix.cols != self.domain.dim:
             raise DimensionMismatchError("operator matrix shape must be (dim A) x (dim domain)")
 
+    @cached_property
+    def _relation_holds(self) -> bool:
+        return next(_o_failures(self), None) is None
+
     @property
     def kind(self) -> str:
         return ALGEBRA if isinstance(self.domain, BimoduleAlgebra) else MODULE
@@ -77,6 +103,28 @@ class OOperator:
     @property
     def field(self):
         return self.codomain.field
+
+
+def _known(op) -> bool | None:
+    """The relation verdict of ``op`` if it was computed or given, else None; never scans."""
+    return vars(op).get("_relation_holds")
+
+
+def _given(op, verdict: bool | None):
+    """``op`` carrying ``verdict`` as its relation verdict; None leaves it unknown.
+
+    Only a construction that proves its output's relation equivalent to its
+    input's (module docstring) may pass its input's verdict on.
+    """
+    if verdict is not None:
+        vars(op)["_relation_holds"] = verdict
+    return op
+
+
+def _expect_kind(op: OOperator, kind: str) -> None:
+    if op.kind != kind:
+        article = "an" if kind == ALGEBRA else "a"
+        raise KindMismatchError(f"expected {article} {kind}-kind operator")
 
 
 # -- validators -----------------------------------------------------------------
@@ -121,6 +169,21 @@ def _o_relation_failures(field, axiom: str, target, acols, left, right,
     return _homomorphism_failures(field, ((axiom, acols, star, target, False),))
 
 
+def _rb_failures(rb: RotaBaxterOperator):
+    """Failures of the weight-lambda relation (see ``validate_rota_baxter``)."""
+    product = rb.algebra.product.entries
+    return _o_relation_failures(rb.algebra.field, "rb", product, _transpose(rb.matrix.entries),
+                                product, product, rb.weight, product)
+
+
+def _o_failures(op: OOperator):
+    """Failures of the defining relation of ``op``, of either kind."""
+    source_product = (op.weight, op.domain.product.entries) if op.kind == ALGEBRA else ()
+    return _o_relation_failures(op.field, "o_" + op.kind, op.codomain.product.entries,
+                                _transpose(op.matrix.entries), *op.domain._action_tables,
+                                *source_product)
+
+
 def validate_rota_baxter(rb: RotaBaxterOperator,
                          max_violations: int = DEFAULT_MAX_VIOLATIONS,
                          early_stop: bool = False) -> ValidationReport:
@@ -129,33 +192,23 @@ def validate_rota_baxter(rb: RotaBaxterOperator,
     This is the O-operator relation with both actions and the source
     product equal to the algebra's own product; associativity is not needed.
     """
-    product = rb.algebra.product.entries
-    failures = _o_relation_failures(rb.algebra.field, "rb", product, _transpose(rb.matrix.entries),
-                                    product, product, rb.weight, product)
-    return _collect("rota_baxter", failures, max_violations, early_stop)
+    return _collect("rota_baxter", _rb_failures(rb), max_violations, early_stop)
 
 
 def validate_o_module(op: OOperator,
                       max_violations: int = DEFAULT_MAX_VIOLATIONS,
                       early_stop: bool = False) -> ValidationReport:
     """Check alpha(u)*alpha(v) = alpha(l(alpha(u))v) + alpha(u r(alpha(v)))."""
-    if op.kind != MODULE:
-        raise KindMismatchError("expected a module-kind operator")
-    failures = _o_relation_failures(op.field, "o_module", op.codomain.product.entries,
-                                    _transpose(op.matrix.entries), *op.domain._action_tables)
-    return _collect("o_operator_module", failures, max_violations, early_stop)
+    _expect_kind(op, MODULE)
+    return _collect("o_operator_module", _o_failures(op), max_violations, early_stop)
 
 
 def validate_o_algebra(op: OOperator,
                        max_violations: int = DEFAULT_MAX_VIOLATIONS,
                        early_stop: bool = False) -> ValidationReport:
     """Module relation plus the weighted product term on the domain algebra."""
-    if op.kind != ALGEBRA:
-        raise KindMismatchError("expected an algebra-kind operator")
-    failures = _o_relation_failures(op.field, "o_algebra", op.codomain.product.entries,
-                                    _transpose(op.matrix.entries), *op.domain._action_tables,
-                                    op.weight, op.domain.product.entries)
-    return _collect("o_operator_algebra", failures, max_violations, early_stop)
+    _expect_kind(op, ALGEBRA)
+    return _collect("o_operator_algebra", _o_failures(op), max_violations, early_stop)
 
 
 def validate_o_operator(op: OOperator, **kw) -> ValidationReport:
@@ -167,7 +220,8 @@ def validate_o_operator(op: OOperator, **kw) -> ValidationReport:
 def rb_as_o_operator(rb: RotaBaxterOperator) -> OOperator:
     """View a Rota-Baxter operator as an algebra-kind operator on the canonical bimodule."""
     dom = canonical_bimodule(rb.algebra)  # raises NotAssociativeError
-    return OOperator(dom, rb.algebra, rb.matrix, rb.weight)
+    # the actions and the source product are rb's product: the scans agree instance for instance
+    return _given(OOperator(dom, rb.algebra, rb.matrix, rb.weight), _known(rb))
 
 
 def rb_as_module_operator(rb: RotaBaxterOperator) -> OOperator:
@@ -175,13 +229,13 @@ def rb_as_module_operator(rb: RotaBaxterOperator) -> OOperator:
     if rb.weight != 0:
         raise KindMismatchError("module reading only exists at weight zero")
     dom = canonical_bimodule(rb.algebra).base
-    return OOperator(dom, rb.algebra, rb.matrix, None)
+    # the actions are rb's product and the weight term is zero: the scans agree
+    return _given(OOperator(dom, rb.algebra, rb.matrix, None), _known(rb))
 
 
 def with_zero_product(op: OOperator) -> OOperator:
     """Install the zero multiplication: module-kind operator as weight-zero algebra kind."""
-    if op.kind != MODULE:
-        raise KindMismatchError("expected a module-kind operator")
+    _expect_kind(op, MODULE)
     f = op.field
     dom = BimoduleAlgebra(op.domain, StructureTensor.zero(f, op.domain.dim))
     return OOperator(dom, op.codomain, op.matrix, f.zero)
@@ -189,8 +243,7 @@ def with_zero_product(op: OOperator) -> OOperator:
 
 def forget_product(op: OOperator) -> OOperator:
     """Underlying module-kind operator of a weight-zero algebra-kind operator."""
-    if op.kind != ALGEBRA:
-        raise KindMismatchError("expected an algebra-kind operator")
+    _expect_kind(op, ALGEBRA)
     return OOperator(op.domain.base, op.codomain, op.matrix, None)
 
 
@@ -253,7 +306,11 @@ def compose_with_domain_iso(op: OOperator, g: Matrix, source) -> OOperator:
 
     The caller supplies the source structure; the intertwining identities are
     verified before composing.  Returns the operator alpha o g on ``source``
-    with the same weight.
+    with the same weight, and alpha's relation verdict if that one is known.
+    As g intertwines the actions (and the products, for algebra kind), the
+    relation of alpha o g at (u, v) is that of alpha at (g u, g v).  Both
+    are bilinear and g is bijective, so one holds on all basis pairs
+    exactly when the other does.
     """
     if type(source) is not type(op.domain):
         raise KindMismatchError("source structure kind differs from operator domain kind")
@@ -266,7 +323,7 @@ def compose_with_domain_iso(op: OOperator, g: Matrix, source) -> OOperator:
     failures = _domain_morphism_failures(g, source, op.domain)
     _require(_collect("domain_morphism", failures, 1, True), NotIntertwiningError,
              "g fails {axiom} at {indices}")
-    return OOperator(source, op.codomain, op.matrix.mul(g), op.weight)
+    return _given(OOperator(source, op.codomain, op.matrix.mul(g), op.weight), _known(op))
 
 
 def twist_by_range_automorphism(op: OOperator, fmat: Matrix) -> OOperator:

@@ -393,6 +393,8 @@ def test_emitting_a_result_set_nested_too_deeply_is_refused():
         rs = ResultSet.build("x", items=[rs])
     with pytest.raises(ArgumentError, match="^document is nested too deeply$"):
         emit_document(rs, Q)
+    with pytest.raises(ArgumentError, match="^document is nested too deeply$"):
+        payload_dict(rs, Q)
 
 
 def test_an_integer_literal_too_long_to_convert_is_a_syntax_error():

@@ -235,6 +235,23 @@ def test_rb_requires_finite_field():
         dp.enumerate_rb_operators(n2(), 0)
 
 
+def test_every_nonzero_weight_scales_to_weight_one():
+    # P of weight lam makes P/lam of weight one, and every product of the
+    # trialgebra of P is lam times that of P/lam: lam^-1 id maps the second onto the first
+    checked = 0
+    for alg in dp.enumerate_associative_products(2, 3):
+        for lam in (1, 2):
+            inverse = pow(lam, -1, 3)
+            to_p = Matrix.identity(F3, 2).scale(inverse)
+            for rb in dp.enumerate_rb_operators(alg, lam):
+                unit = dp.RotaBaxterOperator(alg, rb.matrix.scale(inverse), 1)
+                tri = dp.domain_dendriform_tri(dp.rb_as_o_operator(rb))
+                tri_unit = dp.domain_dendriform_tri(dp.rb_as_o_operator(unit))
+                assert dp.verify_dendriform_iso(tri_unit, tri, to_p).passed
+                checked += 1
+    assert checked == 1858
+
+
 # -- dendriform dialgebras ------------------------------------------------------------------
 
 def test_dendriform_dim1_f2(oracle):
