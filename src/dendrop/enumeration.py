@@ -19,20 +19,21 @@ only for the leaves.  Two instance families share the engine:
   The rows are the validators' own: ``_ASSOCIATIVITY``, and for dialgebras
   ``_DENDRIFORM_DI``, whose star table is fixed in advance and whose
   ``succ = star - prec`` is fixed with ``prec``.
-* Linear maps F (``_column_leaves``), filled one column per level.  An
-  instance F(b_i o b_j) = F(b_i) o' F(b_j) reads the columns i and j, then
-  those in the support of ``b_i o b_j``.  Rota-Baxter operators try every
-  vector at each column, with the star the operator induces as ``o``;
-  ``gl_matrices`` tries the vectors outside the span of the columns above,
-  and the isomorphism search those of them in the class of the basis
-  vector the column replaces.  An instance with i, j < t whose ``b_i o
-  b_j`` has its last nonzero coordinate at t determines column t: those
-  coordinates read no column but i and j (a table reads none, the star
-  only i and j), so the instance is linear in column t with every other
-  column it reads fixed.  Level t then tries only the vector it forces,
-  if that is among its values.  Every other vector fails that instance,
-  so the leaves and their order do not change (propagation, as in McKay
-  and Piperno 2014).
+* Linear maps F (``_column_leaves``), filled one column per level.  The
+  rows are the validators' homomorphism rows: ``validate_rota_baxter``'s,
+  whose ``o`` is the star the operator induces, and those of
+  ``verify_dendriform_iso``.  An instance F(b_i o b_j) = F(b_i) o' F(b_j)
+  is filed at level max(i, j), where ``b_i o b_j`` is first known, and
+  waits there for the last column in its support.  Rota-Baxter operators
+  try every vector at each column; ``gl_matrices`` the vectors outside the
+  span of the columns above, and the isomorphism search those of them in
+  the class of the basis vector the column replaces.  An instance with
+  i, j < t whose ``b_i o b_j`` has its last nonzero coordinate at t
+  determines column t: it is linear in column t with every other column it
+  reads fixed.  Level t then tries only the vector it forces, if that is
+  among its values.  Every other vector fails that instance, so the leaves
+  and their order do not change (propagation, as in McKay and
+  Piperno 2014).
 
 Dendriform dialgebras are fibred over their associative star products
 ``x * y = x < y + x > y``: the dialgebra axioms make the star associative
@@ -73,7 +74,7 @@ from .errors import (ArgumentError, BudgetExceededError, FieldNotFiniteError,
                      InvalidDendriformError)
 from .fields import prime_field
 from .linalg import Matrix, StructureTensor, _combine
-from .operators import RotaBaxterOperator, _given, _induced, rb_as_module_operator
+from .operators import RotaBaxterOperator, _given, _o_relation_row, rb_as_module_operator
 from .structures import _ASSOCIATIVITY, _DENDRIFORM_DI, Algebra, DendriformDi
 
 DEFAULT_BUDGET = 1 << 24
@@ -101,7 +102,7 @@ def _check_dim(dim: int) -> None:
 
 # -- the search ------------------------------------------------------------------------
 
-def _search(choices, slots, checks, fixed, later, holds, leaf):
+def _search(choices, slots, checks, later, holds, leaf):
     """Leaves of a depth-first search over partial assignments, in choice order.
 
     Level ``t`` writes each value tuple of ``choices(t, waiting)``, which
@@ -110,14 +111,12 @@ def _search(choices, slots, checks, fixed, later, holds, leaf):
     level ``t`` given those values.  ``checks[t]`` lists the instances filed
     at level ``t``; ``later(inst)`` is the level at which the last entry the
     instance reads, given the values fixed so far, is fixed, and the
-    instance is tested by ``holds(inst)`` at that level.  ``fixed[t]`` lists
-    instances whose last read is at level ``t`` whatever the values: they
-    are tested there with no ``later`` call.  ``leaf()`` copies a complete
-    assignment (with no levels, the empty one); leaves are yielded as they
-    are reached.
+    instance is tested by ``holds(inst)`` at that level.  ``leaf()`` copies
+    a complete assignment (with no levels, the empty one); leaves are
+    yielded as they are reached.
     """
     depth = len(slots)
-    pending = [list(f) for f in fixed]
+    pending = [[] for _ in slots]
 
     def descend(t):
         if t == depth:
@@ -179,31 +178,28 @@ def _table_leaves(p: int, n: int, rows, choices, free: int, fixed=()):
                 == _combine(tables[d][y][z], tables[c][x], p, 0))
 
     slots = [tuple((tables[r][u], v) for r in range(free)) for u, v in pairs]
-    return _search(lambda t, waiting: choices[t], slots, checks, [()] * len(pairs), later,
-                   holds, lambda: tuple(tuple(map(tuple, tables[r])) for r in range(free)))
+    return _search(lambda t, waiting: choices[t], slots, checks, later, holds,
+                   lambda: tuple(tuple(map(tuple, tables[r])) for r in range(free)))
 
 
 def _column_leaves(p: int, cols: list, rows, choices):
     """The linear maps F, filled one column of ``cols`` per level, on which ``rows`` hold.
 
-    A row ``(source, target)`` gives an instance F(b_i o b_j) = F(b_i) o'
-    F(b_j) per basis pair, ``target`` being the flat table of ``o'``.
-    ``source`` is the nested table of ``o``, or, where ``o`` depends on F
-    (the star a Rota-Baxter operator induces), a function ``source(i, j)``
-    of the columns i and j giving the coordinates s of ``b_i o b_j``.  An
-    instance of a table reads the same columns at every node, so it is
-    filed once at its level; an instance of a function is filed at level
-    max(i, j), where s is first known, and deferred from there by
-    ``later`` at each node.
+    ``rows`` are the rows of ``structures._homomorphism_failures``, with
+    ``cols`` as their ``fcols``: each gives an instance F(b_i o b_j) =
+    F(b_i) o' F(b_j) per basis pair, its ``source_row(i, j)`` being the
+    coordinates s of ``b_i o b_j``.  A source row reads the columns i and j
+    at most (a table none, an induced star both), so every instance is
+    filed at level max(i, j), where s is first known, and ``later`` defers
+    it from there to the last column in the support of s.
 
     ``choices(t, among)`` gives, in order, the values of column t among the
     value tuples ``among``.  An instance with i, j < t whose s has its last
     nonzero coordinate s_t at t determines column t: with every other
     column it reads fixed, it holds only for c_t = s_t^-1 (c_i o' c_j -
     sum_{m<t} s_m c_m).  These are the instances of ``waiting`` at level t
-    with i, j < t: for a table, those filed there; for a function, those
-    ``later`` deferred there.  Level t then offers the vector the first of
-    them forces, and every vector of F_p^n when there is none.  The other
+    with i, j < t.  Level t then offers the vector the first of them
+    forces, and every vector of F_p^n when there is none.  The other
     vectors fail that instance, so the leaves and their order are those of
     offering every vector; ``holds`` still tests each instance, the
     determining one included.  A leaf is the tuple of columns.
@@ -243,18 +239,11 @@ def _column_leaves(p: int, cols: list, rows, choices):
         return choices(t, vectors)
 
     checks = [[] for _ in cols]
-    fixed = [[] for _ in cols]
-    for source, target in rows:
-        varies = callable(source)
-        if not varies:
-            source = (lambda i, j, table=source: table[i][j])
+    for _, _, source, target, _ in rows:
+        flat = sum(target, ())
         for i, j in product(range(n), repeat=2):
-            inst = (source, target, i, j)
-            if varies:
-                checks[max(i, j)].append(inst)
-            else:
-                fixed[later(inst)].append(inst)
-    return _search(narrowed, [((cols, t),) for t in range(n)], checks, fixed, later, holds,
+            checks[max(i, j)].append((source, flat, i, j))
+    return _search(narrowed, [((cols, t),) for t in range(n)], checks, later, holds,
                    lambda: tuple(cols))
 
 
@@ -346,8 +335,8 @@ def enumerate_rb_operators(algebra: Algebra, weight, budget: int | None = None) 
     weight = field.coerce(weight)
     table = algebra.product.entries
     cols = [(0,) * n] * n
-    star = _induced(field, cols, table, table, weight, table)[2]
-    leaves = _column_leaves(p, cols, [(star, sum(table, ()))], lambda t, among: among)
+    row = _o_relation_row(field, "rb", table, cols, table, table, weight, table)
+    leaves = _column_leaves(p, cols, [row], lambda t, among: among)
     # every leaf passed every instance of the relation: its verdict is known
     return [_given(RotaBaxterOperator(algebra, Matrix(field, rows), weight), True)
             for rows in sorted(tuple(zip(*c)) for c in leaves)]

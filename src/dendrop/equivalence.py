@@ -13,8 +13,9 @@ taken, in lexicographic order, from the vectors outside the span of the
 columns before it (``_gl_choices``), which gives every invertible matrix
 without a rank computation; ``gl_matrices`` is the same walk with no
 instances, its columns read as rows.  The instances are F(b_i p1 b_j) =
-F(b_i) p2 F(b_j) for each product p, so every complete matrix the walk
-reaches is an isomorphism, and it reaches all of them.
+F(b_i) p2 F(b_j) for each product p, the very rows ``verify_dendriform_iso``
+scans (``_iso_rows``), so every complete matrix the walk reaches is an
+isomorphism, and it reaches all of them.
 
 The walk is refined by vertex invariants (McKay and Piperno 2014): column
 t is drawn only from the vectors w whose class in the second structure
@@ -259,8 +260,7 @@ def search_dendriform_iso_fp(d1, d2) -> IsoSearchResult:
         nodes += len(values)
         return values
 
-    products = [(t1.entries, sum(t2.entries, ())) for t1, t2 in zip(d1.tensors(), d2.tensors())]
-    leaves = [_transpose(c) for c in _column_leaves(p, cols, products, choices)]
+    leaves = [_transpose(c) for c in _column_leaves(p, cols, _iso_rows(d1, d2, cols), choices)]
     if not leaves:
         return IsoSearchResult(None, _completions(p, n, 0), nodes)
     rows = min(leaves)

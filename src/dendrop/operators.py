@@ -158,15 +158,18 @@ def _induced(field, acols, left, right, weight=None, product=None):
     return prec, succ, star
 
 
-def _o_relation_failures(field, axiom: str, target, acols, left, right,
-                         weight=None, product=None):
-    """Failures of alpha(x) alpha(y) = alpha(x * y), * the star alpha induces on its source.
+def _o_relation_row(field, axiom: str, target, acols, left, right, weight=None, product=None):
+    """alpha(x) alpha(y) = alpha(x * y), * the star alpha induces on its source, as a scan row.
 
     ``target`` is the codomain's product table; the other arguments are
     those of ``_induced``.
     """
-    star = _induced(field, acols, left, right, weight, product)[2]
-    return _homomorphism_failures(field, ((axiom, acols, star, target, False),))
+    return axiom, acols, _induced(field, acols, left, right, weight, product)[2], target, False
+
+
+def _o_relation_failures(field, *row):
+    """Failures of the relation row ``_o_relation_row(field, *row)``: the one scan of it."""
+    return _homomorphism_failures(field, (_o_relation_row(field, *row),))
 
 
 def _rb_failures(rb: RotaBaxterOperator):
@@ -244,6 +247,8 @@ def with_zero_product(op: OOperator) -> OOperator:
 def forget_product(op: OOperator) -> OOperator:
     """Underlying module-kind operator of a weight-zero algebra-kind operator."""
     _expect_kind(op, ALGEBRA)
+    if op.weight != 0:
+        raise KindMismatchError("module reading only exists at weight zero")
     return OOperator(op.domain.base, op.codomain, op.matrix, None)
 
 
@@ -251,6 +256,7 @@ def forget_product(op: OOperator) -> OOperator:
 
 def multiplicativity_failure(fmat: Matrix, alg: Algebra):
     """First basis pair where f(x*y) != f(x)*f(y), or None if multiplicative."""
+    same_field(fmat.field, alg.field)
     if not fmat.is_square or fmat.rows != alg.dim:
         raise DimensionMismatchError("f must be square of the algebra's dimension")
     rows = (("mult", _transpose(fmat.entries), alg.product.row, alg.product.entries, True),)

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dendrop as dp
 from dendrop import enumeration
@@ -267,6 +272,17 @@ def test_equiv_command(tmp_path):
     assert main(["equiv", op_path, tw_path, "--f", f_path, "--g", f_path]) == 1
 
 
+def test_equiv_refuses_a_range_map_over_another_field(tmp_path, capsys):
+    # diag(2, 1) is not multiplicative on n2 in either field: the field is what is wrong
+    op_path = write_doc(tmp_path, "op.json", weight0_diagonal_operator())
+    f_path = write_doc(tmp_path, "f.json", diag(F3, 2, 1), field=F3)
+    g_path = write_doc(tmp_path, "g.json", dp.Matrix.identity(Q, 2))
+    capsys.readouterr()
+    assert main(["equiv", op_path, op_path, "--f", f_path, "--g", g_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: field mismatch") and err.count("\n") == 1
+
+
 # -- enumerate ------------------------------------------------------------------------
 
 def test_enumerate_dendriform_cli(tmp_path):
@@ -397,6 +413,56 @@ def test_enumerate_rb0_cli(tmp_path):
     assert counts["algebras"] == 2
     # zero algebra: both maps pass; idempotent algebra: only the zero map
     assert counts["operators"] == 3
+
+
+# -- one mutation of a valid enumerate call ---------------------------------------------
+
+# small values only: a mutant may run, so none may ask for a large search or many workers
+ENUMERATE_VALUES = {
+    "--what": ["assoc", "rb0", "dendriform-di", "phi-image", "", "rb1", "ASSOC"],
+    "--dim": ["-1", "0", "1", "2", "3", "x", "", "1.5", "99999999999999999999"],
+    "--prime": ["-2", "0", "1", "2", "3", "4", "5", "9", "x", "", str(2 ** 64 + 13)],
+    "--budget": ["-1", "0", "1", "2", "100", "x", "", "1e3", "99999999999999999999"],
+    "--workers": ["-1", "0", "1", "2", "4", "x", ""],
+}
+BUDGET_ENV_VALUES = [None, "", "-5", "0", "1", "8", " 7", "x", "1e3", "99999999999999999999"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_one_mutation_of_a_valid_enumerate_call_exits_0_or_2(data):
+    """Change one flag of ``enumerate`` or ``DENDROP_BUDGET``: the command either runs or
+    refuses with exit 2, exactly one ``error:`` line on stderr and no output file."""
+    flags = {"--what": "assoc", "--dim": "1", "--prime": "2", "--workers": "1"}
+    env = "1000"
+    mutation = data.draw(st.sampled_from(["set", "drop", "env", "unknown"]))
+    if mutation == "set":
+        flag = data.draw(st.sampled_from(sorted(ENUMERATE_VALUES)))
+        flags[flag] = data.draw(st.sampled_from(ENUMERATE_VALUES[flag]))
+    elif mutation == "drop":
+        del flags[data.draw(st.sampled_from(sorted(flags)))]
+    elif mutation == "env":
+        env = data.draw(st.sampled_from(BUDGET_ENV_VALUES))
+    else:
+        flags["--bogus"] = "1"
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.dict(os.environ, {"DENDROP_BUDGET": env} if env is not None else {}), \
+            contextlib.redirect_stderr(io.StringIO()) as err, \
+            contextlib.redirect_stdout(io.StringIO()):
+        if env is None:
+            os.environ.pop("DENDROP_BUDGET", None)
+        out = os.path.join(tmp, "out.json")
+        try:
+            code = main(["enumerate", *(a for item in flags.items() for a in item), "-o", out])
+        except SystemExit as e:  # argparse refuses a malformed or missing flag
+            code = e.code
+        assert code in (0, 2)
+        lines = err.getvalue().splitlines()
+        if code == 0:
+            assert lines == [] and os.path.exists(out)
+        else:
+            assert [line for line in lines if "error: " in line] == lines[-1:]
+            assert not os.path.exists(out)
 
 
 # -- documents of the wrong kind ------------------------------------------------------

@@ -10,7 +10,7 @@ from dendrop.errors import (DimensionCapError, FieldMismatchError, FieldNotFinit
                             KindMismatchError, NotInvertibleError,
                             NotMultiplicativeError, SingularMatrixError)
 from dendrop.enumeration import _column_leaves
-from dendrop.equivalence import _completions, _gl_choices, _gl_position
+from dendrop.equivalence import _completions, _gl_choices, _gl_position, _iso_rows
 from dendrop.linalg import Matrix, rank
 from helpers import (F2, F3, F5, Q, automorphisms_of, diag, kx2, kx3, n2,
                      random_invertible, random_vector)
@@ -411,7 +411,7 @@ def _unrefined_search(d1, d2):
         nodes += len(values)
         return values
 
-    rows = [(t1.entries, sum(t2.entries, ())) for t1, t2 in zip(d1.tensors(), d2.tensors())]
+    rows = _iso_rows(d1, d2, cols)
     leaves = sorted(tuple(zip(*c)) for c in _column_leaves(p, cols, rows, choices))
     if not leaves:
         return None, _completions(p, n, 0), nodes
@@ -453,7 +453,7 @@ def _class_filtered_draws(d1, d2):
         draws += len(values)
         return values
 
-    rows = [(t1.entries, sum(t2.entries, ())) for t1, t2 in zip(d1.tensors(), d2.tensors())]
+    rows = _iso_rows(d1, d2, cols)
     leaves = sorted(tuple(zip(*c)) for c in _column_leaves(p, cols, rows, choices))
     return draws, leaves
 

@@ -143,6 +143,14 @@ def test_zero_product_upgrade_and_forget():
     assert down == op
 
 
+def test_forget_product_refuses_a_nonzero_weight():
+    # the module reading drops the weight term: -id is weight-one on kx2, not weight-zero
+    op = dp.rb_as_o_operator(dp.RotaBaxterOperator(kx2(), diag(Q, -1, -1), 1))
+    assert dp.validate_o_algebra(op).passed
+    with pytest.raises(KindMismatchError, match="weight zero"):
+        dp.forget_product(op)
+
+
 # -- transports ------------------------------------------------------------------------------
 
 def base_operator():
@@ -185,6 +193,13 @@ def test_multiplicativity_rejects_a_wrong_shape():
     for fmat in (Matrix.identity(Q, 3), Matrix.zeros(Q, 2, 3), Matrix.zeros(Q, 3, 2)):
         with pytest.raises(DimensionMismatchError):
             dp.is_multiplicative(fmat, n2())
+
+
+def test_multiplicativity_refuses_a_map_over_another_field():
+    # over F_3, diag(1, 2) is multiplicative on n2 (2 * 2 = 1); over Q, diag(1, 1/2) is not
+    for fmat, alg in ((diag(F3, 1, 2), n2()), (diag(Q, 1, Fraction(1, 2)), n2(F3))):
+        with pytest.raises(FieldMismatchError):
+            dp.is_multiplicative(fmat, alg)
 
 
 def test_twist_by_diag_4_2():
