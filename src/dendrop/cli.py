@@ -31,7 +31,7 @@ from .equivalence import (search_dendriform_iso_fp, verify_dendriform_iso,
 from .errors import (DendropError, InvalidDendriformError, InvalidOperatorError,
                      KernelNotIdealError, KindMismatchError, SingularMatrixError,
                      UsageError)
-from .fields import prime_field, same_field
+from .fields import RATIONALS, prime_field, same_field
 from .linalg import Matrix
 from .operators import ALGEBRA, OOperator, validate_o_operator
 from .structures import (Algebra, Bimodule, BimoduleAlgebra, DendriformDi,
@@ -222,8 +222,6 @@ def _cmd_enumerate(args) -> bool:
 
 
 def _cmd_catalogue(args) -> bool:
-    from .fields import RATIONALS
-
     items = []
     for entry in builtin_catalogue():
         payload = payload_dict(entry.structure, RATIONALS)

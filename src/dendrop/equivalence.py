@@ -45,12 +45,13 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 
 from .errors import (DimensionCapError, DimensionMismatchError,
-                     FieldNotFiniteError, KindMismatchError,
-                     NotInvertibleError, SingularMatrixError)
+                     FieldNotFiniteError, KindMismatchError, SingularMatrixError)
 from .fields import FieldSpec, same_field
 from .enumeration import _check_dim, _column_leaves
-from .linalg import Matrix, invert, rank
-from .operators import ALGEBRA, OOperator, _domain_morphism_failures, pullback_domain
+from .linalg import Matrix, _require_invertible, invert, rank
+from .operators import (ALGEBRA, OOperator, _comparable_domains, _domain_morphism_failures,
+                        compose_with_domain_iso, pullback_domain,
+                        twist_by_range_automorphism)
 from .structures import (DEFAULT_MAX_VIOLATIONS, DendriformDi, DendriformTri,
                          ValidationReport, _collect, _homomorphism_failures, _transpose)
 
@@ -92,24 +93,26 @@ def _iso_rows(d1, d2, fcols) -> list:
             zip(("iso_prec", "iso_succ", "iso_dot"), d1.tensors(), d2.tensors())]
 
 
-def _same_dendriform_kind(d1, d2) -> None:
+def _dendriform_pair(d1, d2) -> FieldSpec:
+    """The common field of two dendriform structures of one kind and dimension."""
     for d in (d1, d2):
         if not isinstance(d, (DendriformDi, DendriformTri)):
             raise KindMismatchError(f"expected a dendriform structure, got a {type(d).__name__}")
     if type(d1) is not type(d2):
         raise KindMismatchError("cannot compare a dialgebra with a trialgebra")
+    field = same_field(d1.field, d2.field)
+    if d1.dim != d2.dim:
+        raise DimensionMismatchError(f"structures have different dimensions: "
+                                     f"{d1.dim} vs {d2.dim}")
+    return field
 
 
 def verify_dendriform_iso(d1, d2, F: Matrix,
                           max_violations: int = DEFAULT_MAX_VIOLATIONS
                           ) -> ValidationReport:
     """Check F(x p1 y) = F(x) p2 F(y) for each product p of the two structures."""
-    _same_dendriform_kind(d1, d2)
-    field = same_field(same_field(d1.field, d2.field), F.field)
-    if d1.dim != d2.dim or F.rows != d1.dim or not F.is_square:
-        raise DimensionMismatchError("witness must be square of the common dimension")
-    if rank(F) < F.rows:
-        raise NotInvertibleError("witness matrix is singular")
+    field = _dendriform_pair(d1, d2)
+    _require_invertible(F, field, d1.dim, "witness matrix")
     failures = _homomorphism_failures(field, _iso_rows(d1, d2, _transpose(F.entries)))
     return _collect("dendriform_iso", failures, max_violations)
 
@@ -126,14 +129,8 @@ def verify_operator_iso(op1: OOperator, op2: OOperator, g: Matrix,
     checked here by hand; ``operators._domain_morphism_failures`` says why
     the intertwining laws are too.
     """
-    if op1.kind != op2.kind:
-        raise KindMismatchError("operators have different kinds")
-    if op1.codomain != op2.codomain:
-        raise DimensionMismatchError("operators must share their codomain algebra")
-    if g.rows != op2.domain.dim or g.cols != op1.domain.dim:
-        raise DimensionMismatchError("iso matrix shape mismatch")
-    if not g.is_square or rank(g) < g.rows:
-        raise NotInvertibleError("candidate g is singular")
+    _comparable_domains(op1.domain, op2.domain)
+    _require_invertible(g, op1.field, op1.domain.dim, "candidate g")
 
     def failures():
         if op1.kind == ALGEBRA and op1.weight != op2.weight:
@@ -150,13 +147,11 @@ def verify_operator_iso(op1: OOperator, op2: OOperator, g: Matrix,
 def verify_operator_equiv(op1: OOperator, op2: OOperator, f: Matrix, g: Matrix,
                           max_violations: int = DEFAULT_MAX_VIOLATIONS
                           ) -> ValidationReport:
-    """Check f alpha1 = alpha2 g with g an isomorphism out of the f-twisted domain."""
-    from .operators import twist_by_range_automorphism
+    """Check f alpha1 = alpha2 g with g an isomorphism out of the f-twisted domain.
 
-    if f.rows != op1.codomain.dim or not f.is_square:
-        raise DimensionMismatchError("f must be square over the codomain")
-    if rank(f) < f.rows:
-        raise NotInvertibleError("candidate f is singular")
+    ``twist_by_range_automorphism`` refuses a bad f and ``verify_operator_iso``
+    a bad g.
+    """
     twisted = twist_by_range_automorphism(op1, f)  # raises NotMultiplicativeError
     return verify_operator_iso(twisted, op2, g, max_violations=max_violations)
 
@@ -238,12 +233,9 @@ def search_dendriform_iso_fp(d1, d2) -> IsoSearchResult:
     order; on a NotFound outcome it equals the order of the general
     linear group.
     """
-    _same_dendriform_kind(d1, d2)
-    field = same_field(d1.field, d2.field)
+    field = _dendriform_pair(d1, d2)
     if not field.is_finite:
         raise FieldNotFiniteError("exhaustive search requires a prime field")
-    if d1.dim != d2.dim:
-        raise DimensionMismatchError("structures have different dimensions")
     if d1.dim > DEFAULT_DIMENSION_CAP:
         raise DimensionCapError(
             f"dimension {d1.dim} above the search cap {DEFAULT_DIMENSION_CAP}")
@@ -276,8 +268,6 @@ def transported_pair(op: OOperator, f: Matrix, h: Matrix):
     Returns ``(op2, g)`` where ``f alpha = alpha2 g`` holds with ``g = h^{-1}``,
     so ``verify_operator_equiv(op, op2, f, g)`` passes for valid witnesses.
     """
-    from .operators import compose_with_domain_iso, twist_by_range_automorphism
-
     twisted = twist_by_range_automorphism(op, f)
     source = pullback_domain(twisted.domain, h)
     op2 = compose_with_domain_iso(twisted, h, source)

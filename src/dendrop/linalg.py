@@ -17,7 +17,7 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import (ArgumentError, DimensionMismatchError, NoSolutionError,
-                     SingularMatrixError)
+                     NotInvertibleError, SingularMatrixError)
 from .fields import FieldSpec, same_field
 
 
@@ -192,6 +192,20 @@ def _rref(rows: list, field: FieldSpec, col_order: Sequence[int]) -> list:
 def rank(M: Matrix) -> int:
     rows = [list(r) for r in M.entries]
     return len(_rref(rows, M.field, range(M.cols)))
+
+
+def _require_invertible(M: Matrix, field: FieldSpec, n: int, what: str) -> None:
+    """Refuse ``M`` unless it is an invertible n x n matrix over ``field``.
+
+    The one refusal rule for witness and transport matrices, in a fixed
+    order: the field (``FieldMismatchError``), then the shape
+    (``DimensionMismatchError``), then the rank (``NotInvertibleError``).
+    """
+    same_field(field, M.field)
+    if M.rows != n or M.cols != n:
+        raise DimensionMismatchError(f"{what} must be {n} x {n}, got {M.rows} x {M.cols}")
+    if rank(M) < n:
+        raise NotInvertibleError(f"{what} is singular")
 
 
 def kernel_basis(M: Matrix) -> list:

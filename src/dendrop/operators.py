@@ -30,11 +30,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (DimensionMismatchError, KindMismatchError,
-                     NotIntertwiningError,
-                     NotInvertibleError, NotMultiplicativeError,
-                     SingularMatrixError)
+                     NotIntertwiningError, NotMultiplicativeError)
 from .fields import same_field
-from .linalg import Matrix, StructureTensor, _combine
+from .linalg import Matrix, StructureTensor, _combine, _require_invertible, invert
 from .structures import (Algebra, Bimodule, BimoduleAlgebra, DEFAULT_MAX_VIOLATIONS,
                          ValidationReport, canonical_bimodule, _collect,
                          _homomorphism_failures, _require, _transpose)
@@ -300,9 +298,15 @@ def _domain_morphism_failures(g: Matrix, source, target):
              target.product.entries, True),))
 
 
-def _is_invertible(M: Matrix) -> bool:
-    from .linalg import rank
-    return M.is_square and rank(M) == M.rows
+def _comparable_domains(source, target) -> None:
+    """Refuse two operator domains of different kind, algebra or dimension."""
+    if type(source) is not type(target):
+        raise KindMismatchError(f"domain kinds differ: {type(source).__name__} "
+                                f"vs {type(target).__name__}")
+    if source.algebra != target.algebra:
+        raise DimensionMismatchError("domains are over different algebras")
+    if source.dim != target.dim:
+        raise DimensionMismatchError(f"domain dimensions differ: {source.dim} vs {target.dim}")
 
 
 # -- transports (new operators from old) ----------------------------------------------
@@ -318,14 +322,8 @@ def compose_with_domain_iso(op: OOperator, g: Matrix, source) -> OOperator:
     are bilinear and g is bijective, so one holds on all basis pairs
     exactly when the other does.
     """
-    if type(source) is not type(op.domain):
-        raise KindMismatchError("source structure kind differs from operator domain kind")
-    if source.algebra != op.codomain:
-        raise DimensionMismatchError("source must be a structure over the operator codomain")
-    if g.rows != op.domain.dim or g.cols != source.dim:
-        raise DimensionMismatchError("iso matrix shape mismatch")
-    if not _is_invertible(g):
-        raise NotInvertibleError("domain iso candidate is singular")
+    _comparable_domains(source, op.domain)
+    _require_invertible(g, op.field, source.dim, "domain iso candidate g")
     failures = _domain_morphism_failures(g, source, op.domain)
     _require(_collect("domain_morphism", failures, 1, True), NotIntertwiningError,
              "g fails {axiom} at {indices}")
@@ -338,14 +336,8 @@ def twist_by_range_automorphism(op: OOperator, fmat: Matrix) -> OOperator:
     Returns f o alpha on the same underlying space, with both actions
     precomposed with f^{-1} (the action of x becomes the action of f^{-1}x).
     """
-    from .linalg import invert
-
-    if fmat.rows != op.codomain.dim or not fmat.is_square:
-        raise DimensionMismatchError("automorphism matrix must be dim(A) square")
-    try:
-        finv = invert(fmat)
-    except SingularMatrixError:
-        raise NotInvertibleError("range automorphism candidate is singular") from None
+    _require_invertible(fmat, op.field, op.codomain.dim, "range automorphism candidate f")
+    finv = invert(fmat)
     bad = multiplicativity_failure(fmat, op.codomain)
     if bad is not None:
         raise NotMultiplicativeError(f"f is not multiplicative at basis pair {bad}")
@@ -373,10 +365,10 @@ def pullback_domain(domain, h: Matrix):
     product pulled back through h for algebra kind); h : S' -> domain is then
     an isomorphism of bimodule(-algebra) structures by construction.
     """
-    from .linalg import invert
-
-    if not _is_invertible(h) or h.rows != domain.dim:
-        raise NotInvertibleError("pullback requires an invertible square matrix")
+    if not isinstance(domain, (Bimodule, BimoduleAlgebra)):
+        raise KindMismatchError(f"expected a bimodule or bimodule algebra, "
+                                f"got a {type(domain).__name__}")
+    _require_invertible(h, domain.field, domain.dim, "pullback matrix h")
     hinv = invert(h)
     base = domain.base if isinstance(domain, BimoduleAlgebra) else domain
     left = tuple(hinv.mul(M).mul(h) for M in base.left)

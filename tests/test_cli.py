@@ -283,6 +283,17 @@ def test_equiv_refuses_a_range_map_over_another_field(tmp_path, capsys):
     assert err.startswith("error: field mismatch") and err.count("\n") == 1
 
 
+def test_equiv_refuses_a_singular_range_map_over_another_field(tmp_path, capsys):
+    _, op = dp.canonical_operator_from_di(dp.catalogue_entry("rb-4").structure)
+    op_path = write_doc(tmp_path, "op.json", op)
+    f_path = write_doc(tmp_path, "f.json", dp.Matrix(F3, ((0, 0), (0, 1))), field=F3)
+    g_path = write_doc(tmp_path, "g.json", dp.Matrix.identity(Q, 2))
+    capsys.readouterr()
+    assert main(["equiv", op_path, op_path, "--f", f_path, "--g", g_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: field mismatch: ") and err.count("\n") == 1
+
+
 # -- enumerate ------------------------------------------------------------------------
 
 def test_enumerate_dendriform_cli(tmp_path):

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 import dendrop as dp
-from dendrop.errors import (DimensionCapError, FieldMismatchError, FieldNotFiniteError,
-                            KindMismatchError, NotInvertibleError,
+from dendrop.errors import (DimensionCapError, DimensionMismatchError, FieldMismatchError,
+                            FieldNotFiniteError, KindMismatchError, NotInvertibleError,
                             NotMultiplicativeError, SingularMatrixError)
 from dendrop.enumeration import _column_leaves
 from dendrop.equivalence import _completions, _gl_choices, _gl_position, _iso_rows
@@ -211,6 +211,56 @@ def test_induced_intertwiner_requires_invertible():
         dp.RotaBaxterOperator(op.codomain, Matrix.zeros(F3, 2, 2), 0))
     with pytest.raises(SingularMatrixError):
         dp.induced_intertwiner(op, singular)
+
+
+# -- one refusal rule for witness and transport matrices -------------------------------
+
+def _refusal_entries():
+    """Each entry point as (call with a 2 x 2 candidate, call with a bad shape).
+
+    The rational operator is the canonical one of rb-4; the bad shape is a
+    3 x 3 candidate, or a full-rank 2 x 3 one between domains of dimension
+    3 and 2.
+    """
+    d = dp.catalogue_entry("rb-4").structure
+    _, op = dp.canonical_operator_from_di(d)
+    zero3 = (Matrix.zeros(Q, 3, 3),) * 2
+    wide = dp.Bimodule(op.codomain, zero3, zero3)
+    op3 = dp.OOperator(wide, op.codomain, Matrix.zeros(Q, 2, 3))
+    eye, eye3 = Matrix.identity(Q, 2), Matrix.identity(Q, 3)
+    g23 = Matrix(Q, ((1, 0, 0), (0, 1, 0)))
+    return {
+        "verify_dendriform_iso": (lambda M: dp.verify_dendriform_iso(d, d, M),
+                                  lambda: dp.verify_dendriform_iso(d, d, eye3)),
+        "verify_operator_iso": (lambda M: dp.verify_operator_iso(op, op, M),
+                                lambda: dp.verify_operator_iso(op3, op, g23)),
+        "verify_operator_equiv f": (lambda M: dp.verify_operator_equiv(op, op, M, eye),
+                                    lambda: dp.verify_operator_equiv(op, op, eye3, eye)),
+        "verify_operator_equiv g": (lambda M: dp.verify_operator_equiv(op, op, eye, M),
+                                    lambda: dp.verify_operator_equiv(op3, op, eye, g23)),
+        "compose_with_domain_iso": (lambda M: dp.compose_with_domain_iso(op, M, op.domain),
+                                    lambda: dp.compose_with_domain_iso(op, g23, wide)),
+        "twist_by_range_automorphism": (lambda M: dp.twist_by_range_automorphism(op, M),
+                                        lambda: dp.twist_by_range_automorphism(op, eye3)),
+        "pullback_domain": (lambda M: dp.pullback_domain(op.domain, M),
+                            lambda: dp.pullback_domain(op.domain, eye3)),
+    }
+
+
+@pytest.mark.parametrize("entry", list(_refusal_entries()))
+@pytest.mark.parametrize("case, error", [
+    ("singular over F_3", FieldMismatchError),
+    ("invertible over F_3", FieldMismatchError),
+    ("wrong shape", DimensionMismatchError),
+    ("singular over Q", NotInvertibleError),
+])
+def test_witness_refused_by_field_then_shape_then_rank(entry, case, error):
+    call, call_with_bad_shape = _refusal_entries()[entry]
+    candidates = {"singular over F_3": Matrix(F3, ((0, 0), (0, 1))),
+                  "invertible over F_3": Matrix.identity(F3, 2),
+                  "singular over Q": Matrix(Q, ((0, 0), (0, 1)))}
+    with pytest.raises(error):
+        call_with_bad_shape() if case == "wrong shape" else call(candidates[case])
 
 
 # -- exhaustive search ------------------------------------------------------------------------

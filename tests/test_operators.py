@@ -219,6 +219,13 @@ def test_twist_rejects_non_multiplicative():
         dp.twist_by_range_automorphism(op, Matrix.zeros(Q, 2, 2))
 
 
+def test_pullback_refuses_a_structure_that_is_not_a_bimodule():
+    d = dp.catalogue_entry("rb-4").structure
+    for domain in (n2(), d):
+        with pytest.raises(KindMismatchError, match="^expected a bimodule or bimodule algebra"):
+            dp.pullback_domain(domain, Matrix.identity(Q, 2))
+
+
 def test_transport_closure_randomized():
     # transported operators stay valid for random witnesses over F_3
     rng = random.Random(11)
