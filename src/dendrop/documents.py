@@ -8,6 +8,15 @@ listed sparsely (nonzero entries only) ordered by index triple, so parsing
 followed by emission is the identity on canonical bytes and
 ``parse(emit(x)) == x`` for every supported object.
 
+The emitted bytes are ASCII and are those of ``json.dumps(doc,
+sort_keys=True, indent=2)`` plus a newline, written by ``_write`` rather
+than by ``json.dumps``, which on an ``indent`` runs a pure-Python encoder.
+Emission refuses with ``ArgumentError`` what parsing would refuse: the
+writer any value other than a string, integer, boolean, None, list, tuple
+or dict (a float or a ``Fraction`` among them) and any object key that is
+not a string, and a result set's ``params`` and ``counts`` any value of a
+type their parse does not accept.
+
 Both directions are driven by two tables.  ``_KEYS`` gives every JSON key
 one codec: its JSON type, a loader, a dumper and the attribute it is read
 from on emission; a key means the same wherever it appears.  ``_KINDS``
@@ -24,6 +33,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import repeat
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, NamedTuple
 
 from .errors import (ArgumentError, DocumentSyntaxError, FieldSpecError,
@@ -85,18 +96,36 @@ def _expect(obj, key, types, where):
     return val
 
 
-def _scalar(field: FieldSpec, raw, where):
-    if raw.__class__ is str:
-        return field.parse(raw)  # BadRationalError propagates
-    if raw.__class__ is int:
-        return field.coerce(raw)
-    raise SchemaError(f"{where}: scalars must be exact strings, got {raw!r}")
+def _reader(field: FieldSpec):
+    """``read(raw, where, *index)``: one scalar, each distinct literal parsed once.
+
+    One reader serves one tensor, matrix or vector, where most entries
+    repeat "0", "1" or "-1".  The path ``where[index]...`` is built only to
+    name a refused entry.
+    """
+    memo = {}
+
+    def read(raw, where, *index):
+        if raw.__class__ is str:
+            val = memo.get(raw)
+            if val is None:
+                val = memo[raw] = field.parse(raw)  # BadRationalError propagates
+            return val
+        if raw.__class__ is int:
+            return field.coerce(raw)
+        path = where + "".join(f"[{i}]" for i in index)
+        raise SchemaError(f"{path}: scalars must be exact strings, got {raw!r}")
+    return read
+
+
+_IJKC = frozenset("ijkc")
 
 
 def _tensor(field: FieldSpec, dim, raw, where) -> StructureTensor:
     """Sparse list of {i,j,k,c} records, or a dense dim^3 nested grid."""
     if dim > MAX_TENSOR_DIM:
         raise SchemaError(f"{where}: dim {dim} is above the cap {MAX_TENSOR_DIM}")
+    read = _reader(field)
     if raw and isinstance(raw[0], list):
         if len(raw) != dim:
             raise SchemaError(f"{where}: dense grid must have {dim} planes")
@@ -108,31 +137,45 @@ def _tensor(field: FieldSpec, dim, raw, where) -> StructureTensor:
             for j, row in enumerate(plane):
                 if not isinstance(row, list) or len(row) != dim:
                     raise SchemaError(f"{where}[{i}][{j}]: dense row must have {dim} entries")
-                rows.append(tuple(_scalar(field, c, f"{where}[{i}][{j}]") for c in row))
+                rows.append(tuple(read(c, where, i, j) for c in row))
             planes.append(tuple(rows))
         return StructureTensor(field, tuple(planes))
     triples = {}
     for idx, rec in enumerate(raw):
-        here = f"{where}[{idx}]"
-        if not isinstance(rec, dict):
-            raise SchemaError(f"{here}: expected an object with i/j/k/c")
-        _reject_unknown(rec, ("i", "j", "k", "c"), here)
-        i = _expect(rec, "i", int, here)
-        j = _expect(rec, "j", int, here)
-        k = _expect(rec, "k", int, here)
-        if not all(0 <= t < dim for t in (i, j, k)):
-            raise SchemaError(f"{here}: index out of range for dim {dim}")
-        if (i, j, k) in triples:
-            raise SchemaError(f"{here}: duplicate entry for ({i},{j},{k})")
-        triples[(i, j, k)] = _scalar(field, _expect(rec, "c", (str, int), here), here)
+        # a canonical record is read here; any other one, valid or not, by _sparse_entry
+        if rec.__class__ is dict and rec.keys() == _IJKC:
+            i, j, k = key = rec["i"], rec["j"], rec["k"]
+            c = rec["c"]
+            if (i.__class__ is int and j.__class__ is int and k.__class__ is int
+                    and 0 <= i < dim and 0 <= j < dim and 0 <= k < dim
+                    and c.__class__ is str and key not in triples):
+                triples[key] = read(c, where)
+                continue
+        _sparse_entry(read, dim, rec, triples, f"{where}[{idx}]")
     return StructureTensor.from_triples(field, dim, triples)
+
+
+def _sparse_entry(read, dim, rec, triples, here):
+    """Check one {i,j,k,c} record against ``dim`` and ``triples`` and add it to them."""
+    if not isinstance(rec, dict):
+        raise SchemaError(f"{here}: expected an object with i/j/k/c")
+    _reject_unknown(rec, _IJKC, here)
+    i = _expect(rec, "i", int, here)
+    j = _expect(rec, "j", int, here)
+    k = _expect(rec, "k", int, here)
+    if not all(0 <= t < dim for t in (i, j, k)):
+        raise SchemaError(f"{here}: index out of range for dim {dim}")
+    if (i, j, k) in triples:
+        raise SchemaError(f"{here}: duplicate entry for ({i},{j},{k})")
+    triples[(i, j, k)] = read(_expect(rec, "c", (str, int), here), here)
 
 
 def _flat(field: FieldSpec, rows, cols, raw, where) -> Matrix:
     if not isinstance(raw, list) or len(raw) != rows * cols:
         raise SchemaError(f"{where}: dimension mismatch, expected a flat row-major list "
                           f"of {rows}x{cols} = {rows * cols} entries")
-    vals = [_scalar(field, c, f"{where}[{i}]") for i, c in enumerate(raw)]
+    read = _reader(field)
+    vals = [read(c, where, i) for i, c in enumerate(raw)]
     return Matrix(field, tuple(tuple(vals[r * cols:(r + 1) * cols]) for r in range(rows)))
 
 
@@ -206,16 +249,6 @@ def _load_cols(field, raw, got, where):
     return raw
 
 
-def _map_of(types, what):
-    """A JSON object of scalars, loaded as its sorted (key, value) pairs."""
-    def load(field, raw, got, where):
-        for name, val in raw.items():
-            if val.__class__ not in types:
-                raise SchemaError(f"{where}.{name}: must be {what}")
-        return tuple(sorted(raw.items()))
-    return load
-
-
 def _load_basis(field, raw, got, where):
     if raw is not None and (len(raw) != got["dim"]
                             or not all(isinstance(b, str) for b in raw)):
@@ -287,13 +320,30 @@ def _tensor_key(name):
 
 
 def _vector_key(name):
-    return _Key(name, list, lambda f, raw, got, w: tuple(_scalar(f, c, w) for c in raw),
+    return _Key(name, list, lambda f, raw, got, w: tuple(map(_reader(f), raw, repeat(w))),
                 lambda vec: [str(c) for c in vec])
 
 
 def _action_key(name, attr):
     return _Key(name, list, _load_actions, lambda ms: [_flat_strs(M.entries) for M in ms],
                 attr)
+
+
+def _map_key(name, types, what):
+    """A JSON object of scalars, held as its sorted (key, value) pairs; both ways check them."""
+    def load(field, raw, got, where):
+        for key, val in raw.items():
+            if val.__class__ not in types:
+                raise SchemaError(f"{where}.{key}: must be {what}")
+        return tuple(sorted(raw.items()))
+
+    def dump(pairs):
+        out = dict(pairs)
+        for key, val in out.items():
+            if val.__class__ not in types:
+                raise ArgumentError(f"{name}.{key}: must be {what}, got {val!r}")
+        return out
+    return _Key(name, dict, load, dump, default=())
 
 
 _KEYS = {key.name: key for key in (
@@ -310,7 +360,7 @@ _KEYS = {key.name: key for key in (
     _Key("operator_kind", str, _load_operator_kind, attr="kind"),
     _Key("domain", dict, _load_domain,
          lambda dom: _dump_record(_BY_CLASS[type(dom)], dom, skip="algebra")),
-    _Key("weight", (str, int), lambda f, raw, got, w: _scalar(f, raw, w), str, default=None),
+    _Key("weight", (str, int), lambda f, raw, got, w: _reader(f)(raw, w), str, default=None),
     _Key("matrix", list,
          lambda f, raw, got, w: _flat(f, got["codomain"].dim, got["domain"].dim, raw, w),
          lambda M: _flat_strs(M.entries)),
@@ -327,8 +377,8 @@ _KEYS = {key.name: key for key in (
     _Key("indices", list, _load_indices, list),
     *map(_vector_key, ("lhs", "rhs")),
     _Key("what", str),
-    _Key("params", dict, _map_of((str, int), "a string or an integer"), dict, default=()),
-    _Key("counts", dict, _map_of((int,), "an integer"), dict, default=()),
+    _map_key("params", (str, int), "a string or an integer"),
+    _map_key("counts", (int,), "an integer"),
     _Key("items", list,
          lambda f, raw, got, w: tuple(_load_payload(f, x, f"{w}[{i}]")
                                       for i, x in enumerate(raw)),
@@ -459,13 +509,62 @@ def payload_dict(obj, field: FieldSpec) -> dict:
         raise ArgumentError("document is nested too deeply") from None
 
 
+def _write(value, indent, out):
+    """Append ``value`` to ``out`` as ``json.dumps(sort_keys=True, indent=2)`` lays it out."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None or value is True or value is False:
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        try:
+            out.append(int.__repr__(value))
+        except ValueError as e:  # more digits than Python converts to text
+            raise ArgumentError(f"cannot serialize integer: {e}") from None
+    elif not isinstance(value, (list, tuple, dict)):
+        raise ArgumentError(f"cannot serialize value {value!r} of type {type(value).__name__}: "
+                            f"documents hold only strings, integers, booleans, null, "
+                            f"lists and objects")
+    elif not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+    elif isinstance(value, dict):
+        inner = indent + "  "
+        head, sep = "{\n" + inner, ",\n" + inner
+        try:
+            keys = sorted(value)
+        except TypeError:
+            keys = value  # mixed key types: the loop refuses the first that is not a string
+        for key in keys:
+            if not isinstance(key, str):
+                raise ArgumentError(f"cannot serialize key {key!r} of type "
+                                    f"{type(key).__name__}: object keys must be strings")
+            out.append(f"{head}{_quote(key)}: ")
+            _write(value[key], inner, out)
+            head = sep
+        out.append(f"\n{indent}}}")
+    else:
+        inner = indent + "  "
+        head, sep = "[\n" + inner, ",\n" + inner
+        try:  # a list of strings in one join; _quote refuses anything else
+            out.append(f"{head}{sep.join(map(_quote, value))}\n{indent}]")
+            return
+        except TypeError:
+            pass
+        for item in value:
+            out.append(head)
+            _write(item, inner, out)
+            head = sep
+        out.append(f"\n{indent}]")
+
+
 def emit_raw(field: FieldSpec, payload: dict) -> bytes:
     """Wrap an already-built payload dictionary in the canonical envelope."""
     fobj = {"kind": field.kind}
     if field.kind == PRIME:
         fobj["p"] = field.p
-    doc = {"schema_version": SCHEMA_VERSION, "field": fobj, "payload": payload}
-    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    out = []
+    _write({"schema_version": SCHEMA_VERSION, "field": fobj, "payload": payload}, "", out)
+    out.append("\n")
+    return "".join(out).encode("ascii")
 
 
 def emit_document(obj, field: FieldSpec | None = None) -> bytes:

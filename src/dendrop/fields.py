@@ -70,6 +70,9 @@ class FieldSpec:
         else:
             raise FieldSpecError(f"unknown field kind {self.kind!r}")
 
+    def __str__(self):
+        return "Q" if self.kind == RATIONAL else f"F_{self.p}"
+
     @property
     def is_finite(self) -> bool:
         return self.kind == PRIME
@@ -126,9 +129,12 @@ class FieldSpec:
             raise BadRationalError(f"malformed scalar literal {text!r}") from None
         if sep and (den_s.startswith(("+", "-")) or den <= 0):
             raise BadRationalError(f"denominator must be a positive integer: {text!r}")
-        if self.p and den % self.p == 0:
-            raise BadRationalError(f"denominator of {text!r} is divisible by p={self.p}")
-        return self.convert_from_rational(Fraction(num, den))
+        if self.kind == RATIONAL:
+            return Fraction(num, den) if sep else Fraction(num)
+        p = self.p
+        if den % p == 0:
+            raise BadRationalError(f"denominator of {text!r} is divisible by p={p}")
+        return num * pow(den, -1, p) % p if sep else num % p
 
     def convert_from_rational(self, value):
         """Map a rational scalar into this field; error if p divides the denominator."""

@@ -194,18 +194,27 @@ def rank(M: Matrix) -> int:
     return len(_rref(rows, M.field, range(M.cols)))
 
 
-def _require_invertible(M: Matrix, field: FieldSpec, n: int, what: str) -> None:
+def _require_invertible(M: Matrix, field: FieldSpec, n: int, what: str,
+                        inverse: bool = False):
     """Refuse ``M`` unless it is an invertible n x n matrix over ``field``.
 
     The one refusal rule for witness and transport matrices, in a fixed
     order: the field (``FieldMismatchError``), then the shape
     (``DimensionMismatchError``), then the rank (``NotInvertibleError``).
+    With ``inverse`` the rank is read off the elimination that inverts
+    ``M``, and M^{-1} is returned.
     """
     same_field(field, M.field)
     if M.rows != n or M.cols != n:
         raise DimensionMismatchError(f"{what} must be {n} x {n}, got {M.rows} x {M.cols}")
-    if rank(M) < n:
-        raise NotInvertibleError(f"{what} is singular")
+    if inverse:
+        try:
+            return invert(M)
+        except SingularMatrixError:
+            pass
+    elif rank(M) == n:
+        return None
+    raise NotInvertibleError(f"{what} is singular")
 
 
 def kernel_basis(M: Matrix) -> list:

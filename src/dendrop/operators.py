@@ -32,7 +32,7 @@ from functools import cached_property
 from .errors import (DimensionMismatchError, KindMismatchError,
                      NotIntertwiningError, NotMultiplicativeError)
 from .fields import same_field
-from .linalg import Matrix, StructureTensor, _combine, _require_invertible, invert
+from .linalg import Matrix, StructureTensor, _combine, _require_invertible
 from .structures import (Algebra, Bimodule, BimoduleAlgebra, DEFAULT_MAX_VIOLATIONS,
                          ValidationReport, canonical_bimodule, _collect,
                          _homomorphism_failures, _require, _transpose)
@@ -336,8 +336,8 @@ def twist_by_range_automorphism(op: OOperator, fmat: Matrix) -> OOperator:
     Returns f o alpha on the same underlying space, with both actions
     precomposed with f^{-1} (the action of x becomes the action of f^{-1}x).
     """
-    _require_invertible(fmat, op.field, op.codomain.dim, "range automorphism candidate f")
-    finv = invert(fmat)
+    finv = _require_invertible(fmat, op.field, op.codomain.dim,
+                               "range automorphism candidate f", inverse=True)
     bad = multiplicativity_failure(fmat, op.codomain)
     if bad is not None:
         raise NotMultiplicativeError(f"f is not multiplicative at basis pair {bad}")
@@ -368,8 +368,7 @@ def pullback_domain(domain, h: Matrix):
     if not isinstance(domain, (Bimodule, BimoduleAlgebra)):
         raise KindMismatchError(f"expected a bimodule or bimodule algebra, "
                                 f"got a {type(domain).__name__}")
-    _require_invertible(h, domain.field, domain.dim, "pullback matrix h")
-    hinv = invert(h)
+    hinv = _require_invertible(h, domain.field, domain.dim, "pullback matrix h", inverse=True)
     base = domain.base if isinstance(domain, BimoduleAlgebra) else domain
     left = tuple(hinv.mul(M).mul(h) for M in base.left)
     right = tuple(hinv.mul(M).mul(h) for M in base.right)

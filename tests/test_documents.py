@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import dendrop as dp
 from dendrop.documents import (MAX_TENSOR_DIM, Document, ResultSet, emit_document,
-                               parse_document, payload_dict)
+                               emit_raw, parse_document, payload_dict)
 from dendrop.errors import (ArgumentError, BadRationalError, DendropError,
                             DocumentSyntaxError, SchemaError)
 from dendrop.linalg import Matrix, StructureTensor
@@ -299,6 +299,44 @@ def test_zero_tensor_emits_empty_sparse_list():
 def test_emit_unknown_object_is_argument_error():
     with pytest.raises(ArgumentError, match="cannot serialize object"):
         emit_document(object(), field=Q)
+
+
+@pytest.mark.parametrize("params, counts", [
+    ({"a": 1.5}, None), ({"a": Fraction(1, 2)}, None), ({"a": True}, None),
+    (None, {"a": 1.5}), (None, {"a": Fraction(2)}), (None, {"a": "3"}),
+    ({1: "x"}, None), (None, {2: 3})],
+    ids=["float_param", "fraction_param", "bool_param", "float_count", "fraction_count",
+         "string_count", "int_param_key", "int_count_key"])
+def test_emission_refuses_what_parsing_refuses(params, counts):
+    rs = ResultSet.build("x", params=params, counts=counts)
+    with pytest.raises(ArgumentError):
+        emit_document(rs, Q)
+
+
+@pytest.mark.parametrize("value", [1.5, Fraction(1, 2), {1: "x"}, {"a": {2.0: 1}},
+                                   ["1", 2.5], {"1", "2"}, object()],
+                         ids=["float", "fraction", "int_key", "nested_float_key",
+                              "float_in_list", "set", "object"])
+def test_the_writer_refuses_values_json_cannot_carry_exactly(value):
+    with pytest.raises(ArgumentError, match="cannot serialize"):
+        emit_raw(Q, {"kind": "matrix", "entries": value})
+
+
+_TEXT = st.text(st.sampled_from('"\\/\x00\x08\x1f\x7f\u00e9\u2028\ud800\udfff\U0001f600a')
+                | st.characters(exclude_categories=()), max_size=6)
+_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2 ** 200, 2 ** 200) | _TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES)
+def test_the_writer_lays_out_bytes_as_the_standard_library_does(tree):
+    doc = {"schema_version": "1", "field": {"kind": "rational"}, "payload": tree}
+    want = (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+    assert emit_raw(Q, tree) == want
 
 
 # -- rejections at nested and count-carrying keys ---------------------------------------

@@ -104,14 +104,30 @@ def test_same_field():
     assert same_field(prime_field(3), prime_field(3)) == prime_field(3)
     with pytest.raises(FieldMismatchError):
         same_field(prime_field(3), prime_field(5))
-    with pytest.raises(FieldMismatchError):
+    with pytest.raises(FieldMismatchError, match="^field mismatch: Q vs F_3$"):
         same_field(RATIONALS, prime_field(3))
+
+
+def test_fields_print_as_q_and_f_p_and_keep_their_repr():
+    assert (str(RATIONALS), str(prime_field(3))) == ("Q", "F_3")
+    assert repr(prime_field(3)) == "FieldSpec(kind='prime', p=3)"
+    with pytest.raises(FieldMismatchError, match=r"^Fraction\(1, 2\) \(Fraction\) is not a "
+                                                 r"scalar of F_5$"):
+        prime_field(5).coerce(Fraction(1, 2))
 
 
 @given(st.integers(-10**6, 10**6), st.integers(1, 10**4))
 def test_rational_parse_format_round_trip(num, den):
     value = Fraction(num, den)
     assert RATIONALS.parse(str(value)) == value
+
+
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(-10**6, 10**6), st.integers(1, 10**4))
+def test_prime_parse_agrees_with_the_rational_image(p, num, den):
+    f = prime_field(p)
+    if den % p:
+        assert f.parse(f"{num}/{den}") == f.convert_from_rational(Fraction(num, den))
+        assert f.parse(str(num)) == f.convert_from_rational(Fraction(num))
 
 
 @given(st.integers(0, 6))
