@@ -17,7 +17,13 @@ validators: the output guarantees only hold under those hypotheses, and
 constructing from unvalidated inputs would poison downstream checks.  An
 operator is checked through the relation verdict it keeps, or was handed by
 a construction that preserves the relation (see ``operators``), and is
-scanned again only to name the failing basis pair of one that fails.
+scanned again only to name the failing basis pair of one that fails.  A
+dendriform structure is checked in the same way through its axiom verdict
+(``structures._Tables._axioms_hold``), which its validator or an F_p
+enumerator may already have recorded.  The canonical operator is handed
+the verdict true: its relation holds by construction.  The structures
+built here from an operator record no axiom verdict, since the relation
+of an operator says nothing about the laws of its domain bimodule.
 """
 
 from __future__ import annotations
@@ -32,11 +38,11 @@ from .linalg import (Matrix, StructureTensor, _combine, column_space_basis,
                      invert, kernel_basis, rank, solve)
 from .structures import (Algebra, Bimodule, BimoduleAlgebra, DendriformDi,
                          DendriformTri,
-                         DEFAULT_MAX_VIOLATIONS, ValidationReport,
-                         _action_matrices, _collect,
+                         DEFAULT_MAX_VIOLATIONS, ValidationReport, _AXIOMS,
+                         _action_matrices, _collect, _expect_tables,
                          _homomorphism_failures, _require, _transpose, star_product,
                          validate_bimodule, validate_bimodule_algebra)
-from .operators import (ALGEBRA, MODULE, OOperator, _expect_kind, _induced,
+from .operators import (ALGEBRA, MODULE, OOperator, _expect_kind, _given, _induced,
                         validate_o_operator)
 
 
@@ -116,33 +122,36 @@ def check_splitting(dend, alg: Algebra,
 
 # -- canonical operators (surjectivity witnesses) --------------------------------
 
-def _canonical_operator(dend, kind, noun: str):
+def _canonical_operator(dend, kind):
     """The identity map of V as an operator onto the star product (V, star).
 
     Its domain is (V, L_succ, R_prec), carrying the product dot for a
     trialgebra, which makes the operator algebra kind of weight one.  The
-    built structure and operator must validate and reproduce ``dend``
-    exactly.  ``dend`` is not validated on its own: the laws of its domain
-    structure are its dendriform axioms, instance for instance (the bimodule
-    laws di3, di1, di2, or tri3, tri1, tri2, then tri4, tri6, tri5 and tri7
-    for a bimodule algebra), so that check refuses exactly the structures
-    its validator fails.  Returns ``(structure, operator)``.
+    laws of this domain structure are the dendriform axioms of ``dend``,
+    instance for instance (the bimodule laws di3, di1, di2, or tri3, tri1,
+    tri2, then tri4, tri6, tri5 and tri7 for a bimodule algebra), so the
+    axiom verdict of ``dend`` decides them.  A false verdict is scanned
+    again on the domain structure, to name its first failing instance.
+    The built operator must reproduce ``dend`` exactly.  Returns
+    ``(structure, operator)``.
     """
-    if type(dend) is not kind:
-        raise KindMismatchError(f"expected a {noun}, got a {type(dend).__name__}")
+    _expect_tables(dend, kind)
     f = dend.field
     alg = star_product(dend)
     structure = Bimodule(alg, *_action_matrices(f, dend.succ.entries, dend.prec.entries))
     weight, validate_structure = None, validate_bimodule
-    if isinstance(dend, DendriformTri):
+    if kind is DendriformTri:
         structure = BimoduleAlgebra(structure, dend.dot)
         weight, validate_structure = f.one, validate_bimodule_algebra
-    _require(validate_structure(structure, 1, True), InvalidDendriformError,
-             noun + " axioms fail: canonical domain structure fails {axiom} at {indices}")
-    op = OOperator(structure, alg, Matrix.identity(f, dend.dim), weight)
-    if not op._relation_holds:
-        _require(validate_o_operator(op, max_violations=1, early_stop=True),
-                 InvalidDendriformError, "canonical operator fails its relation at {indices}")
+    if not dend._axioms_hold:
+        _require(validate_structure(structure, 1, True), InvalidDendriformError,
+                 _AXIOMS[kind][0] + " axioms fail: canonical domain structure fails "
+                 "{axiom} at {indices}")
+    # With alpha = id, l = L_succ and r = R_prec (and weight one on the product
+    # dot), alpha(u) * alpha(v) and alpha(l(alpha u) v + u r(alpha v) [+ u . v])
+    # are both u star v, since star is the table sum of the products: the
+    # relation holds by construction.
+    op = _given(OOperator(structure, alg, Matrix.identity(f, dend.dim), weight), True)
     if _domain_structure(op) != dend:
         raise InvalidDendriformError("canonical operator does not reproduce its input")
     return structure, op
@@ -150,12 +159,12 @@ def _canonical_operator(dend, kind, noun: str):
 
 def canonical_operator_from_tri(tri: DendriformTri):
     """Identity map as a weight-one operator from (V, dot, L_succ, R_prec) to (V, star)."""
-    return _canonical_operator(tri, DendriformTri, "trialgebra")
+    return _canonical_operator(tri, DendriformTri)
 
 
 def canonical_operator_from_di(di: DendriformDi):
     """Identity map as a module-kind operator from (V, L_succ, R_prec) to (V, star)."""
-    return _canonical_operator(di, DendriformDi, "dialgebra")
+    return _canonical_operator(di, DendriformDi)
 
 
 # -- range constructions -----------------------------------------------------------

@@ -75,7 +75,7 @@ from .errors import (ArgumentError, BudgetExceededError, FieldNotFiniteError,
 from .fields import prime_field
 from .linalg import Matrix, StructureTensor, _combine
 from .operators import RotaBaxterOperator, _given, _o_relation_row, rb_as_module_operator
-from .structures import _ASSOCIATIVITY, _DENDRIFORM_DI, Algebra, DendriformDi
+from .structures import _ASSOCIATIVITY, _DENDRIFORM_DI, Algebra, DendriformDi, _kept
 
 DEFAULT_BUDGET = 1 << 24
 
@@ -314,7 +314,15 @@ def enumerate_associative_products(dim: int, p: int, budget: int | None = None,
     field = prime_field(p)
     with _Chunks(workers) as chunks:
         tables = _associative_tables(dim, p, budget, chunks)
-    return [Algebra(StructureTensor(field, table)) for table in tables]
+    return _algebras(field, tables)
+
+
+def _algebras(field, tables: list) -> list:
+    """The algebras of the associative tables the search found.
+
+    Every leaf passed every instance of associativity: each verdict is known.
+    """
+    return [_kept(Algebra(StructureTensor(field, table)), True) for table in tables]
 
 
 def _associative_tables(dim: int, p: int, budget, chunks: _Chunks) -> list:
@@ -359,7 +367,8 @@ def _dendriform_di(field, dim: int, budget, chunks: _Chunks, stars: list) -> lis
     """The dialgebras whose star products are the associative tables ``stars``."""
     p = field.p
     _check_budget(p, dim ** 3, budget, len(stars))
-    return [DendriformDi(StructureTensor(field, prec), StructureTensor(field, succ))
+    # every leaf passed every instance of the dialgebra axioms: each verdict is known
+    return [_kept(DendriformDi(StructureTensor(field, prec), StructureTensor(field, succ)), True)
             for prec, succ in sorted(chunks.run(_fibre_part, (p, dim, stars), len(stars)))]
 
 
@@ -406,8 +415,7 @@ def phi_image_experiment(dim: int, p: int, budget: int | None = None,
     with _Chunks(workers) as chunks:
         stars = _associative_tables(dim, p, budget, chunks)
         all_dd = _dendriform_di(field, dim, budget, chunks, stars)
-    for table in stars:
-        alg = Algebra(StructureTensor(field, table))
+    for alg in _algebras(field, stars):
         for rb in enumerate_rb_operators(alg, field.zero, budget):
             d = domain_dendriform_di(rb_as_module_operator(rb))
             if d not in first_witness:

@@ -48,7 +48,7 @@ from .errors import (DimensionCapError, DimensionMismatchError,
                      FieldNotFiniteError, KindMismatchError, SingularMatrixError)
 from .fields import FieldSpec, same_field
 from .enumeration import _check_dim, _column_leaves
-from .linalg import Matrix, _require_invertible, invert, rank
+from .linalg import Matrix, _full_rank, _require_invertible, invert
 from .operators import (ALGEBRA, OOperator, _comparable_domains, _domain_morphism_failures,
                         compose_with_domain_iso, pullback_domain,
                         twist_by_range_automorphism)
@@ -159,7 +159,7 @@ def verify_operator_equiv(op1: OOperator, op2: OOperator, f: Matrix, g: Matrix,
 def induced_intertwiner(op1: OOperator, op2: OOperator):
     """g = alpha2^{-1} alpha1, with the report of verifying it as an operator iso."""
     g = invert(op2.matrix).mul(op1.matrix)  # raises SingularMatrixError
-    if not g.is_square or rank(g) < g.rows:
+    if not g.is_square or not _full_rank(g):
         raise SingularMatrixError("alpha1 is singular")
     return g, verify_operator_iso(op1, op2, g)
 

@@ -194,6 +194,21 @@ def rank(M: Matrix) -> int:
     return len(_rref(rows, M.field, range(M.cols)))
 
 
+def _full_rank(M: Matrix) -> bool:
+    """Whether the square matrix ``M`` is invertible.
+
+    A full rank found by an elimination (here, or in ``invert`` for the
+    matrix and its inverse) is kept on ``M``, outside its fields, and read
+    instead of ranking again; nothing else is kept, so ``rank`` and
+    ``invert`` still eliminate on every call.
+    """
+    if not vars(M).get("_full_rank"):
+        if rank(M) < M.rows:
+            return False
+        vars(M)["_full_rank"] = True
+    return True
+
+
 def _require_invertible(M: Matrix, field: FieldSpec, n: int, what: str,
                         inverse: bool = False):
     """Refuse ``M`` unless it is an invertible n x n matrix over ``field``.
@@ -202,7 +217,7 @@ def _require_invertible(M: Matrix, field: FieldSpec, n: int, what: str,
     order: the field (``FieldMismatchError``), then the shape
     (``DimensionMismatchError``), then the rank (``NotInvertibleError``).
     With ``inverse`` the rank is read off the elimination that inverts
-    ``M``, and M^{-1} is returned.
+    ``M``, and M^{-1} is returned; without it, off ``_full_rank``.
     """
     same_field(field, M.field)
     if M.rows != n or M.cols != n:
@@ -212,7 +227,7 @@ def _require_invertible(M: Matrix, field: FieldSpec, n: int, what: str,
             return invert(M)
         except SingularMatrixError:
             pass
-    elif rank(M) == n:
+    elif _full_rank(M):
         return None
     raise NotInvertibleError(f"{what} is singular")
 
@@ -246,7 +261,9 @@ def invert(M: Matrix) -> Matrix:
     pivots = _rref(rows, f, range(n))
     if len(pivots) < n:
         raise SingularMatrixError("matrix is singular")
-    return Matrix(f, tuple(tuple(rows[i][n:]) for i in range(n)))
+    inverse = Matrix(f, tuple(tuple(rows[i][n:]) for i in range(n)))
+    vars(M)["_full_rank"] = vars(inverse)["_full_rank"] = True
+    return inverse
 
 
 def solve(M: Matrix, b: Sequence, pivot_rule: str = "first") -> tuple:

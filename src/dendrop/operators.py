@@ -19,7 +19,9 @@ operator it returns, and never computes one that is not known:
   operator scan runs exactly the instances of ``validate_rota_baxter``;
 * ``compose_with_domain_iso``, once g has passed its checks: for an
   isomorphism g of domain structures, alpha o g satisfies the relation
-  exactly when alpha does (transport of structure).
+  exactly when alpha does (transport of structure);
+* the canonical operators of ``constructions``, whose relation holds by
+  construction.
 
 The public validators always scan and return full reports.
 """
@@ -314,8 +316,10 @@ def _comparable_domains(source, target) -> None:
 def compose_with_domain_iso(op: OOperator, g: Matrix, source) -> OOperator:
     """Precompose with an isomorphism g : source -> op.domain of domain structures.
 
-    The caller supplies the source structure; the intertwining identities are
-    verified before composing.  Returns the operator alpha o g on ``source``
+    The caller supplies the source structure; g and the intertwining
+    identities are verified before composing, unless ``source`` is the
+    very result of ``pullback_domain(op.domain, g)``, which checked g and
+    made it an isomorphism.  Returns the operator alpha o g on ``source``
     with the same weight, and alpha's relation verdict if that one is known.
     As g intertwines the actions (and the products, for algebra kind), the
     relation of alpha o g at (u, v) is that of alpha at (g u, g v).  Both
@@ -323,10 +327,12 @@ def compose_with_domain_iso(op: OOperator, g: Matrix, source) -> OOperator:
     exactly when the other does.
     """
     _comparable_domains(source, op.domain)
-    _require_invertible(g, op.field, source.dim, "domain iso candidate g")
-    failures = _domain_morphism_failures(g, source, op.domain)
-    _require(_collect("domain_morphism", failures, 1, True), NotIntertwiningError,
-             "g fails {axiom} at {indices}")
+    pulled_from = vars(source).get("_pulled_back", (None, None))
+    if pulled_from[0] is not op.domain or pulled_from[1] is not g:
+        _require_invertible(g, op.field, source.dim, "domain iso candidate g")
+        failures = _domain_morphism_failures(g, source, op.domain)
+        _require(_collect("domain_morphism", failures, 1, True), NotIntertwiningError,
+                 "g fails {axiom} at {indices}")
     return _given(OOperator(source, op.codomain, op.matrix.mul(g), op.weight), _known(op))
 
 
@@ -363,7 +369,9 @@ def pullback_domain(domain, h: Matrix):
 
     Returns the structure S' with actions h^{-1} l h, h^{-1} rho h (and
     product pulled back through h for algebra kind); h : S' -> domain is then
-    an isomorphism of bimodule(-algebra) structures by construction.
+    an isomorphism of bimodule(-algebra) structures by construction.  S'
+    records that it was pulled back from ``domain`` along ``h``, which
+    ``compose_with_domain_iso`` reads.
     """
     if not isinstance(domain, (Bimodule, BimoduleAlgebra)):
         raise KindMismatchError(f"expected a bimodule or bimodule algebra, "
@@ -372,7 +380,7 @@ def pullback_domain(domain, h: Matrix):
     base = domain.base if isinstance(domain, BimoduleAlgebra) else domain
     left = tuple(hinv.mul(M).mul(h) for M in base.left)
     right = tuple(hinv.mul(M).mul(h) for M in base.right)
-    new_base = Bimodule(domain.algebra, left, right)
+    pulled = Bimodule(domain.algebra, left, right)
     if isinstance(domain, BimoduleAlgebra):
         m = domain.dim
         hcols = [h.col(j) for j in range(m)]
@@ -380,6 +388,7 @@ def pullback_domain(domain, h: Matrix):
         for j in range(m):
             rows.append(tuple(hinv.matvec(domain.product.apply(hcols[j], hcols[k]))
                               for k in range(m)))
-        prod = StructureTensor(domain.field, tuple(rows))
-        return BimoduleAlgebra(new_base, prod)
-    return new_base
+        pulled = BimoduleAlgebra(pulled, StructureTensor(domain.field, tuple(rows)))
+    # the objects themselves, compared by identity; an id() could be reused
+    vars(pulled)["_pulled_back"] = (domain, h)
+    return pulled

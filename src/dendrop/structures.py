@@ -52,7 +52,7 @@ from itertools import combinations, product
 from operator import attrgetter
 from typing import Sequence
 
-from .errors import DimensionMismatchError, NotAssociativeError
+from .errors import DimensionMismatchError, KindMismatchError, NotAssociativeError
 from .fields import FieldSpec, same_field
 from .linalg import Matrix, StructureTensor, _combine
 
@@ -158,15 +158,29 @@ class _Tables:
 
     _vector_classes = cached_property(_square_classes)
 
+    @cached_property
+    def _axioms_hold(self) -> bool:
+        """Verdict of the structure's own axioms: the early-stop scan of its rows.
+
+        Kept like the data of the ``Algebra`` note, and recorded in advance
+        where it is already proved: by the validator of the structure's
+        kind, whose report scanned every instance when it passed, and by
+        the F_p enumerators, whose searches test every instance on every
+        leaf.  Structures built by ``constructions`` from an operator get
+        none: an operator's relation says nothing about its bimodule's laws.
+        """
+        return next(_table_failures(self, _AXIOMS[type(self)][2]), None) is None
+
 
 @dataclass(frozen=True)
 class Algebra(_Tables):
     """Bilinear product on a finite free module; associativity is checked, not assumed.
 
     Structures are immutable, so data derived from their fields (here the
-    canonical bimodule, on ``Bimodule`` the action tables) is computed on
+    canonical bimodule, on every table structure its axiom verdict
+    ``_axioms_hold``, on ``Bimodule`` the action tables) is computed on
     first use and kept on the instance.  It takes no part in equality,
-    hashing or documents, which read the fields only.
+    hashing, ``repr`` or documents, which read the fields only.
     """
 
     product: StructureTensor
@@ -180,9 +194,10 @@ class Algebra(_Tables):
 
     @cached_property
     def _canonical_bimodule(self) -> "BimoduleAlgebra":
-        # a failed check raises, so nothing is kept and the next call checks again
-        _require(validate_associativity(self, 1, True), NotAssociativeError,
-                 "algebra is not associative (first violation at {indices})")
+        # a false verdict is scanned again to name the instance, and raises on every call
+        if not self._axioms_hold:
+            _require(validate_associativity(self, 1, True), NotAssociativeError,
+                     "algebra is not associative (first violation at {indices})")
         c = self.product
         left, right = _action_matrices(self.field, c.entries, c.entries)
         return BimoduleAlgebra(Bimodule(self, left, right), c)
@@ -447,28 +462,56 @@ def _table_failures(s, rows):
     return _composition_failures(s.field, tables, (((n, n, n), rows),))
 
 
+# The structures given by tables: the noun that names each, its report kind and its rows.
+_AXIOMS = {
+    Algebra: ("algebra", "algebra", _ASSOCIATIVITY),
+    DendriformDi: ("dialgebra", "dendriform_di", _DENDRIFORM_DI),
+    DendriformTri: ("trialgebra", "dendriform_tri", _DENDRIFORM_TRI),
+}
+
+
+def _expect_tables(s, kind) -> None:
+    """Refuse ``s`` unless it is exactly a ``kind``, a key of ``_AXIOMS``."""
+    if type(s) is not kind:
+        article = "an" if kind is Algebra else "a"
+        raise KindMismatchError(f"expected {article} {_AXIOMS[kind][0]}, "
+                                f"got a {type(s).__name__}")
+
+
+def _kept(s, verdict: bool):
+    """``s`` carrying ``verdict`` as its axiom verdict (``_Tables._axioms_hold``)."""
+    vars(s)["_axioms_hold"] = verdict
+    return s
+
+
+def _validate_tables(s, kind, max_violations: int, early_stop: bool) -> ValidationReport:
+    """Report on the axioms of ``s``, once it is a ``kind``, and keep its verdict on ``s``."""
+    _expect_tables(s, kind)
+    _, report_kind, rows = _AXIOMS[kind]
+    report = _collect(report_kind, _table_failures(s, rows), max_violations, early_stop)
+    _kept(s, report.passed)
+    return report
+
+
 def validate_associativity(alg: Algebra,
                            max_violations: int = DEFAULT_MAX_VIOLATIONS,
                            early_stop: bool = False) -> ValidationReport:
     """Check (b_i * b_j) * b_k = b_i * (b_j * b_k) over all basis triples."""
-    return _collect("algebra", _table_failures(alg, _ASSOCIATIVITY),
-                    max_violations, early_stop)
+    return _validate_tables(alg, Algebra, max_violations, early_stop)
 
 
 def validate_dendriform_di(d: DendriformDi,
                            max_violations: int = DEFAULT_MAX_VIOLATIONS,
                            early_stop: bool = False) -> ValidationReport:
     """Check the three dialgebra axioms (star = prec + succ) on all basis triples."""
-    return _collect("dendriform_di", _table_failures(d, _DENDRIFORM_DI),
-                    max_violations, early_stop)
+    return _validate_tables(d, DendriformDi, max_violations, early_stop)
 
 
 def validate_dendriform_tri(t: DendriformTri,
                             max_violations: int = DEFAULT_MAX_VIOLATIONS,
                             early_stop: bool = False) -> ValidationReport:
     """Check the seven trialgebra axioms (star = prec + succ + dot)."""
-    return _collect("dendriform_tri", _table_failures(t, _DENDRIFORM_TRI),
-                    max_violations, early_stop)
+    return _validate_tables(t, DendriformTri, max_violations, early_stop)
 
 
 def validate_bimodule(bm: Bimodule,

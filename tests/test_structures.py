@@ -7,7 +7,7 @@ import pytest
 
 import dendrop as dp
 from dendrop.errors import (BadRationalError, DimensionMismatchError,
-                            FieldMismatchError, NotAssociativeError)
+                            FieldMismatchError, KindMismatchError, NotAssociativeError)
 from dendrop.linalg import Matrix, StructureTensor
 from dendrop.structures import (validate_associativity, validate_bimodule,
                                 validate_bimodule_algebra,
@@ -279,6 +279,25 @@ def test_trialgebra_dot_axiom_failure_dim1():
 
 
 # -- star products ---------------------------------------------------------------------
+
+TRI = dp.make_dendriform_tri(Q, 1, {}, {}, {(0, 0, 0): 2})
+
+
+@pytest.mark.parametrize("validate, wrong, message", [
+    # it used to pass, reading dot as the star
+    (validate_dendriform_di, TRI, "expected a dialgebra, got a DendriformTri"),
+    # it used to raise IndexError
+    (validate_dendriform_tri, dp.catalogue_entry("rb-4").structure,
+     "expected a trialgebra, got a DendriformDi"),
+    # it used to scan prec only, and pass
+    (validate_associativity, dp.catalogue_entry("rb-4").structure,
+     "expected an algebra, got a DendriformDi"),
+], ids=["di-of-tri", "tri-of-di", "assoc-of-di"])
+def test_table_validators_refuse_the_wrong_kind(validate, wrong, message):
+    with pytest.raises(KindMismatchError, match=f"^{message}$"):
+        validate(wrong)
+    assert "_axioms_hold" not in vars(wrong)
+
 
 def test_star_of_rb2_is_n2():
     star = dp.star_product(dp.catalogue_entry("rb-2").structure)

@@ -1,8 +1,9 @@
-"""Relation verdicts: kept on each operator, carried only where a construction proves them.
+"""Verdicts: kept on each operator and structure, carried only where a construction proves them.
 
 Every carried verdict is compared with a fresh validator run on an equal
 twin built from scratch (a document round trip for O-operators), which
-carries no verdict.
+carries no verdict.  A structure's axiom verdict is also checked a second
+way, by the validator of its canonical domain structure.
 """
 
 import pickle
@@ -12,13 +13,16 @@ from fractions import Fraction
 import pytest
 
 import dendrop as dp
-from dendrop import operators
-from dendrop.errors import (BadRationalError, DendropError, InvalidOperatorError,
-                            KindMismatchError, NotIntertwiningError)
+from dendrop import linalg, operators, structures
+from dendrop.errors import (BadRationalError, DendropError, InvalidDendriformError,
+                            InvalidOperatorError, KindMismatchError, NotAssociativeError,
+                            NotIntertwiningError, NotInvertibleError)
 from dendrop.linalg import Matrix, StructureTensor
 from helpers import F3, Q, diag, kx2, n2, random_invertible, split2
 
 VERDICT = "_relation_holds"
+AXIOMS = "_axioms_hold"
+TABLES = (dp.Algebra, dp.DendriformDi, dp.DendriformTri)
 
 
 def _known(op):
@@ -226,14 +230,150 @@ def test_a_true_verdict_does_not_skip_the_kind_check():
             build(algebra)
 
 
+def test_a_pullback_source_is_trusted_only_with_its_own_domain_and_matrix(monkeypatch):
+    op4 = dp.canonical_operator_from_di(dp.catalogue_entry("rb-4").structure)[1]
+    op6 = dp.canonical_operator_from_di(dp.catalogue_entry("rb-6").structure)[1]
+    assert op4.codomain == op6.codomain and op4.domain != op6.domain
+    h = Matrix(Q, ((1, 1), (0, 1)))
+    source = dp.pullback_domain(op4.domain, h)
+    checked = []
+    real = operators._domain_morphism_failures
+    monkeypatch.setattr(operators, "_domain_morphism_failures",
+                        lambda *args: checked.append(args) or real(*args))
+    dp.compose_with_domain_iso(op4, h, source)
+    assert checked == []
+    # an equal matrix, or an equal domain, is another object: every check runs
+    dp.compose_with_domain_iso(op4, Matrix(Q, h.entries), source)
+    twin = dp.OOperator(dp.parse_document(dp.emit_document(op4.domain)).payload,
+                        op4.codomain, op4.matrix)
+    dp.compose_with_domain_iso(twin, h, source)
+    assert len(checked) == 2
+    # a different g, or a different operator, is refused as before
+    with pytest.raises(NotIntertwiningError, match="^g fails intertwine_right at"):
+        dp.compose_with_domain_iso(op4, Matrix(Q, ((1, 0), (1, 1))), source)
+    with pytest.raises(NotInvertibleError, match="^domain iso candidate g is singular$"):
+        dp.compose_with_domain_iso(op4, Matrix(Q, ((1, 1), (1, 1))), source)
+    with pytest.raises(NotIntertwiningError, match="^g fails intertwine_left at"):
+        dp.compose_with_domain_iso(op6, h, source)
+
+
+# -- axiom verdicts of structures ----------------------------------------------------------
+
+_VALIDATE = {dp.Algebra: dp.validate_associativity, dp.DendriformDi: dp.validate_dendriform_di,
+             dp.DendriformTri: dp.validate_dendriform_tri}
+
+
+def _table_twin(s):
+    """An equal structure built from scratch, with no verdict."""
+    twin = type(s)(*(StructureTensor(t.field, t.entries) for t in s.tensors()))
+    assert twin == s and AXIOMS not in vars(twin)
+    return twin
+
+
+def _fresh_axioms(s) -> bool:
+    return _VALIDATE[type(s)](_table_twin(s)).passed
+
+
+def _canonical_domain_passes(s) -> bool:
+    """The second method: the validator of the canonical domain structure of ``s``."""
+    if isinstance(s, dp.Algebra):
+        return dp.validate_bimodule_algebra(dp.canonical_bimodule(s)).passed
+    if isinstance(s, dp.DendriformDi):
+        return dp.validate_bimodule(dp.canonical_operator_from_di(s)[0]).passed
+    return dp.validate_bimodule_algebra(dp.canonical_operator_from_tri(s)[0]).passed
+
+
+@pytest.mark.parametrize("p, count", [(2, 130), (3, 657)])
+def test_enumerated_dialgebras_carry_true_axiom_verdicts(p, count):
+    found = dp.enumerate_dendriform_di(2, p)
+    assert len(found) == count
+    for d in found:
+        assert vars(d)[AXIOMS] is True and _fresh_axioms(d)
+        assert _canonical_domain_passes(d)
+
+
+def test_enumerated_products_carry_true_axiom_verdicts(f3_products):
+    for alg in f3_products:
+        assert vars(alg)[AXIOMS] is True and _fresh_axioms(alg)
+        assert _canonical_domain_passes(alg)
+
+
+FAILING = [
+    lambda: dp.make_algebra(Q, 2, {(0, 0, 1): 1, (1, 0, 0): 1}),
+    lambda: dp.make_dendriform_di(Q, 2, {(0, 0, 1): 1}, {(0, 0, 0): 1}),
+    lambda: dp.make_dendriform_di(F3, 1, {(0, 0, 0): 1}, {(0, 0, 0): 1}),
+    lambda: dp.make_dendriform_tri(Q, 2, {(0, 1, 1): 1}, {(1, 0, 1): 1}, {(1, 1, 0): 1}),
+    lambda: dp.make_dendriform_tri(Q, 2, {}, {}, {(0, 0, 1): 1, (1, 1, 1): 1}),
+]
+
+
+def _validated_stock():
+    """Catalogue entries, weight-one trialgebras, star products and failing structures,
+    none of them validated yet."""
+    stock = [entry.structure for entry in dp.builtin_catalogue()]
+    for op in _weight_one_sources(Q) + _weight_one_sources(F3):
+        stock.append(dp.domain_dendriform_tri(op))
+    stock += [dp.star_product(d) for d in stock]
+    return stock + [make() for make in FAILING]
+
+
+def test_validators_record_the_verdicts_of_their_reports():
+    stock = _validated_stock()
+    assert {type(s) for s in stock} == set(TABLES)
+    outcomes = set()
+    for s in stock:
+        # built by domain_* or star_product, or by hand: no verdict yet
+        assert AXIOMS not in vars(s)
+        for cap, early in ((1, True), (0, False), (5, False)):
+            report = _VALIDATE[type(s)](s, max_violations=cap, early_stop=early)
+            assert vars(s)[AXIOMS] is report.passed is _fresh_axioms(s)
+        if report.passed:
+            assert _canonical_domain_passes(s)
+        outcomes.add((type(s), report.passed))
+    assert len(outcomes) == 6
+
+
+OLD_REFUSALS = [
+    (NotAssociativeError, "algebra is not associative (first violation at (0, 0, 0))"),
+    (InvalidDendriformError,
+     "dialgebra axioms fail: canonical domain structure fails right_action_mult at (0, 0, 0)"),
+    (InvalidDendriformError,
+     "dialgebra axioms fail: canonical domain structure fails left_action_mult at (0, 0, 0)"),
+    (InvalidDendriformError,
+     "trialgebra axioms fail: canonical domain structure fails left_action_mult at (0, 1, 0)"),
+    (InvalidDendriformError,
+     "trialgebra axioms fail: canonical domain structure fails product_assoc at (0, 0, 1)"),
+]
+
+
+@pytest.mark.parametrize("make, refusal", list(zip(FAILING, OLD_REFUSALS)),
+                         ids=["algebra", "di-right", "di-left", "tri-left", "tri-product"])
+@pytest.mark.parametrize("record", ["validator", "verdict", "unknown"])
+def test_a_false_axiom_verdict_still_refuses_with_the_old_message(make, refusal, record):
+    s = make()
+    if record == "validator":
+        assert not _VALIDATE[type(s)](s).passed
+    elif record == "verdict":
+        assert s._axioms_hold is False
+    build = {dp.Algebra: dp.canonical_bimodule, dp.DendriformDi: dp.canonical_operator_from_di,
+             dp.DendriformTri: dp.canonical_operator_from_tri}[type(s)]
+    error, message = refusal
+    for _ in range(2):
+        with pytest.raises(error) as err:
+            build(s)
+        assert str(err.value) == message
+        assert vars(s)[AXIOMS] is False
+
+
 # -- invisibility and scan counts ------------------------------------------------------------
 
-def _seen(op):
-    """Everything a caller sees of an operator: equality, hash, repr, pickle, documents."""
-    copy = pickle.loads(pickle.dumps(op))
-    seen = (op, hash(op), repr(op), copy, hash(copy), repr(copy))
-    if isinstance(op, dp.OOperator):
-        seen += (dp.emit_document(op), dp.emit_document(copy))
+def _seen(obj):
+    """Everything a caller sees of an operator or structure: equality, hash, repr, pickle,
+    documents."""
+    copy = pickle.loads(pickle.dumps(obj))
+    seen = (obj, hash(obj), repr(obj), copy, hash(copy), repr(copy))
+    if not isinstance(obj, dp.RotaBaxterOperator):
+        seen += (dp.emit_document(obj), dp.emit_document(copy))
     return seen
 
 
@@ -242,17 +382,28 @@ def _seen(op):
     lambda: dp.RotaBaxterOperator(n2(F3), Matrix.identity(F3, 2), 0),
     lambda: _weight_one_sources(Q)[0],
     lambda: dp.rb_as_module_operator(dp.RotaBaxterOperator(n2(), Matrix.identity(Q, 2), 0)),
-], ids=["rb", "rb-failing", "algebra-kind", "module-kind-failing"])
+    lambda: dp.catalogue_entry("rb-5").structure,
+    lambda: dp.make_dendriform_di(Q, 2, {(0, 0, 1): 1}, {(0, 0, 0): 1}),
+    lambda: dp.make_dendriform_tri(F3, 2, {(1, 1, 0): 1}, {}, {(1, 1, 1): 1}),
+    lambda: kx2(F3),
+    lambda: dp.make_algebra(Q, 2, {(0, 0, 1): 1, (1, 0, 0): 1}),
+], ids=["rb", "rb-failing", "algebra-kind", "module-kind-failing", "dialgebra",
+        "dialgebra-failing", "trialgebra", "algebra", "algebra-failing"])
 def test_relation_verdicts_are_invisible_from_outside(make):
     kept, fresh = make(), make()
+    name = AXIOMS if isinstance(kept, TABLES) else VERDICT
     before = _seen(kept)
-    verdict = kept._relation_holds
-    assert vars(kept)[VERDICT] is verdict
+    verdict = getattr(kept, name)
+    assert vars(kept)[name] is verdict
     after = _seen(kept)
     assert after == before == _seen(fresh)
     assert kept == fresh and hash(kept) == hash(fresh)
     # a copy made after the verdict was kept holds the same one
-    assert _known(after[3]) is verdict
+    assert vars(after[3]).get(name) is verdict
+    if not isinstance(kept, dp.RotaBaxterOperator):
+        # a parsed document starts with no verdict
+        parsed = dp.parse_document(after[6]).payload
+        assert parsed == kept and name not in vars(parsed)
 
 
 @pytest.fixture
@@ -286,10 +437,11 @@ def test_the_construction_chain_scans_the_relation_once(scans, kind):
     assert rng_of(moved) == d and rng_of(op) == d
     domain(moved)
     domain(op)
-    assert len(scans) == 1
+    # the canonical operator's relation holds by construction
+    assert scans == []
     # the public validators always scan
     assert dp.validate_o_operator(moved).passed
-    assert len(scans) == 2
+    assert len(scans) == 1
 
 
 def test_rota_baxter_images_are_not_rescanned(scans, f3_products):
@@ -300,4 +452,75 @@ def test_rota_baxter_images_are_not_rescanned(scans, f3_products):
 
 def test_the_image_experiment_scans_only_its_round_trips(scans):
     res = dp.phi_image_experiment(2, 2)
-    assert len(scans) == len(res.all_structures) == 130
+    # its 130 round trips start from enumerated dialgebras, whose canonical relation holds
+    assert scans == [] and len(res.all_structures) == 130
+
+
+@pytest.fixture
+def axiom_scans(monkeypatch):
+    """The composition scans (structure axioms and bimodule laws) run while the test runs."""
+    seen = []
+    real = structures._composition_failures
+
+    def counting(field, tables, groups):
+        seen.append([rows[0][0] for _, rows in groups])
+        return real(field, tables, groups)
+
+    monkeypatch.setattr(structures, "_composition_failures", counting)
+    return seen
+
+
+def test_a_validated_structure_is_scanned_once(axiom_scans, scans):
+    d = dp.catalogue_entry("rb-5").structure
+    assert dp.validate_dendriform_di(d).passed
+    dp.canonical_operator_from_di(d)
+    dp.canonical_operator_from_di(d)
+    assert axiom_scans == [["di1"]] and scans == []
+    # an unknown verdict is found by one early-stop scan, then kept
+    dp.canonical_operator_from_tri(dp.DendriformTri(d.prec, d.succ, StructureTensor.zero(Q, 2)))
+    alg = kx2()
+    dp.canonical_bimodule(alg)
+    assert dp.validate_associativity(alg).passed
+    assert axiom_scans == [["di1"], ["tri1"], ["assoc"], ["assoc"]] and scans == []
+
+
+def test_the_image_experiment_scans_no_axiom(axiom_scans):
+    res = dp.phi_image_experiment(2, 2)
+    assert axiom_scans == [] and not res.round_trip_failures
+
+
+@pytest.fixture
+def ranks(monkeypatch):
+    """The matrices ``linalg.rank`` eliminates while the test runs."""
+    seen = []
+    real = linalg.rank
+
+    def counting(M):
+        seen.append(M)
+        return real(M)
+
+    monkeypatch.setattr(linalg, "rank", counting)
+    return seen
+
+
+def test_a_matrix_is_ranked_once(ranks, monkeypatch):
+    d = dp.catalogue_entry("rb-3").structure
+    h = Matrix(Q, ((1, 2), (0, 1)))
+    _, op = dp.canonical_operator_from_di(d)
+    moved = dp.compose_with_domain_iso(op, h, dp.pullback_domain(op.domain, h))
+    # pullback_domain inverted h: the witness checks read the full rank of h and h^-1
+    transported = dp.domain_dendriform_di(moved)
+    assert dp.verify_dendriform_iso(transported, d, h).passed
+    assert dp.verify_dendriform_iso(d, transported, linalg.invert(h)).passed
+    assert ranks == []
+    g, report = dp.induced_intertwiner(moved, op)
+    assert report.passed and ranks == [g]
+    w = Matrix.identity(Q, 2)
+    for _ in range(2):
+        assert dp.verify_dendriform_iso(d, d, w).passed
+    assert ranks == [g, w]
+    # the inverse itself is never kept: each call eliminates
+    calls = []
+    real = linalg._rref
+    monkeypatch.setattr(linalg, "_rref", lambda *args: calls.append(args) or real(*args))
+    assert linalg.invert(h) == linalg.invert(h) and len(calls) == 2
