@@ -14,16 +14,13 @@ of a canonically built domain structure.
 
 Constructors refuse operators or dendriform structures that fail their
 validators: the output guarantees only hold under those hypotheses, and
-constructing from unvalidated inputs would poison downstream checks.  An
-operator is checked through the relation verdict it keeps, or was handed by
-a construction that preserves the relation (see ``operators``), and is
-scanned again only to name the failing basis pair of one that fails.  A
-dendriform structure is checked in the same way through its axiom verdict
-(``structures._Tables._axioms_hold``), which its validator or an F_p
-enumerator may already have recorded.  The canonical operator is handed
-the verdict true: its relation holds by construction.  The structures
-built here from an operator record no axiom verdict, since the relation
-of an operator says nothing about the laws of its domain bimodule.
+constructing from unvalidated inputs would poison downstream checks.  Both
+are checked through the verdict they keep (``structures._Checked``), and
+scanned again only to name the first failure of one that fails.  The
+canonical operator is handed the verdict true, its relation holding by
+construction, and its domain structure takes the input's verdict.  The
+structures built here from an operator record no axiom verdict, since the
+relation of an operator says nothing about the laws of its domain bimodule.
 """
 
 from __future__ import annotations
@@ -37,25 +34,17 @@ from .fields import same_field
 from .linalg import (Matrix, StructureTensor, _combine, column_space_basis,
                      invert, kernel_basis, rank, solve)
 from .structures import (Algebra, Bimodule, BimoduleAlgebra, DendriformDi,
-                         DendriformTri,
-                         DEFAULT_MAX_VIOLATIONS, ValidationReport, _AXIOMS,
-                         _action_matrices, _collect, _expect_tables,
-                         _homomorphism_failures, _require, _transpose, star_product,
-                         validate_bimodule, validate_bimodule_algebra)
-from .operators import (ALGEBRA, MODULE, OOperator, _expect_kind, _given, _induced,
-                        validate_o_operator)
+                         DendriformTri, DEFAULT_MAX_VIOLATIONS, ValidationReport,
+                         _action_matrices, _collect, _expect, _homomorphism_failures,
+                         _keep, _require_holds, _transpose, star_product)
+from .operators import ALGEBRA, MODULE, OOperator, _expect_kind, _induced
 
 
 def _valid(op: OOperator, kind: str) -> OOperator:
-    """``op``, once it is of ``kind`` and its relation verdict holds.
-
-    A failing verdict is scanned again, to name the first failing basis pair.
-    """
+    """``op``, once it is of ``kind`` and its relation verdict holds."""
     _expect_kind(op, kind)
-    if not op._relation_holds:
-        _require(validate_o_operator(op, max_violations=1, early_stop=True),
-                 InvalidOperatorError,
-                 "operator fails its defining relation at basis pair {indices}")
+    _require_holds(op, InvalidOperatorError,
+                   "operator fails its defining relation at basis pair {indices}")
     return op
 
 
@@ -130,28 +119,27 @@ def _canonical_operator(dend, kind):
     laws of this domain structure are the dendriform axioms of ``dend``,
     instance for instance (the bimodule laws di3, di1, di2, or tri3, tri1,
     tri2, then tri4, tri6, tri5 and tri7 for a bimodule algebra), so the
-    axiom verdict of ``dend`` decides them.  A false verdict is scanned
-    again on the domain structure, to name its first failing instance.
-    The built operator must reproduce ``dend`` exactly.  Returns
+    domain structure takes the axiom verdict of ``dend``.  A false verdict
+    is scanned again on the domain structure, to name its first failing
+    instance.  The built operator must reproduce ``dend`` exactly.  Returns
     ``(structure, operator)``.
     """
-    _expect_tables(dend, kind)
+    _expect(dend, kind)
     f = dend.field
     alg = star_product(dend)
     structure = Bimodule(alg, *_action_matrices(f, dend.succ.entries, dend.prec.entries))
-    weight, validate_structure = None, validate_bimodule
+    weight = None
     if kind is DendriformTri:
         structure = BimoduleAlgebra(structure, dend.dot)
-        weight, validate_structure = f.one, validate_bimodule_algebra
-    if not dend._axioms_hold:
-        _require(validate_structure(structure, 1, True), InvalidDendriformError,
-                 _AXIOMS[kind][0] + " axioms fail: canonical domain structure fails "
-                 "{axiom} at {indices}")
+        weight = f.one
+    _require_holds(_keep(structure, dend._holds), InvalidDendriformError,
+                   kind._noun + " axioms fail: canonical domain structure fails "
+                   "{axiom} at {indices}")
     # With alpha = id, l = L_succ and r = R_prec (and weight one on the product
     # dot), alpha(u) * alpha(v) and alpha(l(alpha u) v + u r(alpha v) [+ u . v])
     # are both u star v, since star is the table sum of the products: the
     # relation holds by construction.
-    op = _given(OOperator(structure, alg, Matrix.identity(f, dend.dim), weight), True)
+    op = _keep(OOperator(structure, alg, Matrix.identity(f, dend.dim), weight), True)
     if _domain_structure(op) != dend:
         raise InvalidDendriformError("canonical operator does not reproduce its input")
     return structure, op

@@ -74,8 +74,8 @@ from .errors import (ArgumentError, BudgetExceededError, FieldNotFiniteError,
                      InvalidDendriformError)
 from .fields import prime_field
 from .linalg import Matrix, StructureTensor, _combine
-from .operators import RotaBaxterOperator, _given, _o_relation_row, rb_as_module_operator
-from .structures import _ASSOCIATIVITY, _DENDRIFORM_DI, Algebra, DendriformDi, _kept
+from .operators import RotaBaxterOperator, _o_relation_row, rb_as_module_operator
+from .structures import _ASSOCIATIVITY, _DENDRIFORM_DI, Algebra, DendriformDi, _keep
 
 DEFAULT_BUDGET = 1 << 24
 
@@ -322,7 +322,7 @@ def _algebras(field, tables: list) -> list:
 
     Every leaf passed every instance of associativity: each verdict is known.
     """
-    return [_kept(Algebra(StructureTensor(field, table)), True) for table in tables]
+    return [_keep(Algebra(StructureTensor(field, table)), True) for table in tables]
 
 
 def _associative_tables(dim: int, p: int, budget, chunks: _Chunks) -> list:
@@ -346,7 +346,7 @@ def enumerate_rb_operators(algebra: Algebra, weight, budget: int | None = None) 
     row = _o_relation_row(field, "rb", table, cols, table, table, weight, table)
     leaves = _column_leaves(p, cols, [row], lambda t, among: among)
     # every leaf passed every instance of the relation: its verdict is known
-    return [_given(RotaBaxterOperator(algebra, Matrix(field, rows), weight), True)
+    return [_keep(RotaBaxterOperator(algebra, Matrix(field, rows), weight), True)
             for rows in sorted(tuple(zip(*c)) for c in leaves)]
 
 
@@ -368,7 +368,7 @@ def _dendriform_di(field, dim: int, budget, chunks: _Chunks, stars: list) -> lis
     p = field.p
     _check_budget(p, dim ** 3, budget, len(stars))
     # every leaf passed every instance of the dialgebra axioms: each verdict is known
-    return [_kept(DendriformDi(StructureTensor(field, prec), StructureTensor(field, succ)), True)
+    return [_keep(DendriformDi(StructureTensor(field, prec), StructureTensor(field, succ)), True)
             for prec, succ in sorted(chunks.run(_fibre_part, (p, dim, stars), len(stars)))]
 
 

@@ -53,7 +53,8 @@ from .operators import (ALGEBRA, OOperator, _comparable_domains, _domain_morphis
                         compose_with_domain_iso, pullback_domain,
                         twist_by_range_automorphism)
 from .structures import (DEFAULT_MAX_VIOLATIONS, DendriformDi, DendriformTri,
-                         ValidationReport, _collect, _homomorphism_failures, _transpose)
+                         ValidationReport, _collect, _homomorphism_failures, _transpose,
+                         _with_article)
 
 DEFAULT_DIMENSION_CAP = 3
 
@@ -97,7 +98,8 @@ def _dendriform_pair(d1, d2) -> FieldSpec:
     """The common field of two dendriform structures of one kind and dimension."""
     for d in (d1, d2):
         if not isinstance(d, (DendriformDi, DendriformTri)):
-            raise KindMismatchError(f"expected a dendriform structure, got a {type(d).__name__}")
+            raise KindMismatchError(f"expected a dendriform structure, "
+                                    f"got {_with_article(type(d).__name__)}")
     if type(d1) is not type(d2):
         raise KindMismatchError("cannot compare a dialgebra with a trialgebra")
     field = same_field(d1.field, d2.field)

@@ -6,11 +6,10 @@ into its base algebra.  Transports along domain isomorphisms and range
 automorphisms return fresh operators carrying the transported domain
 structure explicitly.
 
-Each operator keeps the verdict of its defining relation, the early-stop
-scan of its validator, computed on first use (``_relation_holds``); it
-takes no part in equality, hashing, ``repr`` or documents.  A construction
-that provably preserves the relation hands a known verdict on to the
-operator it returns, and never computes one that is not known:
+Each operator keeps the verdict of its defining relation in ``_holds``, as
+every checked object does (``structures._Checked``).  A construction that
+provably preserves the relation hands a known verdict on to the operator it
+returns, and never computes one that is not known:
 
 * ``enumerate_rb_operators`` (in ``enumeration``): its search tests every
   instance of the relation, so each operator it returns holds it;
@@ -23,30 +22,31 @@ operator it returns, and never computes one that is not known:
 * the canonical operators of ``constructions``, whose relation holds by
   construction.
 
-The public validators always scan and return full reports.
+The public validators always scan, return full reports and record their verdicts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import (DimensionMismatchError, KindMismatchError,
                      NotIntertwiningError, NotMultiplicativeError)
 from .fields import same_field
 from .linalg import Matrix, StructureTensor, _combine, _require_invertible
 from .structures import (Algebra, Bimodule, BimoduleAlgebra, DEFAULT_MAX_VIOLATIONS,
-                         ValidationReport, canonical_bimodule, _collect,
-                         _homomorphism_failures, _require, _transpose)
+                         ValidationReport, canonical_bimodule, _Checked,
+                         _expect, _homomorphism_failures, _keep, _known, _require, _transpose,
+                         _validate, _with_article)
 
 MODULE = "module"
 ALGEBRA = "algebra"
 
 
 @dataclass(frozen=True)
-class RotaBaxterOperator:
+class RotaBaxterOperator(_Checked):
     """Square matrix P on an algebra, tested against the weight-lambda relation."""
 
+    _noun = "Rota-Baxter operator"
     algebra: Algebra
     matrix: Matrix
     weight: object
@@ -57,19 +57,23 @@ class RotaBaxterOperator:
         if self.matrix.rows != self.algebra.dim or not self.matrix.is_square:
             raise DimensionMismatchError("operator matrix must be dim x dim")
 
-    @cached_property
-    def _relation_holds(self) -> bool:
-        return next(_rb_failures(self), None) is None
+    def _failures(self):
+        """Failures of the weight-lambda relation (see ``validate_rota_baxter``)."""
+        product = self.algebra.product.entries
+        return _o_relation_failures(self.algebra.field, "rb", product,
+                                    _transpose(self.matrix.entries), product, product,
+                                    self.weight, product)
 
 
 @dataclass(frozen=True)
-class OOperator:
+class OOperator(_Checked):
     """Linear map from a bimodule (module kind) or bimodule algebra (algebra kind).
 
     ``matrix`` is (dim codomain) x (dim domain); ``weight`` is present
     exactly for the algebra kind.
     """
 
+    _noun = "O-operator"
     domain: object
     codomain: Algebra
     matrix: Matrix
@@ -92,10 +96,6 @@ class OOperator:
         if self.matrix.rows != self.codomain.dim or self.matrix.cols != self.domain.dim:
             raise DimensionMismatchError("operator matrix shape must be (dim A) x (dim domain)")
 
-    @cached_property
-    def _relation_holds(self) -> bool:
-        return next(_o_failures(self), None) is None
-
     @property
     def kind(self) -> str:
         return ALGEBRA if isinstance(self.domain, BimoduleAlgebra) else MODULE
@@ -104,27 +104,18 @@ class OOperator:
     def field(self):
         return self.codomain.field
 
-
-def _known(op) -> bool | None:
-    """The relation verdict of ``op`` if it was computed or given, else None; never scans."""
-    return vars(op).get("_relation_holds")
-
-
-def _given(op, verdict: bool | None):
-    """``op`` carrying ``verdict`` as its relation verdict; None leaves it unknown.
-
-    Only a construction that proves its output's relation equivalent to its
-    input's (module docstring) may pass its input's verdict on.
-    """
-    if verdict is not None:
-        vars(op)["_relation_holds"] = verdict
-    return op
+    def _failures(self):
+        """Failures of the defining relation, of either kind."""
+        source_product = (self.weight, self.domain.product.entries) if self.kind == ALGEBRA else ()
+        return _o_relation_failures(self.field, "o_" + self.kind, self.codomain.product.entries,
+                                    _transpose(self.matrix.entries), *self.domain._action_tables,
+                                    *source_product)
 
 
 def _expect_kind(op: OOperator, kind: str) -> None:
+    _expect(op, OOperator)
     if op.kind != kind:
-        article = "an" if kind == ALGEBRA else "a"
-        raise KindMismatchError(f"expected {article} {kind}-kind operator")
+        raise KindMismatchError(f"expected {_with_article(kind)}-kind operator")
 
 
 # -- validators -----------------------------------------------------------------
@@ -172,21 +163,6 @@ def _o_relation_failures(field, *row):
     return _homomorphism_failures(field, (_o_relation_row(field, *row),))
 
 
-def _rb_failures(rb: RotaBaxterOperator):
-    """Failures of the weight-lambda relation (see ``validate_rota_baxter``)."""
-    product = rb.algebra.product.entries
-    return _o_relation_failures(rb.algebra.field, "rb", product, _transpose(rb.matrix.entries),
-                                product, product, rb.weight, product)
-
-
-def _o_failures(op: OOperator):
-    """Failures of the defining relation of ``op``, of either kind."""
-    source_product = (op.weight, op.domain.product.entries) if op.kind == ALGEBRA else ()
-    return _o_relation_failures(op.field, "o_" + op.kind, op.codomain.product.entries,
-                                _transpose(op.matrix.entries), *op.domain._action_tables,
-                                *source_product)
-
-
 def validate_rota_baxter(rb: RotaBaxterOperator,
                          max_violations: int = DEFAULT_MAX_VIOLATIONS,
                          early_stop: bool = False) -> ValidationReport:
@@ -195,7 +171,7 @@ def validate_rota_baxter(rb: RotaBaxterOperator,
     This is the O-operator relation with both actions and the source
     product equal to the algebra's own product; associativity is not needed.
     """
-    return _collect("rota_baxter", _rb_failures(rb), max_violations, early_stop)
+    return _validate(rb, RotaBaxterOperator, "rota_baxter", max_violations, early_stop)
 
 
 def validate_o_module(op: OOperator,
@@ -203,7 +179,7 @@ def validate_o_module(op: OOperator,
                       early_stop: bool = False) -> ValidationReport:
     """Check alpha(u)*alpha(v) = alpha(l(alpha(u))v) + alpha(u r(alpha(v)))."""
     _expect_kind(op, MODULE)
-    return _collect("o_operator_module", _o_failures(op), max_violations, early_stop)
+    return _validate(op, OOperator, "o_operator_module", max_violations, early_stop)
 
 
 def validate_o_algebra(op: OOperator,
@@ -211,11 +187,13 @@ def validate_o_algebra(op: OOperator,
                        early_stop: bool = False) -> ValidationReport:
     """Module relation plus the weighted product term on the domain algebra."""
     _expect_kind(op, ALGEBRA)
-    return _collect("o_operator_algebra", _o_failures(op), max_violations, early_stop)
+    return _validate(op, OOperator, "o_operator_algebra", max_violations, early_stop)
 
 
 def validate_o_operator(op: OOperator, **kw) -> ValidationReport:
-    return validate_o_algebra(op, **kw) if op.kind == ALGEBRA else validate_o_module(op, **kw)
+    """The relation of ``op``, of whichever kind it is."""
+    _expect(op, OOperator)
+    return _validate(op, OOperator, "o_operator_" + op.kind, **kw)
 
 
 # -- bridges ----------------------------------------------------------------------
@@ -224,7 +202,7 @@ def rb_as_o_operator(rb: RotaBaxterOperator) -> OOperator:
     """View a Rota-Baxter operator as an algebra-kind operator on the canonical bimodule."""
     dom = canonical_bimodule(rb.algebra)  # raises NotAssociativeError
     # the actions and the source product are rb's product: the scans agree instance for instance
-    return _given(OOperator(dom, rb.algebra, rb.matrix, rb.weight), _known(rb))
+    return _keep(OOperator(dom, rb.algebra, rb.matrix, rb.weight), _known(rb))
 
 
 def rb_as_module_operator(rb: RotaBaxterOperator) -> OOperator:
@@ -233,7 +211,7 @@ def rb_as_module_operator(rb: RotaBaxterOperator) -> OOperator:
         raise KindMismatchError("module reading only exists at weight zero")
     dom = canonical_bimodule(rb.algebra).base
     # the actions are rb's product and the weight term is zero: the scans agree
-    return _given(OOperator(dom, rb.algebra, rb.matrix, None), _known(rb))
+    return _keep(OOperator(dom, rb.algebra, rb.matrix, None), _known(rb))
 
 
 def with_zero_product(op: OOperator) -> OOperator:
@@ -330,10 +308,9 @@ def compose_with_domain_iso(op: OOperator, g: Matrix, source) -> OOperator:
     pulled_from = vars(source).get("_pulled_back", (None, None))
     if pulled_from[0] is not op.domain or pulled_from[1] is not g:
         _require_invertible(g, op.field, source.dim, "domain iso candidate g")
-        failures = _domain_morphism_failures(g, source, op.domain)
-        _require(_collect("domain_morphism", failures, 1, True), NotIntertwiningError,
+        _require(_domain_morphism_failures(g, source, op.domain), NotIntertwiningError,
                  "g fails {axiom} at {indices}")
-    return _given(OOperator(source, op.codomain, op.matrix.mul(g), op.weight), _known(op))
+    return _keep(OOperator(source, op.codomain, op.matrix.mul(g), op.weight), _known(op))
 
 
 def twist_by_range_automorphism(op: OOperator, fmat: Matrix) -> OOperator:
@@ -375,7 +352,7 @@ def pullback_domain(domain, h: Matrix):
     """
     if not isinstance(domain, (Bimodule, BimoduleAlgebra)):
         raise KindMismatchError(f"expected a bimodule or bimodule algebra, "
-                                f"got a {type(domain).__name__}")
+                                f"got {_with_article(type(domain).__name__)}")
     hinv = _require_invertible(h, domain.field, domain.dim, "pullback matrix h", inverse=True)
     base = domain.base if isinstance(domain, BimoduleAlgebra) else domain
     left = tuple(hinv.mul(M).mul(h) for M in base.left)

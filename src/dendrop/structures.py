@@ -31,12 +31,13 @@ fixed order:
   star product ``l(alpha x) y + x r(alpha y) + weight x o y`` it induces on
   its source (``operators._induced``).
 
-Both scans read raw nested tuples, not structure objects.  The public
-validators turn a scan into a ``ValidationReport`` (``_collect``); a caller
-that needs only the verdict, such as the F_p isomorphism search, takes
+Both scans read raw nested tuples, not structure objects.  Each checked
+object runs its own scan in ``_failures()`` and keeps its verdict
+(``_Checked``).  The public validators turn a scan into a
+``ValidationReport`` and record its verdict (``_validate``); a caller that
+needs only the verdict, such as the F_p isomorphism search, takes
 ``next(failures, None) is None`` and builds no report and no objects.  A
-construction that refuses invalid input raises through ``_require``, naming
-the first violation of an early-stopped report.
+construction refuses invalid input through ``_require_holds``.
 
 Right-action orientation: for a basis element ``b_i`` of the acting algebra
 the stored matrix ``rho_i`` realizes ``v r(b_i)`` as ``rho_i @ coords(v)``.
@@ -99,15 +100,71 @@ def _collect(kind: str, failures, max_violations: int = DEFAULT_MAX_VIOLATIONS,
     return ValidationReport(kind, total == 0, tuple(kept), total)
 
 
-def _require(report: ValidationReport, error, message: str) -> None:
-    """Raise ``error`` when ``report`` failed.
+def _require(failures, error, message: str) -> None:
+    """Raise ``error`` at the first of ``failures``, ``message`` naming its axiom and indices."""
+    first = next(failures, None)
+    if first is not None:
+        raise error(message.format(axiom=first[0], indices=first[1]))
 
-    ``message`` is formatted with the first violation's ``axiom`` and
-    ``indices``.
+
+# -- kept verdicts -----------------------------------------------------------------
+
+class _Checked:
+    """Base of every object a validator checks: its scan and its kept verdict.
+
+    ``_failures()`` yields ``(axiom, indices, lhs, rhs)`` for each failing
+    instance of the object's own identities, in its validator's order.
+    ``_holds`` is the verdict of that scan, early-stopped, computed on first
+    use and kept like the data of the ``Algebra`` note.  It is recorded in
+    advance where it is already proved: by the object's validator, whose
+    report scanned every instance when it passed, by the F_p enumerators,
+    whose searches test every instance on every leaf, and by the
+    constructions that preserve it (``operators``, ``constructions``).  A
+    refusal names each subclass by its ``_noun``.
     """
-    v = report.first()
-    if v is not None:
-        raise error(message.format(axiom=v.axiom, indices=v.indices))
+
+    @cached_property
+    def _holds(self) -> bool:
+        return next(self._failures(), None) is None
+
+
+def _keep(obj, verdict: bool | None):
+    """``obj`` carrying ``verdict``, checked or proved, as ``_holds``; None leaves it unknown."""
+    if verdict is not None:
+        vars(obj)["_holds"] = verdict
+    return obj
+
+
+def _known(obj) -> bool | None:
+    """The verdict of ``obj`` if it was computed or recorded, else None; never scans."""
+    return vars(obj).get("_holds")
+
+
+def _with_article(noun: str) -> str:
+    """``noun`` after its indefinite article: "an algebra", "a DendriformDi"."""
+    return ("an " if noun[0] in "aeiouAEIOU" else "a ") + noun
+
+
+def _expect(obj, cls) -> None:
+    """Refuse ``obj`` unless it is exactly a ``cls``, a checked class named by its ``_noun``."""
+    if type(obj) is not cls:
+        raise KindMismatchError(f"expected {_with_article(cls._noun)}, "
+                                f"got {_with_article(type(obj).__name__)}")
+
+
+def _validate(obj, cls, kind: str, max_violations: int = DEFAULT_MAX_VIOLATIONS,
+              early_stop: bool = False) -> ValidationReport:
+    """Report on the failures of ``obj``, once it is a ``cls``, and keep its verdict on it."""
+    _expect(obj, cls)
+    report = _collect(kind, obj._failures(), max_violations, early_stop)
+    _keep(obj, report.passed)
+    return report
+
+
+def _require_holds(obj, error, message: str) -> None:
+    """``_require`` on the failures of ``obj``, scanned again only if its verdict is false."""
+    if not obj._holds:
+        _require(obj._failures(), error, message)
 
 
 # -- structures ----------------------------------------------------------------
@@ -136,7 +193,7 @@ def _square_classes(d) -> dict:
     return classes
 
 
-class _Tables:
+class _Tables(_Checked):
     """Base of the structures given by product tables alone.
 
     ``Algebra``, ``DendriformDi`` and ``DendriformTri`` list their tables in
@@ -158,18 +215,13 @@ class _Tables:
 
     _vector_classes = cached_property(_square_classes)
 
-    @cached_property
-    def _axioms_hold(self) -> bool:
-        """Verdict of the structure's own axioms: the early-stop scan of its rows.
-
-        Kept like the data of the ``Algebra`` note, and recorded in advance
-        where it is already proved: by the validator of the structure's
-        kind, whose report scanned every instance when it passed, and by
-        the F_p enumerators, whose searches test every instance on every
-        leaf.  Structures built by ``constructions`` from an operator get
-        none: an operator's relation says nothing about its bimodule's laws.
-        """
-        return next(_table_failures(self, _AXIOMS[type(self)][2]), None) is None
+    def _failures(self):
+        """Failures of the structure's axioms, its star product the sum of its tables."""
+        n = self.dim
+        tables = [t.entries for t in self.tensors()]
+        if len(tables) > 1:
+            tables.append(_table_sum(self.field, tables))
+        return _composition_failures(self.field, tables, (((n, n, n), _AXIOMS[type(self)]),))
 
 
 @dataclass(frozen=True)
@@ -177,12 +229,13 @@ class Algebra(_Tables):
     """Bilinear product on a finite free module; associativity is checked, not assumed.
 
     Structures are immutable, so data derived from their fields (here the
-    canonical bimodule, on every table structure its axiom verdict
-    ``_axioms_hold``, on ``Bimodule`` the action tables) is computed on
-    first use and kept on the instance.  It takes no part in equality,
-    hashing, ``repr`` or documents, which read the fields only.
+    canonical bimodule, on every checked object its verdict ``_holds``, on
+    ``Bimodule`` the action tables) is computed on first use and kept on
+    the instance.  It takes no part in equality, hashing, ``repr`` or
+    documents, which read the fields only.
     """
 
+    _noun = "algebra"
     product: StructureTensor
     name: str | None = dc_field(default=None, compare=False)
 
@@ -194,17 +247,15 @@ class Algebra(_Tables):
 
     @cached_property
     def _canonical_bimodule(self) -> "BimoduleAlgebra":
-        # a false verdict is scanned again to name the instance, and raises on every call
-        if not self._axioms_hold:
-            _require(validate_associativity(self, 1, True), NotAssociativeError,
-                     "algebra is not associative (first violation at {indices})")
+        _require_holds(self, NotAssociativeError,
+                       "algebra is not associative (first violation at {indices})")
         c = self.product
         left, right = _action_matrices(self.field, c.entries, c.entries)
         return BimoduleAlgebra(Bimodule(self, left, right), c)
 
 
 @dataclass(frozen=True)
-class Bimodule:
+class Bimodule(_Checked):
     """Module with compatible left and right actions of ``algebra``.
 
     ``left[i]`` / ``right[i]`` are the m x m action matrices of the i-th
@@ -212,6 +263,7 @@ class Bimodule:
     right-action orientation).
     """
 
+    _noun = "bimodule"
     algebra: Algebra
     left: tuple
     right: tuple
@@ -244,11 +296,18 @@ class Bimodule:
         right = _transpose([_transpose(M.entries) for M in self.right])
         return left, right
 
+    def _failures(self):
+        """Failures of the bimodule laws, on (algebra, algebra, module) basis triples."""
+        n, m = self.algebra.dim, self.dim
+        tables = (self.algebra.product.entries, *self._action_tables)
+        return _composition_failures(self.field, tables, (((n, n, m), _BIMODULE),))
+
 
 @dataclass(frozen=True)
-class BimoduleAlgebra:
+class BimoduleAlgebra(_Checked):
     """A bimodule carrying its own product, compatible with both actions."""
 
+    _noun = "bimodule algebra"
     base: Bimodule
     product: StructureTensor
 
@@ -281,11 +340,20 @@ class BimoduleAlgebra:
     def dim(self) -> int:
         return self.base.dim
 
+    def _failures(self):
+        """Failures of the bimodule, compatibility and product associativity laws."""
+        n, m = self.algebra.dim, self.dim
+        tables = (self.algebra.product.entries, *self._action_tables, self.product.entries)
+        groups = (((n, n, m), _BIMODULE), ((n, m, m), _BIMODULE_ALGEBRA),
+                  ((m, m, m), _PRODUCT_ASSOCIATIVITY))
+        return _composition_failures(self.field, tables, groups)
+
 
 @dataclass(frozen=True)
 class DendriformDi(_Tables):
     """Pair of products (prec, succ) subject to the three dialgebra axioms."""
 
+    _noun = "dialgebra"
     prec: StructureTensor
     succ: StructureTensor
     name: str | None = dc_field(default=None, compare=False)
@@ -301,6 +369,7 @@ class DendriformDi(_Tables):
 class DendriformTri(_Tables):
     """Triple of products (prec, succ, dot) subject to the seven trialgebra axioms."""
 
+    _noun = "trialgebra"
     prec: StructureTensor
     succ: StructureTensor
     dot: StructureTensor
@@ -453,76 +522,40 @@ _BIMODULE_ALGEBRA = (
 _PRODUCT_ASSOCIATIVITY = (("product_assoc", XYZ, OUTER, MOD, MOD, MOD, MOD),)
 
 
-def _table_failures(s, rows):
-    """Failures of ``rows`` on the tables of ``s``, followed by their star product if several."""
-    n = s.dim
-    tables = [t.entries for t in s.tensors()]
-    if len(tables) > 1:
-        tables.append(_table_sum(s.field, tables))
-    return _composition_failures(s.field, tables, (((n, n, n), rows),))
-
-
-# The structures given by tables: the noun that names each, its report kind and its rows.
-_AXIOMS = {
-    Algebra: ("algebra", "algebra", _ASSOCIATIVITY),
-    DendriformDi: ("dialgebra", "dendriform_di", _DENDRIFORM_DI),
-    DendriformTri: ("trialgebra", "dendriform_tri", _DENDRIFORM_TRI),
-}
-
-
-def _expect_tables(s, kind) -> None:
-    """Refuse ``s`` unless it is exactly a ``kind``, a key of ``_AXIOMS``."""
-    if type(s) is not kind:
-        article = "an" if kind is Algebra else "a"
-        raise KindMismatchError(f"expected {article} {_AXIOMS[kind][0]}, "
-                                f"got a {type(s).__name__}")
-
-
-def _kept(s, verdict: bool):
-    """``s`` carrying ``verdict`` as its axiom verdict (``_Tables._axioms_hold``)."""
-    vars(s)["_axioms_hold"] = verdict
-    return s
-
-
-def _validate_tables(s, kind, max_violations: int, early_stop: bool) -> ValidationReport:
-    """Report on the axioms of ``s``, once it is a ``kind``, and keep its verdict on ``s``."""
-    _expect_tables(s, kind)
-    _, report_kind, rows = _AXIOMS[kind]
-    report = _collect(report_kind, _table_failures(s, rows), max_violations, early_stop)
-    _kept(s, report.passed)
-    return report
+# The axioms of each structure given by tables.
+_AXIOMS = {Algebra: _ASSOCIATIVITY, DendriformDi: _DENDRIFORM_DI, DendriformTri: _DENDRIFORM_TRI}
 
 
 def validate_associativity(alg: Algebra,
                            max_violations: int = DEFAULT_MAX_VIOLATIONS,
                            early_stop: bool = False) -> ValidationReport:
     """Check (b_i * b_j) * b_k = b_i * (b_j * b_k) over all basis triples."""
-    return _validate_tables(alg, Algebra, max_violations, early_stop)
+    return _validate(alg, Algebra, "algebra", max_violations, early_stop)
 
 
 def validate_dendriform_di(d: DendriformDi,
                            max_violations: int = DEFAULT_MAX_VIOLATIONS,
                            early_stop: bool = False) -> ValidationReport:
     """Check the three dialgebra axioms (star = prec + succ) on all basis triples."""
-    return _validate_tables(d, DendriformDi, max_violations, early_stop)
+    return _validate(d, DendriformDi, "dendriform_di", max_violations, early_stop)
 
 
 def validate_dendriform_tri(t: DendriformTri,
                             max_violations: int = DEFAULT_MAX_VIOLATIONS,
                             early_stop: bool = False) -> ValidationReport:
     """Check the seven trialgebra axioms (star = prec + succ + dot)."""
-    return _validate_tables(t, DendriformTri, max_violations, early_stop)
+    return _validate(t, DendriformTri, "dendriform_tri", max_violations, early_stop)
 
 
 def validate_bimodule(bm: Bimodule,
                       max_violations: int = DEFAULT_MAX_VIOLATIONS,
                       early_stop: bool = False) -> ValidationReport:
-    """Bimodule laws, checked on (algebra, algebra, module) basis triples."""
-    n, m = bm.algebra.dim, bm.dim
-    tables = (bm.algebra.product.entries, *bm._action_tables)
-    return _collect("bimodule",
-                    _composition_failures(bm.field, tables, (((n, n, m), _BIMODULE),)),
-                    max_violations, early_stop)
+    """Bimodule laws, checked on (algebra, algebra, module) basis triples.
+
+    A bimodule algebra is checked, and its verdict kept, through its base.
+    """
+    base = bm.base if isinstance(bm, BimoduleAlgebra) else bm
+    return _validate(base, Bimodule, "bimodule", max_violations, early_stop)
 
 
 def validate_bimodule_algebra(ba: BimoduleAlgebra,
@@ -532,12 +565,7 @@ def validate_bimodule_algebra(ba: BimoduleAlgebra,
 
     The compatibility laws are checked on (algebra, module, module) basis triples.
     """
-    n, m = ba.algebra.dim, ba.dim
-    tables = (ba.algebra.product.entries, *ba._action_tables, ba.product.entries)
-    groups = (((n, n, m), _BIMODULE), ((n, m, m), _BIMODULE_ALGEBRA),
-              ((m, m, m), _PRODUCT_ASSOCIATIVITY))
-    return _collect("bimodule_algebra", _composition_failures(ba.field, tables, groups),
-                    max_violations, early_stop)
+    return _validate(ba, BimoduleAlgebra, "bimodule_algebra", max_violations, early_stop)
 
 
 # -- constructions ----------------------------------------------------------------

@@ -75,6 +75,14 @@ def test_non_dendriform_inputs_rejected(other):
             dp.search_dendriform_iso_fp(d1, d2)
 
 
+def test_non_dendriform_refusals_name_the_class_with_its_article():
+    alg = n2(F3)
+    for other, got in ((alg, "an Algebra"), (Matrix.identity(F3, 2), "a Matrix")):
+        with pytest.raises(KindMismatchError) as err:
+            dp.search_dendriform_iso_fp(other, other)
+        assert str(err.value) == f"expected a dendriform structure, got {got}"
+
+
 def test_witness_symmetry_forward_implies_inverse_backward():
     rng = random.Random(21)
     d1 = over3("rb-4")

@@ -62,6 +62,28 @@ def test_zero_actions_give_a_bimodule():
     assert validate_bimodule(one_dim_zero_bimodule(n2())).passed
 
 
+@pytest.mark.parametrize("bimodule_first", [True, False])
+def test_bimodule_laws_of_a_bimodule_algebra_keep_no_verdict_on_it(bimodule_first):
+    # zero actions of the 1-dimensional zero algebra on Q^2: a bimodule, but
+    # the product e0 e0 = e1, e1 e0 = e0 is not associative
+    z = Matrix.zeros(Q, 2, 2)
+    ba = dp.BimoduleAlgebra(dp.Bimodule(zero_algebra(Q, 1), (z,), (z,)),
+                            StructureTensor.from_triples(Q, 2, {(0, 0, 1): 1, (1, 0, 0): 1}))
+    checks = [validate_bimodule, validate_bimodule_algebra]
+    if not bimodule_first:
+        checks.reverse()
+    reports = {}
+    for check in checks:
+        report = check(ba)
+        reports[report.structure_kind] = report
+        assert vars(ba).get("_holds") is not True
+    assert reports["bimodule"].passed
+    first = reports["bimodule_algebra"].first()
+    assert (first.axiom, first.indices) == ("product_assoc", (0, 0, 0))
+    # the bimodule laws are those of the base, which keeps their verdict
+    assert vars(ba.base)["_holds"] is True
+
+
 def test_canonical_bimodule_of_n2():
     ba = dp.canonical_bimodule(n2())
     assert validate_bimodule(ba.base).passed
@@ -292,11 +314,25 @@ TRI = dp.make_dendriform_tri(Q, 1, {}, {}, {(0, 0, 0): 2})
     # it used to scan prec only, and pass
     (validate_associativity, dp.catalogue_entry("rb-4").structure,
      "expected an algebra, got a DendriformDi"),
-], ids=["di-of-tri", "tri-of-di", "assoc-of-di"])
-def test_table_validators_refuse_the_wrong_kind(validate, wrong, message):
+    # it used to say "got a Algebra"
+    (validate_dendriform_di, kx2(), "expected a dialgebra, got an Algebra"),
+    # these used to raise AttributeError
+    (validate_bimodule, kx2(), "expected a bimodule, got an Algebra"),
+    (validate_bimodule_algebra, dp.canonical_bimodule(kx2()).base,
+     "expected a bimodule algebra, got a Bimodule"),
+    (dp.validate_rota_baxter,
+     dp.rb_as_o_operator(dp.RotaBaxterOperator(kx2(), Matrix.identity(Q, 2), 0)),
+     "expected a Rota-Baxter operator, got an OOperator"),
+    (dp.validate_o_operator, dp.RotaBaxterOperator(kx2(), Matrix.identity(Q, 2), 0),
+     "expected an O-operator, got a RotaBaxterOperator"),
+    (dp.validate_o_module, dp.RotaBaxterOperator(kx2(), Matrix.identity(Q, 2), 0),
+     "expected an O-operator, got a RotaBaxterOperator"),
+], ids=["di-of-tri", "tri-of-di", "assoc-of-di", "di-of-algebra", "bimodule-of-algebra",
+        "bimodule-algebra-of-bimodule", "rb-of-o-operator", "o-of-rb", "o-module-of-rb"])
+def test_validators_refuse_the_wrong_kind(validate, wrong, message):
     with pytest.raises(KindMismatchError, match=f"^{message}$"):
         validate(wrong)
-    assert "_axioms_hold" not in vars(wrong)
+    assert "_holds" not in vars(wrong)
 
 
 def test_star_of_rb2_is_n2():

@@ -1,9 +1,10 @@
 """Verdicts: kept on each operator and structure, carried only where a construction proves them.
 
-Every carried verdict is compared with a fresh validator run on an equal
-twin built from scratch (a document round trip for O-operators), which
-carries no verdict.  A structure's axiom verdict is also checked a second
-way, by the validator of its canonical domain structure.
+Every carried or recorded verdict is compared with a fresh validator run on
+an equal twin built from scratch (from its tables or through a document
+round trip), which carries no verdict.  A structure's axiom verdict is
+also checked a second way, by the validator of its canonical domain
+structure.
 """
 
 import pickle
@@ -20,17 +21,16 @@ from dendrop.errors import (BadRationalError, DendropError, InvalidDendriformErr
 from dendrop.linalg import Matrix, StructureTensor
 from helpers import F3, Q, diag, kx2, n2, random_invertible, split2
 
-VERDICT = "_relation_holds"
-AXIOMS = "_axioms_hold"
+VERDICT = "_holds"
 TABLES = (dp.Algebra, dp.DendriformDi, dp.DendriformTri)
 
 
-def _known(op):
-    return vars(op).get(VERDICT)
+def _known(obj):
+    return vars(obj).get(VERDICT)
 
 
 def _twin(op):
-    """An equal operator built from scratch, with no verdict."""
+    """An equal operator or structure built from scratch, with no verdict."""
     if isinstance(op, dp.RotaBaxterOperator):
         f = op.algebra.field
         twin = dp.RotaBaxterOperator(dp.Algebra(StructureTensor(f, op.algebra.product.entries)),
@@ -84,7 +84,7 @@ def test_enumerated_verdicts_travel_through_both_bridges(f3_products, weight, co
             rb = dp.RotaBaxterOperator(alg, Matrix(F3, rows), weight)
             if rb in found:
                 continue
-            assert rb._relation_holds is False and not _fresh(rb)
+            assert rb._holds is False and not _fresh(rb)
             for op in _bridged(rb):
                 assert _known(op) is False and not _fresh(op)
             broken += 1
@@ -182,7 +182,7 @@ def test_transported_verdicts_match_fresh_validators(field):
         moved = _moved(op, rng)
         # an unknown verdict stays unknown: carrying never scans
         assert _known(moved) == before and _known(op) == before
-        assert moved._relation_holds is True and _fresh(moved)
+        assert moved._holds is True and _fresh(moved)
         twin = _twin(moved)
         for build in _constructions(moved):
             made = _outcome(build, moved)
@@ -196,7 +196,7 @@ def test_transported_false_verdicts_refuse_in_every_construction(field):
     broken = [bad for bad in map(_broken, _operators(field)) if bad is not None]
     assert {bad.kind for bad in broken} == {"module", "algebra"} and len(broken) >= 12
     for bad in broken:
-        assert bad._relation_holds is False
+        assert bad._holds is False
         moved = _moved(bad, rng)
         assert _known(moved) is False and not _fresh(moved)
         first = dp.validate_o_operator(_twin(moved), max_violations=1).first()
@@ -220,7 +220,7 @@ def test_a_known_verdict_does_not_skip_the_intertwining_check():
 def test_a_true_verdict_does_not_skip_the_kind_check():
     module = dp.canonical_operator_from_di(dp.catalogue_entry("rb-4").structure)[1]
     algebra = _operators(Q)[-1]
-    assert algebra._relation_holds and module._relation_holds
+    assert algebra._holds and module._holds
     for build in (dp.domain_dendriform_tri, dp.range_dendriform_tri,
                   dp.range_dendriform_quotient):
         with pytest.raises(KindMismatchError, match="^expected an algebra-kind operator$"):
@@ -266,7 +266,7 @@ _VALIDATE = {dp.Algebra: dp.validate_associativity, dp.DendriformDi: dp.validate
 def _table_twin(s):
     """An equal structure built from scratch, with no verdict."""
     twin = type(s)(*(StructureTensor(t.field, t.entries) for t in s.tensors()))
-    assert twin == s and AXIOMS not in vars(twin)
+    assert twin == s and VERDICT not in vars(twin)
     return twin
 
 
@@ -288,13 +288,13 @@ def test_enumerated_dialgebras_carry_true_axiom_verdicts(p, count):
     found = dp.enumerate_dendriform_di(2, p)
     assert len(found) == count
     for d in found:
-        assert vars(d)[AXIOMS] is True and _fresh_axioms(d)
+        assert vars(d)[VERDICT] is True and _fresh_axioms(d)
         assert _canonical_domain_passes(d)
 
 
 def test_enumerated_products_carry_true_axiom_verdicts(f3_products):
     for alg in f3_products:
-        assert vars(alg)[AXIOMS] is True and _fresh_axioms(alg)
+        assert vars(alg)[VERDICT] is True and _fresh_axioms(alg)
         assert _canonical_domain_passes(alg)
 
 
@@ -317,20 +317,50 @@ def _validated_stock():
     return stock + [make() for make in FAILING]
 
 
+def _checked_stock():
+    """Bimodules, bimodule algebras, Rota-Baxter and O-operators of both kinds, passing and
+    failing, none of them checked yet."""
+    z = Matrix.zeros(Q, 2, 2)
+    canonical = dp.canonical_bimodule(kx2())
+    # identity left actions of n2: l(b0 b0) = 0 but l(b0) l(b0) = id
+    identities = dp.Bimodule(n2(), (Matrix.identity(Q, 2),) * 2, (z, z))
+    # zero actions, with the product e0 e0 = e1, e1 e0 = e0, which is not associative
+    not_associative = dp.BimoduleAlgebra(
+        dp.Bimodule(dp.Algebra(StructureTensor.zero(Q, 1)), (z,), (z,)),
+        StructureTensor.from_triples(Q, 2, {(0, 0, 1): 1, (1, 0, 0): 1}))
+    module = _twin(dp.canonical_operator_from_di(dp.catalogue_entry("rb-4").structure)[1])
+    algebra = _weight_one_sources(Q)[0]
+    return [
+        _twin(canonical.base), identities, _twin(canonical), not_associative,
+        dp.RotaBaxterOperator(n2(F3), diag(F3, 2, 2), 1),
+        dp.RotaBaxterOperator(n2(F3), Matrix.identity(F3, 2), 0),
+        module, _broken(module), algebra, _broken(algebra),
+    ]
+
+
+def _validator(obj):
+    """The public validator of ``obj``'s own kind."""
+    if isinstance(obj, dp.OOperator):
+        return dp.validate_o_algebra if obj.kind == operators.ALGEBRA else dp.validate_o_module
+    return {**_VALIDATE, dp.Bimodule: dp.validate_bimodule,
+            dp.BimoduleAlgebra: dp.validate_bimodule_algebra,
+            dp.RotaBaxterOperator: dp.validate_rota_baxter}[type(obj)]
+
+
 def test_validators_record_the_verdicts_of_their_reports():
-    stock = _validated_stock()
-    assert {type(s) for s in stock} == set(TABLES)
     outcomes = set()
-    for s in stock:
+    for s in _validated_stock() + _checked_stock():
         # built by domain_* or star_product, or by hand: no verdict yet
-        assert AXIOMS not in vars(s)
+        assert _known(s) is None
+        validate = _validator(s)
         for cap, early in ((1, True), (0, False), (5, False)):
-            report = _VALIDATE[type(s)](s, max_violations=cap, early_stop=early)
-            assert vars(s)[AXIOMS] is report.passed is _fresh_axioms(s)
-        if report.passed:
+            report = validate(s, max_violations=cap, early_stop=early)
+            assert vars(s)[VERDICT] is report.passed is validate(_twin(s)).passed
+        if report.passed and isinstance(s, TABLES):
             assert _canonical_domain_passes(s)
-        outcomes.add((type(s), report.passed))
-    assert len(outcomes) == 6
+        outcomes.add((validate, report.passed))
+    # pass and fail for each of the eight validators
+    assert len(outcomes) == 16
 
 
 OLD_REFUSALS = [
@@ -354,7 +384,7 @@ def test_a_false_axiom_verdict_still_refuses_with_the_old_message(make, refusal,
     if record == "validator":
         assert not _VALIDATE[type(s)](s).passed
     elif record == "verdict":
-        assert s._axioms_hold is False
+        assert s._holds is False
     build = {dp.Algebra: dp.canonical_bimodule, dp.DendriformDi: dp.canonical_operator_from_di,
              dp.DendriformTri: dp.canonical_operator_from_tri}[type(s)]
     error, message = refusal
@@ -362,7 +392,7 @@ def test_a_false_axiom_verdict_still_refuses_with_the_old_message(make, refusal,
         with pytest.raises(error) as err:
             build(s)
         assert str(err.value) == message
-        assert vars(s)[AXIOMS] is False
+        assert vars(s)[VERDICT] is False
 
 
 # -- invisibility and scan counts ------------------------------------------------------------
@@ -391,7 +421,7 @@ def _seen(obj):
         "dialgebra-failing", "trialgebra", "algebra", "algebra-failing"])
 def test_relation_verdicts_are_invisible_from_outside(make):
     kept, fresh = make(), make()
-    name = AXIOMS if isinstance(kept, TABLES) else VERDICT
+    name = VERDICT
     before = _seen(kept)
     verdict = getattr(kept, name)
     assert vars(kept)[name] is verdict
