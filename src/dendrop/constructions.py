@@ -6,9 +6,11 @@ the operator becomes an algebra homomorphism from the summed product to the
 codomain.  Range side: an invertible operator transports those products onto
 the codomain, splitting its multiplication; a non-invertible operator still
 induces products on its image when its kernel is an ideal of the domain
-product.  Both cases run one loop, ``_range_tensors``, on sections of an
-image basis: the columns of alpha^{-1} and the standard basis, or solved
-preimages of the reduced-echelon basis of the image.  Conversely every
+product.  Each product is one ``linalg._transport`` of a table: the
+domain products move the action tables along alpha, and both range cases
+move those along sections of an image basis (the columns of alpha^{-1},
+or solved preimages of the reduced-echelon basis of the image), read
+through alpha at the basis pivots (``_range_tensors``).  Conversely every
 dendriform structure arises from the identity map viewed as an operator out
 of a canonically built domain structure.
 
@@ -26,18 +28,19 @@ relation of an operator says nothing about the laws of its domain bimodule.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import (ArgumentError, DimensionMismatchError, InvalidDendriformError,
                      InvalidOperatorError, KernelNotIdealError,
-                     KindMismatchError)
+                     KindMismatchError, _expect)
 from .fields import same_field
-from .linalg import (Matrix, StructureTensor, _combine, column_space_basis,
+from .linalg import (Matrix, StructureTensor, _transport, column_space_basis,
                      invert, kernel_basis, rank, solve)
 from .structures import (Algebra, Bimodule, BimoduleAlgebra, DendriformDi,
                          DendriformTri, DEFAULT_MAX_VIOLATIONS, ValidationReport,
-                         _action_matrices, _collect, _expect, _homomorphism_failures,
+                         _collect, _homomorphism_failures,
                          _keep, _require_holds, _transpose, star_product)
-from .operators import ALGEBRA, MODULE, OOperator, _expect_kind, _induced
+from .operators import ALGEBRA, MODULE, OOperator, _expect_kind
 
 
 def _valid(op: OOperator, kind: str) -> OOperator:
@@ -48,22 +51,24 @@ def _valid(op: OOperator, kind: str) -> OOperator:
     return op
 
 
-def _domain_products(op: OOperator):
-    """Structure tensors of the induced products on the operator's source."""
+def _domain_products(op: OOperator) -> list:
+    """Tables of the products on the source: the action tables moved along alpha.
+
+    u < v = u r(alpha v), u > v = l(alpha u) v, and u . v = weight (u o v) for algebra kind.
+    """
     f = op.field
-    m = op.domain.dim
-    rows = _induced(f, _transpose(op.matrix.entries), *op.domain._action_tables)[:2]
-    return tuple(StructureTensor(f, tuple(tuple(row(i, j) for j in range(m))
-                                          for i in range(m)))
-                 for row in rows)
+    acols = _transpose(op.matrix.entries)
+    left, right = op.domain._action_tables
+    tables = [_transport(f, right, None, acols, None), _transport(f, left, acols, None, None)]
+    if op.kind == ALGEBRA:
+        tables.append(op.domain.product.scale(op.weight).entries)
+    return tables
 
 
 def _domain_structure(op: OOperator):
     """The induced dendriform structure, built without validating ``op``."""
-    prec, succ = _domain_products(op)
-    if op.kind == ALGEBRA:
-        return DendriformTri(prec, succ, op.domain.product.scale(op.weight))
-    return DendriformDi(prec, succ)
+    tensors = (StructureTensor(op.field, t) for t in _domain_products(op))
+    return (DendriformTri if op.kind == ALGEBRA else DendriformDi)(*tensors)
 
 
 def domain_dendriform_tri(op: OOperator) -> DendriformTri:
@@ -91,6 +96,7 @@ def check_operator_homomorphism(op: OOperator, dend,
                                 max_violations: int = DEFAULT_MAX_VIOLATIONS
                                 ) -> ValidationReport:
     """Check alpha(u star v) = alpha(u) * alpha(v) on all source basis pairs."""
+    _expect(op, OOperator)
     if dend.dim != op.domain.dim:
         raise DimensionMismatchError("the structure must live on the operator's source")
     return _star_homomorphism("operator_homomorphism", "hom", _transpose(op.matrix.entries),
@@ -127,7 +133,7 @@ def _canonical_operator(dend, kind):
     _expect(dend, kind)
     f = dend.field
     alg = star_product(dend)
-    structure = Bimodule(alg, *_action_matrices(f, dend.succ.entries, dend.prec.entries))
+    structure = Bimodule._from_tables(alg, dend.succ.entries, dend.prec.entries)
     weight = None
     if kind is DendriformTri:
         structure = BimoduleAlgebra(structure, dend.dot)
@@ -164,57 +170,39 @@ def kernel_ideal_check(op: OOperator) -> bool:
     product u o b_v and b_v o u (u in the kernel basis) leaves the rank at
     the kernel's dimension.
     """
+    _expect(op, OOperator)
     if op.kind != ALGEBRA:
         raise KindMismatchError("kernel ideal check applies to algebra-kind operators")
     ker = kernel_basis(op.matrix)
     if not ker:
         return True
-    prod = op.domain.product
-    rows = list(ker)
-    for u in ker:
-        for v in range(op.domain.dim):
-            rows += [prod.apply_basis_right(u, v), prod.apply_basis_left(v, u)]
-    return rank(Matrix.from_rows(op.field, rows)) == len(ker)
+    f, prod = op.field, op.domain.product.entries
+    rows = chain(ker, *_transport(f, prod, ker, None, None),
+                 *_transport(f, prod, None, ker, None))
+    return rank(Matrix.from_rows(f, rows)) == len(ker)
 
 
-def _range_tensors(op: OOperator, sections, basis, pivots) -> tuple:
-    """Products alpha induces on its image, in the image basis ``basis``.
+def _range_tensors(op: OOperator, sections, pivots) -> tuple:
+    """Products alpha induces on its image, in the image basis w_s = alpha(u_s).
 
     ``sections[s]`` is a preimage u_s of the image basis vector w_s, and
     ``pivots[s]`` a coordinate where w_s is 1 and every other w_t is 0, so
-    a vector of the image has its image coordinates at ``pivots``.  Returns
-    the tensors of
-        w_s < w_t = alpha(u_s r(w_t)),  w_s > w_t = alpha(l(w_s) u_t),
-    and for algebra-kind operators also w_s . w_t = alpha(weight u_s o u_t).
-    Each is alpha of something, so it lies in the image and reading it at
-    the pivots loses nothing.
+    a vector of the image has its image coordinates at ``pivots``.  Each
+    domain product is moved along (sections, sections, alpha read at the
+    pivots): w_s < w_t = alpha(u_s < u_t) = alpha(u_s r(w_t)), likewise
+    w_s > w_t = alpha(l(w_s) u_t), and for algebra-kind operators
+    w_s . w_t = alpha(weight u_s o u_t).  Each is alpha of something, so it
+    lies in the image and reading it at the pivots loses nothing.
     """
     f = op.field
-    p, zero = f.p, f.zero
-    # alpha in image coordinates: the pivot rows of its columns
-    acols = tuple(tuple(col[i] for i in pivots) for col in zip(*op.matrix.entries))
-
-    def image(v):
-        return _combine(v, acols, p, zero)
-
-    # alpha(u_s r(b_j)) and alpha(l(b_j) u_s) for every algebra basis vector b_j
-    right = [[image(M.matvec(u)) for M in op.domain.right] for u in sections]
-    left = [[image(M.matvec(u)) for M in op.domain.left] for u in sections]
-    tensors = [tuple(tuple(_combine(wt, rs, p, zero) for wt in basis) for rs in right),
-               tuple(tuple(_combine(ws, lt, p, zero) for lt in left) for ws in basis)]
-    if op.kind == ALGEBRA:
-        wcols = tuple(_combine((op.weight,), (c,), p, zero) for c in acols)
-        prod = op.domain.product
-        tensors.append(tuple(tuple(_combine(prod.apply(us, ut), wcols, p, zero)
-                                   for ut in sections) for us in sections))
-    return tuple(StructureTensor(f, t) for t in tensors)
+    acols = tuple(tuple(col[i] for i in pivots) for col in _transpose(op.matrix.entries))
+    return tuple(StructureTensor(f, _transport(f, t, sections, sections, acols))
+                 for t in _domain_products(op))
 
 
 def _invertible_range(op: OOperator) -> tuple:
     """Range tensors of an invertible operator: sections alpha^{-1}(e_i), standard basis."""
-    n = op.codomain.dim
-    basis = Matrix.identity(op.field, n).entries
-    return _range_tensors(op, invert(op.matrix).columns(), basis, range(n))
+    return _range_tensors(op, invert(op.matrix).columns(), range(op.codomain.dim))
 
 
 def range_dendriform_tri(op: OOperator) -> DendriformTri:
@@ -262,10 +250,11 @@ def range_dendriform_quotient(op: OOperator, section_rule: str = "first") -> Quo
     pivots = [next(i for i, a in enumerate(w) if a) for w in basis]
     emb = Matrix.from_columns(f, basis) if basis else Matrix.zeros(f, op.codomain.dim, 0)
     sections = [solve(op.matrix, w, pivot_rule=section_rule) for w in basis]
-    tri = DendriformTri(*_range_tensors(op, sections, basis, pivots))
-    # alpha(u) alpha(v) = alpha(u star v): the image is closed under the codomain product
-    prod = op.codomain.product
-    star = tuple(tuple(tuple(prod.apply(ws, wt)[i] for i in pivots) for wt in basis)
-                 for ws in basis)
+    tri = DendriformTri(*_range_tensors(op, sections, pivots))
+    # alpha(u) alpha(v) = alpha(u star v): the image is closed under the codomain
+    # product, so its products are read at the pivots
+    at_pivots = [tuple(f.one if i == q else f.zero for q in pivots)
+                 for i in range(op.codomain.dim)]
+    star = _transport(f, op.codomain.product.entries, basis, basis, at_pivots)
     return QuotientDendriform(tri, emb, Algebra(StructureTensor(f, star)))
 

@@ -44,8 +44,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dataclass_field
 
-from .errors import (DimensionCapError, DimensionMismatchError,
-                     FieldNotFiniteError, KindMismatchError, SingularMatrixError)
+from .errors import (DimensionCapError, DimensionMismatchError, FieldNotFiniteError,
+                     KindMismatchError, SingularMatrixError, _expect, _with_article)
 from .fields import FieldSpec, same_field
 from .enumeration import _check_dim, _column_leaves
 from .linalg import Matrix, _full_rank, _require_invertible, invert
@@ -53,8 +53,7 @@ from .operators import (ALGEBRA, OOperator, _comparable_domains, _domain_morphis
                         compose_with_domain_iso, pullback_domain,
                         twist_by_range_automorphism)
 from .structures import (DEFAULT_MAX_VIOLATIONS, DendriformDi, DendriformTri,
-                         ValidationReport, _collect, _homomorphism_failures, _transpose,
-                         _with_article)
+                         ValidationReport, _collect, _homomorphism_failures, _transpose)
 
 DEFAULT_DIMENSION_CAP = 3
 
@@ -131,6 +130,8 @@ def verify_operator_iso(op1: OOperator, op2: OOperator, g: Matrix,
     checked here by hand; ``operators._domain_morphism_failures`` says why
     the intertwining laws are too.
     """
+    for op in (op1, op2):
+        _expect(op, OOperator)
     _comparable_domains(op1.domain, op2.domain)
     _require_invertible(g, op1.field, op1.domain.dim, "candidate g")
 

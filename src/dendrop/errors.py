@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one refusal of a wrong class."""
 
 
 class DendropError(Exception):
@@ -97,3 +97,17 @@ class SchemaError(DendropError):
 
 class BadRationalError(DendropError):
     """Malformed scalar literal (e.g. zero denominator)."""
+
+
+# -- refusing an argument of the wrong class ---------------------------------
+
+def _with_article(noun: str) -> str:
+    """``noun`` after its indefinite article: "an algebra", "a DendriformDi"."""
+    return ("an " if noun[0] in "aeiouAEIOU" else "a ") + noun
+
+
+def _expect(obj, cls) -> None:
+    """Refuse ``obj`` unless it is exactly a ``cls``, a class named by its ``_noun``."""
+    if type(obj) is not cls:
+        raise KindMismatchError(f"expected {_with_article(cls._noun)}, "
+                                f"got {_with_article(type(obj).__name__)}")

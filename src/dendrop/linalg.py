@@ -4,8 +4,9 @@ Vectors are plain tuples of field values.  All arithmetic goes through one
 kernel, ``_combine``: a linear combination of vectors, summed exactly and
 reduced mod p once per vector (never per scalar operation).  Products
 and scalings of matrices and tensors, ``matvec`` and the row operations
-of elimination are all calls to it.  Elimination is exact
-Gaussian elimination with a deterministic pivot rule (lowest column index
+of elimination are all calls to it, and so is ``_transport``, which moves
+every bilinear table (products, actions) along linear maps.  Elimination
+is exact Gaussian elimination with a deterministic pivot rule (lowest column index
 first, then lowest row), so identical inputs always give identical outputs.
 """
 
@@ -17,7 +18,7 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import (ArgumentError, DimensionMismatchError, NoSolutionError,
-                     NotInvertibleError, SingularMatrixError)
+                     NotInvertibleError, SingularMatrixError, _expect)
 from .fields import FieldSpec, same_field
 
 
@@ -43,6 +44,23 @@ def _combine(coeffs: Sequence, vecs: Sequence, p, zero, at=None) -> tuple:
     if out is None:
         return (zero,) * len(vecs[0] if at is None else vecs[0][at]) if vecs else ()
     return tuple(map(p.__rmod__, out)) if p else tuple(out)
+
+
+def _transport(field: FieldSpec, table, left, right, post) -> tuple:
+    """Nested table of (x, y) -> post(T(left x, right y)), ``table[a][b]`` being T(e_a, e_b).
+
+    Each map is a list of columns, not necessarily square; None is the
+    identity.  Each step is one ``_combine`` per entry.
+    """
+    p, zero = field.p, field.zero
+    if right is not None:
+        table = tuple(tuple(_combine(v, row, p, zero) for v in right) for row in table)
+    if left is not None:
+        ys = range(len(table[0]) if table else 0)
+        table = tuple(tuple(_combine(u, table, p, zero, y) for y in ys) for u in left)
+    if post is not None:
+        table = tuple(tuple(_combine(w, post, p, zero) for w in row) for row in table)
+    return table
 
 
 _INT, _FRACTION = frozenset((int,)), frozenset((Fraction,))
@@ -71,6 +89,7 @@ class Matrix:
     check finds them all field scalars already (``_in_field``).
     """
 
+    _noun = "matrix"
     field: FieldSpec
     entries: tuple
 
@@ -214,11 +233,13 @@ def _require_invertible(M: Matrix, field: FieldSpec, n: int, what: str,
     """Refuse ``M`` unless it is an invertible n x n matrix over ``field``.
 
     The one refusal rule for witness and transport matrices, in a fixed
-    order: the field (``FieldMismatchError``), then the shape
-    (``DimensionMismatchError``), then the rank (``NotInvertibleError``).
-    With ``inverse`` the rank is read off the elimination that inverts
-    ``M``, and M^{-1} is returned; without it, off ``_full_rank``.
+    order: the class (``KindMismatchError``), the field
+    (``FieldMismatchError``), then the shape (``DimensionMismatchError``),
+    then the rank (``NotInvertibleError``).  With ``inverse`` the rank is
+    read off the elimination that inverts ``M``, and M^{-1} is returned;
+    without it, off ``_full_rank``.
     """
+    _expect(M, Matrix)
     same_field(field, M.field)
     if M.rows != n or M.cols != n:
         raise DimensionMismatchError(f"{what} must be {n} x {n}, got {M.rows} x {M.cols}")

@@ -30,13 +30,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (DimensionMismatchError, KindMismatchError,
-                     NotIntertwiningError, NotMultiplicativeError)
+                     NotIntertwiningError, NotMultiplicativeError, _expect, _with_article)
 from .fields import same_field
-from .linalg import Matrix, StructureTensor, _combine, _require_invertible
+from .linalg import Matrix, StructureTensor, _combine, _require_invertible, _transport
 from .structures import (Algebra, Bimodule, BimoduleAlgebra, DEFAULT_MAX_VIOLATIONS,
                          ValidationReport, canonical_bimodule, _Checked,
-                         _expect, _homomorphism_failures, _keep, _known, _require, _transpose,
-                         _validate, _with_article)
+                         _homomorphism_failures, _keep, _known, _require, _transpose,
+                         _validate)
 
 MODULE = "module"
 ALGEBRA = "algebra"
@@ -121,24 +121,16 @@ def _expect_kind(op: OOperator, kind: str) -> None:
 # -- validators -----------------------------------------------------------------
 
 def _induced(field, acols, left, right, weight=None, product=None):
-    """Per-pair rows of the products an operator induces on its source.
+    """The star product an operator induces on its source, as a function of a basis pair.
 
     ``acols`` are the operator's columns, ``left``/``right`` action tables
     (``left[t][j] = l(b_t) e_j``, ``right[i][t] = e_i r(b_t)``) and
-    ``product`` the source product's table.  Returns three functions of a
-    source basis pair (i, j): ``b_i < b_j = b_i r(alpha b_j)``,
-    ``b_i > b_j = l(alpha b_i) b_j`` and the star
-    ``b_i < b_j + b_i > b_j + weight (b_i o b_j)``.
+    ``product`` the source product's table.  The star of (i, j) is
+    ``b_i r(alpha b_j) + l(alpha b_i) b_j + weight (b_i o b_j)``, the sum
+    of the products ``constructions._domain_products`` builds as tables.
     """
     p, zero = field.p, field.zero
     left_t = _transpose(left)
-
-    def prec(i, j):
-        return _combine(acols[j], right[i], p, zero)
-
-    def succ(i, j):
-        return _combine(acols[i], left_t[j], p, zero)
-
     if weight:
         def star(i, j):
             return _combine(acols[j] + acols[i] + (weight,),
@@ -146,7 +138,7 @@ def _induced(field, acols, left, right, weight=None, product=None):
     else:
         def star(i, j):
             return _combine(acols[j] + acols[i], right[i] + left_t[j], p, zero)
-    return prec, succ, star
+    return star
 
 
 def _o_relation_row(field, axiom: str, target, acols, left, right, weight=None, product=None):
@@ -155,7 +147,7 @@ def _o_relation_row(field, axiom: str, target, acols, left, right, weight=None, 
     ``target`` is the codomain's product table; the other arguments are
     those of ``_induced``.
     """
-    return axiom, acols, _induced(field, acols, left, right, weight, product)[2], target, False
+    return axiom, acols, _induced(field, acols, left, right, weight, product), target, False
 
 
 def _o_relation_failures(field, *row):
@@ -255,26 +247,25 @@ def _domain_morphism_failures(g: Matrix, source, target):
     and for algebra kind, on source basis pairs (j, k):
       intertwine_product  g(u o1 v) = g(u) o g(v)
 
-    Only the product law is a row of the homomorphism scan.  The two
-    intertwining laws stay written out: the frozen report order interleaves
-    them, left then right, for each (i, k), while a scan runs one row to
-    the end before the next, so as rows they would reorder every report.
+    Each side of an intertwining law is an action table moved along g, on
+    its values or on its module argument (``_transport``).  Only the
+    product law is a row of the homomorphism scan: the frozen report order
+    interleaves the other two, left then right, for each (i, k), while a
+    scan runs one row to the end before the next.
     """
-    n = source.algebra.dim
-    m = source.dim
-    for i in range(n):
-        lg = g.mul(source.left[i])
-        gl = target.left[i].mul(g)
-        rg = g.mul(source.right[i])
-        gr = target.right[i].mul(g)
-        for k in range(m):
-            if lg.col(k) != gl.col(k):
-                yield "intertwine_left", (i, k), lg.col(k), gl.col(k)
-            if rg.col(k) != gr.col(k):
-                yield "intertwine_right", (i, k), rg.col(k), gr.col(k)
+    f, gcols = g.field, _transpose(g.entries)
+    (left1, right1), (left2, right2) = source._action_tables, target._action_tables
+    lg, gl = _transport(f, left1, None, None, gcols), _transport(f, left2, None, gcols, None)
+    rg, gr = _transport(f, right1, None, None, gcols), _transport(f, right2, gcols, None, None)
+    for i in range(source.algebra.dim):
+        for k in range(source.dim):
+            if lg[i][k] != gl[i][k]:
+                yield "intertwine_left", (i, k), lg[i][k], gl[i][k]
+            if rg[k][i] != gr[k][i]:
+                yield "intertwine_right", (i, k), rg[k][i], gr[k][i]
     if isinstance(source, BimoduleAlgebra) and isinstance(target, BimoduleAlgebra):
-        yield from _homomorphism_failures(g.field, (
-            ("intertwine_product", _transpose(g.entries), source.product.row,
+        yield from _homomorphism_failures(f, (
+            ("intertwine_product", gcols, source.product.row,
              target.product.entries, True),))
 
 
@@ -304,6 +295,7 @@ def compose_with_domain_iso(op: OOperator, g: Matrix, source) -> OOperator:
     are bilinear and g is bijective, so one holds on all basis pairs
     exactly when the other does.
     """
+    _expect(op, OOperator)
     _comparable_domains(source, op.domain)
     pulled_from = vars(source).get("_pulled_back", (None, None))
     if pulled_from[0] is not op.domain or pulled_from[1] is not g:
@@ -319,25 +311,19 @@ def twist_by_range_automorphism(op: OOperator, fmat: Matrix) -> OOperator:
     Returns f o alpha on the same underlying space, with both actions
     precomposed with f^{-1} (the action of x becomes the action of f^{-1}x).
     """
+    _expect(op, OOperator)
     finv = _require_invertible(fmat, op.field, op.codomain.dim,
                                "range automorphism candidate f", inverse=True)
     bad = multiplicativity_failure(fmat, op.codomain)
     if bad is not None:
         raise NotMultiplicativeError(f"f is not multiplicative at basis pair {bad}")
-    f = op.field
-    old = op.domain.base if op.kind == ALGEBRA else op.domain
-
-    def twist(mats):
-        # action of b_i becomes sum_s finv[s][i] mats[s], built row by row
-        rows = tuple(zip(*(M.entries for M in mats)))
-        return tuple(Matrix(f, tuple(_combine(coeffs, rs, f.p, f.zero) for rs in rows))
-                     for coeffs in finv.columns())
-
-    new_base = Bimodule(op.codomain, twist(old.left), twist(old.right))
+    f, fcols = op.field, _transpose(finv.entries)
+    left, right = op.domain._action_tables
+    # the acting argument of each action table moves along f^{-1}
+    new_domain = Bimodule._from_tables(op.codomain, _transport(f, left, fcols, None, None),
+                                       _transport(f, right, None, fcols, None))
     if op.kind == ALGEBRA:
-        new_domain = BimoduleAlgebra(new_base, op.domain.product)
-    else:
-        new_domain = new_base
+        new_domain = BimoduleAlgebra(new_domain, op.domain.product)
     return OOperator(new_domain, op.codomain, fmat.mul(op.matrix), op.weight)
 
 
@@ -354,18 +340,14 @@ def pullback_domain(domain, h: Matrix):
         raise KindMismatchError(f"expected a bimodule or bimodule algebra, "
                                 f"got {_with_article(type(domain).__name__)}")
     hinv = _require_invertible(h, domain.field, domain.dim, "pullback matrix h", inverse=True)
-    base = domain.base if isinstance(domain, BimoduleAlgebra) else domain
-    left = tuple(hinv.mul(M).mul(h) for M in base.left)
-    right = tuple(hinv.mul(M).mul(h) for M in base.right)
-    pulled = Bimodule(domain.algebra, left, right)
+    f, hcols, back = domain.field, _transpose(h.entries), _transpose(hinv.entries)
+    left, right = domain._action_tables
+    # every module argument moves along h and every module value back along h^{-1}
+    pulled = Bimodule._from_tables(domain.algebra, _transport(f, left, None, hcols, back),
+                                   _transport(f, right, hcols, None, back))
     if isinstance(domain, BimoduleAlgebra):
-        m = domain.dim
-        hcols = [h.col(j) for j in range(m)]
-        rows = []
-        for j in range(m):
-            rows.append(tuple(hinv.matvec(domain.product.apply(hcols[j], hcols[k]))
-                              for k in range(m)))
-        pulled = BimoduleAlgebra(pulled, StructureTensor(domain.field, tuple(rows)))
+        product = _transport(f, domain.product.entries, hcols, hcols, back)
+        pulled = BimoduleAlgebra(pulled, StructureTensor(f, product))
     # the objects themselves, compared by identity; an id() could be reused
     vars(pulled)["_pulled_back"] = (domain, h)
     return pulled

@@ -53,7 +53,7 @@ from itertools import combinations, product
 from operator import attrgetter
 from typing import Sequence
 
-from .errors import DimensionMismatchError, KindMismatchError, NotAssociativeError
+from .errors import DimensionMismatchError, NotAssociativeError, _expect
 from .fields import FieldSpec, same_field
 from .linalg import Matrix, StructureTensor, _combine
 
@@ -140,18 +140,6 @@ def _known(obj) -> bool | None:
     return vars(obj).get("_holds")
 
 
-def _with_article(noun: str) -> str:
-    """``noun`` after its indefinite article: "an algebra", "a DendriformDi"."""
-    return ("an " if noun[0] in "aeiouAEIOU" else "a ") + noun
-
-
-def _expect(obj, cls) -> None:
-    """Refuse ``obj`` unless it is exactly a ``cls``, a checked class named by its ``_noun``."""
-    if type(obj) is not cls:
-        raise KindMismatchError(f"expected {_with_article(cls._noun)}, "
-                                f"got {_with_article(type(obj).__name__)}")
-
-
 def _validate(obj, cls, kind: str, max_violations: int = DEFAULT_MAX_VIOLATIONS,
               early_stop: bool = False) -> ValidationReport:
     """Report on the failures of ``obj``, once it is a ``cls``, and keep its verdict on it."""
@@ -230,9 +218,9 @@ class Algebra(_Tables):
 
     Structures are immutable, so data derived from their fields (here the
     canonical bimodule, on every checked object its verdict ``_holds``, on
-    ``Bimodule`` the action tables) is computed on first use and kept on
-    the instance.  It takes no part in equality, hashing, ``repr`` or
-    documents, which read the fields only.
+    ``Bimodule`` the action tables, unless ``_from_tables`` was given them)
+    is computed on first use and kept on the instance.  It takes no part
+    in equality, hashing, ``repr`` or documents, which read the fields only.
     """
 
     _noun = "algebra"
@@ -250,8 +238,7 @@ class Algebra(_Tables):
         _require_holds(self, NotAssociativeError,
                        "algebra is not associative (first violation at {indices})")
         c = self.product
-        left, right = _action_matrices(self.field, c.entries, c.entries)
-        return BimoduleAlgebra(Bimodule(self, left, right), c)
+        return BimoduleAlgebra(Bimodule._from_tables(self, c.entries, c.entries), c)
 
 
 @dataclass(frozen=True)
@@ -288,6 +275,15 @@ class Bimodule(_Checked):
     @property
     def dim(self) -> int:
         return self.left[0].rows if self.left else 0
+
+    @classmethod
+    def _from_tables(cls, algebra: Algebra, left, right) -> "Bimodule":
+        """The bimodule with action tables ``left`` and ``right``, kept as given."""
+        f = algebra.field
+        bm = cls(algebra, tuple(Matrix.from_columns(f, cols) for cols in left),
+                 tuple(Matrix.from_columns(f, cols) for cols in _transpose(right)))
+        vars(bm)["_action_tables"] = (left, right)
+        return bm
 
     @cached_property
     def _action_tables(self) -> tuple:
@@ -418,12 +414,6 @@ def _table_sum(field: FieldSpec, tables: Sequence) -> tuple:
     ones = (1,) * len(tables)
     return tuple(tuple(_combine(ones, rows, p, zero) for rows in zip(*planes))
                  for planes in zip(*tables))
-
-
-def _action_matrices(field: FieldSpec, left, right) -> tuple:
-    """Inverse of ``Bimodule._action_tables``: the per-basis-element action matrices."""
-    return (tuple(Matrix.from_columns(field, cols) for cols in left),
-            tuple(Matrix.from_columns(field, cols) for cols in _transpose(right)))
 
 
 def _composition_failures(field: FieldSpec, tables: Sequence, groups):

@@ -9,8 +9,8 @@ from dendrop.errors import (DendropError, DimensionMismatchError, FieldMismatchE
                             InvalidDendriformError, InvalidOperatorError, KernelNotIdealError,
                             KindMismatchError, SingularMatrixError)
 from dendrop.linalg import Matrix, StructureTensor
-from helpers import (F2, F3, Q, diag, kx2, kx3, n2, random_invertible, rb_operator_stock,
-                     split2, zero_algebra)
+from helpers import (F2, F3, Q, diag, invertible_operator_suite, kx2, kx3, n2, operator_suite,
+                     random_invertible, rb_operator_stock, split2, zero_algebra)
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -317,6 +317,17 @@ def test_range_tri_of_canonical_operator_recovers_input():
                                  {(1, 1, 0): ONE})
     _, op = dp.canonical_operator_from_tri(tri)
     assert dp.range_dendriform_tri(op) == tri
+
+
+def test_alpha_is_an_isomorphism_from_the_domain_onto_the_range_structure():
+    # checked by the homomorphism scan of verify_dendriform_iso, not by the transport
+    ops = invertible_operator_suite(count=40)[0]
+    ops += [op for _, op in operator_suite(min_cases=200)
+            if op.matrix.is_square and dp.rank(op.matrix) == op.codomain.dim]
+    assert len(ops) == 40 + 134
+    for op in ops:
+        domain, rng = dp.domain_dendriform_tri(op), dp.range_dendriform_tri(op)
+        assert dp.verify_dendriform_iso(domain, rng, op.matrix).passed
 
 
 def test_range_tri_zero_map_is_singular():

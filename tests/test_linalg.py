@@ -6,7 +6,7 @@ from hypothesis import given, seed, settings, strategies as st
 import dendrop as dp
 from dendrop.errors import (DimensionMismatchError, FieldMismatchError,
                             NoSolutionError, SingularMatrixError)
-from dendrop.linalg import (Matrix, StructureTensor, column_space_basis,
+from dendrop.linalg import (Matrix, StructureTensor, _transport, column_space_basis,
                             in_span, invert, kernel_basis, rank, solve)
 from helpers import F2, F3, F5, Q, diag
 
@@ -415,3 +415,30 @@ def test_kernel_ops_match_a_schoolbook_reference(field, r, c, k, data):
             assert _ref_mul(field, inv, A.entries, r) == ident
             _assert_scalars(field, (x for row in inv for x in row))
 
+
+
+@seed(20261019)
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([Q, F5]), st.integers(1, 3), st.integers(0, 4), st.integers(0, 4),
+       st.integers(1, 4), st.data())
+def test_transport_matches_apply_and_matvec(field, n, xs, ys, d, data):
+    """``_transport`` against the naive bilinear extension, with None and non-square maps."""
+    T = StructureTensor(field, tuple(_draw_rows(data, field, n, n) for _ in range(n)))
+    identity = Matrix.identity(field, n)
+
+    def columns(count):
+        # an n x count map given by its columns, or None for the identity
+        return None if data.draw(st.booleans()) else list(_draw_rows(data, field, count, n))
+
+    left, right = columns(xs), columns(ys)
+    P = None if data.draw(st.booleans()) else Matrix(field, _draw_rows(data, field, d, n))
+    got = _transport(field, T.entries, left, right, None if P is None else P.columns())
+
+    lcols = identity.columns() if left is None else left
+    rcols = identity.columns() if right is None else right
+    want = tuple(tuple((identity if P is None else P).matvec(T.apply(u, v)) for v in rcols)
+                 for u in lcols)
+    assert got == want
+    for row in got:
+        for w in row:
+            _assert_scalars(field, w)

@@ -219,6 +219,33 @@ def test_twist_rejects_non_multiplicative():
         dp.twist_by_range_automorphism(op, Matrix.zeros(Q, 2, 2))
 
 
+def _wrong_class_calls():
+    rb = dp.RotaBaxterOperator(n2(), diag(Q, Fraction(1, 4), Fraction(1, 2)), ZERO)
+    op = dp.rb_as_o_operator(rb)
+    d, one = dp.catalogue_entry("rb-4").structure, Matrix.identity(Q, 2)
+    operator = "expected an O-operator, got a RotaBaxterOperator"
+    matrix = "expected a matrix, got an Algebra"
+    return {
+        "kernel-ideal-of-algebra": (lambda: dp.kernel_ideal_check(n2()),
+                                    "expected an O-operator, got an Algebra"),
+        "twist-rb": (lambda: dp.twist_by_range_automorphism(rb, one), operator),
+        "compose-rb": (lambda: dp.compose_with_domain_iso(rb, one, op.domain), operator),
+        "operator-iso-rb": (lambda: dp.verify_operator_iso(rb, op, one), operator),
+        "operator-iso-rb-second": (lambda: dp.verify_operator_iso(op, rb, one), operator),
+        "homomorphism-rb": (lambda: dp.check_operator_homomorphism(rb, d), operator),
+        "pullback-along-algebra": (lambda: dp.pullback_domain(op.domain, n2()), matrix),
+        "dendriform-iso-along-algebra": (lambda: dp.verify_dendriform_iso(d, d, n2()), matrix),
+    }
+
+
+@pytest.mark.parametrize("case", list(_wrong_class_calls()))
+def test_operator_functions_refuse_an_argument_of_another_class(case):
+    call, message = _wrong_class_calls()[case]
+    with pytest.raises(KindMismatchError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_pullback_refuses_a_structure_that_is_not_a_bimodule():
     d = dp.catalogue_entry("rb-4").structure
     for domain, got in ((n2(), "an Algebra"), (d, "a DendriformDi")):
