@@ -1,9 +1,10 @@
 """Exhaustive classification over prime fields in low dimension.
 
-Every enumeration here, and the walk over GL_n(F_p) in ``equivalence``, is
-one depth-first search over partial assignments (``_search``): orderly
-generation in the sense of Read 1978, without isomorph rejection.  Level
-``t`` fixes one entry, trying the values ``choices(t)`` in order; the
+Every enumeration here, and the walk over GL_n(F_p) (``_gl_choices``, which
+``equivalence`` imports), is one depth-first search over partial
+assignments (``_search``): orderly generation in the sense of Read 1978,
+with isomorph rejection only at the star stage of the dialgebras (below).
+Level ``t`` fixes one entry, trying the values ``choices(t)`` in order; the
 choices may read the entries fixed above.  Each instance of an identity is
 tested, with the arithmetic of the validators' scans (``_combine``), at the
 first node where every entry it reads is fixed.  A failing instance cuts
@@ -39,14 +40,23 @@ Dendriform dialgebras are fibred over their associative star products
 ``x * y = x < y + x > y``: the dialgebra axioms make the star associative
 (every dialgebra comes from the identity O-operator onto its star), so
 searching every ``prec`` under each associative star, with ``succ = star -
-prec``, reaches every dialgebra.
+prec``, reaches every dialgebra.  A dialgebra isomorphism is also an
+isomorphism of the stars, so the fibre over g.A is g applied to the fibre
+over A, where g.T is the table of (x, y) -> g T(g^-1 x, g^-1 y).  The stars
+are therefore split into their GL_n(F_p) orbits first (``_star_orbits``,
+one walk of GL), the fibre is searched over each orbit's least star only,
+and each of its dialgebras is moved along g to every other star g.A of the
+orbit (``_moved``, on ``linalg._transport``).  An invertible map keeps the
+axioms, so every moved dialgebra keeps the verdict of the one searched.
+This is isomorph rejection at the star stage (McKay 1998): 28 stars in 8
+orbits at (2, 2), 121 in 8 at (2, 3), 1,688 in 28 at (3, 2).
 
 Worker processes split the product search and the fibre stage: the
-vectors of the first pair, and the star products.  A public call starts at
-most one process pool (the image experiment's stages share it), capped at
-the CPU count and the number of first-level choices.  Parts are merged in
-order and results sorted lexicographically by their flattened entries, so
-parallel and serial runs produce identical lists.  Rota-Baxter searches run
+vectors of the first pair, and the orbit representatives.  A public call
+starts at most one process pool (the image experiment's stages share it),
+capped at the CPU count and the number of first-level choices.  Parts are
+merged in order and results sorted lexicographically by their flattened
+entries, so parallel and serial runs produce identical lists.  Rota-Baxter searches run
 in-process: each searches one algebra's ``p^(n^2)`` matrices, too small a
 space for a pool to pay for its start.
 
@@ -73,7 +83,7 @@ from .constructions import canonical_operator_from_di, domain_dendriform_di
 from .errors import (ArgumentError, BudgetExceededError, FieldNotFiniteError,
                      InvalidDendriformError)
 from .fields import prime_field
-from .linalg import Matrix, StructureTensor, _combine
+from .linalg import Matrix, StructureTensor, _combine, _transport, invert
 from .operators import RotaBaxterOperator, _o_relation_row, rb_as_module_operator
 from .structures import _ASSOCIATIVITY, _DENDRIFORM_DI, Algebra, DendriformDi, _keep
 
@@ -247,6 +257,65 @@ def _column_leaves(p: int, cols: list, rows, choices):
                    lambda: tuple(cols))
 
 
+# -- the general linear group ---------------------------------------------------------
+
+def _span_with(span: set, v: tuple, p: int) -> set:
+    """The span of ``span`` and ``v``, as a set of coordinate tuples."""
+    return {tuple((a + c * b) % p for a, b in zip(w, v)) for w in span for c in range(p)}
+
+
+def _gl_choices(p: int, cols: list):
+    """Level t of the GL walk: the vectors of ``among`` outside the span of ``cols[:t]``.
+
+    A matrix is invertible exactly when each of its vectors lies outside
+    the span of those before it.
+    """
+    n = len(cols)
+    spans = [{(0,) * n}] * (n + 1)
+
+    def choices(t, among):
+        if t:
+            spans[t] = _span_with(spans[t - 1], cols[t - 1], p)
+        span = spans[t]
+        return [v for v in among if v[0] not in span]
+
+    return choices
+
+
+def _moved(field, table, g, inverse):
+    """T moved along g: the table of (x, y) -> g T(g^-1 x, g^-1 y).
+
+    g and its inverse are given by their columns, None for the identity.
+    """
+    return _transport(field, table, inverse, inverse, g)
+
+
+def _star_orbits(field, n: int, stars: list) -> list:
+    """The GL_n(F_p) orbits of the tables ``stars``, each a list of (j, g, g^-1).
+
+    Each orbit starts with its least star r, as (r, None, None); every other
+    entry names a star j of the orbit and the first g the GL walk reaches
+    with ``stars[j] = _moved(stars[r], g, g^-1)``.  GL is walked once.
+    ``stars`` holds every associative table, a set that moving along any g
+    maps onto itself, so every image is a star.
+    """
+    p = field.p
+    cols = [(0,) * n] * n
+    # a leaf read as rows is g^T, whose inverse (g^-1)^T has the columns of g^-1 as rows
+    gl = [(g, invert(Matrix(field, g)).entries)
+          for g in _column_leaves(p, cols, (), _gl_choices(p, cols))]
+    index = {star: j for j, star in enumerate(stars)}
+    orbits, seen = [], set()
+    for r, star in enumerate(stars):
+        if r not in seen:
+            orbit = {r: (None, None)}
+            for g, inverse in gl:
+                orbit.setdefault(index[_moved(field, star, g, inverse)], (g, inverse))
+            seen.update(orbit)
+            orbits.append([(j, g, inverse) for j, (g, inverse) in orbit.items()])
+    return orbits
+
+
 # -- search parts (top level so worker processes can unpickle them) ---------------------
 
 def _assoc_part(args):
@@ -258,15 +327,15 @@ def _assoc_part(args):
 
 
 def _fibre_part(args):
-    """(prec, succ) table pairs with ``prec + succ`` one of ``stars[start:stop]``."""
+    """The (prec, succ) table pairs over each star of ``stars[start:stop]``, one list per star."""
     p, n, stars, start, stop = args
     vectors = list(product(range(p), repeat=n))
-    leaves = []
+    fibres = []
     for star in stars[start:stop]:
         choices = [[(a, tuple((s - c) % p for s, c in zip(star[u][v], a))) for a in vectors]
                    for u in range(n) for v in range(n)]
-        leaves += _table_leaves(p, n, _DENDRIFORM_DI, choices, 2, (star,))
-    return leaves
+        fibres.append(list(_table_leaves(p, n, _DENDRIFORM_DI, choices, 2, (star,))))
+    return fibres
 
 
 def _worker_count(requested: int, total: int) -> int:
@@ -364,12 +433,23 @@ def enumerate_dendriform_di(dim: int, p: int, budget: int | None = None,
 
 
 def _dendriform_di(field, dim: int, budget, chunks: _Chunks, stars: list) -> list:
-    """The dialgebras whose star products are the associative tables ``stars``."""
+    """The dialgebras whose star products are the associative tables ``stars``.
+
+    One fibre is searched per GL orbit of stars, and moved to every other
+    star of the orbit by the map that carries the representative there.
+    """
     p = field.p
     _check_budget(p, dim ** 3, budget, len(stars))
-    # every leaf passed every instance of the dialgebra axioms: each verdict is known
+    orbits = _star_orbits(field, dim, stars)
+    fibres = chunks.run(_fibre_part, (p, dim, [stars[orbit[0][0]] for orbit in orbits]),
+                        len(orbits))
+    leaves = [(_moved(field, prec, g, inverse), _moved(field, succ, g, inverse))
+              for orbit, fibre in zip(orbits, fibres) for _, g, inverse in orbit
+              for prec, succ in fibre]
+    # every leaf passed every instance of the dialgebra axioms, or is the image of one that
+    # did under an invertible map, which is a dialgebra isomorphism: each verdict is known
     return [_keep(DendriformDi(StructureTensor(field, prec), StructureTensor(field, succ)), True)
-            for prec, succ in sorted(chunks.run(_fibre_part, (p, dim, stars), len(stars)))]
+            for prec, succ in sorted(leaves)]
 
 
 # -- the image experiment ---------------------------------------------------------------

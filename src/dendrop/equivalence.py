@@ -10,12 +10,13 @@ twisted through f^{-1}).
 Over a prime field, dendriform isomorphism in small dimension is decided
 by the column search of ``enumeration._column_leaves``.  Column t of F is
 taken, in lexicographic order, from the vectors outside the span of the
-columns before it (``_gl_choices``), which gives every invertible matrix
-without a rank computation; ``gl_matrices`` is the same walk with no
-instances, its columns read as rows.  The instances are F(b_i p1 b_j) =
-F(b_i) p2 F(b_j) for each product p, the very rows ``verify_dendriform_iso``
-scans (``_iso_rows``), so every complete matrix the walk reaches is an
-isomorphism, and it reaches all of them.
+columns before it, which gives every invertible matrix without a rank
+computation.  That walk (``_gl_choices``, with ``_span_with``) lives in
+``enumeration``, whose star-orbit stage runs it too; ``gl_matrices`` is the
+same walk with no instances, its columns read as rows.  The instances are
+F(b_i p1 b_j) = F(b_i) p2 F(b_j) for each product p, the very rows
+``verify_dendriform_iso`` scans (``_iso_rows``), so every complete matrix
+the walk reaches is an isomorphism, and it reaches all of them.
 
 The walk is refined by vertex invariants (McKay and Piperno 2014): column
 t is drawn only from the vectors w whose class in the second structure
@@ -45,15 +46,15 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 
 from .errors import (DimensionCapError, DimensionMismatchError, FieldNotFiniteError,
-                     KindMismatchError, SingularMatrixError, _expect, _with_article)
+                     KindMismatchError, SingularMatrixError, _expect)
 from .fields import FieldSpec, same_field
-from .enumeration import _check_dim, _column_leaves
+from .enumeration import _check_dim, _column_leaves, _gl_choices, _span_with
 from .linalg import Matrix, _full_rank, _require_invertible, invert
 from .operators import (ALGEBRA, OOperator, _comparable_domains, _domain_morphism_failures,
                         compose_with_domain_iso, pullback_domain,
                         twist_by_range_automorphism)
-from .structures import (DEFAULT_MAX_VIOLATIONS, DendriformDi, DendriformTri,
-                         ValidationReport, _collect, _homomorphism_failures, _transpose)
+from .structures import (DEFAULT_MAX_VIOLATIONS, ValidationReport, _collect,
+                         _expect_dendriform, _homomorphism_failures, _transpose)
 
 DEFAULT_DIMENSION_CAP = 3
 
@@ -96,9 +97,7 @@ def _iso_rows(d1, d2, fcols) -> list:
 def _dendriform_pair(d1, d2) -> FieldSpec:
     """The common field of two dendriform structures of one kind and dimension."""
     for d in (d1, d2):
-        if not isinstance(d, (DendriformDi, DendriformTri)):
-            raise KindMismatchError(f"expected a dendriform structure, "
-                                    f"got {_with_article(type(d).__name__)}")
+        _expect_dendriform(d)
     if type(d1) is not type(d2):
         raise KindMismatchError("cannot compare a dialgebra with a trialgebra")
     field = same_field(d1.field, d2.field)
@@ -168,29 +167,6 @@ def induced_intertwiner(op1: OOperator, op2: OOperator):
 
 
 # -- exhaustive search over GL_n(F_p) ---------------------------------------------
-
-def _span_with(span: set, v: tuple, p: int) -> set:
-    """The span of ``span`` and ``v``, as a set of coordinate tuples."""
-    return {tuple((a + c * b) % p for a, b in zip(w, v)) for w in span for c in range(p)}
-
-
-def _gl_choices(p: int, cols: list):
-    """Level t of the GL walk: the vectors of ``among`` outside the span of ``cols[:t]``.
-
-    A matrix is invertible exactly when each of its vectors lies outside
-    the span of those before it.
-    """
-    n = len(cols)
-    spans = [{(0,) * n}] * (n + 1)
-
-    def choices(t, among):
-        if t:
-            spans[t] = _span_with(spans[t - 1], cols[t - 1], p)
-        span = spans[t]
-        return [v for v in among if v[0] not in span]
-
-    return choices
-
 
 def _completions(p: int, n: int, r: int) -> int:
     """Ways to extend r independent rows of F_p^n to an invertible matrix."""

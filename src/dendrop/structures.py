@@ -53,7 +53,8 @@ from itertools import combinations, product
 from operator import attrgetter
 from typing import Sequence
 
-from .errors import DimensionMismatchError, NotAssociativeError, _expect
+from .errors import (DimensionMismatchError, KindMismatchError, NotAssociativeError,
+                     _expect, _with_article)
 from .fields import FieldSpec, same_field
 from .linalg import Matrix, StructureTensor, _combine
 
@@ -559,6 +560,13 @@ def validate_bimodule_algebra(ba: BimoduleAlgebra,
 
 
 # -- constructions ----------------------------------------------------------------
+
+def _expect_dendriform(d) -> None:
+    """Refuse ``d`` unless it is a dendriform dialgebra or trialgebra."""
+    if not isinstance(d, (DendriformDi, DendriformTri)):
+        raise KindMismatchError(f"expected a dendriform structure, "
+                                f"got {_with_article(type(d).__name__)}")
+
 
 def star_product(d) -> Algebra:
     """Sum of the dendriform products; associative whenever the axioms hold."""

@@ -162,6 +162,7 @@ def test_split_check_pass_and_fail(tmp_path):
     rb2 = write_doc(tmp_path, "rb2.json", dp.catalogue_entry("rb-2").structure)
     alg = write_doc(tmp_path, "n2.json", n2())
     assert main(["split-check", rb2, alg]) == 0
+    assert main(["split-check", alg, alg]) == 2
     rb4 = write_doc(tmp_path, "rb4.json", dp.catalogue_entry("rb-4").structure)
     zero = write_doc(tmp_path, "zero.json", dp.make_algebra(Q, 2, {}))
     assert main(["split-check", rb4, zero]) == 1

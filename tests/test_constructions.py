@@ -93,6 +93,17 @@ def test_weight_scaling_only_moves_the_dot():
     assert tensors[Fraction(3)].dot == tensors[ONE].dot.scale(Fraction(3))
 
 
+@pytest.mark.parametrize("wrong", [n2(), Matrix.identity(Q, 2)], ids=["Algebra", "Matrix"])
+def test_star_checks_refuse_what_is_not_a_dendriform_structure(wrong):
+    # an algebra's one product would be read as the star, and the check would pass
+    _, op = dp.canonical_operator_from_di(dp.catalogue_entry("rb-2").structure)
+    message = f"^expected a dendriform structure, got an? {type(wrong).__name__}$"
+    with pytest.raises(KindMismatchError, match=message):
+        dp.check_splitting(wrong, n2())
+    with pytest.raises(KindMismatchError, match=message):
+        dp.check_operator_homomorphism(op, wrong)
+
+
 # -- homomorphism check -------------------------------------------------------------------
 
 def test_homomorphism_law_for_constructed_structures():

@@ -317,6 +317,44 @@ def test_dendriform_dim2_f3_validates(dialgebras_f3):
     assert all(a < b for a, b in zip(flats, flats[1:]))
 
 
+# -- one fibre per star orbit ---------------------------------------------------------------
+
+def _stars(dim, p):
+    return enumeration._assoc_part((p, dim, 0, p ** dim))
+
+
+@pytest.mark.parametrize("dim,p", [(1, 5), (2, 2), (2, 3)])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_orbit_fibres_equal_the_search_over_every_star(dim, p, workers):
+    # the second method: one fibre search per star, as before the orbit cut
+    stars = _stars(dim, p)
+    per_star = sorted(leaf for fibre in enumeration._fibre_part((p, dim, stars, 0, len(stars)))
+                      for leaf in fibre)
+    found = dp.enumerate_dendriform_di(dim, p, workers=workers)
+    assert [(d.prec.entries, d.succ.entries) for d in found] == per_star
+
+
+@pytest.mark.parametrize("dim,p,count,orbits", [(0, 2, 1, 1), (1, 5, 5, 2), (2, 2, 28, 8),
+                                                (2, 3, 121, 8)])
+def test_star_orbits_partition_the_stars_by_orbit_stabilizer(dim, p, count, orbits):
+    field = dp.prime_field(p)
+    stars = _stars(dim, p)
+    found = enumeration._star_orbits(field, dim, stars)
+    assert len(stars) == count and len(found) == orbits
+    assert sorted(j for orbit in found for j, _, _ in orbit) == list(range(count))
+    assert all(orbit[0][0] == min(j for j, _, _ in orbit) for orbit in found)
+    # |GL| / |Aut(A)| stars are isomorphic to A, Aut(A) found by the multiplicativity check
+    gl = list(dp.gl_matrices(field, dim))
+    sizes = []
+    for orbit in found:
+        alg = dp.Algebra(StructureTensor(field, stars[orbit[0][0]]))
+        automorphisms = sum(dp.is_multiplicative(g, alg) for g in gl)
+        assert len(gl) % automorphisms == 0
+        sizes.append(len(gl) // automorphisms)
+    assert sizes == [len(orbit) for orbit in found]
+    assert sum(sizes) == count
+
+
 # -- trialgebra rows in the search ------------------------------------------------------------
 
 def _trialgebra_tables(dim, p):
