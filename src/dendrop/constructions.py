@@ -58,10 +58,11 @@ def _domain_products(op: OOperator) -> list:
     """
     f = op.field
     acols = _transpose(op.matrix.entries)
-    left, right = op.domain._action_tables
-    tables = [_transport(f, right, None, acols, None), _transport(f, left, acols, None, None)]
+    dom = op.domain
+    tables = [_transport(f, dom.right, None, acols, None),
+              _transport(f, dom.left, acols, None, None)]
     if op.kind == ALGEBRA:
-        tables.append(op.domain.product.scale(op.weight).entries)
+        tables.append(dom.product.scale(op.weight).entries)
     return tables
 
 
@@ -135,7 +136,7 @@ def _canonical_operator(dend, kind):
     _expect(dend, kind)
     f = dend.field
     alg = star_product(dend)
-    structure = Bimodule._from_tables(alg, dend.succ.entries, dend.prec.entries)
+    structure = Bimodule(alg, dend.succ.entries, dend.prec.entries)
     weight = None
     if kind is DendriformTri:
         structure = BimoduleAlgebra(structure, dend.dot)

@@ -42,7 +42,7 @@ from .errors import (ArgumentError, DocumentSyntaxError, FieldSpecError,
 from .fields import FieldSpec, PRIME, RATIONAL, RATIONALS, prime_field
 from .linalg import Matrix, StructureTensor
 from .structures import (Algebra, Bimodule, BimoduleAlgebra, DendriformDi,
-                         DendriformTri, ValidationReport, Violation)
+                         DendriformTri, ValidationReport, Violation, _transpose)
 from .operators import ALGEBRA, MODULE, OOperator
 
 SCHEMA_VERSION = "1"
@@ -170,12 +170,17 @@ def _sparse_entry(read, dim, rec, triples, here):
     triples[(i, j, k)] = read(_expect(rec, "c", (str, int), here), here)
 
 
-def _flat(field: FieldSpec, rows, cols, raw, where) -> Matrix:
+def _flat_values(field: FieldSpec, rows, cols, raw, where) -> list:
+    """The scalars of a flat row-major rows x cols matrix, in document order."""
     if not isinstance(raw, list) or len(raw) != rows * cols:
         raise SchemaError(f"{where}: dimension mismatch, expected a flat row-major list "
                           f"of {rows}x{cols} = {rows * cols} entries")
     read = _reader(field)
-    vals = [read(c, where, i) for i, c in enumerate(raw)]
+    return [read(c, where, i) for i, c in enumerate(raw)]
+
+
+def _flat(field: FieldSpec, rows, cols, raw, where) -> Matrix:
+    vals = _flat_values(field, rows, cols, raw, where)
     return Matrix(field, tuple(tuple(vals[r * cols:(r + 1) * cols]) for r in range(rows)))
 
 
@@ -263,12 +268,13 @@ def _load_algebra(field, raw, got, where):
 
 
 def _load_actions(field, raw, got, where):
-    """One m x m flat matrix per algebra basis element, m the module's ``dim``."""
+    """One m x m flat matrix per algebra basis element, m the module's ``dim``, as its columns."""
     n, m = got["algebra"].dim, got["dim"]
     if len(raw) != n:
         raise SchemaError(f"{where}: need one matrix per algebra basis element ({n}), "
                           f"got {len(raw)}")
-    return tuple(_flat(field, m, m, mat, f"{where}[{i}]") for i, mat in enumerate(raw))
+    flats = (_flat_values(field, m, m, mat, f"{where}[{i}]") for i, mat in enumerate(raw))
+    return tuple(tuple(tuple(vals[j::m]) for j in range(m)) for vals in flats)
 
 
 def _load_operator_kind(field, raw, got, where):
@@ -324,9 +330,14 @@ def _vector_key(name):
                 lambda vec: [str(c) for c in vec])
 
 
-def _action_key(name, attr):
-    return _Key(name, list, _load_actions, lambda ms: [_flat_strs(M.entries) for M in ms],
-                attr)
+def _action_key(name, attr, swap):
+    """Per algebra basis element b_i, the matrix whose column j is b_i acting on e_j.
+
+    That column is the table entry ``left[i][j]``, or ``right[j][i]`` with ``swap``.
+    """
+    orient = _transpose if swap else tuple
+    return _Key(name, list, lambda *args: orient(_load_actions(*args)),
+                lambda table: [_flat_strs(zip(*cols)) for cols in orient(table)], attr)
 
 
 def _map_key(name, types, what):
@@ -355,8 +366,8 @@ _KEYS = {key.name: key for key in (
     *map(_tensor_key, ("product", "prec", "succ", "dot")),
     _Key("algebra", dict, _load_algebra, _dump_payload),
     _Key("codomain", dict, _load_algebra, _dump_payload),
-    _action_key("left_action", "left"),
-    _action_key("right_action", "right"),
+    _action_key("left_action", "left", False),
+    _action_key("right_action", "right", True),
     _Key("operator_kind", str, _load_operator_kind, attr="kind"),
     _Key("domain", dict, _load_domain,
          lambda dom: _dump_record(_BY_CLASS[type(dom)], dom, skip="algebra")),

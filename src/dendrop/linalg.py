@@ -79,6 +79,23 @@ def _in_field(field: FieldSpec, values: list) -> bool:
     return classes == _FRACTION
 
 
+def _field_table(field: FieldSpec, table) -> tuple:
+    """``table``, nested three deep, as tuples of scalars of ``field``; shapes are unchecked.
+
+    Entries are coerced (``FieldSpec.coerce``) unless one check finds them all
+    field scalars already (``_in_field``).  A level that is not a sequence, such
+    as a ``Matrix`` in place of a plane, raises ``DimensionMismatchError``.
+    """
+    try:
+        ents = tuple(tuple(map(tuple, plane)) for plane in table)
+    except TypeError:
+        raise DimensionMismatchError("expected a table nested three deep") from None
+    if not _in_field(field, list(chain.from_iterable(chain.from_iterable(ents)))):
+        coerce = field.coerce
+        ents = tuple(tuple(tuple(map(coerce, row)) for row in plane) for plane in ents)
+    return ents
+
+
 # -- matrices ----------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -342,18 +359,14 @@ def column_space_basis(M: Matrix) -> list:
 class StructureTensor:
     """Coordinates c[i][j][k] of a bilinear product: b_i * b_j = sum_k c[i][j][k] b_k.
 
-    Entries are coerced into the field (``FieldSpec.coerce``), unless one
-    check finds them all field scalars already (``_in_field``).
+    Entries are coerced into the field by ``_field_table``.
     """
 
     field: FieldSpec
     entries: tuple
 
     def __post_init__(self):
-        ents = tuple(tuple(map(tuple, plane)) for plane in self.entries)
-        if not _in_field(self.field, list(chain.from_iterable(chain.from_iterable(ents)))):
-            coerce = self.field.coerce
-            ents = tuple(tuple(tuple(map(coerce, row)) for row in plane) for plane in ents)
+        ents = _field_table(self.field, self.entries)
         object.__setattr__(self, "entries", ents)
         n = len(ents)
         for plane in ents:
@@ -390,14 +403,6 @@ class StructureTensor:
         f = self.field
         return _combine([a * b if a and b else 0 for a in u for b in v],
                         sum(self.entries, ()), f.p, f.zero)
-
-    def apply_basis_left(self, i: int, v: Sequence) -> tuple:
-        """Coordinates of b_i * v."""
-        return _combine(v, self.entries[i], self.field.p, self.field.zero)
-
-    def apply_basis_right(self, u: Sequence, j: int) -> tuple:
-        """Coordinates of u * b_j."""
-        return _combine(u, self.entries, self.field.p, self.field.zero, j)
 
     def scale(self, c) -> "StructureTensor":
         f = self.field

@@ -108,8 +108,8 @@ class OOperator(_Checked):
         """Failures of the defining relation, of either kind."""
         source_product = (self.weight, self.domain.product.entries) if self.kind == ALGEBRA else ()
         return _o_relation_failures(self.field, "o_" + self.kind, self.codomain.product.entries,
-                                    _transpose(self.matrix.entries), *self.domain._action_tables,
-                                    *source_product)
+                                    _transpose(self.matrix.entries), self.domain.left,
+                                    self.domain.right, *source_product)
 
 
 def _expect_kind(op: OOperator, kind: str) -> None:
@@ -241,9 +241,9 @@ def is_multiplicative(fmat: Matrix, alg: Algebra) -> bool:
 def _domain_morphism_failures(g: Matrix, source, target):
     """Yield the failures of g as a bimodule(-algebra) morphism source -> target.
 
-    Checks, column-wise per algebra basis element i:
-      intertwine_left   g l1_i = l_i g
-      intertwine_right  g rho1_i = rho_i g
+    Checks, per algebra basis element b_i and module basis element e_k:
+      intertwine_left   g(l1(b_i) e_k) = l(b_i) g(e_k)
+      intertwine_right  g(e_k r1(b_i)) = g(e_k) r(b_i)
     and for algebra kind, on source basis pairs (j, k):
       intertwine_product  g(u o1 v) = g(u) o g(v)
 
@@ -254,9 +254,10 @@ def _domain_morphism_failures(g: Matrix, source, target):
     scan runs one row to the end before the next.
     """
     f, gcols = g.field, _transpose(g.entries)
-    (left1, right1), (left2, right2) = source._action_tables, target._action_tables
-    lg, gl = _transport(f, left1, None, None, gcols), _transport(f, left2, None, gcols, None)
-    rg, gr = _transport(f, right1, None, None, gcols), _transport(f, right2, gcols, None, None)
+    lg = _transport(f, source.left, None, None, gcols)
+    gl = _transport(f, target.left, None, gcols, None)
+    rg = _transport(f, source.right, None, None, gcols)
+    gr = _transport(f, target.right, gcols, None, None)
     for i in range(source.algebra.dim):
         for k in range(source.dim):
             if lg[i][k] != gl[i][k]:
@@ -317,11 +318,10 @@ def twist_by_range_automorphism(op: OOperator, fmat: Matrix) -> OOperator:
     bad = multiplicativity_failure(fmat, op.codomain)
     if bad is not None:
         raise NotMultiplicativeError(f"f is not multiplicative at basis pair {bad}")
-    f, fcols = op.field, _transpose(finv.entries)
-    left, right = op.domain._action_tables
+    f, fcols, dom = op.field, _transpose(finv.entries), op.domain
     # the acting argument of each action table moves along f^{-1}
-    new_domain = Bimodule._from_tables(op.codomain, _transport(f, left, fcols, None, None),
-                                       _transport(f, right, None, fcols, None))
+    new_domain = Bimodule(op.codomain, _transport(f, dom.left, fcols, None, None),
+                          _transport(f, dom.right, None, fcols, None))
     if op.kind == ALGEBRA:
         new_domain = BimoduleAlgebra(new_domain, op.domain.product)
     return OOperator(new_domain, op.codomain, fmat.mul(op.matrix), op.weight)
@@ -330,7 +330,7 @@ def twist_by_range_automorphism(op: OOperator, fmat: Matrix) -> OOperator:
 def pullback_domain(domain, h: Matrix):
     """Transport a domain structure along an invertible h so that h becomes an iso.
 
-    Returns the structure S' with actions h^{-1} l h, h^{-1} rho h (and
+    Returns the structure S' with actions h^{-1} l(x) h, h^{-1} r(x) h (and
     product pulled back through h for algebra kind); h : S' -> domain is then
     an isomorphism of bimodule(-algebra) structures by construction.  S'
     records that it was pulled back from ``domain`` along ``h``, which
@@ -341,10 +341,9 @@ def pullback_domain(domain, h: Matrix):
                                 f"got {_with_article(type(domain).__name__)}")
     hinv = _require_invertible(h, domain.field, domain.dim, "pullback matrix h", inverse=True)
     f, hcols, back = domain.field, _transpose(h.entries), _transpose(hinv.entries)
-    left, right = domain._action_tables
     # every module argument moves along h and every module value back along h^{-1}
-    pulled = Bimodule._from_tables(domain.algebra, _transport(f, left, None, hcols, back),
-                                   _transport(f, right, hcols, None, back))
+    pulled = Bimodule(domain.algebra, _transport(f, domain.left, None, hcols, back),
+                      _transport(f, domain.right, hcols, None, back))
     if isinstance(domain, BimoduleAlgebra):
         product = _transport(f, domain.product.entries, hcols, hcols, back)
         pulled = BimoduleAlgebra(pulled, StructureTensor(f, product))

@@ -1,10 +1,11 @@
 """Algebraic structures on structure constants, and their exhaustive validators.
 
 Everything is finite dimensional over an exact field.  A product is a
-``StructureTensor``; actions are per-basis-element matrices.  Validators
-scan every basis instance of every defining identity (multilinearity makes
-that equivalent to the identity holding on all elements) and report the
-violations found, up to a configurable cap.
+``StructureTensor``; actions are bilinear tables of the same nesting (the
+action layout below).  Validators scan every basis instance of every
+defining identity (multilinearity makes that equivalent to the identity
+holding on all elements) and report the violations found, up to a
+configurable cap.
 
 Every identity the package checks has one of two shapes, and each shape has
 one scan here; an identity is a data row for it.  A scan is a generator
@@ -39,10 +40,13 @@ needs only the verdict, such as the F_p isomorphism search, takes
 ``next(failures, None) is None`` and builds no report and no objects.  A
 construction refuses invalid input through ``_require_holds``.
 
-Right-action orientation: for a basis element ``b_i`` of the acting algebra
-the stored matrix ``rho_i`` realizes ``v r(b_i)`` as ``rho_i @ coords(v)``.
-Consequently the module law ``v r(x*y) = (v r(x)) r(y)`` becomes the matrix
-identity ``rho_{x*y} = rho_y rho_x`` (note the order reversal).
+Action layout: a bimodule over an algebra with basis ``b_i`` holds its
+actions as the tables of the bilinear maps ``l: A x M -> M`` and
+``r: M x A -> M``, each indexed by its arguments in order: ``left[i][j]``
+holds the coordinates of ``l(b_i) e_j`` and ``right[j][i]`` those of
+``e_j r(b_i)``.  The scans read them as they read a product table.
+Documents keep one flat matrix per basis element instead
+(``documents``), and convert at that boundary only.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from typing import Sequence
 from .errors import (DimensionMismatchError, KindMismatchError, NotAssociativeError,
                      _expect, _with_article)
 from .fields import FieldSpec, same_field
-from .linalg import Matrix, StructureTensor, _combine
+from .linalg import StructureTensor, _combine, _field_table
 
 DEFAULT_MAX_VIOLATIONS = 5
 
@@ -218,8 +222,7 @@ class Algebra(_Tables):
     """Bilinear product on a finite free module; associativity is checked, not assumed.
 
     Structures are immutable, so data derived from their fields (here the
-    canonical bimodule, on every checked object its verdict ``_holds``, on
-    ``Bimodule`` the action tables, unless ``_from_tables`` was given them)
+    canonical bimodule, on every checked object its verdict ``_holds``)
     is computed on first use and kept on the instance.  It takes no part
     in equality, hashing, ``repr`` or documents, which read the fields only.
     """
@@ -239,16 +242,17 @@ class Algebra(_Tables):
         _require_holds(self, NotAssociativeError,
                        "algebra is not associative (first violation at {indices})")
         c = self.product
-        return BimoduleAlgebra(Bimodule._from_tables(self, c.entries, c.entries), c)
+        return BimoduleAlgebra(Bimodule(self, c.entries, c.entries), c)
 
 
 @dataclass(frozen=True)
 class Bimodule(_Checked):
     """Module with compatible left and right actions of ``algebra``.
 
-    ``left[i]`` / ``right[i]`` are the m x m action matrices of the i-th
-    basis element of the algebra (see the module docstring for the
-    right-action orientation).
+    ``left[i][j]`` holds the coordinates of ``l(b_i) e_j`` and
+    ``right[j][i]`` those of ``e_j r(b_i)``: an n x m x m and an m x n x m
+    table, n the algebra's dimension and m the module's.  Entries are
+    coerced into the algebra's field like a ``StructureTensor``'s.
     """
 
     _noun = "bimodule"
@@ -257,17 +261,16 @@ class Bimodule(_Checked):
     right: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "left", tuple(self.left))
-        object.__setattr__(self, "right", tuple(self.right))
-        n = self.algebra.dim
-        if len(self.left) != n or len(self.right) != n:
-            raise DimensionMismatchError("need one action matrix per algebra basis element")
-        mats = self.left + self.right
-        m = mats[0].rows if mats else 0
-        for M in mats:
-            if M.rows != m or M.cols != m:
-                raise DimensionMismatchError("action matrices must be square of equal size")
-            same_field(M.field, self.algebra.field)
+        f, n = self.algebra.field, self.algebra.dim
+        left, right = _field_table(f, self.left), _field_table(f, self.right)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        m = len(right)
+        if (len(left) != n or any(len(plane) != m for plane in left)
+                or any(len(row) != n for row in right)
+                or any(len(v) != m for plane in left + right for v in plane)):
+            raise DimensionMismatchError(f"action tables must be {n} x m x m (left) and "
+                                         f"m x {n} x m (right), {n} the algebra's dimension")
 
     @property
     def field(self) -> FieldSpec:
@@ -275,28 +278,12 @@ class Bimodule(_Checked):
 
     @property
     def dim(self) -> int:
-        return self.left[0].rows if self.left else 0
-
-    @classmethod
-    def _from_tables(cls, algebra: Algebra, left, right) -> "Bimodule":
-        """The bimodule with action tables ``left`` and ``right``, kept as given."""
-        f = algebra.field
-        bm = cls(algebra, tuple(Matrix.from_columns(f, cols) for cols in left),
-                 tuple(Matrix.from_columns(f, cols) for cols in _transpose(right)))
-        vars(bm)["_action_tables"] = (left, right)
-        return bm
-
-    @cached_property
-    def _action_tables(self) -> tuple:
-        """Actions as bilinear tables ``left[i][j] = l(b_i) e_j``, ``right[j][i] = e_j r(b_i)``."""
-        left = tuple(_transpose(M.entries) for M in self.left)
-        right = _transpose([_transpose(M.entries) for M in self.right])
-        return left, right
+        return len(self.right)
 
     def _failures(self):
         """Failures of the bimodule laws, on (algebra, algebra, module) basis triples."""
         n, m = self.algebra.dim, self.dim
-        tables = (self.algebra.product.entries, *self._action_tables)
+        tables = (self.algebra.product.entries, self.left, self.right)
         return _composition_failures(self.field, tables, (((n, n, m), _BIMODULE),))
 
 
@@ -326,10 +313,6 @@ class BimoduleAlgebra(_Checked):
         return self.base.right
 
     @property
-    def _action_tables(self) -> tuple:
-        return self.base._action_tables
-
-    @property
     def field(self) -> FieldSpec:
         return self.base.field
 
@@ -340,7 +323,7 @@ class BimoduleAlgebra(_Checked):
     def _failures(self):
         """Failures of the bimodule, compatibility and product associativity laws."""
         n, m = self.algebra.dim, self.dim
-        tables = (self.algebra.product.entries, *self._action_tables, self.product.entries)
+        tables = (self.algebra.product.entries, self.left, self.right, self.product.entries)
         groups = (((n, n, m), _BIMODULE), ((n, m, m), _BIMODULE_ALGEBRA),
                   ((m, m, m), _PRODUCT_ASSOCIATIVITY))
         return _composition_failures(self.field, tables, groups)

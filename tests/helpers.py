@@ -65,6 +65,17 @@ def random_matrix(rng, field, rows, cols):
     return dp.Matrix(field, tuple(random_vector(rng, field, cols) for _ in range(rows)))
 
 
+def action_tables(left, right):
+    """Bimodule action tables from one action matrix per algebra basis element b_i.
+
+    Column j of ``left[i]`` is l(b_i) e_j and column j of ``right[i]`` is
+    e_j r(b_i), as in documents; returns ``(left, right)`` in the layout
+    ``dp.Bimodule`` holds.
+    """
+    return (tuple(M.columns() for M in left),
+            tuple(zip(*(M.columns() for M in right))))
+
+
 def random_invertible(rng, field, n):
     while True:
         M = random_matrix(rng, field, n, n)

@@ -16,7 +16,7 @@ import dendrop as dp
 from dendrop import enumeration
 from dendrop.cli import main
 from dendrop.documents import ResultSet, emit_document, parse_document
-from helpers import F3, Q, diag, n2
+from helpers import F3, Q, action_tables, diag, n2
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -114,7 +114,7 @@ def test_construct_range_invertible(tmp_path):
 
 def test_construct_range_falls_back_to_quotient(tmp_path, capsys):
     z = dp.Matrix.zeros(Q, 2, 2)
-    dom = dp.BimoduleAlgebra(dp.Bimodule(n2(), (z, z), (z, z)),
+    dom = dp.BimoduleAlgebra(dp.Bimodule(n2(), *action_tables((z, z), (z, z))),
                              dp.StructureTensor.zero(Q, 2))
     op = dp.OOperator(dom, n2(), dp.Matrix(Q, ((ONE, ZERO), (ZERO, ZERO))), ZERO)
     path = write_doc(tmp_path, "op.json", op)

@@ -13,7 +13,7 @@ from dendrop.errors import (ArgumentError, BadRationalError, DendropError,
                             DocumentSyntaxError, SchemaError)
 from dendrop.linalg import Matrix, StructureTensor
 from dendrop.structures import ValidationReport, Violation
-from helpers import (F3, F5, Q, n2, random_matrix, random_scalar,
+from helpers import (F3, F5, Q, action_tables, n2, random_matrix, random_scalar,
                      random_vector)
 
 N2_DOC = (b'{"schema_version":"1","field":{"kind":"rational"},'
@@ -151,18 +151,18 @@ def sample_objects(rng):
         alg = dp.Algebra(random_tensor(rng, field, dim))
         m = rng.randint(1, 2)
         acts = [random_matrix(rng, field, m, m) for _ in range(2 * dim)]
-        return dp.Bimodule(alg, tuple(acts[:dim]), tuple(acts[dim:]))
+        return dp.Bimodule(alg, *action_tables(acts[:dim], acts[dim:]))
     if kind == 5:
         alg = dp.Algebra(random_tensor(rng, field, dim))
         m = rng.randint(1, 2)
         acts = [random_matrix(rng, field, m, m) for _ in range(2 * dim)]
-        base = dp.Bimodule(alg, tuple(acts[:dim]), tuple(acts[dim:]))
+        base = dp.Bimodule(alg, *action_tables(acts[:dim], acts[dim:]))
         return dp.BimoduleAlgebra(base, random_tensor(rng, field, m))
     if kind == 6:
         alg = dp.Algebra(random_tensor(rng, field, dim))
         m = rng.randint(1, 2)
         acts = [random_matrix(rng, field, m, m) for _ in range(2 * dim)]
-        base = dp.Bimodule(alg, tuple(acts[:dim]), tuple(acts[dim:]))
+        base = dp.Bimodule(alg, *action_tables(acts[:dim], acts[dim:]))
         if rng.random() < 0.5:
             dom = dp.BimoduleAlgebra(base, random_tensor(rng, field, m))
             return dp.OOperator(dom, alg, random_matrix(rng, field, dim, m),
@@ -216,7 +216,7 @@ def collect_scalars(obj):
         return [c for t in obj.tensors() for c in collect_scalars(t)]
     if isinstance(obj, dp.Bimodule):
         return (collect_scalars(obj.algebra)
-                + [c for M in obj.left + obj.right for c in collect_scalars(M)])
+                + [c for table in obj.left + obj.right for v in table for c in v])
     if isinstance(obj, dp.BimoduleAlgebra):
         return collect_scalars(obj.base) + collect_scalars(obj.product)
     if isinstance(obj, dp.OOperator):
@@ -498,7 +498,7 @@ def payloads(draw, field, kinds=KINDS):
         return alg
     m = draw(st.integers(1, 2))
     acts = [draw(matrices(field, m, m)) for _ in range(2 * dim)]
-    module = dp.Bimodule(alg, tuple(acts[:dim]), tuple(acts[dim:]))
+    module = dp.Bimodule(alg, *action_tables(acts[:dim], acts[dim:]))
     with_product = kind == "bimodule_algebra" or kind == "operator" and draw(st.booleans())
     domain = dp.BimoduleAlgebra(module, draw(tensors(field, m))) if with_product else module
     if kind != "operator":

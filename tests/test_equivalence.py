@@ -12,7 +12,7 @@ from dendrop.errors import (DimensionCapError, DimensionMismatchError, FieldMism
 from dendrop.enumeration import _column_leaves
 from dendrop.equivalence import _completions, _gl_choices, _gl_position, _iso_rows
 from dendrop.linalg import Matrix, rank
-from helpers import (F2, F3, F5, Q, automorphisms_of, diag, kx2, kx3, n2,
+from helpers import (F2, F3, F5, Q, action_tables, automorphisms_of, diag, kx2, kx3, n2,
                      random_invertible, random_vector)
 
 ONE = Fraction(1)
@@ -233,7 +233,7 @@ def _refusal_entries():
     d = dp.catalogue_entry("rb-4").structure
     _, op = dp.canonical_operator_from_di(d)
     zero3 = (Matrix.zeros(Q, 3, 3),) * 2
-    wide = dp.Bimodule(op.codomain, zero3, zero3)
+    wide = dp.Bimodule(op.codomain, *action_tables(zero3, zero3))
     op3 = dp.OOperator(wide, op.codomain, Matrix.zeros(Q, 2, 3))
     eye, eye3 = Matrix.identity(Q, 2), Matrix.identity(Q, 3)
     g23 = Matrix(Q, ((1, 0, 0), (0, 1, 0)))

@@ -204,8 +204,6 @@ def test_structure_tensor_apply():
     t = StructureTensor.from_triples(Q, 2, {(1, 1, 0): Fraction(1)})
     assert t.apply((Fraction(0), Fraction(2)), (Fraction(0), Fraction(3))) == \
         (Fraction(6), Fraction(0))
-    assert t.apply_basis_left(1, (Fraction(0), Fraction(1))) == (Fraction(1), Fraction(0))
-    assert t.apply_basis_right((Fraction(0), Fraction(1)), 1) == (Fraction(1), Fraction(0))
     assert t.nonzero_triples() == [((1, 1, 0), Fraction(1))]
     assert t.scale(Fraction(0)).is_zero()
 
@@ -213,6 +211,10 @@ def test_structure_tensor_apply():
 def test_structure_tensor_shape_checks():
     with pytest.raises(DimensionMismatchError):
         StructureTensor(Q, (((Fraction(0),),),) * 2)
+    # planes of scalars, planes given as matrices, no table at all
+    for entries in (((1, 0), (0, 1)), (Matrix.identity(Q, 2),) * 2, None):
+        with pytest.raises(DimensionMismatchError, match="nested three deep"):
+            StructureTensor(Q, entries)
 
 
 # -- scalar coercion in constructors ------------------------------------------

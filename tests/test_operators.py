@@ -8,7 +8,7 @@ from dendrop.errors import (DimensionMismatchError, FieldMismatchError, KindMism
                             NotIntertwiningError, NotInvertibleError,
                             NotMultiplicativeError)
 from dendrop.linalg import Matrix
-from helpers import (F3, Q, automorphisms_of, diag, kx2, n2,
+from helpers import (F3, Q, action_tables, automorphisms_of, diag, kx2, n2,
                      random_invertible, zero_algebra)
 
 ONE = Fraction(1)
@@ -52,7 +52,7 @@ def test_weight_one_diagonal_on_n2():
 
 def one_dim_module(alg):
     z = Matrix.zeros(alg.field, 1, 1)
-    return dp.Bimodule(alg, (z,) * alg.dim, (z,) * alg.dim)
+    return dp.Bimodule(alg, *action_tables((z,) * alg.dim, (z,) * alg.dim))
 
 
 def test_zero_action_module_operator():

@@ -1,3 +1,4 @@
+import json
 import pickle
 import random
 from dataclasses import fields
@@ -9,11 +10,11 @@ import dendrop as dp
 from dendrop.errors import (BadRationalError, DimensionMismatchError,
                             FieldMismatchError, KindMismatchError, NotAssociativeError)
 from dendrop.linalg import Matrix, StructureTensor
-from dendrop.structures import (validate_associativity, validate_bimodule,
+from dendrop.structures import (Violation, validate_associativity, validate_bimodule,
                                 validate_bimodule_algebra,
                                 validate_dendriform_di,
                                 validate_dendriform_tri)
-from helpers import F2, F3, F5, Q, kx2, n2, zero_algebra
+from helpers import F2, F3, F5, Q, action_tables, kx2, n2, zero_algebra
 
 ONE = Fraction(1)
 
@@ -55,7 +56,7 @@ def test_validator_counts_all_violations_but_caps_details():
 
 def one_dim_zero_bimodule(alg):
     z = Matrix.zeros(alg.field, 1, 1)
-    return dp.Bimodule(alg, (z,) * alg.dim, (z,) * alg.dim)
+    return dp.Bimodule(alg, *action_tables((z,) * alg.dim, (z,) * alg.dim))
 
 
 def test_zero_actions_give_a_bimodule():
@@ -67,7 +68,7 @@ def test_bimodule_laws_of_a_bimodule_algebra_keep_no_verdict_on_it(bimodule_firs
     # zero actions of the 1-dimensional zero algebra on Q^2: a bimodule, but
     # the product e0 e0 = e1, e1 e0 = e0 is not associative
     z = Matrix.zeros(Q, 2, 2)
-    ba = dp.BimoduleAlgebra(dp.Bimodule(zero_algebra(Q, 1), (z,), (z,)),
+    ba = dp.BimoduleAlgebra(dp.Bimodule(zero_algebra(Q, 1), *action_tables((z,), (z,))),
                             StructureTensor.from_triples(Q, 2, {(0, 0, 1): 1, (1, 0, 0): 1}))
     checks = [validate_bimodule, validate_bimodule_algebra]
     if not bimodule_first:
@@ -89,22 +90,21 @@ def test_canonical_bimodule_of_n2():
     assert validate_bimodule(ba.base).passed
     assert validate_bimodule_algebra(ba).passed
     # L(e1) = 0, L(e2): e2 -> e1; R identical by commutativity
-    zero = Matrix.zeros(Q, 2, 2)
-    l2 = Matrix(Q, ((Fraction(0), ONE), (Fraction(0), Fraction(0))))
+    zero, l2 = ((0, 0), (0, 0)), ((0, 0), (1, 0))
     assert ba.left[0] == zero and ba.left[1] == l2
     assert ba.right[0] == zero and ba.right[1] == l2
 
 
 def test_canonical_bimodule_of_kx2():
     ba = dp.canonical_bimodule(kx2())
-    assert ba.left[0] == Matrix.identity(Q, 2)
-    assert ba.left[1] == Matrix(Q, ((Fraction(0), Fraction(0)), (ONE, Fraction(0))))
+    assert ba.left[0] == ((1, 0), (0, 1))   # L(e1) = id
+    assert ba.left[1] == ((0, 1), (0, 0))   # L(e2): e1 -> e2, e2 -> 0
     assert validate_bimodule_algebra(ba).passed
 
 
 def test_canonical_bimodule_of_zero_algebra():
     ba = dp.canonical_bimodule(zero_algebra(Q, 2))
-    assert all(M.is_zero() for M in ba.left + ba.right)
+    assert ba.left == ba.right == (((0, 0), (0, 0)),) * 2
 
 
 def test_canonical_bimodule_requires_associativity():
@@ -137,7 +137,6 @@ def test_derived_data_is_invisible_from_outside():
     kept, fresh = kx2(), kx2()
     before = _observed(kept)
     ba = dp.canonical_bimodule(kept)
-    ba._action_tables
     after = _observed(kept)
     assert after == before == _observed(fresh)
     assert kept == fresh and hash(kept) == hash(fresh)
@@ -198,30 +197,30 @@ def test_derived_data_of_every_table_structure_is_invisible_from_outside(cls):
     assert after[4]._vector_classes == fresh._vector_classes
 
 
-def _transposed_actions(bm):
-    """``left[i][j] = l(b_i) e_j`` and ``right[j][i] = e_j r(b_i)``, read off the matrices."""
-    n, m = bm.algebra.dim, bm.dim
-    return (tuple(tuple(bm.left[i].col(j) for j in range(m)) for i in range(n)),
-            tuple(tuple(bm.right[i].col(j) for i in range(n)) for j in range(m)))
-
-
-def test_cached_action_tables_equal_fresh_transposes():
-    # left and right differ: L_succ and R_prec of rb-5, as a trialgebra with zero dot
-    d = dp.catalogue_entry("rb-5").structure
-    ba, _ = dp.canonical_operator_from_tri(
-        dp.DendriformTri(d.prec, d.succ, StructureTensor.zero(Q, 2)))
-    assert ba.left != ba.right
-    for structure in (ba, ba.base, dp.canonical_bimodule(n2())):
-        assert structure._action_tables == _transposed_actions(structure)
-        assert structure._action_tables is structure._action_tables
-    assert ba._action_tables is ba.base._action_tables
+def test_action_tables_have_one_layout_in_documents_and_scans():
+    # left[i][j] = l(b_i) e_j and right[j][i] = e_j r(b_i); a document holds, per
+    # b_i, the flat row-major matrix whose column j is b_i acting on e_j
+    algebra = dp.make_algebra(Q, 2, {(1, 1, 0): 1})
+    left = (((1, 3), (2, 4)), ((5, 7), (6, 8)))
+    right = (((9, 11), (13, 15)), ((10, 12), (14, 16)))
+    bm = dp.Bimodule(algebra, left, right)
+    assert (bm.left, bm.right, bm.dim) == (left, right, 2)
+    data = dp.emit_document(bm)
+    payload = json.loads(data)["payload"]
+    assert payload["left_action"] == [["1", "2", "3", "4"], ["5", "6", "7", "8"]]
+    assert payload["right_action"] == [["9", "10", "11", "12"], ["13", "14", "15", "16"]]
+    assert dp.parse_document(data).payload == bm
+    report = validate_bimodule(bm)
+    assert report.total_violations == 24
+    # l(b_1 b_1) e_1 = 0, while l(b_1) l(b_1) e_1 = l(b_1)(1, 3) = 1 (1, 3) + 3 (2, 4)
+    assert report.first() == Violation("left_action_mult", (0, 0, 0), (0, 0), (7, 15))
 
 
 def test_broken_left_action_fails_at_named_pair():
     # zero out L(e1) (the unit's action) in the canonical kx2 bimodule:
     # l(e1*e2) = L(e2) is nonzero but l(e1) l(e2) = 0.
     ba = dp.canonical_bimodule(kx2())
-    broken = dp.Bimodule(ba.algebra, (Matrix.zeros(Q, 2, 2), ba.left[1]), ba.right)
+    broken = dp.Bimodule(ba.algebra, (((0, 0), (0, 0)), ba.left[1]), ba.right)
     rep = validate_bimodule(broken)
     assert not rep.passed
     assert any(v.axiom == "left_action_mult" and v.indices[:2] == (0, 1)
@@ -231,8 +230,8 @@ def test_broken_left_action_fails_at_named_pair():
 def test_zeroing_l_e2_still_satisfies_the_laws():
     # replacing L(e2) by zero yields the evaluation action, a genuine bimodule
     ba = dp.canonical_bimodule(kx2())
-    other = dp.Bimodule(ba.algebra, (ba.left[0], Matrix.zeros(Q, 2, 2)),
-                        (ba.right[0], Matrix.zeros(Q, 2, 2)))
+    other = dp.Bimodule(ba.algebra, (ba.left[0], ((0, 0), (0, 0))),
+                        tuple((row[0], (0, 0)) for row in ba.right))
     assert validate_bimodule(other).passed
 
 
@@ -420,5 +419,13 @@ def test_structure_constructor_checks():
         dp.DendriformDi(StructureTensor.zero(Q, 2), StructureTensor.zero(Q, 3))
     with pytest.raises(FieldMismatchError):
         dp.DendriformDi(StructureTensor.zero(Q, 2), StructureTensor.zero(F3, 2))
-    with pytest.raises(DimensionMismatchError):
-        dp.Bimodule(n2(), (Matrix.zeros(Q, 1, 1),), (Matrix.zeros(Q, 1, 1),))
+    zero = ((0, 0), (0, 0))
+    for left, right in [((((0,),),), (((0,),),)),     # one action for two basis elements
+                        ((zero,), (zero, zero)),                  # one left action
+                        ((Matrix.zeros(Q, 2, 2),) * 2, (Matrix.zeros(Q, 2, 2),) * 2),
+                        ((zero, ((0, 0), (0,))), (zero, zero)),   # a short vector
+                        ((zero, ((0, 0),)), (zero, zero)),        # a short plane
+                        ((zero, zero), (zero, ((0, 0),))),        # a short right row
+                        ((zero, zero), (zero,) * 3)]:             # three module rows
+        with pytest.raises(DimensionMismatchError):
+            dp.Bimodule(n2(), left, right)

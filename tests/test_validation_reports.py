@@ -25,7 +25,8 @@ from dendrop.documents import emit_document
 from dendrop.errors import DendropError
 from dendrop.operators import multiplicativity_failure
 
-from helpers import F3, Q, kx2, n2, random_invertible, random_matrix, random_scalar
+from helpers import (F3, Q, action_tables, kx2, n2, random_invertible, random_matrix,
+                     random_scalar)
 
 FIXTURE = Path(__file__).parent / "fixtures" / "validation_reports.json"
 
@@ -47,8 +48,8 @@ def _algebra(rng, field, n):
 
 def _bimodule(rng, field, alg, m):
     n = alg.dim
-    return dp.Bimodule(alg, [random_matrix(rng, field, m, m) for _ in range(n)],
-                       [random_matrix(rng, field, m, m) for _ in range(n)])
+    return dp.Bimodule(alg, *action_tables([random_matrix(rng, field, m, m) for _ in range(n)],
+                                           [random_matrix(rng, field, m, m) for _ in range(n)]))
 
 
 def _transport(t, F):
@@ -196,7 +197,7 @@ def build_reports() -> dict:
         for n, m in ((1, 2), (2, 2)):
             alg = _algebra(rng, field, n)
             zero = dp.Matrix.zeros(field, m, m)
-            ba = dp.BimoduleAlgebra(dp.Bimodule(alg, [zero] * n, [zero] * n),
+            ba = dp.BimoduleAlgebra(dp.Bimodule(alg, *action_tables([zero] * n, [zero] * n)),
                                     _tensor(rng, field, m))
             ops.append(dp.OOperator(ba, alg, random_matrix(rng, field, n, m), field.one))
         for k, op in enumerate(ops):

@@ -19,7 +19,7 @@ from dendrop.errors import (BadRationalError, DendropError, InvalidDendriformErr
                             InvalidOperatorError, KindMismatchError, NotAssociativeError,
                             NotIntertwiningError, NotInvertibleError)
 from dendrop.linalg import Matrix, StructureTensor
-from helpers import F3, Q, diag, kx2, n2, random_invertible, split2
+from helpers import F3, Q, action_tables, diag, kx2, n2, random_invertible, split2
 
 VERDICT = "_holds"
 TABLES = (dp.Algebra, dp.DendriformDi, dp.DendriformTri)
@@ -323,10 +323,10 @@ def _checked_stock():
     z = Matrix.zeros(Q, 2, 2)
     canonical = dp.canonical_bimodule(kx2())
     # identity left actions of n2: l(b0 b0) = 0 but l(b0) l(b0) = id
-    identities = dp.Bimodule(n2(), (Matrix.identity(Q, 2),) * 2, (z, z))
+    identities = dp.Bimodule(n2(), *action_tables((Matrix.identity(Q, 2),) * 2, (z, z)))
     # zero actions, with the product e0 e0 = e1, e1 e0 = e0, which is not associative
     not_associative = dp.BimoduleAlgebra(
-        dp.Bimodule(dp.Algebra(StructureTensor.zero(Q, 1)), (z,), (z,)),
+        dp.Bimodule(dp.Algebra(StructureTensor.zero(Q, 1)), *action_tables((z,), (z,))),
         StructureTensor.from_triples(Q, 2, {(0, 0, 1): 1, (1, 0, 0): 1}))
     module = _twin(dp.canonical_operator_from_di(dp.catalogue_entry("rb-4").structure)[1])
     algebra = _weight_one_sources(Q)[0]
