@@ -54,10 +54,11 @@ def _valid(op: OOperator, kind: str) -> OOperator:
 def _domain_products(op: OOperator) -> list:
     """Tables of the products on the source: the action tables moved along alpha.
 
-    u < v = u r(alpha v), u > v = l(alpha u) v, and u . v = weight (u o v) for algebra kind.
+    u < v = u r(alpha v), u > v = l(alpha u) v, and u . v = weight (u o v) for
+    algebra kind.  An identity alpha is passed as None, which ``_transport`` skips.
     """
     f = op.field
-    acols = _transpose(op.matrix.entries)
+    acols = None if op.matrix.is_identity() else _transpose(op.matrix.entries)
     dom = op.domain
     tables = [_transport(f, dom.right, None, acols, None),
               _transport(f, dom.left, acols, None, None)]
@@ -149,7 +150,7 @@ def _canonical_operator(dend, kind):
     # are both u star v, since star is the table sum of the products: the
     # relation holds by construction.
     op = _keep(OOperator(structure, alg, Matrix.identity(f, dend.dim), weight), True)
-    if _domain_structure(op) != dend:
+    if _domain_products(op) != [t.entries for t in dend.tensors()]:
         raise InvalidDendriformError("canonical operator does not reproduce its input")
     return structure, op
 

@@ -1,15 +1,19 @@
 """Exhaustive classification over prime fields in low dimension.
 
-Every enumeration here, and the walk over GL_n(F_p) (``_gl_choices``, which
-``equivalence`` imports), is one depth-first search over partial
-assignments (``_search``): orderly generation in the sense of Read 1978,
-with isomorph rejection only at the star stage of the dialgebras (below).
-Level ``t`` fixes one entry, trying the values ``choices(t)`` in order; the
-choices may read the entries fixed above.  Each instance of an identity is
-tested, with the arithmetic of the validators' scans (``_combine``), at the
-first node where every entry it reads is fixed.  A failing instance cuts
-its subtree, so every leaf satisfies every instance, and results are built
-only for the leaves.  Two instance families share the engine:
+Every enumeration here, and the walk over GL_n(F_p) (``gl_matrices`` and
+``_gl_choices``, which ``equivalence`` imports), is one depth-first search
+over partial assignments (``_search``): orderly generation in the sense of
+Read 1978, with isomorph rejection only at the star stage of the dialgebras
+(below).  Level ``t`` fixes one entry, trying the values ``choices(t)`` in
+order; the choices may read the entries fixed above.  Each instance of an
+identity is tested, with the arithmetic of the validators' scans
+(``_combine``), at the first node where every entry it reads is fixed.  A
+failing instance cuts its subtree, so every leaf satisfies every instance,
+and results are built only for the leaves.  The instances are the
+validators' own, read from the one walk of each identity shape in
+``structures`` (``_composition_instances``, ``_homomorphism_instances``);
+the searches only file them by level.  Two instance families share the
+engine:
 
 * Product tables (``_table_leaves``), filled one basis pair ``(u, v)`` per
   level, pairs and the vectors ``e_u e_v`` in lexicographic order.  A
@@ -17,24 +21,27 @@ only for the leaves.  Two instance families share the engine:
   ``y d z``, then ``m b z`` for each ``m`` in the support of ``x a y`` and
   ``x c m`` for each ``m`` in the support of ``y d z``: a zero coefficient
   reads no further entries, so sparse partial tables are tested early.
-  The rows are the validators' own: ``_ASSOCIATIVITY``, and for dialgebras
-  ``_DENDRIFORM_DI``, whose star table is fixed in advance and whose
-  ``succ = star - prec`` is fixed with ``prec``.
+  The search takes a validator's tables, None for each free one, and its
+  ``(sizes, rows)`` groups: ``_ASSOCIATIVITY`` on one free table, and for
+  dialgebras ``_DENDRIFORM_DI`` on free ``prec`` and ``succ`` and the star
+  table fixed in advance, ``succ = star - prec`` fixed with ``prec``.
+  Free tables are n x n x n; non-square ones (the actions on a module of
+  another dimension) are not searched yet.
 * Linear maps F (``_column_leaves``), filled one column per level.  The
-  rows are the validators' homomorphism rows: ``validate_rota_baxter``'s,
-  whose ``o`` is the star the operator induces, and those of
-  ``verify_dendriform_iso``.  An instance F(b_i o b_j) = F(b_i) o' F(b_j)
-  is filed at level max(i, j), where ``b_i o b_j`` is first known, and
-  waits there for the last column in its support.  Rota-Baxter operators
-  try every vector at each column; ``gl_matrices`` the vectors outside the
-  span of the columns above, and the isomorphism search those of them in
-  the class of the basis vector the column replaces.  An instance with
-  i, j < t whose ``b_i o b_j`` has its last nonzero coordinate at t
-  determines column t: it is linear in column t with every other column it
-  reads fixed.  Level t then tries only the vector it forces, if that is
-  among its values.  Every other vector fails that instance, so the leaves
-  and their order do not change (propagation, as in McKay and
-  Piperno 2014).
+  rows are the validators' homomorphism rows (none for ``gl_matrices``):
+  ``validate_rota_baxter``'s, whose ``o`` is the star the operator induces,
+  and those of ``verify_dendriform_iso``.  An instance F(b_i o b_j) =
+  F(b_i) o' F(b_j) is filed at level max(i, j), where ``b_i o b_j`` is
+  first known, and waits there for the last column in its support.
+  Rota-Baxter operators try every vector at each column; ``gl_matrices``
+  the vectors outside the span of the columns above, and the isomorphism
+  search those of them in the class of the basis vector the column
+  replaces.  An instance with i, j < t whose ``b_i o b_j`` has its last
+  nonzero coordinate at t determines column t: it is linear in column t
+  with every other column it reads fixed.  Level t then tries only the
+  vector it forces, if that is among its values.  Every other vector fails
+  that instance, so the leaves and their order do not change (propagation,
+  as in McKay and Piperno 2014).
 
 Dendriform dialgebras are fibred over their associative star products
 ``x * y = x < y + x > y``: the dialgebra axioms make the star associative
@@ -85,7 +92,8 @@ from .errors import (ArgumentError, BudgetExceededError, FieldNotFiniteError,
 from .fields import prime_field
 from .linalg import Matrix, StructureTensor, _combine, _transport, invert
 from .operators import RotaBaxterOperator, _o_relation_row, rb_as_module_operator
-from .structures import _ASSOCIATIVITY, _DENDRIFORM_DI, Algebra, DendriformDi, _keep
+from .structures import (_ASSOCIATIVITY, _DENDRIFORM_DI, Algebra, DendriformDi,
+                         _composition_instances, _homomorphism_instances, _keep)
 
 DEFAULT_BUDGET = 1 << 24
 
@@ -153,23 +161,25 @@ def _search(choices, slots, checks, later, holds, leaf):
     return descend(0)
 
 
-def _table_leaves(p: int, n: int, rows, choices, free: int, fixed=()):
-    """The ``free`` product tables, filled by basis pair, on which ``rows`` hold.
+def _table_leaves(p: int, n: int, tables, groups, choices):
+    """The free product tables, filled by basis pair, on which the instances of ``groups`` hold.
 
-    ``choices[u * n + v]`` lists the values of pair (u, v), one vector per
-    free table; the complete tables ``fixed`` follow the free ones in the
-    rows' table indices.  A leaf is the tuple of the free nested tables.
+    ``tables`` and ``groups`` are a validator's own (``structures``), with
+    None for each free table; the instances are those its scan runs
+    (``_composition_instances``), positions and index sizes included.  A
+    free table is n x n x n, filled one basis pair (u, v) per level:
+    ``choices[u * n + v]`` lists its values, one vector per free table in
+    table order.  A leaf is the tuple of the free nested tables.
     """
-    pairs = list(product(range(n), repeat=2))
+    free = [r for r, t in enumerate(tables) if t is None]
+    level = [[[u * n + v for v in range(n)] for u in range(n)] if t is None
+             else [[-1] * len(plane) for plane in t] for t in tables]
     # entries not yet fixed hold zero vectors, which ``_combine`` reads only for their length
-    tables = [[[(0,) * n] * n for _ in range(n)] for _ in range(free)] + list(fixed)
-    level = ([[[u * n + v for v in range(n)] for u in range(n)]] * free
-             + [[[-1] * n] * n] * len(fixed))
-    checks = [[] for _ in pairs]
-    for _, _, _, a, b, c, d in rows:
-        for x, y, z in product(range(n), repeat=3):
-            first = max(level[a][x][y], level[d][y][z])
-            checks[first].append((first, a, b, c, d, x, y, z))
+    tables = [[[(0,) * n] * n for _ in range(n)] if t is None else t for t in tables]
+    checks = [[] for _ in range(n * n)]
+    for _, _, _, a, b, c, d, x, y, z in _composition_instances(groups):
+        first = max(level[a][x][y], level[d][y][z])
+        checks[first].append((first, a, b, c, d, x, y, z))
 
     def later(inst):
         at, a, b, c, d, x, y, z = inst
@@ -187,18 +197,19 @@ def _table_leaves(p: int, n: int, rows, choices, free: int, fixed=()):
         return (_combine(tables[a][x][y], tables[b], p, 0, z)
                 == _combine(tables[d][y][z], tables[c][x], p, 0))
 
-    slots = [tuple((tables[r][u], v) for r in range(free)) for u, v in pairs]
+    slots = [tuple((tables[r][u], v) for r in free) for u, v in product(range(n), repeat=2)]
     return _search(lambda t, waiting: choices[t], slots, checks, later, holds,
-                   lambda: tuple(tuple(map(tuple, tables[r])) for r in range(free)))
+                   lambda: tuple(tuple(map(tuple, tables[r])) for r in free))
 
 
 def _column_leaves(p: int, cols: list, rows, choices):
     """The linear maps F, filled one column of ``cols`` per level, on which ``rows`` hold.
 
     ``rows`` are the rows of ``structures._homomorphism_failures``, with
-    ``cols`` as their ``fcols``: each gives an instance F(b_i o b_j) =
-    F(b_i) o' F(b_j) per basis pair, its ``source_row(i, j)`` being the
-    coordinates s of ``b_i o b_j``.  A source row reads the columns i and j
+    ``cols`` as their ``fcols``, and the instances are those its scan runs
+    (``_homomorphism_instances``): F(b_i o b_j) = F(b_i) o' F(b_j) per
+    basis pair, its ``source_row(i, j)`` being the coordinates s of
+    ``b_i o b_j``.  A source row reads the columns i and j
     at most (a table none, an induced star both), so every instance is
     filed at level max(i, j), where s is first known, and ``later`` defers
     it from there to the last column in the support of s.
@@ -249,10 +260,8 @@ def _column_leaves(p: int, cols: list, rows, choices):
         return choices(t, vectors)
 
     checks = [[] for _ in cols]
-    for _, _, source, target, _ in rows:
-        flat = sum(target, ())
-        for i, j in product(range(n), repeat=2):
-            checks[max(i, j)].append((source, flat, i, j))
+    for _, _, source, flat, _, i, j in _homomorphism_instances(rows):
+        checks[max(i, j)].append((source, flat, i, j))
     return _search(narrowed, [((cols, t),) for t in range(n)], checks, later, holds,
                    lambda: tuple(cols))
 
@@ -282,6 +291,21 @@ def _gl_choices(p: int, cols: list):
     return choices
 
 
+def gl_matrices(field, n: int):
+    """All invertible n x n matrices over a prime field, lazily.
+
+    Lexicographic on the row-major entry tuple (entries 0..p-1), singular
+    candidates skipped; the order is the search order, so "first witness"
+    is well defined.
+    """
+    if not field.is_finite:
+        raise FieldNotFiniteError("matrix enumeration requires a prime field")
+    _check_dim(n)
+    rows = [(0,) * n] * n
+    return (Matrix(field, leaf)
+            for leaf in _column_leaves(field.p, rows, (), _gl_choices(field.p, rows)))
+
+
 def _moved(field, table, g, inverse):
     """T moved along g: the table of (x, y) -> g T(g^-1 x, g^-1 y).
 
@@ -295,15 +319,13 @@ def _star_orbits(field, n: int, stars: list) -> list:
 
     Each orbit starts with its least star r, as (r, None, None); every other
     entry names a star j of the orbit and the first g the GL walk reaches
-    with ``stars[j] = _moved(stars[r], g, g^-1)``.  GL is walked once.
-    ``stars`` holds every associative table, a set that moving along any g
-    maps onto itself, so every image is a star.
+    with ``stars[j] = _moved(stars[r], g, g^-1)``.  GL is walked once, by
+    ``gl_matrices``.  ``stars`` holds every associative table, a set that
+    moving along any g maps onto itself, so every image is a star.
     """
-    p = field.p
-    cols = [(0,) * n] * n
-    # a leaf read as rows is g^T, whose inverse (g^-1)^T has the columns of g^-1 as rows
-    gl = [(g, invert(Matrix(field, g)).entries)
-          for g in _column_leaves(p, cols, (), _gl_choices(p, cols))]
+    # the rows of each matrix are the columns of g: it is g^T, and its inverse (g^-1)^T
+    # has the columns of g^-1 as rows
+    gl = [(g.entries, invert(g).entries) for g in gl_matrices(field, n)]
     index = {star: j for j, star in enumerate(stars)}
     orbits, seen = [], set()
     for r, star in enumerate(stars):
@@ -323,18 +345,20 @@ def _assoc_part(args):
     p, n, start, stop = args
     vectors = [(v,) for v in product(range(p), repeat=n)]
     choices = [vectors[start:stop]] + [vectors] * (n * n - 1)
-    return [tables[0] for tables in _table_leaves(p, n, _ASSOCIATIVITY, choices, 1)]
+    groups = (((n, n, n), _ASSOCIATIVITY),)
+    return [tables[0] for tables in _table_leaves(p, n, (None,), groups, choices)]
 
 
 def _fibre_part(args):
     """The (prec, succ) table pairs over each star of ``stars[start:stop]``, one list per star."""
     p, n, stars, start, stop = args
     vectors = list(product(range(p), repeat=n))
+    groups = (((n, n, n), _DENDRIFORM_DI),)
     fibres = []
     for star in stars[start:stop]:
         choices = [[(a, tuple((s - c) % p for s, c in zip(star[u][v], a))) for a in vectors]
                    for u in range(n) for v in range(n)]
-        fibres.append(list(_table_leaves(p, n, _DENDRIFORM_DI, choices, 2, (star,))))
+        fibres.append(list(_table_leaves(p, n, (None, None, star), groups, choices)))
     return fibres
 
 

@@ -7,16 +7,17 @@ algebra are isomorphic when a domain isomorphism g identifies them
 is allowed (f alpha1 = alpha2 g, with the actions of the first domain
 twisted through f^{-1}).
 
-Over a prime field, dendriform isomorphism in small dimension is decided
-by the column search of ``enumeration._column_leaves``.  Column t of F is
+Over a prime field, dendriform isomorphism in small dimension is decided by
+the column search of ``enumeration._column_leaves``.  Column t of F is
 taken, in lexicographic order, from the vectors outside the span of the
 columns before it, which gives every invertible matrix without a rank
 computation.  That walk (``_gl_choices``, with ``_span_with``) lives in
-``enumeration``, whose star-orbit stage runs it too; ``gl_matrices`` is the
-same walk with no instances, its columns read as rows.  The instances are
-F(b_i p1 b_j) = F(b_i) p2 F(b_j) for each product p, the very rows
-``verify_dendriform_iso`` scans (``_iso_rows``), so every complete matrix
-the walk reaches is an isomorphism, and it reaches all of them.
+``enumeration``, beside ``gl_matrices``, the same walk with no instances,
+its columns read as rows, which the star-orbit stage iterates and this
+module re-exports.  The instances are F(b_i p1 b_j) = F(b_i) p2 F(b_j) for
+each product p, the very rows ``verify_dendriform_iso`` scans
+(``_iso_rows``), so every complete matrix the walk reaches is an
+isomorphism, and it reaches all of them.
 
 The walk is refined by vertex invariants (McKay and Piperno 2014): column
 t is drawn only from the vectors w whose class in the second structure
@@ -48,7 +49,7 @@ from dataclasses import dataclass, field as dataclass_field
 from .errors import (DimensionCapError, DimensionMismatchError, FieldNotFiniteError,
                      KindMismatchError, SingularMatrixError, _expect)
 from .fields import FieldSpec, same_field
-from .enumeration import _check_dim, _column_leaves, _gl_choices, _span_with
+from .enumeration import _column_leaves, _gl_choices, _span_with, gl_matrices
 from .linalg import Matrix, _full_rank, _require_invertible, invert
 from .operators import (ALGEBRA, OOperator, _comparable_domains, _domain_morphism_failures,
                         compose_with_domain_iso, pullback_domain,
@@ -188,21 +189,6 @@ def _gl_position(p: int, rows: tuple) -> int:
         position += before * _completions(p, n, r + 1)
         span = _span_with(span, row, p)
     return position
-
-
-def gl_matrices(field: FieldSpec, n: int):
-    """All invertible n x n matrices over a prime field, lazily.
-
-    Lexicographic on the row-major entry tuple (entries 0..p-1), singular
-    candidates skipped; the order is the search order, so "first witness"
-    is well defined.
-    """
-    if not field.is_finite:
-        raise FieldNotFiniteError("matrix enumeration requires a prime field")
-    _check_dim(n)
-    rows = [(0,) * n] * n
-    return (Matrix(field, leaf)
-            for leaf in _column_leaves(field.p, rows, (), _gl_choices(field.p, rows)))
 
 
 def search_dendriform_iso_fp(d1, d2) -> IsoSearchResult:

@@ -8,23 +8,26 @@ holding on all elements) and report the violations found, up to a
 configurable cap.
 
 Every identity the package checks has one of two shapes, and each shape has
-one scan here; an identity is a data row for it.  A scan is a generator
-that yields ``(axiom, indices, lhs, rhs)`` for each failing instance, in a
-fixed order:
+one walk of its instances here and one scan on that walk; an identity is a
+data row for it.  A scan is a generator that yields ``(axiom, indices,
+lhs, rhs)`` for each failing instance, in the walk's fixed order.  The F_p
+searches (``enumeration``) read the same walks, so they test exactly the
+instances the validators scan:
 
-* compositions ``(x a y) b z = x c (y d z)`` of bilinear maps, scanned by
-  ``_composition_failures`` on basis triples.  A row is ``(axiom, positions,
-  reported_lhs, a, b, c, d)``: which entries of the reported index tuple
-  play x, y and z, which side (``OUTER`` or ``INNER``) is reported as lhs,
-  and the four products as indices into the validator's tables.  Module
-  actions count as bilinear maps ``l: A x M -> M`` and ``r: M x A -> M``,
-  and the star product ``prec + succ (+ dot)`` of a dendriform structure
-  is one more table, summed once before the scan.  Associativity, the
-  dendriform di- and trialgebra axioms and the bimodule(-algebra) laws are
-  such rows; the F_p enumerators run the same rows (``enumeration``).
-* homomorphisms ``F(x o y) = F(x) o' F(y)``, scanned by
-  ``_homomorphism_failures`` on basis pairs.  A row is ``(axiom, fcols,
-  source_row, target, image_is_lhs)``: the columns of F, the coordinates of
+* compositions ``(x a y) b z = x c (y d z)`` of bilinear maps, walked by
+  ``_composition_instances`` on basis triples and scanned by
+  ``_composition_failures``.  A row is ``(axiom, positions, reported_lhs,
+  a, b, c, d)``: which entries of the reported index tuple play x, y and z,
+  which side (``OUTER`` or ``INNER``) is reported as lhs, and the four
+  products as indices into the validator's tables.  Module actions count as
+  bilinear maps ``l: A x M -> M`` and ``r: M x A -> M``, and the star
+  product ``prec + succ (+ dot)`` of a dendriform structure is one more
+  table, summed once before the scan.  Associativity, the dendriform di-
+  and trialgebra axioms and the bimodule(-algebra) laws are such rows.
+* homomorphisms ``F(x o y) = F(x) o' F(y)``, walked by
+  ``_homomorphism_instances`` on basis pairs and scanned by
+  ``_homomorphism_failures``.  A row is ``(axiom, fcols, source_row,
+  target, image_is_lhs)``: the columns of F, the coordinates of
   ``b_i o b_j`` as a function of (i, j), the nested table of ``o'``, and
   whether ``F(x o y)`` or ``F(x) o' F(y)`` is reported as lhs.  Besides
   isomorphism and multiplicativity checks this covers the Rota-Baxter and
@@ -400,51 +403,63 @@ def _table_sum(field: FieldSpec, tables: Sequence) -> tuple:
                  for planes in zip(*tables))
 
 
-def _composition_failures(field: FieldSpec, tables: Sequence, groups):
-    """Yield ``(axiom, indices, lhs, rhs)`` for each failing composition instance.
+def _composition_instances(groups):
+    """Yield ``(axiom, indices, reported_lhs, a, b, c, d, x, y, z)`` for each instance.
 
     ``groups`` is a sequence of ``(sizes, rows)``: the index tuples run
     lexicographically over ``range(sizes[0]) x range(sizes[1]) x
-    range(sizes[2])``, and every row (module docstring) is checked on each
-    tuple in row order.  ``tables[r][u][v]`` holds the coordinates of
-    ``b_u r b_v``, as nested tuples.
+    range(sizes[2])``, and every row (module docstring) is taken on each
+    tuple in row order, its positions placing x, y and z.  This is the one
+    walk of the instances: the scan below and the F_p table search
+    (``enumeration._table_leaves``) both read it.
+    """
+    for sizes, rows in groups:
+        for idx in product(*map(range, sizes)):
+            for axiom, (px, py, pz), lhs, a, b, c, d in rows:
+                yield axiom, idx, lhs, a, b, c, d, idx[px], idx[py], idx[pz]
+
+
+def _composition_failures(field: FieldSpec, tables: Sequence, groups):
+    """Yield ``(axiom, indices, lhs, rhs)`` for each failing instance of ``groups``.
+
+    ``tables[r][u][v]`` holds the coordinates of ``b_u r b_v``, as nested
+    tuples; instances come in ``_composition_instances`` order.
     """
     p, zero = field.p, field.zero
-    for (n0, n1, n2), rows in groups:
-        for i in range(n0):
-            for j in range(n1):
-                for k in range(n2):
-                    idx = (i, j, k)
-                    for axiom, (px, py, pz), lhs, a, b, c, d in rows:
-                        x, y, z = idx[px], idx[py], idx[pz]
-                        outer = _combine(tables[a][x][y], tables[b], p, zero, z)
-                        inner = _combine(tables[d][y][z], tables[c][x], p, zero)
-                        if outer != inner:
-                            yield ((axiom, idx, outer, inner) if lhs == OUTER
-                                   else (axiom, idx, inner, outer))
+    for axiom, idx, lhs, a, b, c, d, x, y, z in _composition_instances(groups):
+        outer = _combine(tables[a][x][y], tables[b], p, zero, z)
+        inner = _combine(tables[d][y][z], tables[c][x], p, zero)
+        if outer != inner:
+            yield ((axiom, idx, outer, inner) if lhs == OUTER
+                   else (axiom, idx, inner, outer))
 
 
-def _homomorphism_failures(field: FieldSpec, rows):
-    """Yield ``(axiom, (i, j), lhs, rhs)`` for each failing homomorphism instance.
+def _homomorphism_instances(rows):
+    """Yield ``(axiom, fcols, source_row, flat, image_is_lhs, i, j)`` for each instance.
 
     A row is ``(axiom, fcols, source_row, target, image_is_lhs)``: ``fcols``
     are the columns of F, ``source_row(i, j)`` gives the coordinates of
-    ``b_i o b_j`` and ``target`` is the nested table of ``o'``.  Pairs run
-    lexicographically within each row, rows in order.
+    ``b_i o b_j`` and ``target`` is the nested table of ``o'``, given
+    flattened as ``flat``.  Pairs run lexicographically within each row,
+    rows in order.  The scan below and the F_p column search
+    (``enumeration._column_leaves``) both read this walk.
     """
-    p, zero = field.p, field.zero
     for axiom, fcols, source_row, target, image_is_lhs in rows:
         flat = sum(target, ())
-        n = len(fcols)
-        for i in range(n):
-            u = fcols[i]
-            for j in range(n):
-                image = _combine(source_row(i, j), fcols, p, zero)
-                value = _combine([a * b if a and b else 0 for a in u for b in fcols[j]],
-                                 flat, p, zero)
-                if image != value:
-                    yield ((axiom, (i, j), image, value) if image_is_lhs
-                           else (axiom, (i, j), value, image))
+        for i, j in product(range(len(fcols)), repeat=2):
+            yield axiom, fcols, source_row, flat, image_is_lhs, i, j
+
+
+def _homomorphism_failures(field: FieldSpec, rows):
+    """Yield ``(axiom, (i, j), lhs, rhs)`` for each failing instance of ``rows``."""
+    p, zero = field.p, field.zero
+    for axiom, fcols, source_row, flat, image_is_lhs, i, j in _homomorphism_instances(rows):
+        image = _combine(source_row(i, j), fcols, p, zero)
+        value = _combine([a * b if a and b else 0 for a in fcols[i] for b in fcols[j]],
+                         flat, p, zero)
+        if image != value:
+            yield ((axiom, (i, j), image, value) if image_is_lhs
+                   else (axiom, (i, j), value, image))
 
 
 # -- validators ------------------------------------------------------------------

@@ -11,7 +11,7 @@ import dendrop.constructions as constructions
 import dendrop.enumeration as enumeration
 from dendrop.enumeration import _worker_count
 from dendrop.linalg import Matrix, StructureTensor
-from dendrop.structures import _DENDRIFORM_TRI
+from dendrop.structures import _ASSOCIATIVITY, _DENDRIFORM_TRI, INNER, _composition_failures
 from dendrop.errors import (ArgumentError, BudgetExceededError, FieldNotFiniteError,
                             FieldSpecError, InvalidDendriformError)
 from helpers import F2, F3, n2, zero_algebra
@@ -370,8 +370,28 @@ def _trialgebra_tables(dim, p):
         choices = [[(a, b, tuple((s - x - y) % p for s, x, y in zip(star[u][v], a, b)))
                     for a in vectors for b in vectors]
                    for u in range(dim) for v in range(dim)]
-        leaves += enumeration._table_leaves(p, dim, _DENDRIFORM_TRI, choices, 3, (star,))
+        leaves += enumeration._table_leaves(p, dim, (None, None, None, star),
+                                            (((dim, dim, dim), _DENDRIFORM_TRI),), choices)
     return leaves
+
+
+@pytest.mark.parametrize("groups,count", [
+    ((((2, 2, 2), _ASSOCIATIVITY),), 28),
+    ((((2, 2, 1), _ASSOCIATIVITY),), 52),
+    ((((1, 2, 2), (("assoc", (2, 0, 1), INNER, 0, 0, 0, 0),)),), 48),
+])
+def test_table_search_is_the_validator_filter_for_any_groups(groups, count):
+    # the search runs the scan's own instances: index sizes and positions included
+    vectors = [(v,) for v in itertools.product(range(2), repeat=2)]
+    found = [tables[0] for tables in
+             enumeration._table_leaves(2, 2, (None,), groups, [vectors] * 4)]
+    brute = []
+    for flat in itertools.product(range(2), repeat=8):
+        table = tuple(tuple(flat[k:k + 2] for k in (u, u + 2)) for u in (0, 4))
+        if next(_composition_failures(F2, (table,), groups), None) is None:
+            brute.append(table)
+    assert found == brute
+    assert len(found) == count
 
 
 @pytest.mark.parametrize("p,count", [(2, 5), (3, 9)])
@@ -435,15 +455,15 @@ def test_phi_image_records_why_a_round_trip_failed(monkeypatch):
 
 def test_phi_image_round_trip_catches_a_wrong_reconstruction(monkeypatch):
     # the reproduction check is live: a domain structure off by one entry fails it
-    real = constructions._domain_structure
+    real = constructions._domain_products
 
     def off_by_one(op):
-        d = real(op)
-        planes = [[list(row) for row in plane] for plane in d.prec.entries]
-        planes[0][0][0] = (planes[0][0][0] + 1) % d.field.p
-        return dp.DendriformDi(StructureTensor(d.field, planes), d.succ)
+        prec, *rest = real(op)
+        planes = [[list(row) for row in plane] for plane in prec]
+        planes[0][0][0] = (planes[0][0][0] + 1) % op.field.p
+        return [tuple(tuple(map(tuple, plane)) for plane in planes), *rest]
 
-    monkeypatch.setattr(constructions, "_domain_structure", off_by_one)
+    monkeypatch.setattr(constructions, "_domain_products", off_by_one)
     res = dp.phi_image_experiment(1, 2)
     assert res.round_trip_failures
     assert {why for _, why in res.round_trip_failures} == {
