@@ -51,17 +51,25 @@ def _valid(op: OOperator, kind: str) -> OOperator:
     return op
 
 
+def _domain_tables(field, left, right, acols) -> list:
+    """Tables of u < v = u r(alpha v) and u > v = l(alpha u) v, alpha given by its columns.
+
+    The action tables ``left`` and ``right`` are each moved one step along
+    alpha; None for ``acols`` is the identity, which ``_transport`` skips.
+    """
+    return [_transport(field, right, None, acols, None),
+            _transport(field, left, acols, None, None)]
+
+
 def _domain_products(op: OOperator) -> list:
     """Tables of the products on the source: the action tables moved along alpha.
 
-    u < v = u r(alpha v), u > v = l(alpha u) v, and u . v = weight (u o v) for
-    algebra kind.  An identity alpha is passed as None, which ``_transport`` skips.
+    u < v and u > v (``_domain_tables``), and u . v = weight (u o v) for
+    algebra kind.  An identity alpha is passed as None.
     """
-    f = op.field
     acols = None if op.matrix.is_identity() else _transpose(op.matrix.entries)
     dom = op.domain
-    tables = [_transport(f, dom.right, None, acols, None),
-              _transport(f, dom.left, acols, None, None)]
+    tables = _domain_tables(op.field, dom.left, dom.right, acols)
     if op.kind == ALGEBRA:
         tables.append(dom.product.scale(op.weight).entries)
     return tables

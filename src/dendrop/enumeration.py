@@ -3,9 +3,9 @@
 Every enumeration here, and the walk over GL_n(F_p) (``gl_matrices`` and
 ``_gl_choices``, which ``equivalence`` imports), is one depth-first search
 over partial assignments (``_search``): orderly generation in the sense of
-Read 1978, with isomorph rejection only at the star stage of the dialgebras
-(below).  Level ``t`` fixes one entry, trying the values ``choices(t)`` in
-order; the choices may read the entries fixed above.  Each instance of an
+Read 1978, with isomorph rejection only through the star orbits of the
+dialgebras (below).  Level ``t`` fixes one entry, trying the values
+``choices(t)`` in order; the choices may read the entries fixed above.  Each instance of an
 identity is tested, with the arithmetic of the validators' scans
 (``_combine``), at the first node where every entry it reads is fixed.  A
 failing instance cuts its subtree, so every leaf satisfies every instance,
@@ -53,25 +53,32 @@ over A, where g.T is the table of (x, y) -> g T(g^-1 x, g^-1 y).  The stars
 are therefore split into their GL_n(F_p) orbits first (``_star_orbits``,
 one walk of GL), the fibre is searched over each orbit's least star only,
 and each of its dialgebras is moved along g to every other star g.A of the
-orbit (``_moved``, on ``linalg._transport``).  An invertible map keeps the
-axioms, so every moved dialgebra keeps the verdict of the one searched.
-This is isomorph rejection at the star stage (McKay 1998): 28 stars in 8
-orbits at (2, 2), 121 in 8 at (2, 3), 1,688 in 28 at (3, 2).
+orbit (``_moved``, on ``linalg._transport``; only prec is moved, succ being
+g.A - g.prec).  An invertible map keeps the axioms, so every moved
+dialgebra keeps the verdict of the one searched.  The image experiment
+uses the same orbits for its Rota-Baxter operators: g is an algebra
+isomorphism A -> g.A, so the operators on g.A are g P g^-1, P those on A,
+and only the representatives are searched (``_rb_operators_by_star``).
+This is isomorph rejection at the star, fibre and image stages (McKay
+1998): 28 stars in 8 orbits at (2, 2), 121 in 8 at (2, 3), 1,688 in 28 at
+(3, 2).
 
 Worker processes split the product search and the fibre stage: the
 vectors of the first pair, and the orbit representatives.  A public call
 starts at most one process pool (the image experiment's stages share it),
-capped at the CPU count and the number of first-level choices.  Parts are
-merged in order and results sorted lexicographically by their flattened
-entries, so parallel and serial runs produce identical lists.  Rota-Baxter searches run
-in-process: each searches one algebra's ``p^(n^2)`` matrices, too small a
-space for a pool to pay for its start.
+capped at the CPUs the process may run on and the number of first-level
+choices.  Parts are merged in order and results sorted lexicographically by
+their flattened entries, so parallel and serial runs produce identical
+lists.  Rota-Baxter searches run in-process, one per star orbit: each
+searches one algebra's ``p^(n^2)`` matrices, too small a space for a pool
+to pay for its start.
 
 The dimension, the field and the budget are checked before any search, the
 budget on the sizes of the complete candidate spaces: ``p^(n^3)`` products
 for the star stage, ``p^(n^2)`` operator matrices, and ``#stars *
-p^(n^3)`` (prec, succ) pairs for the fibre stage.  A space above it raises
-instead of truncating.  Dimension 0 has one structure of each kind.
+p^(n^3)`` (prec, succ) pairs for the fibre stage, checked before GL is
+walked.  A space above it raises instead of truncating.  Dimension 0 has
+one structure of each kind.
 
 The image experiment compares the dendriform dialgebras reachable from
 Rota-Baxter operators with the full enumeration.  This is a finite-field
@@ -86,14 +93,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 
-from .constructions import canonical_operator_from_di, domain_dendriform_di
+from .constructions import _domain_tables, canonical_operator_from_di
 from .errors import (ArgumentError, BudgetExceededError, FieldNotFiniteError,
                      InvalidDendriformError)
 from .fields import prime_field
 from .linalg import Matrix, StructureTensor, _combine, _transport, invert
-from .operators import RotaBaxterOperator, _o_relation_row, rb_as_module_operator
+from .operators import RotaBaxterOperator, _o_relation_row
 from .structures import (_ASSOCIATIVITY, _DENDRIFORM_DI, Algebra, DendriformDi,
-                         _composition_instances, _homomorphism_instances, _keep)
+                         _composition_instances, _homomorphism_instances, _keep, _transpose)
 
 DEFAULT_BUDGET = 1 << 24
 
@@ -362,9 +369,16 @@ def _fibre_part(args):
     return fibres
 
 
+def _cpu_count() -> int:
+    """The CPUs this process may run on: its affinity mask where the system has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _worker_count(requested: int, total: int) -> int:
     """Processes to start: at least one, at most the CPUs and the first-level choices."""
-    return max(1, min(requested, os.cpu_count() or 1, total))
+    return max(1, min(requested, _cpu_count(), total))
 
 
 class _Chunks:
@@ -391,7 +405,7 @@ class _Chunks:
         if workers == 1:
             return part_fn(fixed_args + (0, total))
         if self.pool is None:
-            self.pool = ProcessPoolExecutor(max_workers=min(self.workers, os.cpu_count() or 1))
+            self.pool = ProcessPoolExecutor(max_workers=min(self.workers, _cpu_count()))
         bounds = [total * k // workers for k in range(workers + 1)]
         jobs = [fixed_args + (bounds[k], bounds[k + 1]) for k in range(workers)]
         parts = list(self.pool.map(part_fn, jobs))
@@ -452,24 +466,41 @@ def enumerate_dendriform_di(dim: int, p: int, budget: int | None = None,
     _check_dim(dim)
     field = prime_field(p)
     with _Chunks(workers) as chunks:
-        return _dendriform_di(field, dim, budget, chunks,
-                              _associative_tables(dim, p, budget, chunks))
+        return _dendriform_di(field, dim, chunks, *_star_stage(field, dim, budget, chunks))
 
 
-def _dendriform_di(field, dim: int, budget, chunks: _Chunks, stars: list) -> list:
+def _star_stage(field, dim: int, budget, chunks: _Chunks) -> tuple:
+    """The associative tables and their GL orbits (``_star_orbits``).
+
+    The fibre stage's budget is checked before GL is walked.
+    """
+    stars = _associative_tables(dim, field.p, budget, chunks)
+    _check_budget(field.p, dim ** 3, budget, len(stars))
+    return stars, _star_orbits(field, dim, stars)
+
+
+def _dendriform_di(field, dim: int, chunks: _Chunks, stars: list, orbits: list) -> list:
     """The dialgebras whose star products are the associative tables ``stars``.
 
-    One fibre is searched per GL orbit of stars, and moved to every other
-    star of the orbit by the map that carries the representative there.
+    One fibre is searched per orbit of ``orbits``, the GL orbits of
+    ``stars``, and moved to every other star of the orbit by the map that
+    carries the representative there.
     """
     p = field.p
-    _check_budget(p, dim ** 3, budget, len(stars))
-    orbits = _star_orbits(field, dim, stars)
     fibres = chunks.run(_fibre_part, (p, dim, [stars[orbit[0][0]] for orbit in orbits]),
                         len(orbits))
-    leaves = [(_moved(field, prec, g, inverse), _moved(field, succ, g, inverse))
-              for orbit, fibre in zip(orbits, fibres) for _, g, inverse in orbit
-              for prec, succ in fibre]
+    # Only prec is moved.  Moving a table is linear in it: g.(S - T)(x, y) =
+    # g (S - T)(g^-1 x, g^-1 y) = g.S(x, y) - g.T(x, y).  So the moved succ,
+    # g.(A - prec) with A the representative's star, is g.A - g.prec = stars[j] - g.prec.
+    leaves = []
+    for orbit, fibre in zip(orbits, fibres):
+        for j, g, inverse in orbit:
+            star = stars[j]
+            for prec, _ in fibre:
+                prec = _moved(field, prec, g, inverse)
+                leaves.append((prec, tuple(tuple(tuple((s - c) % p for s, c in zip(a, b))
+                                                 for a, b in zip(*planes))
+                                           for planes in zip(star, prec))))
     # every leaf passed every instance of the dialgebra axioms, or is the image of one that
     # did under an invertible map, which is a dialgebra isomorphism: each verdict is known
     return [_keep(DendriformDi(StructureTensor(field, prec), StructureTensor(field, succ)), True)
@@ -506,27 +537,67 @@ class PhiImageResult:
                 "missing": len(self.missing)}
 
 
-def _dd_sort_key(d: DendriformDi):
-    return (d.prec.entries, d.succ.entries)
+def _rb_operators_by_star(field, algebras: list, orbits: list, budget) -> list:
+    """The weight-zero Rota-Baxter matrices on each algebra, as sorted row tuples.
+
+    ``enumerate_rb_operators`` searches each orbit's representative A only.
+    A star j = g.A of the orbit takes the operators g P g^-1, P those of A,
+    sorted into the search's row-major order.  They are all of its
+    operators: g is an algebra isomorphism A -> g.A, g(x y) = g(x) g(y),
+    since g.A(g x, g y) = g A(x, y).  So if P(x) P(y) = P(P(x) y + x P(y))
+    on A, then Q = g P g^-1 at u = g x, v = g y gives Q(u) Q(v) =
+    g(P(x) P(y)) = g P(P(x) y + x P(y)) = Q(g(P(x) y) + g(x P(y))) =
+    Q(Q(u) v + u Q(v)) on g.A; and g^-1 is an isomorphism g.A -> A that
+    moves Q back to P.  Conjugation by g is a bijection between the two
+    weight-zero Rota-Baxter sets.
+    """
+    p = field.p
+    found = [None] * len(algebras)
+    for orbit in orbits:
+        r = orbit[0][0]
+        found[r] = [rb.matrix.entries
+                    for rb in enumerate_rb_operators(algebras[r], field.zero, budget)]
+        cols = [_transpose(rows) for rows in found[r]]
+        # column t of g P g^-1 is g(P(g^-1 e_t)); g and g^-1 are given by their columns
+        for j, g, inverse in orbit[1:]:
+            found[j] = sorted(_transpose(_combine(_combine(v, c, p, 0), g, p, 0)
+                                         for v in inverse) for c in cols)
+    return found
 
 
 def phi_image_experiment(dim: int, p: int, budget: int | None = None,
                          workers: int = 1) -> PhiImageResult:
-    """Compare the Rota-Baxter weight-zero image with all dendriform dialgebras."""
+    """Compare the Rota-Baxter weight-zero image with all dendriform dialgebras.
+
+    The witness of each image structure is the first (algebra, operator)
+    that produces it: algebras in the order of
+    ``enumerate_associative_products``, and each algebra's operators in
+    that of ``enumerate_rb_operators``, row-major on the matrix entries.
+    """
     _check_dim(dim)
-    first_witness: dict = {}
     field = prime_field(p)
     with _Chunks(workers) as chunks:
-        stars = _associative_tables(dim, p, budget, chunks)
-        all_dd = _dendriform_di(field, dim, budget, chunks, stars)
-    for alg in _algebras(field, stars):
-        for rb in enumerate_rb_operators(alg, field.zero, budget):
-            d = domain_dendriform_di(rb_as_module_operator(rb))
-            if d not in first_witness:
-                first_witness[d] = (alg, rb.matrix)
-    all_set = set(all_dd)
-    image = sorted(first_witness, key=_dd_sort_key)
-    missing = [d for d in all_dd if d not in first_witness]
+        stars, orbits = _star_stage(field, dim, budget, chunks)
+        all_dd = _dendriform_di(field, dim, chunks, stars, orbits)
+    algebras = _algebras(field, stars)
+    operators = _rb_operators_by_star(field, algebras, orbits, budget)
+    # each image is the domain dialgebra of the operator on the canonical
+    # bimodule, whose actions are both the star's table
+    first_witness: dict = {}
+    for j, (star, ops) in enumerate(zip(stars, operators)):
+        for rows in ops:
+            tables = tuple(_domain_tables(field, star, star, _transpose(rows)))
+            first_witness.setdefault(tables, (j, rows))
+    by_tables = {(d.prec.entries, d.succ.entries): d for d in all_dd}
+    image, witnesses = [], []
+    for tables in sorted(first_witness):
+        d = by_tables.get(tables)
+        if d is None:  # outside the enumeration: ``image_subset_of_all`` is false
+            d = DendriformDi(*(StructureTensor(field, t) for t in tables))
+        j, rows = first_witness[tables]
+        image.append(d)
+        witnesses.append((d, algebras[j], Matrix(field, rows)))
+    missing = [d for d in all_dd if (d.prec.entries, d.succ.entries) not in first_witness]
     failures = []
     for d in all_dd:
         try:
@@ -539,7 +610,7 @@ def phi_image_experiment(dim: int, p: int, budget: int | None = None,
         all_structures=tuple(all_dd),
         image=tuple(image),
         missing=tuple(missing),
-        witnesses=tuple((d, first_witness[d][0], first_witness[d][1]) for d in image),
-        image_subset_of_all=all(d in all_set for d in image),
+        witnesses=tuple(witnesses),
+        image_subset_of_all=all(tables in by_tables for tables in first_witness),
         round_trip_failures=tuple(failures),
     )

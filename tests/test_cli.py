@@ -404,7 +404,7 @@ def test_enumerate_starts_at_most_one_pool(tmp_path, monkeypatch, what):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(enumeration, "ProcessPoolExecutor", CountingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # let two workers start on any host
+    monkeypatch.setattr(enumeration, "_cpu_count", lambda: 2)  # let two workers start on any host
     outputs = []
     for workers in ("1", "2"):
         pools.clear()

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import os
@@ -135,7 +136,7 @@ def test_budget_override_allows_more():
 
 
 def test_worker_count_capped_by_cpus_and_candidates(monkeypatch):
-    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    monkeypatch.setattr(enumeration, "_cpu_count", lambda: 4)
     assert _worker_count(1, 100) == 1
     assert _worker_count(3, 100) == 3
     assert _worker_count(1000, 100) == 4
@@ -143,7 +144,17 @@ def test_worker_count_capped_by_cpus_and_candidates(monkeypatch):
     assert _worker_count(3, 0) == 1
     assert _worker_count(0, 100) == 1
     assert _worker_count(-5, 100) == 1
-    monkeypatch.setattr("os.cpu_count", lambda: None)
+
+
+def test_worker_count_obeys_the_cpu_affinity_mask(monkeypatch):
+    # a process pinned to one CPU of four starts one worker
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _worker_count(2, 100) == 1
+    # without an affinity mask the CPU count caps, and an unknown count allows one
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert _worker_count(8, 100) == 4
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert _worker_count(8, 100) == 1
 
 
@@ -353,6 +364,63 @@ def test_star_orbits_partition_the_stars_by_orbit_stabilizer(dim, p, count, orbi
         sizes.append(len(gl) // automorphisms)
     assert sizes == [len(orbit) for orbit in found]
     assert sum(sizes) == count
+
+
+@pytest.mark.parametrize("dim,p", [(1, 5), (2, 2), (2, 3)])
+def test_orbit_moved_operators_equal_the_search_on_every_star(dim, p):
+    # the second method: one Rota-Baxter search per star, as before the orbit cut
+    field = dp.prime_field(p)
+    stars = _stars(dim, p)
+    algebras = enumeration._algebras(field, stars)
+    moved = enumeration._rb_operators_by_star(
+        field, algebras, enumeration._star_orbits(field, dim, stars), None)
+    assert len(moved) == len(stars)
+    for alg, ops in zip(algebras, moved):
+        assert list(ops) == [rb.matrix.entries for rb in dp.enumerate_rb_operators(alg, 0)]
+
+
+@functools.lru_cache(maxsize=None)
+def _image_per_algebra(dim, p):
+    """Image, missing list, witnesses and round-trip failures of the image
+    experiment, with one Rota-Baxter search per algebra."""
+    everything = dp.enumerate_dendriform_di(dim, p)
+    first = {}
+    for alg in dp.enumerate_associative_products(dim, p):
+        for rb in dp.enumerate_rb_operators(alg, 0):
+            first.setdefault(dp.domain_dendriform_di(dp.rb_as_module_operator(rb)),
+                             (alg, rb.matrix))
+    image = sorted(first, key=lambda d: (d.prec.entries, d.succ.entries))
+    failures = []
+    for d in everything:
+        try:
+            dp.canonical_operator_from_di(d)
+        except InvalidDendriformError as e:
+            failures.append((d, str(e)))
+    return (tuple(image), tuple(d for d in everything if d not in first),
+            tuple((d, *first[d]) for d in image), tuple(failures))
+
+
+@pytest.mark.parametrize("dim,p", [(0, 2), (1, 3), (2, 2), (2, 3)])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_phi_image_equals_the_search_on_every_algebra(dim, p, workers):
+    res = dp.phi_image_experiment(dim, p, workers=workers)
+    assert (res.image, res.missing, res.witnesses,
+            res.round_trip_failures) == _image_per_algebra(dim, p)
+    assert res.image_subset_of_all
+
+
+@pytest.mark.parametrize("dim,p,orbits", [(2, 2, 8), (2, 3, 8)])
+def test_phi_image_searches_operators_once_per_star_orbit(monkeypatch, dim, p, orbits):
+    searched = []
+    real = enumeration.enumerate_rb_operators
+
+    def counting(alg, weight, budget=None):
+        searched.append(alg.product.entries)
+        return real(alg, weight, budget)
+
+    monkeypatch.setattr(enumeration, "enumerate_rb_operators", counting)
+    dp.phi_image_experiment(dim, p)
+    assert len(searched) == len(set(searched)) == orbits
 
 
 # -- trialgebra rows in the search ------------------------------------------------------------
