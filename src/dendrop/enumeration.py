@@ -3,17 +3,17 @@
 Every enumeration here, and the walk over GL_n(F_p) (``gl_matrices`` and
 ``_gl_choices``, which ``equivalence`` imports), is one depth-first search
 over partial assignments (``_search``): orderly generation in the sense of
-Read 1978, with isomorph rejection only through the star orbits of the
-dialgebras (below).  Level ``t`` fixes one entry, trying the values
-``choices(t)`` in order; the choices may read the entries fixed above.  Each instance of an
-identity is tested, with the arithmetic of the validators' scans
-(``_combine``), at the first node where every entry it reads is fixed.  A
-failing instance cuts its subtree, so every leaf satisfies every instance,
-and results are built only for the leaves.  The instances are the
-validators' own, read from the one walk of each identity shape in
-``structures`` (``_composition_instances``, ``_homomorphism_instances``);
-the searches only file them by level.  Two instance families share the
-engine:
+Read 1978, with isomorph rejection through scalar orbits and the star
+orbits of the dialgebras (both below).  Level ``t`` fixes one entry, trying
+the values ``choices(t)`` in order; the choices may read the entries fixed
+above.  Each instance of an identity is tested, with the arithmetic of the
+validators' scans (``_combine``), at the first node where every entry it
+reads is fixed.  A failing instance cuts its subtree, so every leaf
+satisfies every instance, and results are built only for the leaves.  The
+instances are the validators' own, read from the one walk of each identity
+shape in ``structures`` (``_composition_instances``,
+``_homomorphism_instances``); the searches only file them by level.  Two
+instance families share the engine:
 
 * Product tables (``_table_leaves``), filled one basis pair ``(u, v)`` per
   level, pairs and the vectors ``e_u e_v`` in lexicographic order.  A
@@ -33,15 +33,26 @@ engine:
   and those of ``verify_dendriform_iso``.  An instance F(b_i o b_j) =
   F(b_i) o' F(b_j) is filed at level max(i, j), where ``b_i o b_j`` is
   first known, and waits there for the last column in its support.
-  Rota-Baxter operators try every vector at each column; ``gl_matrices``
-  the vectors outside the span of the columns above, and the isomorphism
-  search those of them in the class of the basis vector the column
-  replaces.  An instance with i, j < t whose ``b_i o b_j`` has its last
-  nonzero coordinate at t determines column t: it is linear in column t
-  with every other column it reads fixed.  Level t then tries only the
-  vector it forces, if that is among its values.  Every other vector fails
-  that instance, so the leaves and their order do not change (propagation,
-  as in McKay and Piperno 2014).
+  Rota-Baxter operators try every vector at each column (at weight 0, one
+  per scalar orbit, below); ``gl_matrices`` the vectors outside the span of
+  the columns above, and the isomorphism search those of them in the class
+  of the basis vector the column replaces.  An instance with i, j < t whose
+  ``b_i o b_j`` has its last nonzero coordinate at t determines column t:
+  it is linear in column t with every other column it reads fixed.  Level t
+  then tries only the vector it forces, if that is among its values.  Every
+  other vector fails that instance, so the leaves and their order do not
+  change (propagation, as in McKay and Piperno 2014).
+
+Associativity and the weight-0 Rota-Baxter relation are homogeneous of
+degree 2: for c in F_p^*, cT is associative iff T is, and cP is a weight-0
+operator iff P is (``_assoc_part`` and ``enumerate_rb_operators`` prove
+it; other weights scale with P, so their search takes every matrix).
+These two searches take one leaf per scalar orbit, by one rule
+(``_one_per_scalar``): while every vector fixed above is zero, a level
+offers only zero and the vectors whose first nonzero coordinate is 1.
+Each leaf found is emitted with its p - 1 multiples, the zero leaf once
+(``_multiples``), and the results are sorted as before.  At (2, 3) the
+product search assigns 713 vectors where the full one assigned 1,422.
 
 Dendriform dialgebras are fibred over their associative star products
 ``x * y = x < y + x > y``: the dialgebra axioms make the star associative
@@ -63,15 +74,15 @@ This is isomorph rejection at the star, fibre and image stages (McKay
 1998): 28 stars in 8 orbits at (2, 2), 121 in 8 at (2, 3), 1,688 in 28 at
 (3, 2).
 
-Worker processes split the product search and the fibre stage: the
-vectors of the first pair, and the orbit representatives.  A public call
-starts at most one process pool (the image experiment's stages share it),
-capped at the CPUs the process may run on and the number of first-level
-choices.  Parts are merged in order and results sorted lexicographically by
-their flattened entries, so parallel and serial runs produce identical
-lists.  Rota-Baxter searches run in-process, one per star orbit: each
-searches one algebra's ``p^(n^2)`` matrices, too small a space for a pool
-to pay for its start.
+Worker processes split the product search and the fibre stage: the first
+pair's vectors, one per scalar orbit, and the orbit representatives.  A
+public call starts at most one process pool (the image experiment's stages
+share it), capped at the CPUs the process may run on and the number of
+first-level choices.  Parts are merged in order and results sorted
+lexicographically by their flattened entries, so parallel and serial runs
+produce identical lists.  Rota-Baxter searches run in-process, one per star
+orbit: each searches one algebra's ``p^(n^2)`` matrices, too small a space
+for a pool to pay for its start.
 
 The dimension, the field and the budget are checked before any search, the
 budget on the sizes of the complete candidate spaces: ``p^(n^3)`` products
@@ -175,8 +186,9 @@ def _table_leaves(p: int, n: int, tables, groups, choices):
     None for each free table; the instances are those its scan runs
     (``_composition_instances``), positions and index sizes included.  A
     free table is n x n x n, filled one basis pair (u, v) per level:
-    ``choices[u * n + v]`` lists its values, one vector per free table in
-    table order.  A leaf is the tuple of the free nested tables.
+    ``choices(u * n + v, above)`` lists its values, one vector per free
+    table in table order, where ``above`` iterates over the vectors fixed
+    at the levels before it.  A leaf is the tuple of the free nested tables.
     """
     free = [r for r, t in enumerate(tables) if t is None]
     level = [[[u * n + v for v in range(n)] for u in range(n)] if t is None
@@ -204,8 +216,11 @@ def _table_leaves(p: int, n: int, tables, groups, choices):
         return (_combine(tables[a][x][y], tables[b], p, 0, z)
                 == _combine(tables[d][y][z], tables[c][x], p, 0))
 
+    def above(t):
+        return (tables[r][k // n][k % n] for k in range(t) for r in free)
+
     slots = [tuple((tables[r][u], v) for r in free) for u, v in product(range(n), repeat=2)]
-    return _search(lambda t, waiting: choices[t], slots, checks, later, holds,
+    return _search(lambda t, waiting: choices(t, above(t)), slots, checks, later, holds,
                    lambda: tuple(tuple(map(tuple, tables[r])) for r in free))
 
 
@@ -271,6 +286,37 @@ def _column_leaves(p: int, cols: list, rows, choices):
         checks[max(i, j)].append((source, flat, i, j))
     return _search(narrowed, [((cols, t),) for t in range(n)], checks, later, holds,
                    lambda: tuple(cols))
+
+
+# -- scalar orbits -----------------------------------------------------------------------
+
+def _one_per_scalar(values, above):
+    """Level values of a search for a homogeneous identity, one per scalar orbit of its leaves.
+
+    ``values`` are value tuples led by a vector, ``above`` the vectors
+    fixed at the levels before.  While every one of those is zero, only the
+    zero vector and the vectors whose first nonzero coordinate is 1 are
+    kept.  So the leaves are the zero one, if it is a leaf, and those whose
+    first nonzero entry, in level order, is 1: one per orbit of F_p^*
+    acting by scalars, each nonzero orbit having p - 1 members.
+    """
+    if any(map(any, above)):
+        return values
+    return [v for v in values if next(filter(None, v[0]), 1) == 1]
+
+
+def _times(c: int, entries: tuple, p: int) -> tuple:
+    """c times a nested tuple of F_p entries."""
+    return tuple(_times(c, a, p) if type(a) is tuple else c * a % p for a in entries)
+
+
+def _multiples(p: int, leaves) -> set:
+    """The leaves of a ``_one_per_scalar`` search with their multiples c L, c = 2 .. p-1.
+
+    c 0 = 0 for every c, so the set holds the zero leaf once.
+    """
+    leaves = set(leaves)
+    return leaves.union(*({_times(c, leaf, p) for leaf in leaves} for c in range(2, p)))
 
 
 # -- the general linear group ---------------------------------------------------------
@@ -348,12 +394,25 @@ def _star_orbits(field, n: int, stars: list) -> list:
 # -- search parts (top level so worker processes can unpickle them) ---------------------
 
 def _assoc_part(args):
-    """Associative tables whose first pair takes vector number start .. stop - 1 of ``F_p^n``."""
+    """Associative tables, sorted, whose first pair takes ``_one_per_scalar`` vector
+    start .. stop - 1, or a multiple of it.
+
+    Associativity is homogeneous of degree 2.  With x . y = c T(x, y) and
+    c in F_p^*, (x . y) . z - x . (y . z) = c^2 (T(T(x, y), z) - T(x, T(y,
+    z))), which is zero exactly when the bracket is.  So cT is associative
+    iff T is: the search takes one table per scalar orbit, and each leaf
+    found stands for its multiples, which keep its proved verdict.
+    """
     p, n, start, stop = args
     vectors = [(v,) for v in product(range(p), repeat=n)]
-    choices = [vectors[start:stop]] + [vectors] * (n * n - 1)
+    first = _one_per_scalar(vectors, ())[start:stop]
+
+    def choices(t, above):
+        return first if t == 0 else _one_per_scalar(vectors, above)
+
     groups = (((n, n, n), _ASSOCIATIVITY),)
-    return [tables[0] for tables in _table_leaves(p, n, (None,), groups, choices)]
+    return sorted(_multiples(p, (tables[0] for tables in
+                                 _table_leaves(p, n, (None,), groups, choices))))
 
 
 def _fibre_part(args):
@@ -363,9 +422,10 @@ def _fibre_part(args):
     groups = (((n, n, n), _DENDRIFORM_DI),)
     fibres = []
     for star in stars[start:stop]:
-        choices = [[(a, tuple((s - c) % p for s, c in zip(star[u][v], a))) for a in vectors]
-                   for u in range(n) for v in range(n)]
-        fibres.append(list(_table_leaves(p, n, (None, None, star), groups, choices)))
+        pairs = [[(a, tuple((s - c) % p for s, c in zip(star[u][v], a))) for a in vectors]
+                 for u in range(n) for v in range(n)]
+        fibres.append(list(_table_leaves(p, n, (None, None, star), groups,
+                                         lambda t, above: pairs[t])))
     return fibres
 
 
@@ -434,13 +494,21 @@ def _algebras(field, tables: list) -> list:
 
 def _associative_tables(dim: int, p: int, budget, chunks: _Chunks) -> list:
     _check_budget(p, dim ** 3, budget)
-    return chunks.run(_assoc_part, (p, dim), p ** dim)
+    # the first pair's vectors, one per scalar orbit: zero and (p^dim - 1) / (p - 1) lines
+    return sorted(chunks.run(_assoc_part, (p, dim), 1 + (p ** dim - 1) // (p - 1)))
 
 
 def enumerate_rb_operators(algebra: Algebra, weight, budget: int | None = None) -> list:
-    """All matrices satisfying the weight-``weight`` relation on ``algebra``.
+    """All matrices satisfying the weight-``weight`` relation on ``algebra``, row-major sorted.
 
-    The relation is P(x * y) = P(x) P(y), * the star P induces.
+    The relation is P(x * y) = P(x) P(y), * the star P induces:
+    P(x) P(y) = P(P(x) y + x P(y) + weight x y).  For c in F_p^*, cP gives
+    c^2 P(x) P(y) on the left and c^2 P(P(x) y + x P(y)) + c weight P(x y)
+    on the right, so cP has weight c * weight.  At weight 0 both sides are
+    homogeneous of degree 2, and cP is an operator iff P is: the search
+    takes one matrix per scalar orbit (``_one_per_scalar``, columns in
+    order) and each leaf stands for its multiples.  Any other weight
+    searches every matrix.
     """
     field = algebra.field
     if not field.is_finite:
@@ -451,8 +519,13 @@ def enumerate_rb_operators(algebra: Algebra, weight, budget: int | None = None) 
     table = algebra.product.entries
     cols = [(0,) * n] * n
     row = _o_relation_row(field, "rb", table, cols, table, table, weight, table)
-    leaves = _column_leaves(p, cols, [row], lambda t, among: among)
-    # every leaf passed every instance of the relation: its verdict is known
+    if weight:
+        leaves = _column_leaves(p, cols, [row], lambda t, among: among)
+    else:
+        leaves = _multiples(p, _column_leaves(
+            p, cols, [row], lambda t, among: _one_per_scalar(among, cols[:t])))
+    # every leaf passed every instance of the relation, or is a multiple of one that did at
+    # weight 0: its verdict is known
     return [_keep(RotaBaxterOperator(algebra, Matrix(field, rows), weight), True)
             for rows in sorted(tuple(zip(*c)) for c in leaves)]
 

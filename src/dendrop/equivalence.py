@@ -28,17 +28,21 @@ non-isomorphisms and leaves the set of leaves unchanged.  Where an
 instance fixes column t from the columns before it (b_i p1 b_j, with i,
 j < t, has its last nonzero coordinate at t), the walk offers only the
 vector it forces, if that vector is among those drawn (propagation, the
-other half of individualisation and refinement).
+other half of individualisation and refinement).  The classes also refuse
+a pair before the walk: an isomorphism is a bijection of F_p^n that keeps
+each class, so two structures whose multisets of classes differ are not
+isomorphic.
 
 The witness is the least isomorphism in row-major lexicographic order,
 the first one a scan of ``gl_matrices`` would meet.  ``candidates_tried``
 is its position in that scan, in closed form (``_gl_position``): each row
 adds the vectors before it that lie outside the span of the rows above,
-times the completions of the rows below.  Neither depends on the
-refinement or the propagation.  ``nodes`` counts the columns the walk
-assigned after both; a zero product, whose vectors all share one class
-and whose instances determine no column, still walks every isomorphism.
-A ``Matrix`` is built only for the witness.
+times the completions of the rows below.  The walk fills columns, so the
+least leaf may come late; it keeps the least so far and cuts every column
+whose row-0 prefix exceeds that leaf's, which leaves the least one in
+place.  None of the cuts changes the witness or its position.  ``nodes``
+counts the columns the walk assigned after all of them.  A ``Matrix`` is
+built only for the witness.
 """
 
 from __future__ import annotations
@@ -72,9 +76,10 @@ class IsoWitness:
 class IsoSearchResult:
     """Outcome of an exhaustive witness search over invertible matrices.
 
-    ``nodes`` (the columns the walk assigned, after refinement and
-    propagation) is work done, not part of the outcome, so it takes no
-    part in comparisons.
+    ``nodes`` (the columns the walk assigned, after refinement,
+    propagation and the row-0 bound; 0 for a pair refused by its class
+    counts) is work done, not part of the outcome, so it takes no part in
+    comparisons.
     """
 
     witness: IsoWitness | None
@@ -196,7 +201,11 @@ def search_dendriform_iso_fp(d1, d2) -> IsoSearchResult:
 
     ``candidates_tried`` is the witness's position in the ``gl_matrices``
     order; on a NotFound outcome it equals the order of the general
-    linear group.
+    linear group.  An isomorphism maps each vector class onto the same
+    class, so structures whose multisets of classes differ are refused
+    before the walk, with ``nodes`` 0.  The walk keeps the least leaf so
+    far and cuts a column t whose row-0 prefix (c_0[0], ..., c_t[0])
+    exceeds that leaf's: every leaf below it is greater in row-major order.
     """
     field = _dendriform_pair(d1, d2)
     if not field.is_finite:
@@ -205,22 +214,29 @@ def search_dendriform_iso_fp(d1, d2) -> IsoSearchResult:
         raise DimensionCapError(
             f"dimension {d1.dim} above the search cap {DEFAULT_DIMENSION_CAP}")
     p, n = field.p, d1.dim
+    classes = d2._vector_classes
+    if sorted(d1._vector_classes.values()) != sorted(classes.values()):
+        return IsoSearchResult(None, _completions(p, n, 0), 0)
     cols = [(0,) * n] * n
     gl = _gl_choices(p, cols)
-    classes = d2._vector_classes
     wanted = [d1._vector_classes[tuple(int(k == t) for k in range(n))] for t in range(n)]
-    nodes = 0
+    nodes, rows = 0, None
 
     def choices(t, among):
         nonlocal nodes
         values = [v for v in gl(t, among) if classes[v[0]] == wanted[t]]
+        if rows is not None:
+            head, bound = tuple(c[0] for c in cols[:t]), rows[0][:t + 1]
+            values = [v for v in values if head + (v[0][0],) <= bound]
         nodes += len(values)
         return values
 
-    leaves = [_transpose(c) for c in _column_leaves(p, cols, _iso_rows(d1, d2, cols), choices)]
-    if not leaves:
+    for leaf in _column_leaves(p, cols, _iso_rows(d1, d2, cols), choices):
+        leaf = _transpose(leaf)
+        if rows is None or leaf < rows:
+            rows = leaf
+    if rows is None:
         return IsoSearchResult(None, _completions(p, n, 0), nodes)
-    rows = min(leaves)
     return IsoSearchResult(IsoWitness(Matrix(field, rows), DENDRIFORM_ISO),
                            _gl_position(p, rows), nodes)
 

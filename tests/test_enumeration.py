@@ -197,6 +197,19 @@ def test_rb_operators_are_the_validator_filter():
             assert dp.enumerate_rb_operators(alg, weight) == expect
 
 
+def test_rb_operators_over_f5_are_the_validator_filter():
+    # weight 0 is searched once per scalar orbit, weight 1 in full: both against the 625
+    # matrices on the zero product and a seeded sample of the other 792 F_5 products
+    F5 = dp.prime_field(5)
+    matrices = [Matrix(F5, m) for m in oracle_enumeration.all_matrices(2, 5)]
+    algebras = dp.enumerate_associative_products(2, 5)
+    for alg in algebras[:1] + random.Random(28).sample(algebras[1:], 7):
+        for weight in (0, 1):
+            expect = [rb for rb in (dp.RotaBaxterOperator(alg, m, weight) for m in matrices)
+                      if dp.validate_rota_baxter(rb, max_violations=1, early_stop=True).passed]
+            assert dp.enumerate_rb_operators(alg, weight) == expect
+
+
 # products of dimension 3 over F_2: zero, the mod-2 reductions of k[x]/(x^3), k^3 and
 # k[x]/(x^2) x k, b_0 b_0 = b_2 and b_0 b_0 = b_0 + b_2
 DIM3_F2 = {
@@ -435,11 +448,12 @@ def _trialgebra_tables(dim, p):
     leaves = []
     for alg in dp.enumerate_associative_products(dim, p):
         star = alg.product.entries
-        choices = [[(a, b, tuple((s - x - y) % p for s, x, y in zip(star[u][v], a, b)))
+        triples = [[(a, b, tuple((s - x - y) % p for s, x, y in zip(star[u][v], a, b)))
                     for a in vectors for b in vectors]
                    for u in range(dim) for v in range(dim)]
         leaves += enumeration._table_leaves(p, dim, (None, None, None, star),
-                                            (((dim, dim, dim), _DENDRIFORM_TRI),), choices)
+                                            (((dim, dim, dim), _DENDRIFORM_TRI),),
+                                            lambda t, above: triples[t])
     return leaves
 
 
@@ -452,7 +466,7 @@ def test_table_search_is_the_validator_filter_for_any_groups(groups, count):
     # the search runs the scan's own instances: index sizes and positions included
     vectors = [(v,) for v in itertools.product(range(2), repeat=2)]
     found = [tables[0] for tables in
-             enumeration._table_leaves(2, 2, (None,), groups, [vectors] * 4)]
+             enumeration._table_leaves(2, 2, (None,), groups, lambda t, above: vectors)]
     brute = []
     for flat in itertools.product(range(2), repeat=8):
         table = tuple(tuple(flat[k:k + 2] for k in (u, u + 2)) for u in (0, 4))
@@ -492,6 +506,10 @@ def test_parallel_and_serial_enumerations_agree():
         dp.enumerate_dendriform_di(2, 2)
     assert dp.enumerate_associative_products(2, 2, workers=3) == \
         dp.enumerate_associative_products(2, 2)
+    # the workers split the first pair's vectors, one per scalar orbit
+    for p in (3, 5):
+        assert dp.enumerate_associative_products(2, p, workers=2) == \
+            dp.enumerate_associative_products(2, p)
 
 
 # -- the image experiment ----------------------------------------------------------------------

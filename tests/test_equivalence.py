@@ -23,6 +23,10 @@ def over3(name):
     return dp.dendriform_di_to_field(dp.catalogue_entry(name).structure, F3)
 
 
+def _same_class_counts(d1, d2):
+    return sorted(d1._vector_classes.values()) == sorted(d2._vector_classes.values())
+
+
 # -- dendriform isomorphism witnesses ------------------------------------------------
 
 def test_identity_is_always_a_witness():
@@ -284,9 +288,13 @@ def test_search_identity_first_for_equal_structures():
 
 
 def test_search_four_vs_six_exhausts_gl2_f3():
-    res = dp.search_dendriform_iso_fp(over3("rb-4"), over3("rb-6"))
+    four, six = over3("rb-4"), over3("rb-6")
+    res = dp.search_dendriform_iso_fp(four, six)
     assert not res.found
     assert res.candidates_tried == 48  # order of GL_2(F_3)
+    # their class counts differ: refused before any column is walked
+    assert not _same_class_counts(four, six)
+    assert res.nodes == 0
 
 
 def test_search_finds_basis_swap_for_relabeled_copy():
@@ -405,13 +413,35 @@ def test_closed_form_position_is_the_gl_matrices_index(p, n):
         assert _gl_position(p, M.entries) == index
 
 
+# Every invertible matrix is an automorphism of the zero dialgebra over F_3.  Before any
+# leaf the walk offers the 8 nonzero first columns.  Under (0, 1) it offers the 6 vectors
+# outside their span, and the first, (1, 0), gives the leaf [[0, 1], [1, 0]]: row 0 is
+# (0, 1).  Under (0, 2) only the 3 second columns with first coordinate 1 keep row 0 at or
+# below (0, 1); under the 5 first columns from (1, 0) on, row 0 already starts above 0.
+ZERO_F3_NODES = 8 + 6 + 3
+
+
 def test_search_counts_the_columns_it_assigns():
-    # rb-4 against rb-6 over F_3: the walk cuts every branch before a leaf
-    res = dp.search_dendriform_iso_fp(over3("rb-4"), over3("rb-6"))
-    assert 0 < res.nodes < res.candidates_tried
+    # rb-2 against extra-4 over F_3, both ways: equal class counts, so the walk runs, and
+    # cuts every branch before a leaf
+    for d1, d2 in ((over3("rb-2"), over3("extra-4")), (over3("extra-4"), over3("rb-2"))):
+        assert _same_class_counts(d1, d2)
+        res = dp.search_dendriform_iso_fp(d1, d2)
+        assert not res.found
+        assert 0 < res.nodes < res.candidates_tried
     zero = dp.make_dendriform_di(F3, 2, {}, {})
-    # every invertible matrix is an automorphism: 8 first columns, 6 second ones each
-    assert dp.search_dendriform_iso_fp(zero, zero).nodes == 8 + 8 * 6
+    assert dp.search_dendriform_iso_fp(zero, zero).nodes == ZERO_F3_NODES
+
+
+@pytest.mark.parametrize("field", [F2, F3])
+def test_row_0_bound_keeps_the_least_witness_in_dimension_3(field):
+    # the zero dialgebra: every invertible matrix is a leaf of the unbounded walk
+    zero = dp.make_dendriform_di(field, 3, {}, {})
+    res = dp.search_dendriform_iso_fp(zero, zero)
+    witness, tried, nodes = _unrefined_search(zero, zero)
+    assert (res.witness.matrix, res.candidates_tried) == (witness, tried) == (
+        next(dp.gl_matrices(field, 3)), 1)
+    assert res.nodes < nodes
 
 
 # -- vertex refinement ------------------------------------------------------------------------
@@ -477,7 +507,9 @@ def _unrefined_search(d1, d2):
 
 
 def test_refinement_removes_only_non_isomorphisms():
-    ds = _rb_images(dp.enumerate_associative_products(2, 3), 0, _di_image, 8)
+    # rb-2 and extra-4 share their class counts but are not isomorphic
+    ds = (_rb_images(dp.enumerate_associative_products(2, 3), 0, _di_image, 8)
+          + [over3("rb-2"), over3("extra-4")])
     refined = unrefined = 0
     for d1 in ds:
         for d2 in ds:
@@ -488,9 +520,14 @@ def test_refinement_removes_only_non_isomorphisms():
             assert res.nodes <= nodes
             refined, unrefined = refined + res.nodes, unrefined + nodes
     assert refined < unrefined
-    # every vector of the zero dialgebra has one class: nothing to refine
+    # every vector of the zero dialgebra has one class: nothing to refine, and the unrefined
+    # walk visits all 8 first columns and 6 second ones under each; the row-0 bound cuts it
     zero = dp.make_dendriform_di(F3, 2, {}, {})
-    assert _unrefined_search(zero, zero)[2] == dp.search_dendriform_iso_fp(zero, zero).nodes == 8 + 8 * 6
+    res = dp.search_dendriform_iso_fp(zero, zero)
+    witness, tried, nodes = _unrefined_search(zero, zero)
+    assert (witness, tried) == (res.witness.matrix, res.candidates_tried)
+    assert nodes == 8 + 8 * 6
+    assert res.nodes == ZERO_F3_NODES
 
 
 # -- propagation ----------------------------------------------------------------------------
