@@ -191,7 +191,7 @@ def kernel_ideal_check(op: OOperator) -> bool:
     f, prod = op.field, op.domain.product.entries
     rows = chain(ker, *_transport(f, prod, ker, None, None),
                  *_transport(f, prod, None, ker, None))
-    return rank(Matrix.from_rows(f, rows)) == len(ker)
+    return rank(Matrix(f, rows)) == len(ker)
 
 
 def _range_tensors(op: OOperator, sections, pivots) -> tuple:

@@ -1,8 +1,11 @@
 """JSON document format: parsing with strict validation, canonical emission.
 
 Every document is a UTF-8 JSON object with a schema version, a ground
-field, and one typed payload.  All scalars travel as exact strings
-("3", "-1/2"); floating-point literals are rejected.  Emission is
+field, and one typed payload.  Scalars travel as exact strings ("3",
+"-1/2"), the only form emitted.  On input a JSON integer is read as the
+scalar its string names (``"c": 1`` as ``"c": "1"``), in sparse records,
+dense grids, flat matrices and ``weight`` alike; floating-point literals
+and booleans are rejected.  Emission is
 canonical: keys sorted, rationals in lowest terms, structure constants
 listed sparsely (nonzero entries only) ordered by index triple, so parsing
 followed by emission is the identity on canonical bytes and

@@ -105,10 +105,9 @@ from dataclasses import dataclass
 from itertools import product
 
 from .constructions import _domain_tables, canonical_operator_from_di
-from .errors import (ArgumentError, BudgetExceededError, FieldNotFiniteError,
-                     InvalidDendriformError)
+from .errors import BudgetExceededError, FieldNotFiniteError, InvalidDendriformError
 from .fields import prime_field
-from .linalg import Matrix, StructureTensor, _combine, _transport, invert
+from .linalg import Matrix, StructureTensor, _check_size, _combine, _transport, invert
 from .operators import RotaBaxterOperator, _o_relation_row
 from .structures import (_ASSOCIATIVITY, _DENDRIFORM_DI, Algebra, DendriformDi,
                          _composition_instances, _homomorphism_instances, _keep, _transpose)
@@ -129,11 +128,6 @@ def _check_budget(p: int, exponent: int, budget: int | None, factor: int = 1) ->
     if exponent >= cap.bit_length() or factor * p ** exponent > cap:
         count = f"{p}^{exponent}" if factor == 1 else f"{factor} * {p}^{exponent}"
         raise BudgetExceededError(f"{count} candidates exceed budget {cap}")
-
-
-def _check_dim(dim: int) -> None:
-    if dim < 0:
-        raise ArgumentError(f"dimension must be non-negative, got {dim}")
 
 
 # -- the search ------------------------------------------------------------------------
@@ -353,7 +347,7 @@ def gl_matrices(field, n: int):
     """
     if not field.is_finite:
         raise FieldNotFiniteError("matrix enumeration requires a prime field")
-    _check_dim(n)
+    _check_size(n)
     rows = [(0,) * n] * n
     return (Matrix(field, leaf)
             for leaf in _column_leaves(field.p, rows, (), _gl_choices(field.p, rows)))
@@ -477,7 +471,7 @@ class _Chunks:
 def enumerate_associative_products(dim: int, p: int, budget: int | None = None,
                                    workers: int = 1) -> list:
     """All associative structure tensors on F_p^dim, in lexicographic order."""
-    _check_dim(dim)
+    _check_size(dim)
     field = prime_field(p)
     with _Chunks(workers) as chunks:
         tables = _associative_tables(dim, p, budget, chunks)
@@ -536,7 +530,7 @@ def enumerate_dendriform_di(dim: int, p: int, budget: int | None = None,
 
     Searches each associative star product's fibre ``{(prec, star - prec)}``.
     """
-    _check_dim(dim)
+    _check_size(dim)
     field = prime_field(p)
     with _Chunks(workers) as chunks:
         return _dendriform_di(field, dim, chunks, *_star_stage(field, dim, budget, chunks))
@@ -647,7 +641,7 @@ def phi_image_experiment(dim: int, p: int, budget: int | None = None,
     ``enumerate_associative_products``, and each algebra's operators in
     that of ``enumerate_rb_operators``, row-major on the matrix entries.
     """
-    _check_dim(dim)
+    _check_size(dim)
     field = prime_field(p)
     with _Chunks(workers) as chunks:
         stars, orbits = _star_stage(field, dim, budget, chunks)

@@ -65,7 +65,9 @@ class FieldSpec:
             if self.p is not None:
                 raise FieldSpecError("rational field takes no modulus")
         elif self.kind == PRIME:
-            if self.p is None or not is_prime(self.p):
+            if self.p.__class__ is not int:
+                raise FieldSpecError(f"modulus must be an int, got {self.p!r}")
+            if not is_prime(self.p):
                 raise FieldSpecError(f"modulus {self.p!r} is not prime")
         else:
             raise FieldSpecError(f"unknown field kind {self.kind!r}")

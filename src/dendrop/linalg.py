@@ -8,6 +8,13 @@ of elimination are all calls to it, and so is ``_transport``, which moves
 every bilinear table (products, actions) along linear maps.  Elimination
 is exact Gaussian elimination with a deterministic pivot rule (lowest column index
 first, then lowest row), so identical inputs always give identical outputs.
+
+Field form and shape are decided in one place.  ``_field_table`` coerces
+every matrix and bilinear table (structure tensors, bimodule actions) into
+its field and checks each level's length against the sizes its container
+states; a malformed table raises ``DimensionMismatchError``.
+``_check_size`` refuses any dimension, row count or column count that is
+not a non-bool ``int`` >= 0 with ``ArgumentError``.
 """
 
 from __future__ import annotations
@@ -63,36 +70,57 @@ def _transport(field: FieldSpec, table, left, right, post) -> tuple:
     return table
 
 
+def _check_size(value, what: str = "dimension") -> None:
+    """Refuse ``value`` as a size unless it is a non-bool ``int`` >= 0 (``ArgumentError``).
+
+    The one check of every dimension, row count and column count a
+    container or an enumerator is given.
+    """
+    if value.__class__ is not int or value < 0:
+        raise ArgumentError(f"{what} must be a non-negative int, got {value!r}")
+
+
 _INT, _FRACTION = frozenset((int,)), frozenset((Fraction,))
 
 
-def _in_field(field: FieldSpec, values: list) -> bool:
-    """Whether ``values`` are all scalars of ``field`` already, tested at C level.
+def _field_table(field: FieldSpec, table, sizes: tuple) -> tuple:
+    """``table`` as nested tuples of scalars of ``field``, one level per entry of ``sizes``.
 
-    Over Q every class must be exactly ``Fraction``; over F_p every class
-    ``int``, with ``0 <= min`` and ``max < p``.  Containers send any other
-    input through ``FieldSpec.coerce`` entry by entry.
+    The one rule for the field form and shape of every matrix (two levels)
+    and bilinear table (three).  ``sizes`` gives the length of every
+    sequence at each level, outermost first: an int, or None for the
+    table's own length n (so ``(None, None, None)`` is an n x n x n table).
+    The innermost size may also be ``...``, any one length k, as a matrix's
+    rows have.  Lengths are compared at C level, one set per level.  A
+    level of another length, or one that is not a sequence, such as a
+    ``Matrix`` in place of a plane, raises ``DimensionMismatchError``.
+    Entries are then coerced (``FieldSpec.coerce``) unless one check finds
+    them all field scalars already: over Q every class exactly
+    ``Fraction``, over F_p every class ``int`` with ``0 <= min`` and
+    ``max < p``, one test at C level.
     """
-    classes = set(map(type, values))
-    if field.p:
-        return classes == _INT and min(values) >= 0 and max(values) < field.p
-    return classes == _FRACTION
-
-
-def _field_table(field: FieldSpec, table) -> tuple:
-    """``table``, nested three deep, as tuples of scalars of ``field``; shapes are unchecked.
-
-    Entries are coerced (``FieldSpec.coerce``) unless one check finds them all
-    field scalars already (``_in_field``).  A level that is not a sequence, such
-    as a ``Matrix`` in place of a plane, raises ``DimensionMismatchError``.
-    """
+    deep = len(sizes) == 3
     try:
-        ents = tuple(tuple(map(tuple, plane)) for plane in table)
+        ents = (tuple([tuple(map(tuple, plane)) for plane in table]) if deep
+                else tuple(map(tuple, table)))
     except TypeError:
-        raise DimensionMismatchError("expected a table nested three deep") from None
-    if not _in_field(field, list(chain.from_iterable(chain.from_iterable(ents)))):
+        raise DimensionMismatchError(
+            f"expected a table nested {('two', 'three')[deep]} deep") from None
+    n = len(ents)
+    rows = sum(ents, ()) if deep else ents  # for these small n, cheaper than a chained list
+    got, size = set(map(len, rows)), sizes[-1]
+    fits = len(got) < 2 if size is ... else got <= {n if size is None else size}
+    if not fits or sizes[0] not in (n, None) or deep and not (
+            set(map(len, ents)) <= {n if sizes[1] is None else sizes[1]}):
+        dims = " x ".join("k" if s is ... else str(n if s is None else s) for s in sizes)
+        raise DimensionMismatchError(f"expected a table of shape {dims}")
+    leaves = list(chain.from_iterable(rows))
+    classes, p = set(map(type, leaves)), field.p
+    if not (classes == _INT and min(leaves) >= 0 and max(leaves) < p if p
+            else classes == _FRACTION):
         coerce = field.coerce
-        ents = tuple(tuple(tuple(map(coerce, row)) for row in plane) for plane in ents)
+        ents = (tuple([tuple([tuple(map(coerce, row)) for row in plane]) for plane in ents])
+                if deep else tuple([tuple(map(coerce, row)) for row in ents]))
     return ents
 
 
@@ -102,8 +130,7 @@ def _field_table(field: FieldSpec, table) -> tuple:
 class Matrix:
     """Immutable dense matrix; ``entries`` is a row-major tuple of tuples.
 
-    Entries are coerced into the field (``FieldSpec.coerce``), unless one
-    check finds them all field scalars already (``_in_field``).
+    Entries are coerced into the field by ``_field_table``; every row has one length.
     """
 
     _noun = "matrix"
@@ -111,12 +138,7 @@ class Matrix:
     entries: tuple
 
     def __post_init__(self):
-        rows = tuple(map(tuple, self.entries))
-        if not _in_field(self.field, list(chain.from_iterable(rows))):
-            rows = tuple(tuple(map(self.field.coerce, r)) for r in rows)
-        object.__setattr__(self, "entries", rows)
-        if rows and any(len(r) != len(rows[0]) for r in rows):
-            raise DimensionMismatchError("ragged rows")
+        object.__setattr__(self, "entries", _field_table(self.field, self.entries, (None, ...)))
 
     @property
     def rows(self) -> int:
@@ -131,28 +153,25 @@ class Matrix:
         return self.rows == self.cols
 
     @classmethod
-    def from_rows(cls, field: FieldSpec, rows: Iterable[Iterable]) -> "Matrix":
-        return cls(field, tuple(tuple(r) for r in rows))
-
-    @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
+        _check_size(n)
         one, zero = field.one, field.zero
         return cls(field, tuple(tuple(one if i == j else zero for j in range(n))
                                 for i in range(n)))
 
     @classmethod
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "Matrix":
+        _check_size(rows, "row count")
+        _check_size(cols, "column count")
         if cols and not rows:
             raise DimensionMismatchError(f"a matrix with no rows cannot have {cols} columns")
-        zero = field.zero
-        return cls(field, tuple((zero,) * cols for _ in range(rows)))
+        return cls(field, ((field.zero,) * cols,) * rows)
 
     @classmethod
     def from_columns(cls, field: FieldSpec, columns: Sequence[Sequence]) -> "Matrix":
-        if not columns or not columns[0]:
-            return cls.zeros(field, 0, len(columns))  # k > 0 empty columns raise
-        m = len(columns[0])
-        return cls(field, tuple(tuple(col[i] for col in columns) for i in range(m)))
+        """The transpose of the matrix whose rows are ``columns``."""
+        t = cls(field, columns)  # k > 0 empty columns are a 0 x k matrix, refused by zeros
+        return cls(field, tuple(zip(*t.entries))) if t.cols else cls.zeros(field, 0, t.rows)
 
     def row(self, i: int) -> tuple:
         return self.entries[i]
@@ -337,8 +356,8 @@ def in_span(vectors: Sequence[Sequence], v: Sequence, field: FieldSpec) -> bool:
     vecs = [list(u) for u in vectors]
     if not vecs:
         return all(a == 0 for a in v)
-    base = rank(Matrix.from_rows(field, vecs))
-    return rank(Matrix.from_rows(field, vecs + [list(v)])) == base
+    base = rank(Matrix(field, vecs))
+    return rank(Matrix(field, vecs + [list(v)])) == base
 
 
 def column_space_basis(M: Matrix) -> list:
@@ -359,19 +378,15 @@ def column_space_basis(M: Matrix) -> list:
 class StructureTensor:
     """Coordinates c[i][j][k] of a bilinear product: b_i * b_j = sum_k c[i][j][k] b_k.
 
-    Entries are coerced into the field by ``_field_table``.
+    Entries are coerced into the field by ``_field_table``, as an n x n x n table.
     """
 
     field: FieldSpec
     entries: tuple
 
     def __post_init__(self):
-        ents = _field_table(self.field, self.entries)
-        object.__setattr__(self, "entries", ents)
-        n = len(ents)
-        for plane in ents:
-            if len(plane) != n or any(len(row) != n for row in plane):
-                raise DimensionMismatchError("structure tensor is not cubical")
+        cube = _field_table(self.field, self.entries, (None, None, None))
+        object.__setattr__(self, "entries", cube)
 
     @property
     def dim(self) -> int:
@@ -379,13 +394,13 @@ class StructureTensor:
 
     @classmethod
     def zero(cls, field: FieldSpec, dim: int) -> "StructureTensor":
-        z = field.zero
-        return cls(field, tuple(tuple((z,) * dim for _ in range(dim))
-                                for _ in range(dim)))
+        _check_size(dim)
+        return cls(field, (((field.zero,) * dim,) * dim,) * dim)
 
     @classmethod
     def from_triples(cls, field: FieldSpec, dim: int, triples: Iterable) -> "StructureTensor":
         """Build from sparse entries {(i, j, k): c}; unlisted entries are zero."""
+        _check_size(dim)
         grid = [[[field.zero] * dim for _ in range(dim)] for _ in range(dim)]
         for (i, j, k), c in dict(triples).items():
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):

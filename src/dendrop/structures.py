@@ -254,8 +254,8 @@ class Bimodule(_Checked):
 
     ``left[i][j]`` holds the coordinates of ``l(b_i) e_j`` and
     ``right[j][i]`` those of ``e_j r(b_i)``: an n x m x m and an m x n x m
-    table, n the algebra's dimension and m the module's.  Entries are
-    coerced into the algebra's field like a ``StructureTensor``'s.
+    table, n the algebra's dimension and m the module's, the length of
+    ``right``.  Both pass ``linalg._field_table`` over the algebra's field.
     """
 
     _noun = "bimodule"
@@ -265,15 +265,9 @@ class Bimodule(_Checked):
 
     def __post_init__(self):
         f, n = self.algebra.field, self.algebra.dim
-        left, right = _field_table(f, self.left), _field_table(f, self.right)
-        object.__setattr__(self, "left", left)
+        right = _field_table(f, self.right, (None, n, None))
         object.__setattr__(self, "right", right)
-        m = len(right)
-        if (len(left) != n or any(len(plane) != m for plane in left)
-                or any(len(row) != n for row in right)
-                or any(len(v) != m for plane in left + right for v in plane)):
-            raise DimensionMismatchError(f"action tables must be {n} x m x m (left) and "
-                                         f"m x {n} x m (right), {n} the algebra's dimension")
+        object.__setattr__(self, "left", _field_table(f, self.left, (n, len(right), len(right))))
 
     @property
     def field(self) -> FieldSpec:
@@ -292,15 +286,18 @@ class Bimodule(_Checked):
 
 @dataclass(frozen=True)
 class BimoduleAlgebra(_Checked):
-    """A bimodule carrying its own product, compatible with both actions."""
+    """A bimodule carrying its own product, compatible with both actions.
+
+    The product is an m x m x m table over the bimodule's field, m the
+    module's dimension.
+    """
 
     _noun = "bimodule algebra"
     base: Bimodule
     product: StructureTensor
 
     def __post_init__(self):
-        if self.product.dim != self.base.dim:
-            raise DimensionMismatchError("product tensor dimension != module dimension")
+        _field_table(self.product.field, self.product.entries, (self.dim,) * 3)
         same_field(self.product.field, self.base.field)
 
     @property

@@ -79,6 +79,48 @@ def test_float_scalars_rejected():
         parse_document(raw)
 
 
+def _scalars_to(node, to, keys, key=None):
+    """``node`` with every string under one of ``keys`` replaced by ``to(string)``."""
+    if isinstance(node, dict):
+        return {k: _scalars_to(v, to, keys, k) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_scalars_to(v, to, keys, key) for v in node]
+    return to(node) if key in keys and isinstance(node, str) else node
+
+
+_F3_FIELD = {"kind": "prime", "p": 3}
+_RB_OPERATOR = {
+    "kind": "operator", "operator_kind": "algebra", "weight": "1",
+    "codomain": {"kind": "algebra", "dim": 2,
+                 "product": [{"i": 1, "j": 1, "k": 0, "c": "1"}]},
+    "domain": {"dim": 2, "left_action": [["0", "0", "0", "0"], ["0", "1", "0", "0"]],
+               "right_action": [["0", "0", "0", "0"], ["0", "1", "0", "0"]],
+               "product": [{"i": 1, "j": 1, "k": 0, "c": "1"}]},
+    "matrix": ["0", "0", "0", "0"]}
+
+
+@pytest.mark.parametrize("field, payload, keys", [
+    (_F3_FIELD, {"kind": "algebra", "dim": 2, "product": [{"i": 1, "j": 1, "k": 0, "c": "-1"}]},
+     {"c"}),
+    (_F3_FIELD, {"kind": "algebra", "dim": 2, "product": [[["0", "0"], ["0", "0"]],
+                                                          [["4", "0"], ["-1", "0"]]]},
+     {"product"}),
+    (_F3_FIELD, {"kind": "matrix", "rows": 2, "cols": 2, "entries": ["1", "-1", "0", "4"]},
+     {"entries"}),
+    ({"kind": "rational"}, _RB_OPERATOR, {"weight"}),
+    ({"kind": "rational"}, _RB_OPERATOR, {"left_action", "right_action", "matrix"}),
+], ids=["sparse c", "dense grid", "flat matrix", "weight", "action and operator matrices"])
+def test_integer_scalars_parse_as_their_strings(field, payload, keys):
+    doc = {"schema_version": "1", "field": field, "payload": payload}
+    as_strings = parse_document(json.dumps(doc).encode())
+    as_ints = _scalars_to(doc, int, keys)
+    assert as_ints != doc
+    assert parse_document(json.dumps(as_ints).encode()) == as_strings
+    for to in (float, lambda s: bool(int(s))):
+        with pytest.raises(SchemaError):
+            parse_document(json.dumps(_scalars_to(doc, to, keys)).encode())
+
+
 def test_duplicate_sparse_entry_rejected():
     raw = N2_DOC.replace(
         b'[{"i":1,"j":1,"k":0,"c":"1"}]',

@@ -27,6 +27,13 @@ def test_non_prime_modulus_is_a_library_error():
         prime_field(4)
 
 
+@pytest.mark.parametrize("modulus", [3.0, "3", Fraction(3), True, None])
+def test_modulus_must_be_an_int(modulus):
+    # a float modulus made a float field equal to F_3 whose coerce(5) was 2.0
+    with pytest.raises(FieldSpecError, match="^modulus must be an int, got "):
+        prime_field(modulus)
+
+
 def test_is_prime_small():
     primes = [n for n in range(60) if is_prime(n)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]

@@ -4,15 +4,15 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 import dendrop as dp
-from dendrop.errors import (DimensionMismatchError, FieldMismatchError,
-                            NoSolutionError, SingularMatrixError)
+from dendrop.errors import (ArgumentError, DendropError, DimensionMismatchError,
+                            FieldMismatchError, NoSolutionError, SingularMatrixError)
 from dendrop.linalg import (Matrix, StructureTensor, _transport, column_space_basis,
                             in_span, invert, kernel_basis, rank, solve)
-from helpers import F2, F3, F5, Q, diag
+from helpers import F2, F3, F5, Q, diag, n2
 
 
 def m(field, rows):
-    return Matrix.from_rows(field, rows)
+    return Matrix(field, rows)
 
 
 # -- kernel ------------------------------------------------------------------
@@ -215,6 +215,109 @@ def test_structure_tensor_shape_checks():
     for entries in (((1, 0), (0, 1)), (Matrix.identity(Q, 2),) * 2, None):
         with pytest.raises(DimensionMismatchError, match="nested three deep"):
             StructureTensor(Q, entries)
+
+
+# -- one refusal rule at every container's boundary ----------------------------
+
+Z2 = ((0, 0), (0, 0))
+Z222 = (Z2, Z2)
+F3_PLANE = Matrix.identity(F3, 2)
+
+# Each case names the container and the flaw: a non-sequence, the wrong nesting
+# depth, a ragged level, a negative size or a non-int size.  Shapes are refused
+# with DimensionMismatchError, sizes with ArgumentError, a leaf that is not a
+# scalar of the field with FieldMismatchError.
+BOUNDARY = {
+    "Matrix/non-sequence": (lambda: Matrix(F3, 5), DimensionMismatchError),
+    "Matrix/None": (lambda: Matrix(F3, None), DimensionMismatchError),
+    "Matrix/depth one": (lambda: Matrix(F3, [1, 2]), DimensionMismatchError),
+    "Matrix/depth three": (lambda: Matrix(F3, [[[1]]]), FieldMismatchError),
+    "Matrix/ragged": (lambda: Matrix(F3, [[1], [1, 2]]), DimensionMismatchError),
+    "from_columns/non-sequence": (lambda: Matrix.from_columns(F3, 5), DimensionMismatchError),
+    "from_columns/depth one": (lambda: Matrix.from_columns(F3, [1, 2]), DimensionMismatchError),
+    "from_columns/long column": (lambda: Matrix.from_columns(F3, [[1], [1, 2]]),
+                                 DimensionMismatchError),
+    "from_columns/short column": (lambda: Matrix.from_columns(F3, [[1, 2], [1]]),
+                                  DimensionMismatchError),
+    "from_columns/empty columns": (lambda: Matrix.from_columns(F3, [(), ()]),
+                                   DimensionMismatchError),
+    "zeros/negative rows": (lambda: Matrix.zeros(F3, -1, 2), ArgumentError),
+    "zeros/negative cols": (lambda: Matrix.zeros(F3, 2, -1), ArgumentError),
+    "zeros/float rows": (lambda: Matrix.zeros(F3, 2.0, 2), ArgumentError),
+    "zeros/str cols": (lambda: Matrix.zeros(F3, 2, "2"), ArgumentError),
+    "zeros/columns without rows": (lambda: Matrix.zeros(F3, 0, 3), DimensionMismatchError),
+    "identity/negative": (lambda: Matrix.identity(F3, -1), ArgumentError),
+    "identity/str": (lambda: Matrix.identity(F3, "2"), ArgumentError),
+    "identity/bool": (lambda: Matrix.identity(F3, True), ArgumentError),
+    "StructureTensor/non-sequence": (lambda: StructureTensor(F3, 5), DimensionMismatchError),
+    "StructureTensor/depth two": (lambda: StructureTensor(F3, Z2), DimensionMismatchError),
+    "StructureTensor/matrix planes": (lambda: StructureTensor(F3, (F3_PLANE,) * 2),
+                                      DimensionMismatchError),
+    "StructureTensor/ragged plane": (lambda: StructureTensor(F3, (Z2, ((0, 0),))),
+                                     DimensionMismatchError),
+    "StructureTensor/ragged row": (lambda: StructureTensor(F3, (Z2, ((0, 0), (0,)))),
+                                   DimensionMismatchError),
+    "StructureTensor/not cubical": (lambda: StructureTensor(F3, (((0,),),) * 2),
+                                    DimensionMismatchError),
+    "zero/negative": (lambda: StructureTensor.zero(F3, -2), ArgumentError),
+    "zero/float": (lambda: StructureTensor.zero(F3, 2.0), ArgumentError),
+    "from_triples/negative": (lambda: StructureTensor.from_triples(F3, -2, {}), ArgumentError),
+    "from_triples/str": (lambda: StructureTensor.from_triples(F3, "2", {}), ArgumentError),
+    "from_triples/index out of range": (
+        lambda: StructureTensor.from_triples(F3, 2, {(0, 0, 2): 1}), DimensionMismatchError),
+    "make_algebra/negative": (lambda: dp.make_algebra(F3, -1, {}), ArgumentError),
+    "make_dendriform_di/float": (lambda: dp.make_dendriform_di(F3, 1.0, {}, {}), ArgumentError),
+    "make_dendriform_tri/negative": (lambda: dp.make_dendriform_tri(F3, -1, {}, {}, {}),
+                                     ArgumentError),
+    "Bimodule/non-sequence": (lambda: dp.Bimodule(n2(F3), 5, Z222), DimensionMismatchError),
+    "Bimodule/None": (lambda: dp.Bimodule(n2(F3), Z222, None), DimensionMismatchError),
+    "Bimodule/depth two": (lambda: dp.Bimodule(n2(F3), Z2, Z222), DimensionMismatchError),
+    "Bimodule/ragged left": (lambda: dp.Bimodule(n2(F3), (Z2, ((0, 0), (0,))), Z222),
+                             DimensionMismatchError),
+    "Bimodule/ragged right": (lambda: dp.Bimodule(n2(F3), Z222, (Z2, ((0, 0),))),
+                              DimensionMismatchError),
+    "Bimodule/one left plane": (lambda: dp.Bimodule(n2(F3), (Z2,), Z222),
+                                DimensionMismatchError),
+    "BimoduleAlgebra/product dimension": (
+        lambda: dp.BimoduleAlgebra(dp.Bimodule(n2(F3), Z222, Z222),
+                                   StructureTensor.zero(F3, 3)), DimensionMismatchError),
+    "BimoduleAlgebra/product field": (
+        lambda: dp.BimoduleAlgebra(dp.Bimodule(n2(F3), Z222, Z222),
+                                   StructureTensor.zero(Q, 2)), FieldMismatchError),
+    "gl_matrices/negative": (lambda: dp.gl_matrices(F3, -1), ArgumentError),
+    "gl_matrices/str": (lambda: dp.gl_matrices(F3, "2"), ArgumentError),
+    "enumerate_associative_products/str": (lambda: dp.enumerate_associative_products("1", 2),
+                                           ArgumentError),
+    "enumerate_dendriform_di/float": (lambda: dp.enumerate_dendriform_di(1.0, 2),
+                                      ArgumentError),
+    "phi_image_experiment/bool": (lambda: dp.phi_image_experiment(True, 2), ArgumentError),
+}
+
+
+@pytest.mark.parametrize("call, expected", BOUNDARY.values(), ids=BOUNDARY.keys())
+def test_every_container_refuses_a_malformed_table_or_size(call, expected):
+    with pytest.raises(DendropError) as refused:
+        call()
+    assert type(refused.value) is expected
+
+
+def test_a_refused_shape_names_the_table_expected():
+    with pytest.raises(DimensionMismatchError, match="^expected a table of shape 2 x k$"):
+        Matrix(F3, [[1], [1, 2]])
+    with pytest.raises(DimensionMismatchError, match="^expected a table of shape 2 x 2 x 2$"):
+        StructureTensor(F3, (((0,),),) * 2)
+    with pytest.raises(DimensionMismatchError, match="^expected a table nested two deep$"):
+        Matrix(F3, 5)
+    with pytest.raises(ArgumentError, match="^row count must be a non-negative int, got -1$"):
+        Matrix.zeros(F3, -1, 2)
+
+
+def test_sized_constructors_keep_their_empty_cases():
+    assert Matrix.identity(F3, 0) == Matrix.zeros(F3, 0, 0) == Matrix(F3, ())
+    assert StructureTensor.zero(F3, 0) == StructureTensor.from_triples(F3, 0, {})
+    assert Matrix.from_columns(F3, [(1, 2), (0, 1)]) == Matrix(F3, ((1, 0), (2, 1)))
+    # a bimodule over the zero algebra keeps its module dimension
+    assert dp.Bimodule(dp.make_algebra(F3, 0, {}), (), ((),) * 2).dim == 2
 
 
 # -- scalar coercion in constructors ------------------------------------------
