@@ -6,11 +6,15 @@ the operator becomes an algebra homomorphism from the summed product to the
 codomain.  Range side: an invertible operator transports those products onto
 the codomain, splitting its multiplication; a non-invertible operator still
 induces products on its image when its kernel is an ideal of the domain
-product.  Each product is one ``linalg._transport`` of a table: the
-domain products move the action tables along alpha, and both range cases
-move those along sections of an image basis (the columns of alpha^{-1},
-or solved preimages of the reduced-echelon basis of the image), read
-through alpha at the basis pivots (``_range_tensors``).  Conversely every
+product.  Each product is one ``linalg._transport`` of a table.  The
+domain products move the action tables along alpha.  Both range cases
+move the same action tables, the module argument along sections of an
+image basis (the columns of alpha^{-1}, or solved preimages of the
+reduced-echelon basis of the image), the acting argument along that basis,
+and the value through alpha read at the basis pivots (``_range_tensors``).
+An operator pulled back from an identity operator keeps the inverse of
+its matrix (``operators.compose_with_domain_iso``), and its range reads
+that inverse instead of eliminating again.  Conversely every
 dendriform structure arises from the identity map viewed as an operator out
 of a canonically built domain structure.
 
@@ -194,27 +198,40 @@ def kernel_ideal_check(op: OOperator) -> bool:
     return rank(Matrix(f, rows)) == len(ker)
 
 
-def _range_tensors(op: OOperator, sections, pivots) -> tuple:
+def _range_tensors(op: OOperator, sections, basis, pivots) -> tuple:
     """Products alpha induces on its image, in the image basis w_s = alpha(u_s).
 
-    ``sections[s]`` is a preimage u_s of the image basis vector w_s, and
+    ``sections[s]`` is a preimage u_s of the image basis vector w_s, whose
+    codomain coordinates are ``basis[s]`` (None for the standard basis), and
     ``pivots[s]`` a coordinate where w_s is 1 and every other w_t is 0, so
-    a vector of the image has its image coordinates at ``pivots``.  Each
-    domain product is moved along (sections, sections, alpha read at the
-    pivots): w_s < w_t = alpha(u_s < u_t) = alpha(u_s r(w_t)), likewise
-    w_s > w_t = alpha(l(w_s) u_t), and for algebra-kind operators
-    w_s . w_t = alpha(weight u_s o u_t).  Each is alpha of something, so it
-    lies in the image and reading it at the pivots loses nothing.
+    a vector of the image has its image coordinates at ``pivots``.  As
+    alpha u_t = w_t, w_s < w_t = alpha(u_s < u_t) = alpha(u_s r(w_t)) is the
+    right action table moved along (sections, basis, alpha read at the
+    pivots), and w_s > w_t = alpha(l(w_s) u_t) the left one along (basis,
+    sections, the same): one move of each table, with no step through the
+    domain products.  For algebra-kind operators
+    w_s . w_t = alpha(weight u_s o u_t) moves the scaled domain product
+    along (sections, sections, the same).  Each is alpha of something, so
+    it lies in the image and reading it at the pivots loses nothing.
     """
-    f = op.field
+    f, dom = op.field, op.domain
     acols = tuple(tuple(col[i] for i in pivots) for col in _transpose(op.matrix.entries))
-    return tuple(StructureTensor(f, _transport(f, t, sections, sections, acols))
-                 for t in _domain_products(op))
+    tables = [_transport(f, dom.right, sections, basis, acols),
+              _transport(f, dom.left, basis, sections, acols)]
+    if op.kind == ALGEBRA:
+        tables.append(_transport(f, dom.product.scale(op.weight).entries,
+                                 sections, sections, acols))
+    return tuple(StructureTensor(f, t) for t in tables)
 
 
 def _invertible_range(op: OOperator) -> tuple:
-    """Range tensors of an invertible operator: sections alpha^{-1}(e_i), standard basis."""
-    return _range_tensors(op, invert(op.matrix).columns(), range(op.codomain.dim))
+    """Range tensors of an invertible operator: sections alpha^{-1}(e_i), standard basis.
+
+    alpha^{-1} is the inverse ``compose_with_domain_iso`` kept on the
+    matrix, if it kept one, and otherwise ``invert``'s.
+    """
+    inverse = vars(op.matrix).get("_inverse") or invert(op.matrix)
+    return _range_tensors(op, _transpose(inverse.entries), None, range(op.codomain.dim))
 
 
 def range_dendriform_tri(op: OOperator) -> DendriformTri:
@@ -262,7 +279,7 @@ def range_dendriform_quotient(op: OOperator, section_rule: str = "first") -> Quo
     pivots = [next(i for i, a in enumerate(w) if a) for w in basis]
     emb = Matrix.from_columns(f, basis) if basis else Matrix.zeros(f, op.codomain.dim, 0)
     sections = [solve(op.matrix, w, pivot_rule=section_rule) for w in basis]
-    tri = DendriformTri(*_range_tensors(op, sections, pivots))
+    tri = DendriformTri(*_range_tensors(op, sections, basis, pivots))
     # alpha(u) alpha(v) = alpha(u star v): the image is closed under the codomain
     # product, so its products are read at the pivots
     at_pivots = [tuple(f.one if i == q else f.zero for q in pivots)

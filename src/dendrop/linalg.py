@@ -254,8 +254,11 @@ def _full_rank(M: Matrix) -> bool:
 
     A full rank found by an elimination (here, or in ``invert`` for the
     matrix and its inverse) is kept on ``M``, outside its fields, and read
-    instead of ranking again; nothing else is kept, so ``rank`` and
-    ``invert`` still eliminate on every call.
+    instead of ranking again.  The only other thing kept on a matrix is the
+    inverse ``operators.compose_with_domain_iso`` puts on the matrix of an
+    identity operator pulled back along g, which is g, and only the range
+    constructions read it; ``rank`` and ``invert`` still eliminate on every
+    call.
     """
     if not vars(M).get("_full_rank"):
         if rank(M) < M.rows:
@@ -381,6 +384,7 @@ class StructureTensor:
     Entries are coerced into the field by ``_field_table``, as an n x n x n table.
     """
 
+    _noun = "structure tensor"
     field: FieldSpec
     entries: tuple
 
@@ -399,10 +403,18 @@ class StructureTensor:
 
     @classmethod
     def from_triples(cls, field: FieldSpec, dim: int, triples: Iterable) -> "StructureTensor":
-        """Build from sparse entries {(i, j, k): c}; unlisted entries are zero."""
+        """Build from sparse entries {(i, j, k): c}; unlisted entries are zero.
+
+        A key that is not a 3-tuple of non-bool ints raises ``ArgumentError``,
+        as ``_check_size`` does; an index outside ``range(dim)``,
+        ``DimensionMismatchError``.
+        """
         _check_size(dim)
         grid = [[[field.zero] * dim for _ in range(dim)] for _ in range(dim)]
-        for (i, j, k), c in dict(triples).items():
+        for key, c in dict(triples).items():
+            if key.__class__ is not tuple or len(key) != 3 or set(map(type, key)) != _INT:
+                raise ArgumentError(f"tensor index must be a triple of ints, got {key!r}")
+            i, j, k = key
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise DimensionMismatchError(
                     f"tensor index ({i},{j},{k}) out of range for dim {dim}")

@@ -52,6 +52,8 @@ class RotaBaxterOperator(_Checked):
     weight: object
 
     def __post_init__(self):
+        _expect(self.algebra, Algebra)
+        _expect(self.matrix, Matrix)
         same_field(self.matrix.field, self.algebra.field)
         object.__setattr__(self, "weight", self.algebra.field.coerce(self.weight))
         if self.matrix.rows != self.algebra.dim or not self.matrix.is_square:
@@ -294,16 +296,23 @@ def compose_with_domain_iso(op: OOperator, g: Matrix, source) -> OOperator:
     As g intertwines the actions (and the products, for algebra kind), the
     relation of alpha o g at (u, v) is that of alpha at (g u, g v).  Both
     are bilinear and g is bijective, so one holds on all basis pairs
-    exactly when the other does.
+    exactly when the other does.  When ``source`` is that pullback and
+    alpha is the identity (every canonical operator), alpha o g is g, and
+    the composite's matrix keeps the g^{-1} the pullback computed, outside
+    its fields; the range constructions read it instead of inverting.
     """
     _expect(op, OOperator)
     _comparable_domains(source, op.domain)
-    pulled_from = vars(source).get("_pulled_back", (None, None))
-    if pulled_from[0] is not op.domain or pulled_from[1] is not g:
+    domain, h, hinv = vars(source).get("_pulled_back", (None, None, None))
+    pulled = domain is op.domain and h is g
+    if not pulled:
         _require_invertible(g, op.field, source.dim, "domain iso candidate g")
         _require(_domain_morphism_failures(g, source, op.domain), NotIntertwiningError,
                  "g fails {axiom} at {indices}")
-    return _keep(OOperator(source, op.codomain, op.matrix.mul(g), op.weight), _known(op))
+    matrix = op.matrix.mul(g)
+    if pulled and op.matrix.is_identity():
+        vars(matrix)["_inverse"] = hinv  # alpha o g = g
+    return _keep(OOperator(source, op.codomain, matrix, op.weight), _known(op))
 
 
 def twist_by_range_automorphism(op: OOperator, fmat: Matrix) -> OOperator:
@@ -333,8 +342,8 @@ def pullback_domain(domain, h: Matrix):
     Returns the structure S' with actions h^{-1} l(x) h, h^{-1} r(x) h (and
     product pulled back through h for algebra kind); h : S' -> domain is then
     an isomorphism of bimodule(-algebra) structures by construction.  S'
-    records that it was pulled back from ``domain`` along ``h``, which
-    ``compose_with_domain_iso`` reads.
+    records that it was pulled back from ``domain`` along ``h``, and h^{-1},
+    which ``compose_with_domain_iso`` reads.
     """
     if not isinstance(domain, (Bimodule, BimoduleAlgebra)):
         raise KindMismatchError(f"expected a bimodule or bimodule algebra, "
@@ -347,6 +356,7 @@ def pullback_domain(domain, h: Matrix):
     if isinstance(domain, BimoduleAlgebra):
         product = _transport(f, domain.product.entries, hcols, hcols, back)
         pulled = BimoduleAlgebra(pulled, StructureTensor(f, product))
-    # the objects themselves, compared by identity; an id() could be reused
-    vars(pulled)["_pulled_back"] = (domain, h)
+    # the objects themselves, compared by identity (an id() could be reused),
+    # and the inverse of h, which ``compose_with_domain_iso`` may keep
+    vars(pulled)["_pulled_back"] = (domain, h, hinv)
     return pulled

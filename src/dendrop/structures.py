@@ -194,11 +194,15 @@ class _Tables(_Checked):
 
     ``Algebra``, ``DendriformDi`` and ``DendriformTri`` list their tables in
     ``tensors()``, in field order, and read ``field`` and ``dim`` directly
-    off the first one; construction checks that all tables agree in both.
+    off the first one; construction checks that every table is a
+    ``StructureTensor`` and that all agree in both.
     """
 
     def __post_init__(self):
-        first, *rest = self.tensors()
+        tensors = self.tensors()
+        for t in tensors:
+            _expect(t, StructureTensor)
+        first, *rest = tensors
         n, field = first.dim, first.field
         for t in rest:
             if t.dim != n:
@@ -264,6 +268,7 @@ class Bimodule(_Checked):
     right: tuple
 
     def __post_init__(self):
+        _expect(self.algebra, Algebra)
         f, n = self.algebra.field, self.algebra.dim
         right = _field_table(f, self.right, (None, n, None))
         object.__setattr__(self, "right", right)
@@ -297,6 +302,8 @@ class BimoduleAlgebra(_Checked):
     product: StructureTensor
 
     def __post_init__(self):
+        _expect(self.base, Bimodule)
+        _expect(self.product, StructureTensor)
         _field_table(self.product.field, self.product.entries, (self.dim,) * 3)
         same_field(self.product.field, self.base.field)
 

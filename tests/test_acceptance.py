@@ -6,6 +6,7 @@ in oracle_enumeration.py and frozen into tests/fixtures before the library
 was pointed at them.  Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
+import itertools
 import json
 import os
 import random
@@ -162,6 +163,37 @@ def test_criterion_6_range_splitting(suite):
     report(6, 60.0, started,
            f"{invertible} invertible range splittings, "
            f"{quotient_checked} section-independent quotients")
+
+
+def product_by_matvec(field, table, u, v):
+    """Coordinates of u o v, ``table`` the product's: column i is b_i o v, row by row."""
+    left = [dp.Matrix.from_columns(field, plane).matvec(v) for plane in table]
+    return dp.Matrix.from_columns(field, left).matvec(u)
+
+
+def test_quotient_products_are_alpha_of_the_domain_products(suite):
+    # a second method for the quotient: embedding(w_s o' w_t) = alpha(u_s o u_t)
+    # for each product o, u_s a preimage of the image basis vector w_s and o
+    # read off domain_dendriform_tri, by matvec alone
+    ops = [op for _, op in suite if op.kind == "algebra" and dp.kernel_ideal_check(op)]
+    rng = random.Random(99)
+    proj = projection_operator_with_ideal_kernel(F3)
+    for _ in range(25):
+        h = random_invertible(rng, F3, 3)
+        ops.append(dp.compose_with_domain_iso(proj, h, dp.pullback_domain(proj.domain, h)))
+    singular = 0
+    for op in ops:
+        f, alpha = op.field, op.matrix
+        quot = dp.range_dendriform_quotient(op)
+        ws = quot.embedding.columns()
+        us = [dp.solve(alpha, w) for w in ws]
+        assert [alpha.matvec(u) for u in us] == ws
+        singular += len(ws) < op.domain.dim
+        for got, table in zip(quot.structure.tensors(), dp.domain_dendriform_tri(op).tensors()):
+            for s, t in itertools.product(range(len(ws)), repeat=2):
+                assert quot.embedding.matvec(got.row(s, t)) == alpha.matvec(
+                    product_by_matvec(f, table.entries, us[s], us[t]))
+    assert len(ops) > 100 and singular >= 25
 
 
 def test_criterion_7_equivalence_machinery():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import dendrop as dp
+from dendrop import constructions
 from dendrop.errors import (DendropError, DimensionMismatchError, FieldMismatchError,
                             InvalidDendriformError, InvalidOperatorError, KernelNotIdealError,
                             KindMismatchError, SingularMatrixError)
@@ -362,6 +363,68 @@ def test_range_di_identity_from_canonical():
     d = dp.catalogue_entry("rb-5").structure
     _, op = dp.canonical_operator_from_di(d)
     assert dp.range_dendriform_di(op) == d
+
+
+def count_inversions(monkeypatch) -> list:
+    """The matrices ``constructions`` inverts from now on, in call order."""
+    calls, real = [], constructions.invert
+
+    def counting(M):
+        calls.append(M)
+        return real(M)
+
+    monkeypatch.setattr(constructions, "invert", counting)
+    return calls
+
+
+def minus_identity_operator(field):
+    """-id on k x k, a weight-one Rota-Baxter operator over any field, as an O-operator."""
+    return dp.rb_as_o_operator(dp.RotaBaxterOperator(split2(field), diag(field, -1, -1), 1))
+
+
+@pytest.mark.parametrize("field", [Q, F3], ids=["Q", "F3"])
+@pytest.mark.parametrize("kind", ["di", "tri"])
+def test_a_pulled_back_identity_operator_keeps_its_inverse(monkeypatch, field, kind):
+    if kind == "di":
+        d = dp.dendriform_di_to_field(dp.catalogue_entry("rb-3").structure, field)
+        _, op = dp.canonical_operator_from_di(d)
+        range_of = dp.range_dendriform_di
+    else:
+        d = dp.domain_dendriform_tri(minus_identity_operator(field))
+        _, op = dp.canonical_operator_from_tri(d)
+        range_of = dp.range_dendriform_tri
+    assert op.matrix.is_identity()
+    rng = random.Random(30)
+    calls = count_inversions(monkeypatch)
+    for _ in range(5):
+        h = random_invertible(rng, field, d.dim)
+        moved = dp.compose_with_domain_iso(op, h, dp.pullback_domain(op.domain, h))
+        rebuilt = dp.OOperator(moved.domain, moved.codomain,
+                               Matrix(field, moved.matrix.entries), moved.weight)
+        calls.clear()
+        kept = range_of(moved)
+        assert calls == []
+        assert kept == range_of(rebuilt)
+        assert calls == [rebuilt.matrix]
+
+
+def test_only_a_pulled_back_identity_operator_keeps_an_inverse(monkeypatch):
+    rng = random.Random(31)
+    invertible = minus_identity_operator(F3)
+    singular = dp.rb_as_o_operator(
+        dp.RotaBaxterOperator(split2(F3), diag(F3, -1, 0), 1))
+    h, g = (random_invertible(rng, F3, 2) for _ in range(2))
+    moved = dp.compose_with_domain_iso(invertible, h, dp.pullback_domain(invertible.domain, h))
+    moved_singular = dp.compose_with_domain_iso(singular, g,
+                                                dp.pullback_domain(singular.domain, g))
+    assert "_inverse" not in vars(moved.matrix)
+    assert "_inverse" not in vars(moved_singular.matrix)
+    calls = count_inversions(monkeypatch)
+    assert dp.check_splitting(dp.range_dendriform_tri(moved), moved.codomain).passed
+    assert calls == [moved.matrix]
+    with pytest.raises(SingularMatrixError):
+        dp.range_dendriform_tri(moved_singular)
+    assert calls == [moved.matrix, moved_singular.matrix]
 
 
 # -- quotient path ------------------------------------------------------------------------------

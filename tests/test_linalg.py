@@ -265,6 +265,16 @@ BOUNDARY = {
     "from_triples/str": (lambda: StructureTensor.from_triples(F3, "2", {}), ArgumentError),
     "from_triples/index out of range": (
         lambda: StructureTensor.from_triples(F3, 2, {(0, 0, 2): 1}), DimensionMismatchError),
+    # these keys used to raise a bare TypeError, a bare ValueError, or (True) read index 1
+    "from_triples/float key": (lambda: StructureTensor.from_triples(F3, 2, {(0.0, 0, 0): 1}),
+                               ArgumentError),
+    "from_triples/str key": (lambda: StructureTensor.from_triples(F3, 2, {("0", 0, 0): 1}),
+                             ArgumentError),
+    "from_triples/pair key": (lambda: StructureTensor.from_triples(F3, 2, {(0, 0): 1}),
+                              ArgumentError),
+    "from_triples/bool key": (lambda: StructureTensor.from_triples(F3, 2, {(True, 0, 0): 1}),
+                              ArgumentError),
+    "make_algebra/pair key": (lambda: dp.make_algebra(F3, 2, {(0, 0): 1}), ArgumentError),
     "make_algebra/negative": (lambda: dp.make_algebra(F3, -1, {}), ArgumentError),
     "make_dendriform_di/float": (lambda: dp.make_dendriform_di(F3, 1.0, {}, {}), ArgumentError),
     "make_dendriform_tri/negative": (lambda: dp.make_dendriform_tri(F3, -1, {}, {}, {}),

@@ -334,6 +334,33 @@ def test_validators_refuse_the_wrong_kind(validate, wrong, message):
     assert "_holds" not in vars(wrong)
 
 
+_KX2 = kx2()
+_BASE = dp.canonical_bimodule(_KX2).base
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: dp.Algebra(_KX2.product.entries), "expected a structure tensor, got a tuple"),
+    (lambda: dp.DendriformDi(_KX2.product, _KX2.product.entries),
+     "expected a structure tensor, got a tuple"),
+    (lambda: dp.DendriformTri(_KX2.product, _KX2.product, None),
+     "expected a structure tensor, got a NoneType"),
+    (lambda: dp.Bimodule(_KX2.product, _BASE.left, _BASE.right),
+     "expected an algebra, got a StructureTensor"),
+    (lambda: dp.BimoduleAlgebra(_KX2, _KX2.product), "expected a bimodule, got an Algebra"),
+    (lambda: dp.BimoduleAlgebra(_BASE, _KX2.product.entries),
+     "expected a structure tensor, got a tuple"),
+    (lambda: dp.RotaBaxterOperator(_KX2.product, Matrix.identity(Q, 2), 0),
+     "expected an algebra, got a StructureTensor"),
+    (lambda: dp.RotaBaxterOperator(_KX2, Matrix.identity(Q, 2).entries, 0),
+     "expected a matrix, got a tuple"),
+], ids=["algebra-product", "di-succ", "tri-dot", "bimodule-algebra", "bimodule-algebra-base",
+        "bimodule-algebra-product", "rb-algebra", "rb-matrix"])
+def test_constructors_refuse_an_argument_of_the_wrong_class(build, message):
+    # each used to raise a bare AttributeError
+    with pytest.raises(KindMismatchError, match=f"^{message}$"):
+        build()
+
+
 def test_star_of_rb2_is_n2():
     star = dp.star_product(dp.catalogue_entry("rb-2").structure)
     assert star.product == n2().product
