@@ -6,17 +6,21 @@ the operator becomes an algebra homomorphism from the summed product to the
 codomain.  Range side: an invertible operator transports those products onto
 the codomain, splitting its multiplication; a non-invertible operator still
 induces products on its image when its kernel is an ideal of the domain
-product.  Each product is one ``linalg._transport`` of a table.  The
-domain products move the action tables along alpha.  Both range cases
-move the same action tables, the module argument along sections of an
-image basis (the columns of alpha^{-1}, or solved preimages of the
-reduced-echelon basis of the image), the acting argument along that basis,
-and the value through alpha read at the basis pivots (``_range_tensors``).
-An operator pulled back from an identity operator keeps the inverse of
-its matrix (``operators.compose_with_domain_iso``), and its range reads
-that inverse instead of eliminating again.  Conversely every
-dendriform structure arises from the identity map viewed as an operator out
-of a canonically built domain structure.
+product.  prec and succ move the domain's action tables by the one rule
+``structures._moved_actions``, and dot the scaled domain product, the
+module argument, the acting argument and the value each along one map
+(``_moved_products``).  The domain products move the acting argument
+along alpha.  Both range cases move the module argument along sections
+of an image basis (the columns of alpha^{-1}, or solved preimages of the
+reduced-echelon basis of the image), the acting argument along that
+basis, and the value through alpha read at the basis pivots
+(``_range_tensors``).  ``linalg.invert`` keeps the inverse it finds on
+the matrix, so the range of an operator whose matrix was inverted
+before, such as one pulled back from an identity operator
+(``operators.compose_with_domain_iso``, whose matrix is then g itself),
+eliminates nothing.  Conversely every dendriform structure arises from
+the identity map viewed as an operator out of a canonically built domain
+structure.
 
 Constructors refuse operators or dendriform structures that fail their
 validators: the output guarantees only hold under those hypotheses, and
@@ -43,7 +47,7 @@ from .linalg import (Matrix, StructureTensor, _transport, column_space_basis,
 from .structures import (Algebra, Bimodule, BimoduleAlgebra, DendriformDi,
                          DendriformTri, DEFAULT_MAX_VIOLATIONS, ValidationReport,
                          _collect, _expect_dendriform, _homomorphism_failures,
-                         _keep, _require_holds, _transpose, star_product)
+                         _keep, _moved_actions, _require_holds, _transpose, star_product)
 from .operators import ALGEBRA, MODULE, OOperator, _expect_kind
 
 
@@ -55,28 +59,32 @@ def _valid(op: OOperator, kind: str) -> OOperator:
     return op
 
 
-def _domain_tables(field, left, right, acols) -> list:
-    """Tables of u < v = u r(alpha v) and u > v = l(alpha u) v, alpha given by its columns.
+def _moved_products(op: OOperator, sections, acting, value) -> list:
+    """Tables of prec, succ (and dot, for algebra kind) moved from the source of ``op``.
 
-    The action tables ``left`` and ``right`` are each moved one step along
-    alpha; None for ``acols`` is the identity, which ``_transport`` skips.
+    u < v = u r(alpha v) is the right action table and u > v = l(alpha u) v
+    the left one, both moved by ``_moved_actions`` with the module argument
+    along ``sections``, the acting argument along ``acting`` and the value
+    along ``value``; u . v = weight (u o v) moves the scaled source product
+    along (sections, sections, value).  Each map is a list of columns, None
+    for the identity.
     """
-    return [_transport(field, right, None, acols, None),
-            _transport(field, left, acols, None, None)]
+    f, dom = op.field, op.domain
+    succ, prec = _moved_actions(f, dom.left, dom.right, acting, sections, value)
+    tables = [prec, succ]
+    if op.kind == ALGEBRA:
+        tables.append(_transport(f, dom.product.scale(op.weight).entries,
+                                 sections, sections, value))
+    return tables
 
 
 def _domain_products(op: OOperator) -> list:
-    """Tables of the products on the source: the action tables moved along alpha.
+    """Tables of the products on the source: the action tables moved along (None, alpha, None).
 
-    u < v and u > v (``_domain_tables``), and u . v = weight (u o v) for
-    algebra kind.  An identity alpha is passed as None.
+    An identity alpha is passed as None.
     """
     acols = None if op.matrix.is_identity() else _transpose(op.matrix.entries)
-    dom = op.domain
-    tables = _domain_tables(op.field, dom.left, dom.right, acols)
-    if op.kind == ALGEBRA:
-        tables.append(dom.product.scale(op.weight).entries)
-    return tables
+    return _moved_products(op, None, acols, None)
 
 
 def _domain_structure(op: OOperator):
@@ -205,33 +213,20 @@ def _range_tensors(op: OOperator, sections, basis, pivots) -> tuple:
     codomain coordinates are ``basis[s]`` (None for the standard basis), and
     ``pivots[s]`` a coordinate where w_s is 1 and every other w_t is 0, so
     a vector of the image has its image coordinates at ``pivots``.  As
-    alpha u_t = w_t, w_s < w_t = alpha(u_s < u_t) = alpha(u_s r(w_t)) is the
-    right action table moved along (sections, basis, alpha read at the
-    pivots), and w_s > w_t = alpha(l(w_s) u_t) the left one along (basis,
-    sections, the same): one move of each table, with no step through the
-    domain products.  For algebra-kind operators
-    w_s . w_t = alpha(weight u_s o u_t) moves the scaled domain product
-    along (sections, sections, the same).  Each is alpha of something, so
-    it lies in the image and reading it at the pivots loses nothing.
+    alpha u_t = w_t, w_s < w_t = alpha(u_s < u_t) = alpha(u_s r(w_t)),
+    w_s > w_t = alpha(l(w_s) u_t) and, for algebra-kind operators,
+    w_s . w_t = alpha(weight u_s o u_t): the products ``_moved_products``
+    moves along (sections, basis, alpha read at the pivots), with no step
+    through the domain products.  Each is alpha of something, so it lies
+    in the image and reading it at the pivots loses nothing.
     """
-    f, dom = op.field, op.domain
     acols = tuple(tuple(col[i] for i in pivots) for col in _transpose(op.matrix.entries))
-    tables = [_transport(f, dom.right, sections, basis, acols),
-              _transport(f, dom.left, basis, sections, acols)]
-    if op.kind == ALGEBRA:
-        tables.append(_transport(f, dom.product.scale(op.weight).entries,
-                                 sections, sections, acols))
-    return tuple(StructureTensor(f, t) for t in tables)
+    return tuple(StructureTensor(op.field, t) for t in _moved_products(op, sections, basis, acols))
 
 
 def _invertible_range(op: OOperator) -> tuple:
-    """Range tensors of an invertible operator: sections alpha^{-1}(e_i), standard basis.
-
-    alpha^{-1} is the inverse ``compose_with_domain_iso`` kept on the
-    matrix, if it kept one, and otherwise ``invert``'s.
-    """
-    inverse = vars(op.matrix).get("_inverse") or invert(op.matrix)
-    return _range_tensors(op, _transpose(inverse.entries), None, range(op.codomain.dim))
+    """Range tensors of an invertible operator: sections alpha^{-1}(e_i), standard basis."""
+    return _range_tensors(op, _transpose(invert(op.matrix).entries), None, range(op.codomain.dim))
 
 
 def range_dendriform_tri(op: OOperator) -> DendriformTri:

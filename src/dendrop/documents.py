@@ -465,7 +465,7 @@ _VIOLATION = _kind(None, Violation, "axiom indices lhs rhs",
 # -- documents ------------------------------------------------------------------------
 
 def parse_document(data) -> Document:
-    """Parse and validate one document from bytes or text."""
+    """Parse and validate one document from bytes or text (anything else: ``ArgumentError``)."""
     try:
         return _parse(data)
     except RecursionError:
@@ -478,8 +478,10 @@ def _parse(data) -> Document:
             text = data.decode("utf-8")
         except UnicodeDecodeError as e:
             raise DocumentSyntaxError(f"invalid UTF-8 at byte {e.start}") from None
-    else:
+    elif isinstance(data, str):
         text = data
+    else:
+        raise ArgumentError(f"a document is bytes or text, not {type(data).__name__}")
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
@@ -585,7 +587,8 @@ def emit_document(obj, field: FieldSpec | None = None) -> bytes:
     """Canonical UTF-8 JSON bytes for a payload object or a full Document.
 
     A payload nested deeper than the interpreter recurses is refused, as
-    ``parse_document`` refuses such a document.
+    ``parse_document`` refuses such a document, and so is a ``field`` that
+    is not a ``FieldSpec`` (``ArgumentError`` both).
     """
     if isinstance(obj, Document):
         field, obj = obj.field, obj.payload
@@ -593,6 +596,8 @@ def emit_document(obj, field: FieldSpec | None = None) -> bytes:
         field = getattr(obj, "field", None)
         if field is None:
             raise ArgumentError("field must be supplied for objects that do not carry one")
+    elif type(field) is not FieldSpec:
+        raise ArgumentError(f"field must be a FieldSpec, not {type(field).__name__}")
     try:
         return emit_raw(field, _dump_payload(obj))
     except RecursionError:

@@ -104,13 +104,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 
-from .constructions import _domain_tables, canonical_operator_from_di
-from .errors import BudgetExceededError, FieldNotFiniteError, InvalidDendriformError
+from .constructions import canonical_operator_from_di
+from .errors import (ArgumentError, BudgetExceededError, FieldNotFiniteError,
+                     InvalidDendriformError, _expect)
 from .fields import prime_field
 from .linalg import Matrix, StructureTensor, _check_size, _combine, _transport, invert
 from .operators import RotaBaxterOperator, _o_relation_row
-from .structures import (_ASSOCIATIVITY, _DENDRIFORM_DI, Algebra, DendriformDi,
-                         _composition_instances, _homomorphism_instances, _keep, _transpose)
+from .structures import (_ASSOCIATIVITY, _DENDRIFORM_DI, Algebra, DendriformDi, _transpose,
+                         _composition_instances, _homomorphism_instances, _keep, _moved_actions)
 
 DEFAULT_BUDGET = 1 << 24
 
@@ -118,13 +119,22 @@ ANALOGUE_LABEL = ("finite-field analogue over F_{p}; says nothing about "
                   "the corresponding statement in characteristic zero")
 
 
+def _check_count(value, what: str) -> None:
+    """Refuse ``value`` as a worker count or budget unless it is a non-bool ``int`` >= 1."""
+    if value.__class__ is not int or value < 1:
+        raise ArgumentError(f"{what} must be an int >= 1, got {value!r}")
+
+
 def _check_budget(p: int, exponent: int, budget: int | None, factor: int = 1) -> None:
     """Refuse ``factor * p**exponent`` candidates above the budget.
 
-    With ``p >= 2`` and ``factor >= 1``, a cap of at most ``exponent`` bits is
-    below the count, which is then refused without computing the power.
+    A budget that is neither None nor an int >= 1 is refused first
+    (``ArgumentError``).  With ``p >= 2`` and ``factor >= 1``, a cap of at
+    most ``exponent`` bits is below the count, which is then refused
+    without computing the power.
     """
     cap = DEFAULT_BUDGET if budget is None else budget
+    _check_count(cap, "budget")
     if exponent >= cap.bit_length() or factor * p ** exponent > cap:
         count = f"{p}^{exponent}" if factor == 1 else f"{factor} * {p}^{exponent}"
         raise BudgetExceededError(f"{count} candidates exceed budget {cap}")
@@ -440,10 +450,12 @@ class _Chunks:
 
     ``run(part, fixed_args, total)`` calls ``part(fixed_args + (start, stop))``
     on consecutive ranges of the ``total`` first-level choices and joins the
-    leaves in range order.
+    leaves in range order.  A worker count that is not an int >= 1 is
+    refused (``ArgumentError``), before any search.
     """
 
     def __init__(self, workers: int):
+        _check_count(workers, "workers")
         self.workers = workers
         self.pool = None
 
@@ -504,6 +516,7 @@ def enumerate_rb_operators(algebra: Algebra, weight, budget: int | None = None) 
     order) and each leaf stands for its multiples.  Any other weight
     searches every matrix.
     """
+    _expect(algebra, Algebra)
     field = algebra.field
     if not field.is_finite:
         raise FieldNotFiniteError("enumeration requires a prime field")
@@ -649,12 +662,12 @@ def phi_image_experiment(dim: int, p: int, budget: int | None = None,
     algebras = _algebras(field, stars)
     operators = _rb_operators_by_star(field, algebras, orbits, budget)
     # each image is the domain dialgebra of the operator on the canonical
-    # bimodule, whose actions are both the star's table
+    # bimodule, whose actions are both the star's table, moved along (P, None, None)
     first_witness: dict = {}
     for j, (star, ops) in enumerate(zip(stars, operators)):
         for rows in ops:
-            tables = tuple(_domain_tables(field, star, star, _transpose(rows)))
-            first_witness.setdefault(tables, (j, rows))
+            succ, prec = _moved_actions(field, star, star, _transpose(rows), None, None)
+            first_witness.setdefault((prec, succ), (j, rows))
     by_tables = {(d.prec.entries, d.succ.entries): d for d in all_dd}
     image, witnesses = [], []
     for tables in sorted(first_witness):

@@ -54,7 +54,7 @@ from .errors import (DimensionCapError, DimensionMismatchError, FieldNotFiniteEr
                      KindMismatchError, SingularMatrixError, _expect)
 from .fields import FieldSpec, same_field
 from .enumeration import _column_leaves, _gl_choices, _span_with, gl_matrices
-from .linalg import Matrix, _full_rank, _require_invertible, invert
+from .linalg import Matrix, _require_invertible, invert
 from .operators import (ALGEBRA, OOperator, _comparable_domains, _domain_morphism_failures,
                         compose_with_domain_iso, pullback_domain,
                         twist_by_range_automorphism)
@@ -167,8 +167,10 @@ def verify_operator_equiv(op1: OOperator, op2: OOperator, f: Matrix, g: Matrix,
 def induced_intertwiner(op1: OOperator, op2: OOperator):
     """g = alpha2^{-1} alpha1, with the report of verifying it as an operator iso."""
     g = invert(op2.matrix).mul(op1.matrix)  # raises SingularMatrixError
-    if not g.is_square or not _full_rank(g):
-        raise SingularMatrixError("alpha1 is singular")
+    try:
+        invert(g)  # kept on g, where the check of g reads it
+    except (DimensionMismatchError, SingularMatrixError):  # alpha1 not square, or singular
+        raise SingularMatrixError("alpha1 is singular") from None
     return g, verify_operator_iso(op1, op2, g)
 
 

@@ -15,6 +15,11 @@ its field and checks each level's length against the sizes its container
 states; a malformed table raises ``DimensionMismatchError``.
 ``_check_size`` refuses any dimension, row count or column count that is
 not a non-bool ``int`` >= 0 with ``ArgumentError``.
+
+A matrix keeps one thing besides its fields: its inverse, once ``invert``
+has found it, and the inverse keeps the matrix.  Every test of
+invertibility (``_require_invertible``) is that one inversion, so no
+matrix is eliminated twice to invert it or to refuse it as a witness.
 """
 
 from __future__ import annotations
@@ -249,47 +254,23 @@ def rank(M: Matrix) -> int:
     return len(_rref(rows, M.field, range(M.cols)))
 
 
-def _full_rank(M: Matrix) -> bool:
-    """Whether the square matrix ``M`` is invertible.
-
-    A full rank found by an elimination (here, or in ``invert`` for the
-    matrix and its inverse) is kept on ``M``, outside its fields, and read
-    instead of ranking again.  The only other thing kept on a matrix is the
-    inverse ``operators.compose_with_domain_iso`` puts on the matrix of an
-    identity operator pulled back along g, which is g, and only the range
-    constructions read it; ``rank`` and ``invert`` still eliminate on every
-    call.
-    """
-    if not vars(M).get("_full_rank"):
-        if rank(M) < M.rows:
-            return False
-        vars(M)["_full_rank"] = True
-    return True
-
-
-def _require_invertible(M: Matrix, field: FieldSpec, n: int, what: str,
-                        inverse: bool = False):
-    """Refuse ``M`` unless it is an invertible n x n matrix over ``field``.
+def _require_invertible(M: Matrix, field: FieldSpec, n: int, what: str) -> Matrix:
+    """M^{-1}, once ``M`` is an invertible n x n matrix over ``field``.
 
     The one refusal rule for witness and transport matrices, in a fixed
     order: the class (``KindMismatchError``), the field
     (``FieldMismatchError``), then the shape (``DimensionMismatchError``),
-    then the rank (``NotInvertibleError``).  With ``inverse`` the rank is
-    read off the elimination that inverts ``M``, and M^{-1} is returned;
-    without it, off ``_full_rank``.
+    then the rank, read off the elimination that inverts ``M``
+    (``NotInvertibleError``).
     """
     _expect(M, Matrix)
     same_field(field, M.field)
     if M.rows != n or M.cols != n:
         raise DimensionMismatchError(f"{what} must be {n} x {n}, got {M.rows} x {M.cols}")
-    if inverse:
-        try:
-            return invert(M)
-        except SingularMatrixError:
-            pass
-    elif _full_rank(M):
-        return None
-    raise NotInvertibleError(f"{what} is singular")
+    try:
+        return invert(M)
+    except SingularMatrixError:
+        raise NotInvertibleError(f"{what} is singular") from None
 
 
 def kernel_basis(M: Matrix) -> list:
@@ -310,11 +291,17 @@ def kernel_basis(M: Matrix) -> list:
 
 
 def invert(M: Matrix) -> Matrix:
-    """Exact inverse; raises ``SingularMatrixError`` when none exists."""
+    """Exact inverse; raises ``SingularMatrixError`` when none exists.
+
+    The inverse is kept on ``M``, and ``M`` on it, outside their fields, so
+    no matrix is eliminated twice to invert it; a singular matrix keeps
+    nothing.
+    """
+    if "_inverse" in vars(M):
+        return vars(M)["_inverse"]
     if not M.is_square:
         raise DimensionMismatchError("invert: matrix not square")
-    f = M.field
-    n = M.rows
+    f, n = M.field, M.rows
     one, zero = f.one, f.zero
     rows = [list(r) + [one if i == j else zero for j in range(n)]
             for i, r in enumerate(M.entries)]
@@ -322,7 +309,7 @@ def invert(M: Matrix) -> Matrix:
     if len(pivots) < n:
         raise SingularMatrixError("matrix is singular")
     inverse = Matrix(f, tuple(tuple(rows[i][n:]) for i in range(n)))
-    vars(M)["_full_rank"] = vars(inverse)["_full_rank"] = True
+    vars(M)["_inverse"], vars(inverse)["_inverse"] = inverse, M
     return inverse
 
 

@@ -4,7 +4,13 @@ An operator is a linear map, stored as a matrix of column images, from a
 bimodule (module kind) or a bimodule algebra (algebra kind, with a weight)
 into its base algebra.  Transports along domain isomorphisms and range
 automorphisms return fresh operators carrying the transported domain
-structure explicitly.
+structure explicitly.  Each moves the domain's action tables by the one
+rule ``structures._moved_actions`` (acting argument, module argument,
+value): a pulled-back domain along (None, h, h^{-1}), a twisted one along
+(f^{-1}, None, None), and the intertwining check compares the source
+moved along (None, None, g) with the target moved along (None, g, None).
+Every transport matrix is checked by the one inversion of
+``linalg._require_invertible``, and keeps the inverse it found.
 
 Each operator keeps the verdict of its defining relation in ``_holds``, as
 every checked object does (``structures._Checked``).  A construction that
@@ -35,8 +41,8 @@ from .fields import same_field
 from .linalg import Matrix, StructureTensor, _combine, _require_invertible, _transport
 from .structures import (Algebra, Bimodule, BimoduleAlgebra, DEFAULT_MAX_VIOLATIONS,
                          ValidationReport, canonical_bimodule, _Checked,
-                         _homomorphism_failures, _keep, _known, _require, _transpose,
-                         _validate)
+                         _homomorphism_failures, _keep, _known, _moved_actions, _require,
+                         _transpose, _validate)
 
 MODULE = "module"
 ALGEBRA = "algebra"
@@ -90,6 +96,8 @@ class OOperator(_Checked):
                 raise KindMismatchError("module-kind operator carries no weight")
         else:
             raise KindMismatchError(f"unsupported domain type {type(self.domain).__name__}")
+        _expect(self.codomain, Algebra)
+        _expect(self.matrix, Matrix)
         if self.domain.algebra != self.codomain:
             raise DimensionMismatchError("domain is not a bimodule over the codomain algebra")
         same_field(self.matrix.field, self.codomain.field)
@@ -129,7 +137,8 @@ def _induced(field, acols, left, right, weight=None, product=None):
     (``left[t][j] = l(b_t) e_j``, ``right[i][t] = e_i r(b_t)``) and
     ``product`` the source product's table.  The star of (i, j) is
     ``b_i r(alpha b_j) + l(alpha b_i) b_j + weight (b_i o b_j)``, the sum
-    of the products ``constructions._domain_products`` builds as tables.
+    of the products ``constructions._moved_products`` moves along
+    (None, alpha, None) as tables.
     """
     p, zero = field.p, field.zero
     left_t = _transpose(left)
@@ -194,6 +203,7 @@ def validate_o_operator(op: OOperator, **kw) -> ValidationReport:
 
 def rb_as_o_operator(rb: RotaBaxterOperator) -> OOperator:
     """View a Rota-Baxter operator as an algebra-kind operator on the canonical bimodule."""
+    _expect(rb, RotaBaxterOperator)
     dom = canonical_bimodule(rb.algebra)  # raises NotAssociativeError
     # the actions and the source product are rb's product: the scans agree instance for instance
     return _keep(OOperator(dom, rb.algebra, rb.matrix, rb.weight), _known(rb))
@@ -201,6 +211,7 @@ def rb_as_o_operator(rb: RotaBaxterOperator) -> OOperator:
 
 def rb_as_module_operator(rb: RotaBaxterOperator) -> OOperator:
     """Weight-zero module reading of a Rota-Baxter operator on the canonical bimodule."""
+    _expect(rb, RotaBaxterOperator)
     if rb.weight != 0:
         raise KindMismatchError("module reading only exists at weight zero")
     dom = canonical_bimodule(rb.algebra).base
@@ -249,17 +260,16 @@ def _domain_morphism_failures(g: Matrix, source, target):
     and for algebra kind, on source basis pairs (j, k):
       intertwine_product  g(u o1 v) = g(u) o g(v)
 
-    Each side of an intertwining law is an action table moved along g, on
-    its values or on its module argument (``_transport``).  Only the
-    product law is a row of the homomorphism scan: the frozen report order
-    interleaves the other two, left then right, for each (i, k), while a
-    scan runs one row to the end before the next.
+    Each side of an intertwining law is an action table moved along g
+    (``_moved_actions``): the source's on its values, the target's on its
+    module argument.  Only the product law is a row of the homomorphism
+    scan: the frozen report order interleaves the other two, left then
+    right, for each (i, k), while a scan runs one row to the end before
+    the next.
     """
     f, gcols = g.field, _transpose(g.entries)
-    lg = _transport(f, source.left, None, None, gcols)
-    gl = _transport(f, target.left, None, gcols, None)
-    rg = _transport(f, source.right, None, None, gcols)
-    gr = _transport(f, target.right, gcols, None, None)
+    lg, rg = _moved_actions(f, source.left, source.right, None, None, gcols)
+    gl, gr = _moved_actions(f, target.left, target.right, None, gcols, None)
     for i in range(source.algebra.dim):
         for k in range(source.dim):
             if lg[i][k] != gl[i][k]:
@@ -296,22 +306,18 @@ def compose_with_domain_iso(op: OOperator, g: Matrix, source) -> OOperator:
     As g intertwines the actions (and the products, for algebra kind), the
     relation of alpha o g at (u, v) is that of alpha at (g u, g v).  Both
     are bilinear and g is bijective, so one holds on all basis pairs
-    exactly when the other does.  When ``source`` is that pullback and
-    alpha is the identity (every canonical operator), alpha o g is g, and
-    the composite's matrix keeps the g^{-1} the pullback computed, outside
-    its fields; the range constructions read it instead of inverting.
+    exactly when the other does.  When alpha is the identity (every
+    canonical operator), alpha o g is g, and the composite's matrix is g
+    itself, which keeps the inverse its check found (``linalg.invert``).
     """
     _expect(op, OOperator)
     _comparable_domains(source, op.domain)
-    domain, h, hinv = vars(source).get("_pulled_back", (None, None, None))
-    pulled = domain is op.domain and h is g
-    if not pulled:
+    domain, h = vars(source).get("_pulled_back", (None, None))
+    if domain is not op.domain or h is not g:
         _require_invertible(g, op.field, source.dim, "domain iso candidate g")
         _require(_domain_morphism_failures(g, source, op.domain), NotIntertwiningError,
                  "g fails {axiom} at {indices}")
-    matrix = op.matrix.mul(g)
-    if pulled and op.matrix.is_identity():
-        vars(matrix)["_inverse"] = hinv  # alpha o g = g
+    matrix = g if op.matrix.is_identity() else op.matrix.mul(g)
     return _keep(OOperator(source, op.codomain, matrix, op.weight), _known(op))
 
 
@@ -322,15 +328,13 @@ def twist_by_range_automorphism(op: OOperator, fmat: Matrix) -> OOperator:
     precomposed with f^{-1} (the action of x becomes the action of f^{-1}x).
     """
     _expect(op, OOperator)
-    finv = _require_invertible(fmat, op.field, op.codomain.dim,
-                               "range automorphism candidate f", inverse=True)
+    finv = _require_invertible(fmat, op.field, op.codomain.dim, "range automorphism candidate f")
     bad = multiplicativity_failure(fmat, op.codomain)
     if bad is not None:
         raise NotMultiplicativeError(f"f is not multiplicative at basis pair {bad}")
-    f, fcols, dom = op.field, _transpose(finv.entries), op.domain
     # the acting argument of each action table moves along f^{-1}
-    new_domain = Bimodule(op.codomain, _transport(f, dom.left, fcols, None, None),
-                          _transport(f, dom.right, None, fcols, None))
+    new_domain = Bimodule(op.codomain, *_moved_actions(op.field, op.domain.left, op.domain.right,
+                                                       _transpose(finv.entries), None, None))
     if op.kind == ALGEBRA:
         new_domain = BimoduleAlgebra(new_domain, op.domain.product)
     return OOperator(new_domain, op.codomain, fmat.mul(op.matrix), op.weight)
@@ -342,21 +346,20 @@ def pullback_domain(domain, h: Matrix):
     Returns the structure S' with actions h^{-1} l(x) h, h^{-1} r(x) h (and
     product pulled back through h for algebra kind); h : S' -> domain is then
     an isomorphism of bimodule(-algebra) structures by construction.  S'
-    records that it was pulled back from ``domain`` along ``h``, and h^{-1},
-    which ``compose_with_domain_iso`` reads.
+    records that it was pulled back from ``domain`` along ``h``, which
+    ``compose_with_domain_iso`` reads.
     """
     if not isinstance(domain, (Bimodule, BimoduleAlgebra)):
         raise KindMismatchError(f"expected a bimodule or bimodule algebra, "
                                 f"got {_with_article(type(domain).__name__)}")
-    hinv = _require_invertible(h, domain.field, domain.dim, "pullback matrix h", inverse=True)
+    hinv = _require_invertible(h, domain.field, domain.dim, "pullback matrix h")
     f, hcols, back = domain.field, _transpose(h.entries), _transpose(hinv.entries)
     # every module argument moves along h and every module value back along h^{-1}
-    pulled = Bimodule(domain.algebra, _transport(f, domain.left, None, hcols, back),
-                      _transport(f, domain.right, hcols, None, back))
+    pulled = Bimodule(domain.algebra,
+                      *_moved_actions(f, domain.left, domain.right, None, hcols, back))
     if isinstance(domain, BimoduleAlgebra):
         product = _transport(f, domain.product.entries, hcols, hcols, back)
         pulled = BimoduleAlgebra(pulled, StructureTensor(f, product))
-    # the objects themselves, compared by identity (an id() could be reused),
-    # and the inverse of h, which ``compose_with_domain_iso`` may keep
-    vars(pulled)["_pulled_back"] = (domain, h, hinv)
+    # the objects themselves, compared by identity (an id() could be reused)
+    vars(pulled)["_pulled_back"] = (domain, h)
     return pulled

@@ -49,7 +49,11 @@ actions as the tables of the bilinear maps ``l: A x M -> M`` and
 holds the coordinates of ``l(b_i) e_j`` and ``right[j][i]`` those of
 ``e_j r(b_i)``.  The scans read them as they read a product table.
 Documents keep one flat matrix per basis element instead
-(``documents``), and convert at that boundary only.
+(``documents``), and convert at that boundary only.  Every structure an
+operator moves (its domain and range products, a pulled-back or twisted
+domain, both sides of an intertwining law) moves the two action tables
+by one rule, ``_moved_actions``: its acting argument along one map, its
+module argument along another and its value along a third.
 """
 
 from __future__ import annotations
@@ -63,7 +67,7 @@ from typing import Sequence
 from .errors import (DimensionMismatchError, KindMismatchError, NotAssociativeError,
                      _expect, _with_article)
 from .fields import FieldSpec, same_field
-from .linalg import StructureTensor, _combine, _field_table
+from .linalg import StructureTensor, _combine, _field_table, _transport
 
 DEFAULT_MAX_VIOLATIONS = 5
 
@@ -250,6 +254,18 @@ class Algebra(_Tables):
                        "algebra is not associative (first violation at {indices})")
         c = self.product
         return BimoduleAlgebra(Bimodule(self, c.entries, c.entries), c)
+
+
+def _moved_actions(field: FieldSpec, left, right, acting, module, value) -> tuple:
+    """The action tables (``left``, ``right``) moved along three linear maps.
+
+    Each map is a list of columns, None for the identity (``_transport``).
+    The moved tables keep the action layout: the moved left table is
+    (x, v) -> value(l(acting x) (module v)) and the moved right table
+    (v, x) -> value((module v) r(acting x)).
+    """
+    return (_transport(field, left, acting, module, value),
+            _transport(field, right, module, acting, value))
 
 
 @dataclass(frozen=True)
@@ -572,6 +588,7 @@ def _expect_dendriform(d) -> None:
 
 def star_product(d) -> Algebra:
     """Sum of the dendriform products; associative whenever the axioms hold."""
+    _expect_dendriform(d)
     tables = [t.entries for t in d.tensors()]
     return Algebra(StructureTensor(d.field, _table_sum(d.field, tables)))
 
@@ -582,6 +599,7 @@ def canonical_bimodule(alg: Algebra) -> BimoduleAlgebra:
     Built and checked once per algebra instance; raises ``NotAssociativeError``
     on every call for a non-associative algebra.
     """
+    _expect(alg, Algebra)
     return alg._canonical_bimodule
 
 

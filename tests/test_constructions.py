@@ -1,11 +1,12 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 import dendrop as dp
-from dendrop import constructions
+from dendrop import linalg
 from dendrop.errors import (DendropError, DimensionMismatchError, FieldMismatchError,
                             InvalidDendriformError, InvalidOperatorError, KernelNotIdealError,
                             KindMismatchError, SingularMatrixError)
@@ -365,15 +366,19 @@ def test_range_di_identity_from_canonical():
     assert dp.range_dendriform_di(op) == d
 
 
-def count_inversions(monkeypatch) -> list:
-    """The matrices ``constructions`` inverts from now on, in call order."""
-    calls, real = [], constructions.invert
+def count_eliminations(monkeypatch) -> list:
+    """The matrices ``linalg._rref`` eliminates while the test runs, one entry per elimination.
 
-    def counting(M):
-        calls.append(M)
-        return real(M)
+    Each is the argument ``M`` of the ``linalg`` function that eliminates
+    (``invert``, ``rank``, ``kernel_basis``, ``solve``).
+    """
+    calls, real = [], linalg._rref
 
-    monkeypatch.setattr(constructions, "invert", counting)
+    def counting(*args):
+        calls.append(sys._getframe(1).f_locals["M"])
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "_rref", counting)
     return calls
 
 
@@ -395,20 +400,23 @@ def test_a_pulled_back_identity_operator_keeps_its_inverse(monkeypatch, field, k
         range_of = dp.range_dendriform_tri
     assert op.matrix.is_identity()
     rng = random.Random(30)
-    calls = count_inversions(monkeypatch)
+    calls = count_eliminations(monkeypatch)
     for _ in range(5):
         h = random_invertible(rng, field, d.dim)
         moved = dp.compose_with_domain_iso(op, h, dp.pullback_domain(op.domain, h))
-        rebuilt = dp.OOperator(moved.domain, moved.codomain,
-                               Matrix(field, moved.matrix.entries), moved.weight)
+        # alpha o h is h itself, whose inverse pullback_domain found and h keeps
+        assert moved.matrix is h
+        rebuilt = dp.OOperator(moved.domain, moved.codomain, Matrix(field, h.entries),
+                               moved.weight)
         calls.clear()
         kept = range_of(moved)
         assert calls == []
-        assert kept == range_of(rebuilt)
-        assert calls == [rebuilt.matrix]
+        # a second method: the same range from a matrix with nothing kept, eliminated once
+        assert kept == range_of(rebuilt) == range_of(rebuilt)
+        assert len(calls) == 1 and calls[0] is rebuilt.matrix
 
 
-def test_only_a_pulled_back_identity_operator_keeps_an_inverse(monkeypatch):
+def test_a_singular_matrix_keeps_no_inverse(monkeypatch):
     rng = random.Random(31)
     invertible = minus_identity_operator(F3)
     singular = dp.rb_as_o_operator(
@@ -417,14 +425,20 @@ def test_only_a_pulled_back_identity_operator_keeps_an_inverse(monkeypatch):
     moved = dp.compose_with_domain_iso(invertible, h, dp.pullback_domain(invertible.domain, h))
     moved_singular = dp.compose_with_domain_iso(singular, g,
                                                 dp.pullback_domain(singular.domain, g))
+    # alpha o g is a new matrix, which keeps nothing until it is inverted
     assert "_inverse" not in vars(moved.matrix)
     assert "_inverse" not in vars(moved_singular.matrix)
-    calls = count_inversions(monkeypatch)
-    assert dp.check_splitting(dp.range_dendriform_tri(moved), moved.codomain).passed
-    assert calls == [moved.matrix]
-    with pytest.raises(SingularMatrixError):
-        dp.range_dendriform_tri(moved_singular)
-    assert calls == [moved.matrix, moved_singular.matrix]
+    calls = count_eliminations(monkeypatch)
+    for _ in range(2):
+        assert dp.check_splitting(dp.range_dendriform_tri(moved), moved.codomain).passed
+        with pytest.raises(SingularMatrixError):
+            dp.range_dendriform_tri(moved_singular)
+    # the invertible matrix is eliminated once and keeps its inverse, which keeps it;
+    # the singular one keeps nothing, so each try eliminates it again
+    assert [id(M) for M in calls] == [id(moved.matrix), id(moved_singular.matrix),
+                                      id(moved_singular.matrix)]
+    assert linalg.invert(linalg.invert(moved.matrix)) is moved.matrix
+    assert "_inverse" not in vars(moved_singular.matrix)
 
 
 # -- quotient path ------------------------------------------------------------------------------

@@ -343,6 +343,17 @@ def test_emit_unknown_object_is_argument_error():
         emit_document(object(), field=Q)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: parse_document(None), "a document is bytes or text, not NoneType"),
+    (lambda: parse_document(123), "a document is bytes or text, not int"),
+    (lambda: emit_document(n2(), field="Q"), "field must be a FieldSpec, not str"),
+], ids=["parse-none", "parse-int", "emit-field-str"])
+def test_the_document_boundary_refuses_an_argument_of_the_wrong_class(call, message):
+    # each used to raise a bare TypeError or AttributeError
+    with pytest.raises(ArgumentError, match=f"^{message}$"):
+        call()
+
+
 @pytest.mark.parametrize("params, counts", [
     ({"a": 1.5}, None), ({"a": Fraction(1, 2)}, None), ({"a": True}, None),
     (None, {"a": 1.5}), (None, {"a": Fraction(2)}), (None, {"a": "3"}),

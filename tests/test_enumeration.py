@@ -117,10 +117,22 @@ EMPTY = StructureTensor(F2, ())
     (lambda: dp.search_dendriform_iso_fp(dp.DendriformDi(EMPTY, EMPTY),
                                          dp.DendriformDi(EMPTY, EMPTY)).witness.matrix,
      Matrix(F2, ())),
+    (lambda: dp.enumerate_dendriform_di(1, 2, workers="2"), ArgumentError),
+    (lambda: dp.enumerate_associative_products(1, 2, workers=True), ArgumentError),
+    (lambda: dp.phi_image_experiment(1, 2, workers=0), ArgumentError),
+    (lambda: dp.enumerate_associative_products(1, 2, budget=1.5), ArgumentError),
+    (lambda: dp.enumerate_dendriform_di(1, 2, budget=0), ArgumentError),
+    (lambda: dp.phi_image_experiment(1, 2, budget=-1), ArgumentError),
+    (lambda: dp.enumerate_rb_operators(dp.Algebra(EMPTY), 0, budget=True), ArgumentError),
 ], ids=["assoc-neg", "dd-neg", "phi-neg", "gl-neg", "assoc-p4", "dd-p4", "phi-p4",
-        "assoc-0", "dd-0", "rb-0", "phi-0", "gl-0", "iso-0"])
+        "assoc-0", "dd-0", "rb-0", "phi-0", "gl-0", "iso-0", "dd-workers-str",
+        "assoc-workers-bool", "phi-workers-0", "assoc-budget-float", "dd-budget-0",
+        "phi-budget-negative", "rb-budget-bool"])
 def test_enumeration_boundary(monkeypatch, call, expected):
-    """A bad dimension or field is refused before any search; dimension 0 has one answer."""
+    """A bad dimension, field, worker count or budget is refused before any search.
+
+    Dimension 0 has one answer.
+    """
     if isinstance(expected, type):
         def no_search(*args):
             raise AssertionError("searched before refusing")

@@ -235,6 +235,16 @@ def _wrong_class_calls():
         "homomorphism-rb": (lambda: dp.check_operator_homomorphism(rb, d), operator),
         "pullback-along-algebra": (lambda: dp.pullback_domain(op.domain, n2()), matrix),
         "dendriform-iso-along-algebra": (lambda: dp.verify_dendriform_iso(d, d, n2()), matrix),
+        "star-of-algebra": (lambda: dp.star_product(n2()),
+                            "expected a dendriform structure, got an Algebra"),
+        "star-of-tuple": (lambda: dp.star_product(d.tensors()),
+                          "expected a dendriform structure, got a tuple"),
+        "rb-search-on-tuple": (lambda: dp.enumerate_rb_operators(n2(F3).product.entries, 0),
+                               "expected an algebra, got a tuple"),
+        "rb-as-o-of-tuple": (lambda: dp.rb_as_o_operator((n2(), one, ZERO)),
+                             "expected a Rota-Baxter operator, got a tuple"),
+        "canonical-bimodule-of-tuple": (lambda: dp.canonical_bimodule(n2().product.entries),
+                                        "expected an algebra, got a tuple"),
     }
 
 

@@ -353,8 +353,12 @@ _BASE = dp.canonical_bimodule(_KX2).base
      "expected an algebra, got a StructureTensor"),
     (lambda: dp.RotaBaxterOperator(_KX2, Matrix.identity(Q, 2).entries, 0),
      "expected a matrix, got a tuple"),
+    (lambda: dp.OOperator(dp.canonical_bimodule(_KX2), _KX2, Matrix.identity(Q, 2).entries, 1),
+     "expected a matrix, got a tuple"),
+    (lambda: dp.OOperator(_BASE, _KX2.product, Matrix.identity(Q, 2)),
+     "expected an algebra, got a StructureTensor"),
 ], ids=["algebra-product", "di-succ", "tri-dot", "bimodule-algebra", "bimodule-algebra-base",
-        "bimodule-algebra-product", "rb-algebra", "rb-matrix"])
+        "bimodule-algebra-product", "rb-algebra", "rb-matrix", "o-matrix", "o-codomain"])
 def test_constructors_refuse_an_argument_of_the_wrong_class(build, message):
     # each used to raise a bare AttributeError
     with pytest.raises(KindMismatchError, match=f"^{message}$"):

@@ -9,6 +9,7 @@ structure.
 
 import pickle
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -520,37 +521,39 @@ def test_the_image_experiment_scans_no_axiom(axiom_scans):
 
 
 @pytest.fixture
-def ranks(monkeypatch):
-    """The matrices ``linalg.rank`` eliminates while the test runs."""
+def eliminations(monkeypatch):
+    """The matrices ``linalg._rref`` eliminates while the test runs, one entry per elimination.
+
+    Each is the argument ``M`` of the ``linalg`` function that eliminates.
+    """
     seen = []
-    real = linalg.rank
+    real = linalg._rref
 
-    def counting(M):
-        seen.append(M)
-        return real(M)
+    def counting(*args):
+        seen.append(sys._getframe(1).f_locals["M"])
+        return real(*args)
 
-    monkeypatch.setattr(linalg, "rank", counting)
+    monkeypatch.setattr(linalg, "_rref", counting)
     return seen
 
 
-def test_a_matrix_is_ranked_once(ranks, monkeypatch):
+def test_a_matrix_is_ranked_once(eliminations):
     d = dp.catalogue_entry("rb-3").structure
     h = Matrix(Q, ((1, 2), (0, 1)))
     _, op = dp.canonical_operator_from_di(d)
     moved = dp.compose_with_domain_iso(op, h, dp.pullback_domain(op.domain, h))
-    # pullback_domain inverted h: the witness checks read the full rank of h and h^-1
+    # pullback_domain inverted h, and h and h^-1 keep each other: the witness checks
+    # eliminate nothing more
     transported = dp.domain_dendriform_di(moved)
+    hinv = linalg.invert(h)
+    assert linalg.invert(hinv) is h
     assert dp.verify_dendriform_iso(transported, d, h).passed
-    assert dp.verify_dendriform_iso(d, transported, linalg.invert(h)).passed
-    assert ranks == []
+    assert dp.verify_dendriform_iso(d, transported, hinv).passed
+    assert [id(M) for M in eliminations] == [id(h)]
     g, report = dp.induced_intertwiner(moved, op)
-    assert report.passed and ranks == [g]
+    assert report.passed
     w = Matrix.identity(Q, 2)
     for _ in range(2):
         assert dp.verify_dendriform_iso(d, d, w).passed
-    assert ranks == [g, w]
-    # the inverse itself is never kept: each call eliminates
-    calls = []
-    real = linalg._rref
-    monkeypatch.setattr(linalg, "_rref", lambda *args: calls.append(args) or real(*args))
-    assert linalg.invert(h) == linalg.invert(h) and len(calls) == 2
+    # alpha2 = id and g = alpha2^-1 alpha1 once each, then w once for both checks
+    assert [id(M) for M in eliminations] == [id(h), id(op.matrix), id(g), id(w)]
