@@ -46,7 +46,7 @@ from .linalg import (Matrix, StructureTensor, _transport, column_space_basis,
                      invert, kernel_basis, rank, solve)
 from .structures import (Algebra, Bimodule, BimoduleAlgebra, DendriformDi,
                          DendriformTri, DEFAULT_MAX_VIOLATIONS, ValidationReport,
-                         _collect, _expect_dendriform, _homomorphism_failures,
+                         _collect, _homomorphism_failures,
                          _keep, _moved_actions, _require_holds, _transpose, star_product)
 from .operators import ALGEBRA, MODULE, OOperator, _expect_kind
 
@@ -119,7 +119,7 @@ def check_operator_homomorphism(op: OOperator, dend,
                                 ) -> ValidationReport:
     """Check alpha(u star v) = alpha(u) * alpha(v) on all source basis pairs."""
     _expect(op, OOperator)
-    _expect_dendriform(dend)
+    _expect(dend, DendriformDi, DendriformTri)
     if dend.dim != op.domain.dim:
         raise DimensionMismatchError("the structure must live on the operator's source")
     return _star_homomorphism("operator_homomorphism", "hom", _transpose(op.matrix.entries),
@@ -132,7 +132,8 @@ def check_splitting(dend, alg: Algebra,
 
     That is the identity map being a homomorphism from the star product to ``alg``.
     """
-    _expect_dendriform(dend)
+    _expect(dend, DendriformDi, DendriformTri)
+    _expect(alg, Algebra)
     if dend.dim != alg.dim:
         raise DimensionMismatchError("splitting check needs matching dimensions")
     return _star_homomorphism("splitting", "split", Matrix.identity(alg.field, alg.dim).entries,

@@ -105,9 +105,9 @@ from dataclasses import dataclass
 from itertools import product
 
 from .constructions import canonical_operator_from_di
-from .errors import (ArgumentError, BudgetExceededError, FieldNotFiniteError,
-                     InvalidDendriformError, _expect)
-from .fields import prime_field
+from .errors import (BudgetExceededError, FieldNotFiniteError, InvalidDendriformError,
+                     _expect)
+from .fields import FieldSpec, prime_field
 from .linalg import Matrix, StructureTensor, _check_size, _combine, _transport, invert
 from .operators import RotaBaxterOperator, _o_relation_row
 from .structures import (_ASSOCIATIVITY, _DENDRIFORM_DI, Algebra, DendriformDi, _transpose,
@@ -119,12 +119,6 @@ ANALOGUE_LABEL = ("finite-field analogue over F_{p}; says nothing about "
                   "the corresponding statement in characteristic zero")
 
 
-def _check_count(value, what: str) -> None:
-    """Refuse ``value`` as a worker count or budget unless it is a non-bool ``int`` >= 1."""
-    if value.__class__ is not int or value < 1:
-        raise ArgumentError(f"{what} must be an int >= 1, got {value!r}")
-
-
 def _check_budget(p: int, exponent: int, budget: int | None, factor: int = 1) -> None:
     """Refuse ``factor * p**exponent`` candidates above the budget.
 
@@ -134,7 +128,7 @@ def _check_budget(p: int, exponent: int, budget: int | None, factor: int = 1) ->
     without computing the power.
     """
     cap = DEFAULT_BUDGET if budget is None else budget
-    _check_count(cap, "budget")
+    _check_size(cap, "budget", 1)
     if exponent >= cap.bit_length() or factor * p ** exponent > cap:
         count = f"{p}^{exponent}" if factor == 1 else f"{factor} * {p}^{exponent}"
         raise BudgetExceededError(f"{count} candidates exceed budget {cap}")
@@ -355,6 +349,7 @@ def gl_matrices(field, n: int):
     candidates skipped; the order is the search order, so "first witness"
     is well defined.
     """
+    _expect(field, FieldSpec)
     if not field.is_finite:
         raise FieldNotFiniteError("matrix enumeration requires a prime field")
     _check_size(n)
@@ -455,7 +450,7 @@ class _Chunks:
     """
 
     def __init__(self, workers: int):
-        _check_count(workers, "workers")
+        _check_size(workers, "workers", 1)
         self.workers = workers
         self.pool = None
 

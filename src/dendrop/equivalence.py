@@ -58,8 +58,8 @@ from .linalg import Matrix, _require_invertible, invert
 from .operators import (ALGEBRA, OOperator, _comparable_domains, _domain_morphism_failures,
                         compose_with_domain_iso, pullback_domain,
                         twist_by_range_automorphism)
-from .structures import (DEFAULT_MAX_VIOLATIONS, ValidationReport, _collect,
-                         _expect_dendriform, _homomorphism_failures, _transpose)
+from .structures import (DEFAULT_MAX_VIOLATIONS, DendriformDi, DendriformTri,
+                         ValidationReport, _collect, _homomorphism_failures, _transpose)
 
 DEFAULT_DIMENSION_CAP = 3
 
@@ -103,7 +103,7 @@ def _iso_rows(d1, d2, fcols) -> list:
 def _dendriform_pair(d1, d2) -> FieldSpec:
     """The common field of two dendriform structures of one kind and dimension."""
     for d in (d1, d2):
-        _expect_dendriform(d)
+        _expect(d, DendriformDi, DendriformTri)
     if type(d1) is not type(d2):
         raise KindMismatchError("cannot compare a dialgebra with a trialgebra")
     field = same_field(d1.field, d2.field)
@@ -166,6 +166,8 @@ def verify_operator_equiv(op1: OOperator, op2: OOperator, f: Matrix, g: Matrix,
 
 def induced_intertwiner(op1: OOperator, op2: OOperator):
     """g = alpha2^{-1} alpha1, with the report of verifying it as an operator iso."""
+    for op in (op1, op2):
+        _expect(op, OOperator)
     g = invert(op2.matrix).mul(op1.matrix)  # raises SingularMatrixError
     try:
         invert(g)  # kept on g, where the check of g reads it

@@ -1,4 +1,13 @@
-"""Exception types shared across the package, and the one refusal of a wrong class."""
+"""Exception types shared across the package, and the one refusal of a wrong class.
+
+An argument of the wrong class is refused by ``_expect(obj, cls, *more)``
+and by nothing else: ``obj`` must be exactly one of those classes (a
+subclass is refused too), and the ``KindMismatchError`` names each
+accepted class by its ``_noun`` and the class it got, as in "expected a
+dialgebra or a trialgebra, got an Algebra".  The rules that read a
+value once its class is right (an operator's kind and weight, matching
+fields, shapes and dimensions) raise their own errors after it.
+"""
 
 
 class DendropError(Exception):
@@ -106,8 +115,9 @@ def _with_article(noun: str) -> str:
     return ("an " if noun[0] in "aeiouAEIOU" else "a ") + noun
 
 
-def _expect(obj, cls) -> None:
-    """Refuse ``obj`` unless it is exactly a ``cls``, a class named by its ``_noun``."""
-    if type(obj) is not cls:
-        raise KindMismatchError(f"expected {_with_article(cls._noun)}, "
-                                f"got {_with_article(type(obj).__name__)}")
+def _expect(obj, cls, *more) -> None:
+    """Refuse ``obj`` unless its class is ``cls`` or one of ``more``, each with a ``_noun``."""
+    if type(obj) is not cls and type(obj) not in more:
+        *most, last = [_with_article(c._noun) for c in (cls, *more)]
+        accepted = f"{', '.join(most)} or {last}" if most else last
+        raise KindMismatchError(f"expected {accepted}, got {_with_article(type(obj).__name__)}")

@@ -57,6 +57,7 @@ def is_prime(n: int) -> bool:
 class FieldSpec:
     """Ground field: the rationals, or integers mod a prime p."""
 
+    _noun = "field"
     kind: str
     p: int | None = None
 

@@ -14,7 +14,9 @@ every matrix and bilinear table (structure tensors, bimodule actions) into
 its field and checks each level's length against the sizes its container
 states; a malformed table raises ``DimensionMismatchError``.
 ``_check_size`` refuses any dimension, row count or column count that is
-not a non-bool ``int`` >= 0 with ``ArgumentError``.
+not a non-bool ``int`` >= 0, and any worker count or budget below 1, with
+``ArgumentError``.  A field, matrix or operand of another class is refused
+by ``errors._expect`` before anything reads it.
 
 A matrix keeps one thing besides its fields: its inverse, once ``invert``
 has found it, and the inverse keeps the matrix.  Every test of
@@ -75,14 +77,15 @@ def _transport(field: FieldSpec, table, left, right, post) -> tuple:
     return table
 
 
-def _check_size(value, what: str = "dimension") -> None:
-    """Refuse ``value`` as a size unless it is a non-bool ``int`` >= 0 (``ArgumentError``).
+def _check_size(value, what: str = "dimension", least: int = 0) -> None:
+    """Refuse ``value`` unless it is a non-bool ``int`` >= ``least`` (``ArgumentError``).
 
     The one check of every dimension, row count and column count a
-    container or an enumerator is given.
+    container or an enumerator is given, and of every worker count and
+    budget (``least=1``).
     """
-    if value.__class__ is not int or value < 0:
-        raise ArgumentError(f"{what} must be a non-negative int, got {value!r}")
+    if value.__class__ is not int or value < least:
+        raise ArgumentError(f"{what} must be an int >= {least}, got {value!r}")
 
 
 _INT, _FRACTION = frozenset((int,)), frozenset((Fraction,))
@@ -104,6 +107,7 @@ def _field_table(field: FieldSpec, table, sizes: tuple) -> tuple:
     ``Fraction``, over F_p every class ``int`` with ``0 <= min`` and
     ``max < p``, one test at C level.
     """
+    _expect(field, FieldSpec)
     deep = len(sizes) == 3
     try:
         ents = (tuple([tuple(map(tuple, plane)) for plane in table]) if deep
@@ -159,6 +163,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
+        _expect(field, FieldSpec)
         _check_size(n)
         one, zero = field.one, field.zero
         return cls(field, tuple(tuple(one if i == j else zero for j in range(n))
@@ -166,6 +171,7 @@ class Matrix:
 
     @classmethod
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "Matrix":
+        _expect(field, FieldSpec)
         _check_size(rows, "row count")
         _check_size(cols, "column count")
         if cols and not rows:
@@ -195,6 +201,7 @@ class Matrix:
         return _combine(v, columns, f.p, f.zero) if columns else (f.zero,) * self.rows
 
     def mul(self, other: "Matrix") -> "Matrix":
+        _expect(other, Matrix)
         same_field(self.field, other.field)
         if self.cols != other.rows:
             raise DimensionMismatchError(f"mul: {self.cols} vs {other.rows}")
@@ -250,6 +257,7 @@ def _rref(rows: list, field: FieldSpec, col_order: Sequence[int]) -> list:
 
 
 def rank(M: Matrix) -> int:
+    _expect(M, Matrix)
     rows = [list(r) for r in M.entries]
     return len(_rref(rows, M.field, range(M.cols)))
 
@@ -275,6 +283,7 @@ def _require_invertible(M: Matrix, field: FieldSpec, n: int, what: str) -> Matri
 
 def kernel_basis(M: Matrix) -> list:
     """Canonical basis of the null space {v : Mv = 0}; empty iff injective."""
+    _expect(M, Matrix)
     f = M.field
     rows = [list(r) for r in M.entries]
     pivots = _rref(rows, f, range(M.cols))
@@ -297,6 +306,7 @@ def invert(M: Matrix) -> Matrix:
     no matrix is eliminated twice to invert it; a singular matrix keeps
     nothing.
     """
+    _expect(M, Matrix)
     if "_inverse" in vars(M):
         return vars(M)["_inverse"]
     if not M.is_square:
@@ -321,6 +331,7 @@ def solve(M: Matrix, b: Sequence, pivot_rule: str = "first") -> tuple:
     "last" right to left.  Raises ``NoSolutionError`` if b is outside the
     column span.
     """
+    _expect(M, Matrix)
     if len(b) != M.rows:
         raise DimensionMismatchError("solve: rhs length mismatch")
     if pivot_rule == "first":
@@ -385,6 +396,7 @@ class StructureTensor:
 
     @classmethod
     def zero(cls, field: FieldSpec, dim: int) -> "StructureTensor":
+        _expect(field, FieldSpec)
         _check_size(dim)
         return cls(field, (((field.zero,) * dim,) * dim,) * dim)
 
@@ -396,6 +408,7 @@ class StructureTensor:
         as ``_check_size`` does; an index outside ``range(dim)``,
         ``DimensionMismatchError``.
         """
+        _expect(field, FieldSpec)
         _check_size(dim)
         grid = [[[field.zero] * dim for _ in range(dim)] for _ in range(dim)]
         for key, c in dict(triples).items():

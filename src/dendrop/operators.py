@@ -88,14 +88,11 @@ class OOperator(_Checked):
     weight: object = None
 
     def __post_init__(self):
-        if isinstance(self.domain, BimoduleAlgebra):
-            if self.weight is None:
-                raise KindMismatchError("algebra-kind operator requires a weight")
-        elif isinstance(self.domain, Bimodule):
-            if self.weight is not None:
-                raise KindMismatchError("module-kind operator carries no weight")
-        else:
-            raise KindMismatchError(f"unsupported domain type {type(self.domain).__name__}")
+        _expect(self.domain, Bimodule, BimoduleAlgebra)
+        if self.kind == ALGEBRA and self.weight is None:
+            raise KindMismatchError("algebra-kind operator requires a weight")
+        if self.kind == MODULE and self.weight is not None:
+            raise KindMismatchError("module-kind operator carries no weight")
         _expect(self.codomain, Algebra)
         _expect(self.matrix, Matrix)
         if self.domain.algebra != self.codomain:
@@ -239,6 +236,8 @@ def forget_product(op: OOperator) -> OOperator:
 
 def multiplicativity_failure(fmat: Matrix, alg: Algebra):
     """First basis pair where f(x*y) != f(x)*f(y), or None if multiplicative."""
+    _expect(fmat, Matrix)
+    _expect(alg, Algebra)
     same_field(fmat.field, alg.field)
     if not fmat.is_square or fmat.rows != alg.dim:
         raise DimensionMismatchError("f must be square of the algebra's dimension")
@@ -349,9 +348,7 @@ def pullback_domain(domain, h: Matrix):
     records that it was pulled back from ``domain`` along ``h``, which
     ``compose_with_domain_iso`` reads.
     """
-    if not isinstance(domain, (Bimodule, BimoduleAlgebra)):
-        raise KindMismatchError(f"expected a bimodule or bimodule algebra, "
-                                f"got {_with_article(type(domain).__name__)}")
+    _expect(domain, Bimodule, BimoduleAlgebra)
     hinv = _require_invertible(h, domain.field, domain.dim, "pullback matrix h")
     f, hcols, back = domain.field, _transpose(h.entries), _transpose(hinv.entries)
     # every module argument moves along h and every module value back along h^{-1}

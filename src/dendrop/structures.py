@@ -64,8 +64,7 @@ from itertools import combinations, product
 from operator import attrgetter
 from typing import Sequence
 
-from .errors import (DimensionMismatchError, KindMismatchError, NotAssociativeError,
-                     _expect, _with_article)
+from .errors import DimensionMismatchError, NotAssociativeError, _expect
 from .fields import FieldSpec, same_field
 from .linalg import StructureTensor, _combine, _field_table, _transport
 
@@ -579,16 +578,9 @@ def validate_bimodule_algebra(ba: BimoduleAlgebra,
 
 # -- constructions ----------------------------------------------------------------
 
-def _expect_dendriform(d) -> None:
-    """Refuse ``d`` unless it is a dendriform dialgebra or trialgebra."""
-    if not isinstance(d, (DendriformDi, DendriformTri)):
-        raise KindMismatchError(f"expected a dendriform structure, "
-                                f"got {_with_article(type(d).__name__)}")
-
-
 def star_product(d) -> Algebra:
     """Sum of the dendriform products; associative whenever the axioms hold."""
-    _expect_dendriform(d)
+    _expect(d, DendriformDi, DendriformTri)
     tables = [t.entries for t in d.tensors()]
     return Algebra(StructureTensor(d.field, _table_sum(d.field, tables)))
 
@@ -616,6 +608,8 @@ def tensor_to_field(t: StructureTensor, target: FieldSpec) -> StructureTensor:
 
 def _to_field(s, target: FieldSpec):
     """``s`` with every table reinterpreted over ``target``; the name is kept."""
+    _expect(s, Algebra, DendriformDi, DendriformTri)
+    _expect(target, FieldSpec)
     return type(s)(*(tensor_to_field(t, target) for t in s.tensors()), name=s.name)
 
 

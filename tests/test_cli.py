@@ -128,6 +128,17 @@ def test_construct_range_falls_back_to_quotient(tmp_path, capsys):
     assert embedding.col(0) == (ONE, ZERO)
 
 
+def test_construct_range_refuses_a_singular_module_kind_operator(tmp_path, capsys):
+    # the zero map is a weight-0 Rota-Baxter operator; its module reading has no quotient path
+    op = dp.rb_as_module_operator(dp.RotaBaxterOperator(n2(), dp.Matrix.zeros(Q, 2, 2), ZERO))
+    path = write_doc(tmp_path, "op.json", op)
+    out = tmp_path / "range.json"
+    assert main(["construct", "range", path, "-o", str(out)]) == 1
+    assert capsys.readouterr().err == ("failed: operator is singular and the quotient path "
+                                       "needs an algebra-kind operator\n")
+    assert not out.exists()
+
+
 def test_construct_refuses_invalid_operator(tmp_path, capsys):
     bad = dp.OOperator(weight0_diagonal_operator().domain, n2(), dp.Matrix.identity(Q, 2), ZERO)
     path = write_doc(tmp_path, "bad.json", bad)

@@ -100,7 +100,7 @@ def test_weight_scaling_only_moves_the_dot():
 def test_star_checks_refuse_what_is_not_a_dendriform_structure(wrong):
     # an algebra's one product would be read as the star, and the check would pass
     _, op = dp.canonical_operator_from_di(dp.catalogue_entry("rb-2").structure)
-    message = f"^expected a dendriform structure, got an? {type(wrong).__name__}$"
+    message = f"^expected a dialgebra or a trialgebra, got an? {type(wrong).__name__}$"
     with pytest.raises(KindMismatchError, match=message):
         dp.check_splitting(wrong, n2())
     with pytest.raises(KindMismatchError, match=message):

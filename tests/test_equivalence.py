@@ -84,7 +84,7 @@ def test_non_dendriform_refusals_name_the_class_with_its_article():
     for other, got in ((alg, "an Algebra"), (Matrix.identity(F3, 2), "a Matrix")):
         with pytest.raises(KindMismatchError) as err:
             dp.search_dendriform_iso_fp(other, other)
-        assert str(err.value) == f"expected a dendriform structure, got {got}"
+        assert str(err.value) == f"expected a dialgebra or a trialgebra, got {got}"
 
 
 def test_witness_symmetry_forward_implies_inverse_backward():

@@ -318,7 +318,7 @@ def test_a_refused_shape_names_the_table_expected():
         StructureTensor(F3, (((0,),),) * 2)
     with pytest.raises(DimensionMismatchError, match="^expected a table nested two deep$"):
         Matrix(F3, 5)
-    with pytest.raises(ArgumentError, match="^row count must be a non-negative int, got -1$"):
+    with pytest.raises(ArgumentError, match="^row count must be an int >= 0, got -1$"):
         Matrix.zeros(F3, -1, 2)
 
 

@@ -8,6 +8,7 @@ from dendrop.errors import (DimensionMismatchError, FieldMismatchError, KindMism
                             NotIntertwiningError, NotInvertibleError,
                             NotMultiplicativeError)
 from dendrop.linalg import Matrix
+from dendrop.operators import multiplicativity_failure
 from helpers import (F3, Q, action_tables, automorphisms_of, diag, kx2, n2,
                      random_invertible, zero_algebra)
 
@@ -225,6 +226,8 @@ def _wrong_class_calls():
     d, one = dp.catalogue_entry("rb-4").structure, Matrix.identity(Q, 2)
     operator = "expected an O-operator, got a RotaBaxterOperator"
     matrix = "expected a matrix, got an Algebra"
+    rows, tuple_matrix = ((1, 0), (0, 1)), "expected a matrix, got a tuple"
+    field = "expected a field, got a str"
     return {
         "kernel-ideal-of-algebra": (lambda: dp.kernel_ideal_check(n2()),
                                     "expected an O-operator, got an Algebra"),
@@ -236,15 +239,46 @@ def _wrong_class_calls():
         "pullback-along-algebra": (lambda: dp.pullback_domain(op.domain, n2()), matrix),
         "dendriform-iso-along-algebra": (lambda: dp.verify_dendriform_iso(d, d, n2()), matrix),
         "star-of-algebra": (lambda: dp.star_product(n2()),
-                            "expected a dendriform structure, got an Algebra"),
+                            "expected a dialgebra or a trialgebra, got an Algebra"),
         "star-of-tuple": (lambda: dp.star_product(d.tensors()),
-                          "expected a dendriform structure, got a tuple"),
+                          "expected a dialgebra or a trialgebra, got a tuple"),
         "rb-search-on-tuple": (lambda: dp.enumerate_rb_operators(n2(F3).product.entries, 0),
                                "expected an algebra, got a tuple"),
         "rb-as-o-of-tuple": (lambda: dp.rb_as_o_operator((n2(), one, ZERO)),
                              "expected a Rota-Baxter operator, got a tuple"),
         "canonical-bimodule-of-tuple": (lambda: dp.canonical_bimodule(n2().product.entries),
                                         "expected an algebra, got a tuple"),
+        # each of these used to raise a bare AttributeError or TypeError
+        "splitting-against-tuple": (lambda: dp.check_splitting(d, (1, 2)),
+                                    "expected an algebra, got a tuple"),
+        "di-to-field-of-tuple": (lambda: dp.dendriform_di_to_field((1,), F3),
+                                 "expected an algebra, a dialgebra or a trialgebra, got a tuple"),
+        "algebra-to-str-field": (lambda: dp.algebra_to_field(n2(), "F3"), field),
+        "gl-over-str-field": (lambda: dp.gl_matrices("F3", 2), field),
+        "invert-tuple": (lambda: dp.invert(rows), tuple_matrix),
+        "rank-of-tuple": (lambda: dp.rank(rows), tuple_matrix),
+        "kernel-of-tuple": (lambda: dp.kernel_basis(rows), tuple_matrix),
+        "solve-tuple": (lambda: dp.solve(rows, (1, 0)), tuple_matrix),
+        "mul-by-tuple": (lambda: one.mul(rows), tuple_matrix),
+        "multiplicative-tuple": (lambda: dp.is_multiplicative(rows, n2()), tuple_matrix),
+        "multiplicative-on-tuple": (lambda: dp.is_multiplicative(one, n2().product),
+                                    "expected an algebra, got a StructureTensor"),
+        "multiplicativity-failure-tuple": (lambda: multiplicativity_failure(rows, n2()),
+                                           tuple_matrix),
+        "multiplicativity-failure-on-tuple": (lambda: multiplicativity_failure(one, rows),
+                                              "expected an algebra, got a tuple"),
+        "intertwiner-to-tuple": (lambda: dp.induced_intertwiner(op, (1,)),
+                                 "expected an O-operator, got a tuple"),
+        "intertwiner-from-tuple": (lambda: dp.induced_intertwiner((1,), op),
+                                   "expected an O-operator, got a tuple"),
+        "matrix-over-str": (lambda: Matrix("F3", rows), field),
+        "identity-over-str": (lambda: Matrix.identity("F3", 2), field),
+        "zeros-over-str": (lambda: Matrix.zeros("F3", 2, 2), field),
+        "tensor-over-str": (lambda: dp.StructureTensor("F3", n2().product.entries), field),
+        "zero-tensor-over-str": (lambda: dp.StructureTensor.zero("F3", 2), field),
+        "algebra-over-str": (lambda: dp.make_algebra("F3", 2, {}), field),
+        "o-operator-on-algebra": (lambda: dp.OOperator(n2(), n2(), one),
+                                  "expected a bimodule or a bimodule algebra, got an Algebra"),
     }
 
 
@@ -261,7 +295,7 @@ def test_pullback_refuses_a_structure_that_is_not_a_bimodule():
     for domain, got in ((n2(), "an Algebra"), (d, "a DendriformDi")):
         with pytest.raises(KindMismatchError) as err:
             dp.pullback_domain(domain, Matrix.identity(Q, 2))
-        assert str(err.value) == f"expected a bimodule or bimodule algebra, got {got}"
+        assert str(err.value) == f"expected a bimodule or a bimodule algebra, got {got}"
 
 
 def test_transport_closure_randomized():
