@@ -40,7 +40,6 @@ def _entry(name, prec, succ, typo_corrected=False) -> CatalogueEntry:
 
 _HALF = Fraction(1, 2)
 _THIRD = Fraction(1, 3)
-_ONE = Fraction(1)
 
 
 def builtin_catalogue() -> list:
@@ -48,15 +47,15 @@ def builtin_catalogue() -> list:
     return [
         _entry("rb-1", {}, {}),
         _entry("rb-2", {(1, 1, 0): _HALF}, {(1, 1, 0): _HALF}),
-        _entry("rb-3", {(1, 0, 1): _ONE}, {(0, 0, 0): _ONE, (0, 1, 1): _ONE}),
-        _entry("rb-4", {(1, 1, 0): _ONE}, {}),
-        _entry("rb-5", {(0, 0, 0): _ONE, (1, 0, 1): _ONE}, {(0, 1, 1): _ONE}),
-        _entry("rb-6", {}, {(1, 1, 0): _ONE}),
-        _entry("extra-1", {(0, 0, 0): _ONE}, {(1, 1, 1): _ONE}),
-        _entry("extra-2", {(0, 0, 0): _ONE, (0, 1, 1): _ONE, (1, 0, 1): _ONE}, {},
+        _entry("rb-3", {(1, 0, 1): 1}, {(0, 0, 0): 1, (0, 1, 1): 1}),
+        _entry("rb-4", {(1, 1, 0): 1}, {}),
+        _entry("rb-5", {(0, 0, 0): 1, (1, 0, 1): 1}, {(0, 1, 1): 1}),
+        _entry("rb-6", {}, {(1, 1, 0): 1}),
+        _entry("extra-1", {(0, 0, 0): 1}, {(1, 1, 1): 1}),
+        _entry("extra-2", {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1}, {},
                typo_corrected=True),
-        _entry("extra-3", {(0, 1, 1): -_ONE}, {(0, 0, 0): _ONE, (0, 1, 1): _ONE}),
-        _entry("extra-4", {(0, 0, 1): _ONE}, {(0, 0, 1): -_ONE},
+        _entry("extra-3", {(0, 1, 1): -1}, {(0, 0, 0): 1, (0, 1, 1): 1}),
+        _entry("extra-4", {(0, 0, 1): 1}, {(0, 0, 1): -1},
                typo_corrected=True),
         _entry("extra-5", {(0, 0, 1): _THIRD}, {(0, 0, 1): Fraction(2, 3)}),
     ]

@@ -1,10 +1,15 @@
 """Exact scalars over the rationals and over prime fields.
 
-Scalar values are plain Python objects: ``fractions.Fraction`` for rational
-coefficients, small non-negative ``int`` residues for prime fields.  A
-``FieldSpec`` carries the arithmetic; containers (matrices, structure
-tensors) hold raw values plus one shared ``FieldSpec``.  Nothing in this
-module (or anywhere downstream of it) touches floating point.
+Scalar values are plain Python objects: small non-negative ``int`` residues
+for prime fields, and over the rationals one normal form, ``_q``: an ``int``
+when the value is integral, a ``fractions.Fraction`` with denominator > 1
+otherwise.  The two compare, hash and print alike (``Fraction(3) == 3``,
+``str`` gives ``3`` for both), so the form never changes an emitted byte;
+it only keeps integer arithmetic on ints.  A ``FieldSpec`` carries the
+arithmetic; containers (matrices, structure tensors) hold raw values plus
+one shared ``FieldSpec``.  Nothing in this module (or anywhere downstream
+of it) touches floating point: the one division, ``inv``, builds a
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -17,8 +22,10 @@ from .errors import BadRationalError, FieldMismatchError, FieldSpecError
 RATIONAL = "rational"
 PRIME = "prime"
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+
+def _q(x):
+    """The rational ``x`` (an ``int`` or a ``Fraction``) in normal form."""
+    return x.numerator if x.denominator == 1 else x
 
 
 # Moduli above this cap are refused before any test; below it the
@@ -80,43 +87,38 @@ class FieldSpec:
     def is_finite(self) -> bool:
         return self.kind == PRIME
 
-    @property
-    def zero(self):
-        return _F0 if self.kind == RATIONAL else 0
-
-    @property
-    def one(self):
-        return _F1 if self.kind == RATIONAL else 1
+    zero, one = 0, 1  # in both kinds of field; over Q, the normal forms of 0 and 1
 
     def add(self, a, b):
-        return a + b if self.kind == RATIONAL else (a + b) % self.p
+        return _q(a + b) if self.kind == RATIONAL else (a + b) % self.p
 
     def sub(self, a, b):
-        return a - b if self.kind == RATIONAL else (a - b) % self.p
+        return _q(a - b) if self.kind == RATIONAL else (a - b) % self.p
 
     def mul(self, a, b):
-        return a * b if self.kind == RATIONAL else (a * b) % self.p
+        return _q(a * b) if self.kind == RATIONAL else (a * b) % self.p
 
     def neg(self, a):
-        return -a if self.kind == RATIONAL else (-a) % self.p
+        return _q(-a) if self.kind == RATIONAL else (-a) % self.p
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return _F1 / a if self.kind == RATIONAL else pow(a, -1, self.p)
+        return _q(Fraction(1, a)) if self.kind == RATIONAL else pow(a, -1, self.p)
 
     def coerce(self, value):
-        """``value`` as a scalar of this field: ints reduced mod p, or made Fractions over Q.
+        """``value`` as a scalar of this field: ints reduced mod p, or put in normal form over Q.
 
-        A ``Fraction`` is kept over Q; anything else (a float, a bool, a
-        ``Fraction`` inside a prime field) raises ``FieldMismatchError``.
+        Over Q an ``int`` is kept and a ``Fraction`` becomes its normal form
+        (``_q``); anything else (a float, a bool, a ``Fraction`` inside a
+        prime field) raises ``FieldMismatchError``.
         """
         cls = value.__class__
         if self.kind == RATIONAL:
-            if isinstance(value, Fraction):
-                return value
             if cls is int:
-                return Fraction(value)
+                return value
+            if isinstance(value, Fraction):
+                return _q(value)
         elif cls is int:
             return value % self.p
         raise FieldMismatchError(f"{value!r} ({cls.__name__}) is not a scalar of {self}")
@@ -133,21 +135,25 @@ class FieldSpec:
         if sep and (den_s.startswith(("+", "-")) or den <= 0):
             raise BadRationalError(f"denominator must be a positive integer: {text!r}")
         if self.kind == RATIONAL:
-            return Fraction(num, den) if sep else Fraction(num)
+            return _q(Fraction(num, den)) if sep else num
         p = self.p
         if den % p == 0:
             raise BadRationalError(f"denominator of {text!r} is divisible by p={p}")
         return num * pow(den, -1, p) % p if sep else num % p
 
     def convert_from_rational(self, value):
-        """Map a rational scalar into this field; error if p divides the denominator."""
-        frac = Fraction(value)
+        """Map a rational scalar into this field; error if p divides the denominator.
+
+        ``value`` is brought into Q first (``RATIONALS.coerce``), so a float
+        or a bool raises ``FieldMismatchError``.
+        """
+        q = RATIONALS.coerce(value)
         if self.kind == RATIONAL:
-            return frac
-        if frac.denominator % self.p == 0:
-            raise BadRationalError(
-                f"{frac} has no image mod {self.p} (denominator divisible by p)")
-        return (frac.numerator % self.p) * pow(frac.denominator % self.p, -1, self.p) % self.p
+            return q
+        p = self.p
+        if q.denominator % p == 0:
+            raise BadRationalError(f"{q} has no image mod {p} (denominator divisible by p)")
+        return q.numerator * pow(q.denominator, -1, p) % p
 
 
 RATIONALS = FieldSpec(RATIONAL)

@@ -2,7 +2,9 @@
 
 Vectors are plain tuples of field values.  All arithmetic goes through one
 kernel, ``_combine``: a linear combination of vectors, summed exactly and
-reduced mod p once per vector (never per scalar operation).  Products
+reduced mod p once per vector (never per scalar operation), or over Q put
+once in the normal form of ``fields``: an ``int`` when integral, else a
+``Fraction``.  Products
 and scalings of matrices and tensors, ``matvec`` and the row operations
 of elimination are all calls to it, and so is ``_transport``, which moves
 every bilinear table (products, actions) along linear maps.  Elimination
@@ -12,7 +14,11 @@ first, then lowest row), so identical inputs always give identical outputs.
 Field form and shape are decided in one place.  ``_field_table`` coerces
 every matrix and bilinear table (structure tensors, bimodule actions) into
 its field and checks each level's length against the sizes its container
-states; a malformed table raises ``DimensionMismatchError``.
+states; a malformed table raises ``DimensionMismatchError``.  Every vector
+and scalar argument (of ``matvec``, ``apply``, ``scale``, ``solve`` and
+``in_span``) is coerced into the field before any arithmetic, so no float
+or other non-scalar reaches ``_combine``; a vector that is not a sequence,
+or has the wrong length, raises ``DimensionMismatchError``.
 ``_check_size`` refuses any dimension, row count or column count that is
 not a non-bool ``int`` >= 0, and any worker count or budget below 1, with
 ``ArgumentError``.  A field, matrix or operand of another class is refused
@@ -29,11 +35,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import (ArgumentError, DimensionMismatchError, NoSolutionError,
                      NotInvertibleError, SingularMatrixError, _expect)
-from .fields import FieldSpec, same_field
+from .fields import FieldSpec, _q, same_field
 
 
 # -- vectors -----------------------------------------------------------------
@@ -42,7 +49,9 @@ def _combine(coeffs: Sequence, vecs: Sequence, p, zero, at=None) -> tuple:
     """Coordinates of sum_s coeffs[s] * vecs[s] (of vecs[s][at] when ``at`` is set).
 
     The sum is exact and reduced mod ``p`` once at the end when ``p`` is
-    set, which equals accumulating it term by term in the field.
+    set, which equals accumulating it term by term in the field.  Over Q
+    the coordinates are put in normal form (``fields._q``) once at the end,
+    unless no ``Fraction`` is among them: sums of ints are ints.
     """
     out = None
     for c, v in zip(coeffs, vecs):
@@ -57,7 +66,9 @@ def _combine(coeffs: Sequence, vecs: Sequence, p, zero, at=None) -> tuple:
                         out[r] += a if c == 1 else c * a
     if out is None:
         return (zero,) * len(vecs[0] if at is None else vecs[0][at]) if vecs else ()
-    return tuple(map(p.__rmod__, out)) if p else tuple(out)
+    if p:
+        return tuple(map(p.__rmod__, out))
+    return tuple(map(_q, out)) if Fraction in map(type, out) else tuple(out)
 
 
 def _transport(field: FieldSpec, table, left, right, post) -> tuple:
@@ -88,7 +99,25 @@ def _check_size(value, what: str = "dimension", least: int = 0) -> None:
         raise ArgumentError(f"{what} must be an int >= {least}, got {value!r}")
 
 
-_INT, _FRACTION = frozenset((int,)), frozenset((Fraction,))
+_INT, _RATIONAL = frozenset((int,)), frozenset((int, Fraction))
+_DENOMINATOR = attrgetter("denominator")
+
+
+def _field_vector(field: FieldSpec, v, n: int | None, what: str) -> tuple:
+    """``v`` as a tuple of ``n`` scalars of ``field`` (any length when ``n`` is None).
+
+    The vector arguments of ``matvec``, ``apply``, ``solve`` and ``in_span``
+    pass it before any arithmetic.  A ``v`` that is not a sequence, or one
+    of another length, raises ``DimensionMismatchError``; an entry that is
+    not a scalar of ``field``, ``FieldMismatchError`` (``FieldSpec.coerce``).
+    """
+    try:
+        v = tuple(v)
+    except TypeError:
+        raise DimensionMismatchError(f"{what} must be a sequence of scalars, got {v!r}") from None
+    if n is not None and len(v) != n:
+        raise DimensionMismatchError(f"{what} must have {n} entries, got {len(v)}")
+    return tuple(map(field.coerce, v))
 
 
 def _field_table(field: FieldSpec, table, sizes: tuple) -> tuple:
@@ -102,10 +131,11 @@ def _field_table(field: FieldSpec, table, sizes: tuple) -> tuple:
     rows have.  Lengths are compared at C level, one set per level.  A
     level of another length, or one that is not a sequence, such as a
     ``Matrix`` in place of a plane, raises ``DimensionMismatchError``.
-    Entries are then coerced (``FieldSpec.coerce``) unless one check finds
-    them all field scalars already: over Q every class exactly
-    ``Fraction``, over F_p every class ``int`` with ``0 <= min`` and
-    ``max < p``, one test at C level.
+    Entries are then coerced (``FieldSpec.coerce``) unless one check at C
+    level finds them all field scalars already.  Over F_p that is every
+    class ``int`` with ``0 <= min`` and ``max < p``.  Over Q it is every
+    class ``int``, or ``int`` and ``Fraction`` with as many denominators 1
+    as ints, so no ``Fraction`` is integral: the normal form ``fields._q``.
     """
     _expect(field, FieldSpec)
     deep = len(sizes) == 3
@@ -126,7 +156,8 @@ def _field_table(field: FieldSpec, table, sizes: tuple) -> tuple:
     leaves = list(chain.from_iterable(rows))
     classes, p = set(map(type, leaves)), field.p
     if not (classes == _INT and min(leaves) >= 0 and max(leaves) < p if p
-            else classes == _FRACTION):
+            else classes == _INT or classes <= _RATIONAL and (
+                list(map(_DENOMINATOR, leaves)).count(1) == list(map(type, leaves)).count(int))):
         coerce = field.coerce
         ents = (tuple([tuple([tuple(map(coerce, row)) for row in plane]) for plane in ents])
                 if deep else tuple([tuple(map(coerce, row)) for row in ents]))
@@ -194,9 +225,8 @@ class Matrix:
         return [self.col(j) for j in range(self.cols)]
 
     def matvec(self, v: Sequence) -> tuple:
-        if len(v) != self.cols:
-            raise DimensionMismatchError(f"matvec: {self.cols} cols vs vector of {len(v)}")
         f = self.field
+        v = _field_vector(f, v, self.cols, "matvec: the vector")
         columns = tuple(zip(*self.entries))
         return _combine(v, columns, f.p, f.zero) if columns else (f.zero,) * self.rows
 
@@ -212,6 +242,7 @@ class Matrix:
 
     def scale(self, c) -> "Matrix":
         f = self.field
+        c = f.coerce(c)
         return Matrix(f, tuple(_combine((c,), (row,), f.p, f.zero) for row in self.entries))
 
     def is_zero(self) -> bool:
@@ -332,16 +363,15 @@ def solve(M: Matrix, b: Sequence, pivot_rule: str = "first") -> tuple:
     column span.
     """
     _expect(M, Matrix)
-    if len(b) != M.rows:
-        raise DimensionMismatchError("solve: rhs length mismatch")
+    f = M.field
+    b = _field_vector(f, b, M.rows, "solve: the right-hand side")
     if pivot_rule == "first":
         order = range(M.cols)
     elif pivot_rule == "last":
         order = range(M.cols - 1, -1, -1)
     else:
         raise ArgumentError(f"unknown pivot rule {pivot_rule!r}")
-    f = M.field
-    rows = [list(r) + [f.coerce(bb)] for r, bb in zip(M.entries, b)]
+    rows = [list(r) + [bb] for r, bb in zip(M.entries, b)]
     pivots = _rref(rows, f, order)
     for i in range(len(rows)):
         if rows[i][-1] != 0 and all(a == 0 for a in rows[i][:-1]):
@@ -354,11 +384,11 @@ def solve(M: Matrix, b: Sequence, pivot_rule: str = "first") -> tuple:
 
 def in_span(vectors: Sequence[Sequence], v: Sequence, field: FieldSpec) -> bool:
     """Exact membership of v in the linear span of ``vectors``."""
-    vecs = [list(u) for u in vectors]
-    if not vecs:
-        return all(a == 0 for a in v)
-    base = rank(Matrix(field, vecs))
-    return rank(Matrix(field, vecs + [list(v)])) == base
+    span = Matrix(field, vectors)
+    v = _field_vector(field, v, span.cols if span.rows else None, "in_span: the vector")
+    if not span.rows:
+        return not any(v)
+    return rank(Matrix(field, span.entries + (v,))) == rank(span)
 
 
 def column_space_basis(M: Matrix) -> list:
@@ -404,14 +434,20 @@ class StructureTensor:
     def from_triples(cls, field: FieldSpec, dim: int, triples: Iterable) -> "StructureTensor":
         """Build from sparse entries {(i, j, k): c}; unlisted entries are zero.
 
-        A key that is not a 3-tuple of non-bool ints raises ``ArgumentError``,
-        as ``_check_size`` does; an index outside ``range(dim)``,
+        ``triples`` that ``dict`` cannot read as such pairs, or a key that is
+        not a 3-tuple of non-bool ints, raises ``ArgumentError``, as
+        ``_check_size`` does; an index outside ``range(dim)``,
         ``DimensionMismatchError``.
         """
         _expect(field, FieldSpec)
         _check_size(dim)
         grid = [[[field.zero] * dim for _ in range(dim)] for _ in range(dim)]
-        for key, c in dict(triples).items():
+        try:
+            triples = dict(triples)
+        except (TypeError, ValueError):
+            raise ArgumentError(
+                f"triples must map (i, j, k) to a scalar, got {triples!r}") from None
+        for key, c in triples.items():
             if key.__class__ is not tuple or len(key) != 3 or set(map(type, key)) != _INT:
                 raise ArgumentError(f"tensor index must be a triple of ints, got {key!r}")
             i, j, k = key
@@ -427,12 +463,15 @@ class StructureTensor:
 
     def apply(self, u: Sequence, v: Sequence) -> tuple:
         """Bilinear extension: coordinates of u * v."""
-        f = self.field
+        f, n = self.field, self.dim
+        u = _field_vector(f, u, n, "apply: the left factor")
+        v = _field_vector(f, v, n, "apply: the right factor")
         return _combine([a * b if a and b else 0 for a in u for b in v],
                         sum(self.entries, ()), f.p, f.zero)
 
     def scale(self, c) -> "StructureTensor":
         f = self.field
+        c = f.coerce(c)
         return StructureTensor(f, tuple(
             tuple(_combine((c,), (row,), f.p, f.zero) for row in plane)
             for plane in self.entries))

@@ -66,7 +66,7 @@ from typing import Sequence
 
 from .errors import DimensionMismatchError, NotAssociativeError, _expect
 from .fields import FieldSpec, same_field
-from .linalg import StructureTensor, _combine, _field_table, _transport
+from .linalg import StructureTensor, _check_size, _combine, _field_table, _transport
 
 DEFAULT_MAX_VIOLATIONS = 5
 
@@ -99,7 +99,9 @@ def _collect(kind: str, failures, max_violations: int = DEFAULT_MAX_VIOLATIONS,
     """Report on the failures a scan yields, keeping the first ``max_violations``.
 
     With ``early_stop`` the scan is not resumed after its first failure.
+    A ``max_violations`` that is not an ``int`` >= 0 raises ``ArgumentError``.
     """
+    _check_size(max_violations, "max_violations")
     kept = []
     total = 0
     for axiom, indices, lhs, rhs in failures:

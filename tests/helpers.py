@@ -49,6 +49,17 @@ def diag(field, *vals):
         tuple(vals[i] if i == j else field.zero for j in range(n)) for i in range(n)))
 
 
+def is_field_scalar(field, x) -> bool:
+    """Whether ``x`` is a scalar of ``field`` in its one form.
+
+    Over F_p an ``int`` in ``0 .. p-1``; over Q an ``int`` when integral and
+    a ``Fraction`` with denominator > 1 otherwise, never a float or a bool.
+    """
+    if field.is_finite:
+        return type(x) is int and 0 <= x < field.p
+    return type(x) is int or type(x) is Fraction and x.denominator > 1
+
+
 # -- random generators ------------------------------------------------------------
 
 def random_scalar(rng, field):

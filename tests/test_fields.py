@@ -7,6 +7,7 @@ from dendrop.errors import (BadRationalError, DendropError, FieldMismatchError,
                             FieldSpecError)
 from dendrop.fields import (MAX_MODULUS, FieldSpec, RATIONALS, is_prime, prime_field,
                             same_field)
+from helpers import is_field_scalar
 
 
 def test_field_spec_validation():
@@ -144,10 +145,23 @@ def test_prime_parse_format_round_trip(residue):
 
 
 def test_no_floats_in_scalar_path():
-    # every value produced by field arithmetic is an int or a Fraction
+    # every value produced by field arithmetic is a scalar in its one form: a residue
+    # over F_p; over Q an int when integral, else a Fraction (inv never divides 1 / a)
     f5 = prime_field(5)
     for v in (f5.zero, f5.one, f5.add(2, 4), f5.inv(3), f5.coerce(-2)):
-        assert isinstance(v, int) and not isinstance(v, bool)
-    for v in (RATIONALS.zero, RATIONALS.one, RATIONALS.parse("-7/3"),
-              RATIONALS.inv(Fraction(2))):
-        assert isinstance(v, Fraction)
+        assert is_field_scalar(f5, v)
+    Q = RATIONALS
+    values = (Q.zero, Q.one, Q.parse("-7/3"), Q.parse("4/2"), Q.parse("-6"), Q.inv(2),
+              Q.inv(-1), Q.inv(Fraction(2)), Q.inv(Fraction(1, 2)), Q.coerce(Fraction(6, 3)),
+              Q.add(Fraction(1, 2), Fraction(1, 2)), Q.mul(Fraction(2, 3), 3),
+              Q.sub(Fraction(5, 2), Fraction(1, 2)), Q.neg(Fraction(4, 2)),
+              Q.convert_from_rational(Fraction(9, 3)))
+    assert values == (0, 1, Fraction(-7, 3), 2, -6, Fraction(1, 2), -1, Fraction(1, 2), 2, 2,
+                      1, 2, 2, -2, 3)
+    assert [type(v) for v in values] == [int, int, Fraction, int, int, Fraction, int, Fraction,
+                                         int, int, int, int, int, int, int]
+    for bad in (0.5, True, "1/2"):
+        with pytest.raises(FieldMismatchError):
+            Q.convert_from_rational(bad)
+        with pytest.raises(FieldMismatchError):
+            f5.convert_from_rational(bad)

@@ -8,7 +8,7 @@ from dendrop.errors import (ArgumentError, DendropError, DimensionMismatchError,
                             FieldMismatchError, NoSolutionError, SingularMatrixError)
 from dendrop.linalg import (Matrix, StructureTensor, _transport, column_space_basis,
                             in_span, invert, kernel_basis, rank, solve)
-from helpers import F2, F3, F5, Q, diag, n2
+from helpers import F2, F3, F5, Q, diag, is_field_scalar, n2
 
 
 def m(field, rows):
@@ -84,9 +84,9 @@ def test_solve_pivot_rules_differ_on_deficient_systems():
 
 def test_solve_coerces_right_hand_side():
     assert solve(Matrix(F3, ((1,),)), (5,)) == (2,)
-    x = solve(m(Q, [[1, 0], [0, 2]]), (2, 3))
+    x = solve(m(Q, [[1, 0], [0, 2]]), (Fraction(4, 2), 3))
     assert x == (Fraction(2), Fraction(3, 2))
-    assert all(type(c) is Fraction for c in x)
+    assert [type(c) for c in x] == [int, Fraction]
 
 
 # -- span -------------------------------------------------------------------
@@ -274,6 +274,18 @@ BOUNDARY = {
                               ArgumentError),
     "from_triples/bool key": (lambda: StructureTensor.from_triples(F3, 2, {(True, 0, 0): 1}),
                               ArgumentError),
+    # these arguments used to raise a bare TypeError, or (a short factor) give a wrong product
+    "from_triples/non-mapping": (lambda: StructureTensor.from_triples(Q, 2, 5), ArgumentError),
+    "from_triples/not pairs": (lambda: StructureTensor.from_triples(F3, 2, [(0, 0, 0)]),
+                               ArgumentError),
+    "in_span/non-sequence vector": (lambda: in_span([(1, 0)], 5, Q), DimensionMismatchError),
+    "in_span/non-sequence vectors": (lambda: in_span(5, (1, 0), Q), DimensionMismatchError),
+    "matvec/non-sequence": (lambda: Matrix.identity(Q, 2).matvec(5), DimensionMismatchError),
+    "solve/non-sequence": (lambda: solve(Matrix.identity(Q, 2), 5), DimensionMismatchError),
+    "apply/non-sequence": (lambda: StructureTensor.zero(Q, 2).apply(5, (1, 0)),
+                           DimensionMismatchError),
+    "apply/short factor": (lambda: StructureTensor.zero(F3, 2).apply((1, 0), (1,)),
+                           DimensionMismatchError),
     "make_algebra/pair key": (lambda: dp.make_algebra(F3, 2, {(0, 0): 1}), ArgumentError),
     "make_algebra/negative": (lambda: dp.make_algebra(F3, -1, {}), ArgumentError),
     "make_dendriform_di/float": (lambda: dp.make_dendriform_di(F3, 1.0, {}, {}), ArgumentError),
@@ -355,10 +367,46 @@ def test_float_is_refused_in_a_rational_tensor():
         Matrix(Q, ((True,),))
 
 
-def test_rational_int_entries_become_fractions():
-    M = Matrix(Q, ((1, Fraction(1, 2)),))
-    assert [type(a) for a in M.entries[0]] == [Fraction, Fraction]
-    assert StructureTensor(Q, (((3,),),)).entries[0][0][0] == Fraction(3)
+def test_rational_entries_take_the_normal_form():
+    # an int when integral, a Fraction with denominator > 1 otherwise
+    M = Matrix(Q, ((1, Fraction(1, 2), Fraction(4, 2)),))
+    assert M.entries == ((1, Fraction(1, 2), 2),)
+    assert [type(a) for a in M.entries[0]] == [int, Fraction, int]
+    assert M == Matrix(Q, ((Fraction(1), Fraction(1, 2), 2),))
+    t = StructureTensor(Q, (((Fraction(3),),),))
+    assert t.entries == (((3,),),) and type(t.entries[0][0][0]) is int
+
+
+# Each call used to compute with what it was given: a float came back out (matvec
+# gave (0.5, Fraction(1, 1))), a bool was read as 1, or a bare TypeError was raised.
+_E1 = StructureTensor.from_triples(Q, 2, {(0, 0, 0): 1})
+UNCOERCED = {
+    "matvec/float": lambda: Matrix.identity(Q, 2).matvec((0.5, 1.0)),
+    "matvec/str": lambda: Matrix.identity(Q, 2).matvec(("a", "b")),
+    "matvec/bool": lambda: Matrix.identity(F3, 2).matvec((True, 0)),
+    "matvec/Fraction in F_3": lambda: Matrix.identity(F3, 2).matvec((Fraction(1, 2), 0)),
+    "apply/float left": lambda: _E1.apply((0.5, 0), (1, 0)),
+    "apply/float right": lambda: _E1.apply((1, 0), (0.5, 0)),
+    "Matrix.scale/str": lambda: Matrix.identity(Q, 2).scale("x"),
+    "StructureTensor.scale/bool": lambda: _E1.scale(True),
+}
+
+
+@pytest.mark.parametrize("call", UNCOERCED.values(), ids=UNCOERCED.keys())
+def test_vector_and_scalar_arguments_are_brought_into_the_field(call):
+    with pytest.raises(FieldMismatchError):
+        call()
+
+
+def test_vector_and_scalar_arguments_take_the_normal_form():
+    half = Fraction(1, 2)
+    got = [Matrix.identity(Q, 2).matvec((Fraction(4, 2), half)),
+           _E1.apply((Fraction(3, 1), 0), (Fraction(2, 2), 0)),
+           Matrix.identity(Q, 2).scale(Fraction(6, 3)).entries[0],
+           _E1.scale(Fraction(2, 2)).entries[0][0]]
+    assert got == [(2, half), (3, 0), (2, 0), (1, 0)]
+    assert [type(x) for v in got for x in v] == [int, Fraction] + [int] * 6
+    assert Matrix.identity(F3, 2).matvec((4, -1)) == (1, 2)
 
 
 class _Half(Fraction):
@@ -457,10 +505,7 @@ def _ref_kernel(field, rows, n):
 
 def _assert_scalars(field, values):
     for x in values:
-        if field.is_finite:
-            assert type(x) is int and 0 <= x < field.p
-        else:
-            assert type(x) is Fraction
+        assert is_field_scalar(field, x), x
 
 
 def _scalar(field):
@@ -557,3 +602,96 @@ def test_transport_matches_apply_and_matvec(field, n, xs, ys, d, data):
     for row in got:
         for w in row:
             _assert_scalars(field, w)
+
+
+# -- the normal form of every rational result ------------------------------------
+#
+# The reference turns every input into a Fraction first and works with Fractions
+# alone, one scalar at a time.  Each result of the library must equal it and be in
+# normal form: an int when integral, a Fraction with denominator > 1 otherwise.
+
+_Q_SCALAR = st.one_of(st.integers(-4, 4),
+                      st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)))
+
+
+def _fractions(rows):
+    return [[Fraction(a) for a in row] for row in rows]
+
+
+def _assert_normal(got, want):
+    got = [tuple(v) for v in got]
+    assert got == [tuple(v) for v in want]
+    _assert_scalars(Q, (x for v in got for x in v))
+
+
+def _ref_bilinear(T, u, v):
+    n = len(T)
+    return [sum((u[i] * v[j] * T[i][j][k] for i in range(n) for j in range(n)), Fraction(0))
+            for k in range(n)]
+
+
+def _ref_solve(A, b, order):
+    """x with Ax = b, free coordinates zero, or None when b is outside the span."""
+    R, pivots = _ref_rref(Q, [row + [x] for row, x in zip(A, b)], order)
+    if any(row[-1] != 0 and not any(row[:-1]) for row in R):
+        return None
+    x = [Fraction(0)] * len(order)
+    for i, col in enumerate(pivots):
+        x[col] = R[i][-1]
+    return x
+
+
+@seed(20261021)
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 3), st.integers(1, 3), st.integers(0, 3),
+       st.integers(1, 3), st.data())
+def test_rational_results_are_in_normal_form_and_match_fractions(r, c, n, xs, d, data):
+    def draw(rows, cols):
+        return tuple(tuple(data.draw(_Q_SCALAR) for _ in range(cols)) for _ in range(rows))
+
+    k = n if c else 0           # a 0-row right factor has no columns either
+    A, B, (v,), (b,), ((s,),) = draw(r, c), draw(c, k), draw(1, c), draw(1, r), draw(1, 1)
+    FA, FB, Fv, Fs = _fractions(A), _fractions(B), [Fraction(x) for x in v], Fraction(s)
+    M = Matrix(Q, A)
+    _assert_normal(M.entries, FA)
+    _assert_normal(M.mul(Matrix(Q, B)).entries, _ref_mul(Q, FA, FB, k))
+    _assert_normal(M.scale(s).entries, [[Fs * x for x in row] for row in FA])
+    _assert_normal([M.matvec(v)], [_ref_matvec(Q, FA, Fv)])
+
+    FT = [_fractions(draw(n, n)) for _ in range(n)]
+    T = StructureTensor(Q, FT)
+    (u,), (w,) = draw(1, n), draw(1, n)
+    _assert_normal([T.apply(u, w)], [_ref_bilinear(FT, _fractions([u])[0], _fractions([w])[0])])
+    left, right, post = draw(xs, n), draw(xs, n), list(draw(n, d))
+    got = _transport(Q, T.entries, left, right, post)
+    want = [[[sum((z * p for z, p in zip(_ref_bilinear(FT, x, y), col)), Fraction(0))
+              for col in zip(*_fractions(post))] for y in _fractions(right)]
+            for x in _fractions(left)]
+    assert len(got) == len(want)
+    for got_row, want_row in zip(got, want):
+        _assert_normal(got_row, want_row)
+
+    _assert_normal(kernel_basis(M), _ref_kernel(Q, FA, c))
+    R, pivots = _ref_rref(Q, [list(col) for col in zip(*FA)], range(r))
+    _assert_normal(column_space_basis(M), R[:len(pivots)])
+    for rule, order in (("first", range(c)), ("last", range(c - 1, -1, -1))):
+        want = _ref_solve(FA, [Fraction(x) for x in b], order)
+        if want is None:
+            with pytest.raises(NoSolutionError):
+                solve(M, b, pivot_rule=rule)
+        else:
+            _assert_normal([solve(M, b, pivot_rule=rule)], [want])
+    if r == c:
+        R, pivots = _ref_rref(Q, [row + [Fraction(i == j) for j in range(r)]
+                                  for i, row in enumerate(FA)], range(r))
+        if len(pivots) < r:
+            with pytest.raises(SingularMatrixError):
+                invert(M)
+        else:
+            _assert_normal(invert(M).entries, [row[r:] for row in R])
+
+    num, den = data.draw(st.integers(-12, 12)), data.draw(st.integers(1, 6))
+    _assert_normal([(Q.parse(f"{num}/{den}"), Q.parse(str(num)), Q.convert_from_rational(s))],
+                   [(Fraction(num, den), Fraction(num), Fs)])
+    if s:
+        _assert_normal([(Q.inv(s),)], [(1 / Fs,)])

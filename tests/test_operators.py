@@ -318,7 +318,11 @@ def test_transport_closure_randomized():
 def test_operator_weights_are_coerced_into_the_field():
     rb = dp.RotaBaxterOperator(n2(F3), Matrix.zeros(F3, 2, 2), 4)
     assert rb.weight == 1 and rb == dp.RotaBaxterOperator(n2(F3), Matrix.zeros(F3, 2, 2), 1)
-    assert type(dp.RotaBaxterOperator(n2(), Matrix.zeros(Q, 2, 2), 1).weight) is Fraction
+    # over Q the weight takes the normal form: an int when integral, else a Fraction
+    weights = [dp.RotaBaxterOperator(n2(), Matrix.zeros(Q, 2, 2), w).weight
+               for w in (1, Fraction(2, 2), Fraction(-1, 2))]
+    assert weights == [1, 1, Fraction(-1, 2)]
+    assert [type(w) for w in weights] == [int, int, Fraction]
     with pytest.raises(FieldMismatchError):
         dp.RotaBaxterOperator(n2(), Matrix.zeros(Q, 2, 2), 0.5)
     with pytest.raises(FieldMismatchError):

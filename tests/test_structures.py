@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import dendrop as dp
-from dendrop.errors import (BadRationalError, DimensionMismatchError,
+from dendrop.errors import (ArgumentError, BadRationalError, DimensionMismatchError,
                             FieldMismatchError, KindMismatchError, NotAssociativeError)
 from dendrop.linalg import Matrix, StructureTensor
 from dendrop.structures import (Violation, validate_associativity, validate_bimodule,
@@ -50,6 +50,22 @@ def test_validator_counts_all_violations_but_caps_details():
     assert full.total_violations == rep.total_violations
     early = validate_associativity(alg, max_violations=1, early_stop=True)
     assert not early.passed and len(early.violations) == 1
+
+
+@pytest.mark.parametrize("bad", [-1, "x", 1.0, True, None])
+def test_max_violations_must_be_a_count(bad):
+    # -1 used to report total_violations=4 with none listed, "x" to raise a bare TypeError;
+    # the count is refused before the scan, so a passing structure refuses it too
+    failing = dp.make_algebra(Q, 2, {(0, 0, 1): ONE, (1, 0, 0): ONE})
+    star = dp.star_product(dp.catalogue_entry("rb-4").structure)
+    for call in (lambda: validate_associativity(failing, max_violations=bad),
+                 lambda: validate_associativity(n2(), max_violations=bad),
+                 lambda: dp.check_splitting(dp.catalogue_entry("rb-4").structure, star,
+                                            max_violations=bad)):
+        with pytest.raises(ArgumentError, match="^max_violations must be an int >= 0, got "):
+            call()
+    none_kept = validate_associativity(failing, max_violations=0)
+    assert none_kept.violations == () and none_kept.total_violations == 4
 
 
 # -- bimodules ---------------------------------------------------------------------
