@@ -89,7 +89,9 @@ def _domain_products(op: OOperator) -> list:
 
 def _domain_structure(op: OOperator):
     """The induced dendriform structure, built without validating ``op``."""
-    tensors = (StructureTensor(op.field, t) for t in _domain_products(op))
+    # _transport output over op.field: the checked n x m x m and m x n x m action tables with
+    # the acting argument along alpha's m columns (and the m x m x m product): m x m x m
+    tensors = (StructureTensor._of(op.field, t) for t in _domain_products(op))
     return (DendriformTri if op.kind == ALGEBRA else DendriformDi)(*tensors)
 
 
@@ -158,7 +160,8 @@ def _canonical_operator(dend, kind):
     _expect(dend, kind)
     f = dend.field
     alg = star_product(dend)
-    structure = Bimodule(alg, dend.succ.entries, dend.prec.entries)
+    # both actions are checked n x n x n tables of dend, over the star's field and dimension
+    structure = Bimodule._of(alg, dend.succ.entries, dend.prec.entries)
     weight = None
     if kind is DendriformTri:
         structure = BimoduleAlgebra(structure, dend.dot)
@@ -222,7 +225,11 @@ def _range_tensors(op: OOperator, sections, basis, pivots) -> tuple:
     in the image and reading it at the pivots loses nothing.
     """
     acols = tuple(tuple(col[i] for i in pivots) for col in _transpose(op.matrix.entries))
-    return tuple(StructureTensor(op.field, t) for t in _moved_products(op, sections, basis, acols))
+    # _transport output over op.field, r = len(pivots): the module argument along r sections,
+    # the acting one along r basis vectors (the identity when r = n), the value onto the r
+    # pivots: r x r x r tables
+    return tuple(StructureTensor._of(op.field, t)
+                 for t in _moved_products(op, sections, basis, acols))
 
 
 def _invertible_range(op: OOperator) -> tuple:
@@ -281,5 +288,6 @@ def range_dendriform_quotient(op: OOperator, section_rule: str = "first") -> Quo
     at_pivots = [tuple(f.one if i == q else f.zero for q in pivots)
                  for i in range(op.codomain.dim)]
     star = _transport(f, op.codomain.product.entries, basis, basis, at_pivots)
-    return QuotientDendriform(tri, emb, Algebra(StructureTensor(f, star)))
+    # _transport output along r basis vectors and r pivot rows: an r x r x r table over f
+    return QuotientDendriform(tri, emb, Algebra(StructureTensor._of(f, star)))
 

@@ -354,7 +354,8 @@ def gl_matrices(field, n: int):
         raise FieldNotFiniteError("matrix enumeration requires a prime field")
     _check_size(n)
     rows = [(0,) * n] * n
-    return (Matrix(field, leaf)
+    # each leaf is n vectors of range(p)^n: an n x n matrix over the field
+    return (Matrix._of(field, leaf)
             for leaf in _column_leaves(field.p, rows, (), _gl_choices(field.p, rows)))
 
 
@@ -490,7 +491,8 @@ def _algebras(field, tables: list) -> list:
 
     Every leaf passed every instance of associativity: each verdict is known.
     """
-    return [_keep(Algebra(StructureTensor(field, table)), True) for table in tables]
+    # each leaf is an n x n x n table of vectors of range(p)^n, or a multiple of one mod p
+    return [_keep(Algebra(StructureTensor._of(field, table)), True) for table in tables]
 
 
 def _associative_tables(dim: int, p: int, budget, chunks: _Chunks) -> list:
@@ -527,8 +529,9 @@ def enumerate_rb_operators(algebra: Algebra, weight, budget: int | None = None) 
         leaves = _multiples(p, _column_leaves(
             p, cols, [row], lambda t, among: _one_per_scalar(among, cols[:t])))
     # every leaf passed every instance of the relation, or is a multiple of one that did at
-    # weight 0: its verdict is known
-    return [_keep(RotaBaxterOperator(algebra, Matrix(field, rows), weight), True)
+    # weight 0: its verdict is known.  Its n columns are vectors of range(p)^n, forced vectors
+    # reduced mod p or their multiples mod p: an n x n matrix over the field
+    return [_keep(RotaBaxterOperator(algebra, Matrix._of(field, rows), weight), True)
             for rows in sorted(tuple(zip(*c)) for c in leaves)]
 
 
@@ -545,23 +548,25 @@ def enumerate_dendriform_di(dim: int, p: int, budget: int | None = None,
 
 
 def _star_stage(field, dim: int, budget, chunks: _Chunks) -> tuple:
-    """The associative tables and their GL orbits (``_star_orbits``).
+    """The algebras of the associative tables, and the tables' GL orbits (``_star_orbits``).
 
     The fibre stage's budget is checked before GL is walked.
     """
     stars = _associative_tables(dim, field.p, budget, chunks)
     _check_budget(field.p, dim ** 3, budget, len(stars))
-    return stars, _star_orbits(field, dim, stars)
+    return _algebras(field, stars), _star_orbits(field, dim, stars)
 
 
-def _dendriform_di(field, dim: int, chunks: _Chunks, stars: list, orbits: list) -> list:
-    """The dialgebras whose star products are the associative tables ``stars``.
+def _dendriform_di(field, dim: int, chunks: _Chunks, algebras: list, orbits: list) -> list:
+    """The dialgebras whose star products are the associative ``algebras``.
 
-    One fibre is searched per orbit of ``orbits``, the GL orbits of
-    ``stars``, and moved to every other star of the orbit by the map that
-    carries the representative there.
+    One fibre is searched per orbit of ``orbits``, the GL orbits of the
+    stars, and moved to every other star of the orbit by the map that
+    carries the representative there.  Each dialgebra keeps the algebra of
+    its star as derived data, which ``structures.star_product`` returns.
     """
     p = field.p
+    stars = [alg.product.entries for alg in algebras]
     fibres = chunks.run(_fibre_part, (p, dim, [stars[orbit[0][0]] for orbit in orbits]),
                         len(orbits))
     # Only prec is moved.  Moving a table is linear in it: g.(S - T)(x, y) =
@@ -575,11 +580,19 @@ def _dendriform_di(field, dim: int, chunks: _Chunks, stars: list, orbits: list) 
                 prec = _moved(field, prec, g, inverse)
                 leaves.append((prec, tuple(tuple(tuple((s - c) % p for s, c in zip(a, b))
                                                  for a, b in zip(*planes))
-                                           for planes in zip(star, prec))))
-    # every leaf passed every instance of the dialgebra axioms, or is the image of one that
-    # did under an invertible map, which is a dialgebra isomorphism: each verdict is known
-    return [_keep(DendriformDi(StructureTensor(field, prec), StructureTensor(field, succ)), True)
-            for prec, succ in sorted(leaves)]
+                                           for planes in zip(star, prec)), j))
+    found = []
+    for prec, succ, j in sorted(leaves):
+        # prec is a leaf of range(p)^n vectors or _moved output, succ the entries of
+        # stars[j] - prec mod p: both n x n x n tables over F_p.  Every leaf passed every
+        # instance of the dialgebra axioms, or is the image of one that did under an
+        # invertible map, which is a dialgebra isomorphism: each verdict is known
+        d = _keep(DendriformDi(StructureTensor._of(field, prec), StructureTensor._of(field, succ)),
+                  True)
+        # succ = stars[j] - prec mod p, so prec + succ = stars[j]: algebras[j] is the star
+        vars(d)["_star"] = algebras[j]
+        found.append(d)
+    return found
 
 
 # -- the image experiment ---------------------------------------------------------------
@@ -652,14 +665,14 @@ def phi_image_experiment(dim: int, p: int, budget: int | None = None,
     _check_size(dim)
     field = prime_field(p)
     with _Chunks(workers) as chunks:
-        stars, orbits = _star_stage(field, dim, budget, chunks)
-        all_dd = _dendriform_di(field, dim, chunks, stars, orbits)
-    algebras = _algebras(field, stars)
+        algebras, orbits = _star_stage(field, dim, budget, chunks)
+        all_dd = _dendriform_di(field, dim, chunks, algebras, orbits)
     operators = _rb_operators_by_star(field, algebras, orbits, budget)
     # each image is the domain dialgebra of the operator on the canonical
     # bimodule, whose actions are both the star's table, moved along (P, None, None)
     first_witness: dict = {}
-    for j, (star, ops) in enumerate(zip(stars, operators)):
+    for j, (alg, ops) in enumerate(zip(algebras, operators)):
+        star = alg.product.entries
         for rows in ops:
             succ, prec = _moved_actions(field, star, star, _transpose(rows), None, None)
             first_witness.setdefault((prec, succ), (j, rows))
@@ -671,7 +684,8 @@ def phi_image_experiment(dim: int, p: int, budget: int | None = None,
             d = DendriformDi(*(StructureTensor(field, t) for t in tables))
         j, rows = first_witness[tables]
         image.append(d)
-        witnesses.append((d, algebras[j], Matrix(field, rows)))
+        # rows: a searched operator's entries, or g P g^-1 as transposed _combine columns mod p
+        witnesses.append((d, algebras[j], Matrix._of(field, rows)))
     missing = [d for d in all_dd if (d.prec.entries, d.succ.entries) not in first_witness]
     failures = []
     for d in all_dd:

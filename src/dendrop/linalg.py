@@ -11,10 +11,16 @@ every bilinear table (products, actions) along linear maps.  Elimination
 is exact Gaussian elimination with a deterministic pivot rule (lowest column index
 first, then lowest row), so identical inputs always give identical outputs.
 
-Field form and shape are decided in one place.  ``_field_table`` coerces
-every matrix and bilinear table (structure tensors, bimodule actions) into
-its field and checks each level's length against the sizes its container
-states; a malformed table raises ``DimensionMismatchError``.  Every vector
+Field form and shape are decided in one place.  Public construction
+checks: ``_field_table`` coerces every matrix and bilinear table
+(structure tensors, bimodule actions) into its field and checks each
+level's length against the sizes its container states; a malformed table
+raises ``DimensionMismatchError``.  ``_of`` trusts kernel output only:
+``Matrix._of``, ``StructureTensor._of`` and ``structures.Bimodule._of``
+set the fields as given, and are called only on a table a library kernel
+has just made (``_combine``, ``_transport``, a search leaf), which is in
+field form and shape by construction; each call says why.  Documents, the
+CLI and the catalogue never call them.  Every vector
 and scalar argument (of ``matvec``, ``apply``, ``scale``, ``solve`` and
 ``in_span``) is coerced into the field before any arithmetic, so no float
 or other non-scalar reaches ``_combine``; a vector that is not a sequence,
@@ -170,7 +176,9 @@ def _field_table(field: FieldSpec, table, sizes: tuple) -> tuple:
 class Matrix:
     """Immutable dense matrix; ``entries`` is a row-major tuple of tuples.
 
-    Entries are coerced into the field by ``_field_table``; every row has one length.
+    Public construction checks: entries are coerced into the field by
+    ``_field_table``, and every row has one length.  ``_of`` trusts kernel
+    output only.
     """
 
     _noun = "matrix"
@@ -179,6 +187,14 @@ class Matrix:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", _field_table(self.field, self.entries, (None, ...)))
+
+    @classmethod
+    def _of(cls, field: FieldSpec, entries: tuple) -> "Matrix":
+        """The matrix of ``entries`` as given: tuple rows of one length of scalars of ``field``."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "field", field)
+        object.__setattr__(m, "entries", entries)
+        return m
 
     @property
     def rows(self) -> int:
@@ -197,8 +213,9 @@ class Matrix:
         _expect(field, FieldSpec)
         _check_size(n)
         one, zero = field.one, field.zero
-        return cls(field, tuple(tuple(one if i == j else zero for j in range(n))
-                                for i in range(n)))
+        # n rows of n of the field's own one and zero
+        return cls._of(field, tuple(tuple(one if i == j else zero for j in range(n))
+                                    for i in range(n)))
 
     @classmethod
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "Matrix":
@@ -207,7 +224,8 @@ class Matrix:
         _check_size(cols, "column count")
         if cols and not rows:
             raise DimensionMismatchError(f"a matrix with no rows cannot have {cols} columns")
-        return cls(field, ((field.zero,) * cols,) * rows)
+        # rows rows of cols of the field's own zero
+        return cls._of(field, ((field.zero,) * cols,) * rows)
 
     @classmethod
     def from_columns(cls, field: FieldSpec, columns: Sequence[Sequence]) -> "Matrix":
@@ -236,14 +254,17 @@ class Matrix:
         if self.cols != other.rows:
             raise DimensionMismatchError(f"mul: {self.cols} vs {other.rows}")
         f = self.field
-        return Matrix(f, tuple(_combine(r, other.entries, f.p, f.zero) for r in self.entries))
+        # one _combine of other's rows per row of self: rows of other.cols scalars of f
+        return Matrix._of(f, tuple(_combine(r, other.entries, f.p, f.zero)
+                                   for r in self.entries))
 
     __mul__ = mul
 
     def scale(self, c) -> "Matrix":
         f = self.field
         c = f.coerce(c)
-        return Matrix(f, tuple(_combine((c,), (row,), f.p, f.zero) for row in self.entries))
+        # one _combine per row, of the row's own length: in f and in self's shape
+        return Matrix._of(f, tuple(_combine((c,), (row,), f.p, f.zero) for row in self.entries))
 
     def is_zero(self) -> bool:
         return all(a == 0 for r in self.entries for a in r)
@@ -349,7 +370,8 @@ def invert(M: Matrix) -> Matrix:
     pivots = _rref(rows, f, range(n))
     if len(pivots) < n:
         raise SingularMatrixError("matrix is singular")
-    inverse = Matrix(f, tuple(tuple(rows[i][n:]) for i in range(n)))
+    # _rref rows over f, from M's checked entries, one and zero: n rows of n scalars of f
+    inverse = Matrix._of(f, tuple(tuple(rows[i][n:]) for i in range(n)))
     vars(M)["_inverse"], vars(inverse)["_inverse"] = inverse, M
     return inverse
 
@@ -409,7 +431,9 @@ def column_space_basis(M: Matrix) -> list:
 class StructureTensor:
     """Coordinates c[i][j][k] of a bilinear product: b_i * b_j = sum_k c[i][j][k] b_k.
 
-    Entries are coerced into the field by ``_field_table``, as an n x n x n table.
+    Public construction checks: entries are coerced into the field by
+    ``_field_table``, as an n x n x n table.  ``_of`` trusts kernel output
+    only.
     """
 
     _noun = "structure tensor"
@@ -420,6 +444,14 @@ class StructureTensor:
         cube = _field_table(self.field, self.entries, (None, None, None))
         object.__setattr__(self, "entries", cube)
 
+    @classmethod
+    def _of(cls, field: FieldSpec, entries: tuple) -> "StructureTensor":
+        """The tensor of ``entries`` as given: an n x n x n tuple table of scalars of ``field``."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "field", field)
+        object.__setattr__(t, "entries", entries)
+        return t
+
     @property
     def dim(self) -> int:
         return len(self.entries)
@@ -428,7 +460,8 @@ class StructureTensor:
     def zero(cls, field: FieldSpec, dim: int) -> "StructureTensor":
         _expect(field, FieldSpec)
         _check_size(dim)
-        return cls(field, (((field.zero,) * dim,) * dim,) * dim)
+        # dim x dim x dim of the field's own zero
+        return cls._of(field, (((field.zero,) * dim,) * dim,) * dim)
 
     @classmethod
     def from_triples(cls, field: FieldSpec, dim: int, triples: Iterable) -> "StructureTensor":
@@ -472,7 +505,8 @@ class StructureTensor:
     def scale(self, c) -> "StructureTensor":
         f = self.field
         c = f.coerce(c)
-        return StructureTensor(f, tuple(
+        # one _combine per entry, of the entry's own length: in f and in self's shape
+        return StructureTensor._of(f, tuple(
             tuple(_combine((c,), (row,), f.p, f.zero) for row in plane)
             for plane in self.entries))
 

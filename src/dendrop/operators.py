@@ -331,9 +331,10 @@ def twist_by_range_automorphism(op: OOperator, fmat: Matrix) -> OOperator:
     bad = multiplicativity_failure(fmat, op.codomain)
     if bad is not None:
         raise NotMultiplicativeError(f"f is not multiplicative at basis pair {bad}")
-    # the acting argument of each action table moves along f^{-1}
-    new_domain = Bimodule(op.codomain, *_moved_actions(op.field, op.domain.left, op.domain.right,
-                                                       _transpose(finv.entries), None, None))
+    # the acting argument of each action table moves along f^{-1}; the moved tables are
+    # _transport output along an n x n map: the checked tables' shapes, over the same field
+    new_domain = Bimodule._of(op.codomain, *_moved_actions(
+        op.field, op.domain.left, op.domain.right, _transpose(finv.entries), None, None))
     if op.kind == ALGEBRA:
         new_domain = BimoduleAlgebra(new_domain, op.domain.product)
     return OOperator(new_domain, op.codomain, fmat.mul(op.matrix), op.weight)
@@ -351,12 +352,13 @@ def pullback_domain(domain, h: Matrix):
     _expect(domain, Bimodule, BimoduleAlgebra)
     hinv = _require_invertible(h, domain.field, domain.dim, "pullback matrix h")
     f, hcols, back = domain.field, _transpose(h.entries), _transpose(hinv.entries)
-    # every module argument moves along h and every module value back along h^{-1}
-    pulled = Bimodule(domain.algebra,
-                      *_moved_actions(f, domain.left, domain.right, None, hcols, back))
+    # every module argument moves along h and every module value back along h^{-1}; each
+    # table is _transport output along m x m maps: the checked table's shape, over f
+    pulled = Bimodule._of(domain.algebra,
+                          *_moved_actions(f, domain.left, domain.right, None, hcols, back))
     if isinstance(domain, BimoduleAlgebra):
         product = _transport(f, domain.product.entries, hcols, hcols, back)
-        pulled = BimoduleAlgebra(pulled, StructureTensor(f, product))
+        pulled = BimoduleAlgebra(pulled, StructureTensor._of(f, product))
     # the objects themselves, compared by identity (an id() could be reused)
     vars(pulled)["_pulled_back"] = (domain, h)
     return pulled

@@ -64,7 +64,7 @@ from itertools import combinations, product
 from operator import attrgetter
 from typing import Sequence
 
-from .errors import DimensionMismatchError, NotAssociativeError, _expect
+from .errors import DimensionMismatchError, FieldMismatchError, NotAssociativeError, _expect
 from .fields import FieldSpec, same_field
 from .linalg import StructureTensor, _check_size, _combine, _field_table, _transport
 
@@ -234,7 +234,8 @@ class Algebra(_Tables):
     """Bilinear product on a finite free module; associativity is checked, not assumed.
 
     Structures are immutable, so data derived from their fields (here the
-    canonical bimodule, on every checked object its verdict ``_holds``)
+    canonical bimodule, on an enumerated dialgebra its star ``_star``, on
+    every checked object its verdict ``_holds``)
     is computed on first use and kept on the instance.  It takes no part
     in equality, hashing, ``repr`` or documents, which read the fields only.
     """
@@ -254,7 +255,8 @@ class Algebra(_Tables):
         _require_holds(self, NotAssociativeError,
                        "algebra is not associative (first violation at {indices})")
         c = self.product
-        return BimoduleAlgebra(Bimodule(self, c.entries, c.entries), c)
+        # both actions are the checked n x n x n product table, as the action layout reads it
+        return BimoduleAlgebra(Bimodule._of(self, c.entries, c.entries), c)
 
 
 def _moved_actions(field: FieldSpec, left, right, acting, module, value) -> tuple:
@@ -276,7 +278,9 @@ class Bimodule(_Checked):
     ``left[i][j]`` holds the coordinates of ``l(b_i) e_j`` and
     ``right[j][i]`` those of ``e_j r(b_i)``: an n x m x m and an m x n x m
     table, n the algebra's dimension and m the module's, the length of
-    ``right``.  Both pass ``linalg._field_table`` over the algebra's field.
+    ``right``.  Public construction checks: both pass
+    ``linalg._field_table`` over the algebra's field.  ``_of`` trusts
+    kernel output only.
     """
 
     _noun = "bimodule"
@@ -290,6 +294,16 @@ class Bimodule(_Checked):
         right = _field_table(f, self.right, (None, n, None))
         object.__setattr__(self, "right", right)
         object.__setattr__(self, "left", _field_table(f, self.left, (n, len(right), len(right))))
+
+    @classmethod
+    def _of(cls, algebra: Algebra, left: tuple, right: tuple) -> "Bimodule":
+        """The bimodule of ``left`` and ``right`` as given: tuple tables over the
+        algebra's field in the action layout."""
+        bm = object.__new__(cls)
+        object.__setattr__(bm, "algebra", algebra)
+        object.__setattr__(bm, "left", left)
+        object.__setattr__(bm, "right", right)
+        return bm
 
     @property
     def field(self) -> FieldSpec:
@@ -581,10 +595,19 @@ def validate_bimodule_algebra(ba: BimoduleAlgebra,
 # -- constructions ----------------------------------------------------------------
 
 def star_product(d) -> Algebra:
-    """Sum of the dendriform products; associative whenever the axioms hold."""
+    """Sum of the dendriform products; associative whenever the axioms hold.
+
+    A dialgebra the F_p enumeration built keeps the star it was built over,
+    as derived data (``_star``, like ``_holds``); that one is returned.
+    Any other structure's tables are summed.
+    """
     _expect(d, DendriformDi, DendriformTri)
+    kept = vars(d).get("_star")
+    if kept is not None:
+        return kept
     tables = [t.entries for t in d.tensors()]
-    return Algebra(StructureTensor(d.field, _table_sum(d.field, tables)))
+    # _table_sum is one _combine per entry of d's checked n x n x n tables: in field and shape
+    return Algebra(StructureTensor._of(d.field, _table_sum(d.field, tables)))
 
 
 def canonical_bimodule(alg: Algebra) -> BimoduleAlgebra:
@@ -600,9 +623,16 @@ def canonical_bimodule(alg: Algebra) -> BimoduleAlgebra:
 # -- field transport ----------------------------------------------------------------
 
 def tensor_to_field(t: StructureTensor, target: FieldSpec) -> StructureTensor:
-    """Reinterpret a rational tensor over ``target`` (reduction mod p when prime)."""
+    """Reinterpret a rational tensor over ``target`` (reduction mod p when prime).
+
+    A tensor over any other field is only kept on its own field: there is
+    no map F_p -> F_q or F_p -> Q, so another target raises
+    ``FieldMismatchError``.
+    """
     if t.field == target:
         return t
+    if t.field.is_finite:
+        raise FieldMismatchError(f"field mismatch: no map from {t.field} to {target}")
     conv = target.convert_from_rational
     return StructureTensor(target, tuple(
         tuple(tuple(conv(a) for a in row) for row in plane) for plane in t.entries))
